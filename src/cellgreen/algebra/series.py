@@ -8,6 +8,7 @@ more knowledge than its inputs justify.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -18,12 +19,33 @@ Scalar = Union[Fraction, int]
 
 
 class PowerSeries:
-    """Immutable truncated series: ``coeffs`` has length exactly ``order``."""
+    """Immutable truncated series: ``coeffs`` has length exactly ``order``.
+
+    The product of two series is one big-integer product (Kronecker
+    substitution).  Each operand's first ``n = min(orders)`` coefficients
+    are written as integer numerators ``a_i`` over the lcm ``den_a`` of their
+    denominators, and packed into the integer ``A = sum a_i 2**(w*i)``;
+    likewise ``B`` from ``b_j`` over ``den_b``.  Then ``A*B = sum c_k
+    2**(w*k)`` with ``c_k = sum_{i+j=k} a_i b_j``, the numerators of the
+    product over ``den_a*den_b``.
+
+    The slot width ``w`` is ``bits(max|a|) + bits(max|b|) + bits(n) + 2``,
+    rounded up to whole bytes.  A slot sums at most ``n`` products, so
+    ``|c_k| < 2**(w-2)``: no slot overflows into its neighbour.  The slots
+    are signed, so a negative ``c_k`` borrows from the slot above.  Adding
+    ``2**(w-1)`` to each of the low ``n`` slots settles every borrow in one
+    big-integer addition: slot ``k`` then holds ``c_k + 2**(w-1)``, which lies
+    in ``[0, 2**w)``, so the low ``n*w`` bits split into exactly these digits
+    and the higher slots only add multiples of ``2**(n*w)``.  Subtracting
+    ``2**(w-1)`` from each digit gives ``c_k`` exactly, and ``Fraction``
+    reduces ``c_k / (den_a*den_b)`` to the canonical coefficient that the
+    schoolbook sum would give.
+    """
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar], order: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if order is None:
             order = len(cs)
         if order < 0:
@@ -88,15 +110,23 @@ class PowerSeries:
         if isinstance(other, (Fraction, int)):
             return PowerSeries([c * other for c in self.coeffs], self.order)
         n = min(self.order, other.order)
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a == 0:
-                continue
-            for j in range(min(other.order, n - i)):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return PowerSeries(out, n)
+        if n == 0:
+            return PowerSeries([], 0)
+        a, den_a = _numerators(self.coeffs[:n])
+        b, den_b = _numerators(other.coeffs[:n])
+        width = _bits_of_max(a) + _bits_of_max(b) + n.bit_length() + 2
+        size = (width + 7) // 8
+        half = 1 << (8 * size - 1)
+        low = _pack(a, size) * _pack(b, size) + _pack([half] * n, size)
+        digits = (low & ((1 << (8 * size * n)) - 1)).to_bytes(size * n, "little")
+        den = den_a * den_b
+        return PowerSeries(
+            [
+                Fraction(int.from_bytes(digits[k : k + size], "little") - half, den)
+                for k in range(0, size * n, size)
+            ],
+            n,
+        )
 
     __rmul__ = __mul__
 
@@ -134,7 +164,8 @@ class PowerSeries:
         inner_n = inner.truncate(n)
         acc = PowerSeries([self.coeffs[k_max]], n)
         for k in range(k_max - 1, -1, -1):
-            acc = acc * inner_n + PowerSeries([self.coeffs[k]], n)
+            acc = acc * inner_n
+            acc = PowerSeries((acc.coeffs[0] + self.coeffs[k],) + acc.coeffs[1:], n)
         return acc
 
     # -- plumbing ---------------------------------------------------------
@@ -149,6 +180,23 @@ class PowerSeries:
 
     def __repr__(self) -> str:
         return f"PowerSeries({list(self.coeffs)!r}, order={self.order})"
+
+
+def _numerators(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integer numerators of ``coeffs`` over the lcm of their denominators."""
+    den = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _bits_of_max(nums: list[int]) -> int:
+    return max(max(nums), -min(nums)).bit_length()
+
+
+def _pack(nums: list[int], size: int) -> int:
+    """``sum nums[i] * 256**(size*i)`` for signed ``|nums[i]| < 256**size``."""
+    pos = b"".join((x if x > 0 else 0).to_bytes(size, "little") for x in nums)
+    neg = b"".join((-x if x < 0 else 0).to_bytes(size, "little") for x in nums)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def series_from_ratfunc(r: RatFunc, order: int) -> PowerSeries:

@@ -224,6 +224,30 @@ def _build_from_ids(
     return CellGraph(n, len(boundary_ids), frozenset(edges), name=name)
 
 
+def _json_int(value) -> int:
+    # bool is an int subclass, and int() would truncate 4.9 or read "4".
+    if type(value) is not int:
+        raise CellParseError(f"cell entries must be JSON integers, got {value!r}")
+    return value
+
+
+def cell_from_json(doc, name: str | None = None) -> CellGraph:
+    """The cell of a JSON object with keys vertices, boundary and edges.
+
+    Every count and vertex id must be a JSON integer; ids are normalized as
+    by parse_cell.
+    """
+    try:
+        n = _json_int(doc["vertices"])
+        boundary = [_json_int(v) for v in doc["boundary"]]
+        edges = [(_json_int(a), _json_int(b)) for a, b in doc["edges"]]
+    except CellParseError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CellParseError(f"malformed JSON cell: {exc}") from exc
+    return _build_from_ids(n, boundary, edges, name)
+
+
 def parse_cell(text: str, name: str | None = None) -> CellGraph:
     """Parse the line-oriented cell format, or its JSON equivalent.
 
@@ -238,13 +262,7 @@ def parse_cell(text: str, name: str | None = None) -> CellGraph:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise CellParseError(f"invalid JSON: {exc}") from exc
-        try:
-            n = int(doc["vertices"])
-            boundary = [int(v) for v in doc["boundary"]]
-            edges = [(int(a), int(b)) for a, b in doc["edges"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CellParseError(f"malformed JSON cell: {exc}") from exc
-        return _build_from_ids(n, boundary, edges, name)
+        return cell_from_json(doc, name)
 
     n = None
     boundary: list[int] | None = None

@@ -33,6 +33,7 @@ from .blowup import (
 from .cells import (
     CellError,
     CellGraph,
+    cell_from_json,
     cell_to_json,
     cell_to_text,
     enumerate_cells,
@@ -45,6 +46,7 @@ from .harmonic import alpha_from_harmonic, harmonic_function, verify_alpha_mu
 from .iteration import (
     green_series,
     invariants,
+    probe_tail_bounds,
     singular_prefactor_probe,
 )
 from .registry import builtin_cell, builtin_names
@@ -77,6 +79,12 @@ def _load_cell(args) -> tuple[CellGraph, dict]:
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     meta = {"source": source, "sha256": digest}
     return g, meta
+
+
+def _order(args) -> int:
+    if args.order < 0:
+        raise ValueError(f"--order must be nonnegative, got {args.order}")
+    return args.order
 
 
 def _envelope(command: str, meta: dict, g: CellGraph | None) -> dict:
@@ -122,9 +130,9 @@ def cmd_validate(args) -> int:
 
 def cmd_functions(args) -> int:
     started = time.monotonic()
+    count = _order(args) + 1
     g, meta = _load_cell(args)
     cf = cell_functions(g)
-    count = args.order + 1
     doc = _envelope("functions", meta, g)
     doc["functions"] = {
         "order": args.order,
@@ -141,9 +149,10 @@ def cmd_functions(args) -> int:
 
 def cmd_green(args) -> int:
     started = time.monotonic()
+    order = _order(args)
     g, meta = _load_cell(args)
     cf = cell_functions(g)
-    gs = green_series(cf, args.order)
+    gs = green_series(cf, order)
     doc = _envelope("green", meta, g)
     doc["green"] = {
         "order": gs.order,
@@ -193,18 +202,23 @@ def cmd_verify(args) -> int:
     if args.from_report:
         with open(args.from_report, "r", encoding="utf-8") as fh:
             old = json.load(fh)
-        cell_doc = old["cell"]
-        g = CellGraph(
-            cell_doc["vertices"],
-            len(cell_doc["boundary"]),
-            frozenset(tuple(e) for e in cell_doc["edges"]),
-            name=cell_doc.get("name"),
-        )
-        args.max_steps = old["verify"]["settings"]["max_steps"]
+        try:
+            cell_doc = old["cell"]
+            name = cell_doc.get("name")
+            args.max_steps = old["verify"]["settings"]["max_steps"]
+            old_items = {
+                i["name"]: i["passed"] for i in old["verify"]["report"]["items"]
+            }
+        except KeyError as exc:
+            raise CellError(
+                f"{args.from_report} is not a verify report: no field {exc}"
+            ) from None
+        except (AttributeError, TypeError):
+            raise CellError(
+                f"{args.from_report} is not a verify report: wrong layout"
+            ) from None
+        g = cell_from_json(cell_doc, name=name)
         fresh = _verify_payload(g, args)
-        old_items = {
-            i["name"]: i["passed"] for i in old["verify"]["report"]["items"]
-        }
         new_items = {
             i["name"]: i["passed"] for i in fresh["report"]["items"]
         }
@@ -315,16 +329,25 @@ def _parse_points(raw: str) -> list[Fraction]:
     for tok in raw.split(","):
         tok = tok.strip()
         if tok:
-            pts.append(Fraction(tok))
+            try:
+                pts.append(Fraction(tok))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(
+                    f"probe point {tok!r} is not a rational number"
+                ) from None
     return pts
 
 
 def cmd_probe(args) -> int:
+    # The points need only the order, so a bad one fails before the series.
+    points = _parse_points(args.points)
+    order = _order(args)
+    probe_tail_bounds(points, order)
     g, _meta = _load_cell(args)
     cf = cell_functions(g)
     inv = invariants(g, cf)
-    gs = green_series(cf, args.order)
-    rows = singular_prefactor_probe(gs, inv, _parse_points(args.points))
+    gs = green_series(cf, order)
+    rows = singular_prefactor_probe(gs, inv, points)
     out = ["z,partial_sum,tail_bound,scaled"]
     for row in rows:
         out.append(

@@ -256,30 +256,52 @@ class ProbeRow:
         }
 
 
+PROBE_TAIL_TOL = Fraction(1, 10**6)
+
+
+def probe_tail_bounds(
+    points: list[Fraction],
+    order: int,
+    tail_tol: Fraction = PROBE_TAIL_TOL,
+) -> list[Fraction]:
+    """Truncation error bound z^(order+1)/(1-z) of each probe point.
+
+    Coefficients of G are probabilities, so this bounds what the terms
+    beyond z^order add at z.  Needs only the points and the order, so a
+    caller can reject a point before it builds the series: a point outside
+    (0, 1) raises ValueError, and one whose bound exceeds tail_tol raises
+    KernelError.
+    """
+    tails = []
+    for z in points:
+        if not 0 < z < 1:
+            raise ValueError("probe points must lie strictly inside (0, 1)")
+        tail = z ** (order + 1) / (1 - z)
+        if tail > tail_tol:
+            raise KernelError(
+                f"point {z} too close to 1 for order {order}: "
+                f"tail bound {float(tail):.3g} exceeds {float(tail_tol):.3g}"
+            )
+        tails.append(tail)
+    return tails
+
+
 def singular_prefactor_probe(
     gs: GreenSeries,
     inv: CellInvariants,
     points: list[Fraction],
-    tail_tol: Fraction = Fraction(1, 10**6),
+    tail_tol: Fraction = PROBE_TAIL_TOL,
 ) -> list[ProbeRow]:
     """Diagnostic table of G(z) (1-z)^(-eta) at rational points in (0, 1).
 
-    Coefficients of G are probabilities, so the truncation error at z is at
-    most z^(order+1)/(1-z); a point is rejected when that bound exceeds
-    tail_tol.  The scaled column uses the eta bracket midpoint and float
-    exponentiation: this is a boundedness probe, not a verified quantity.
+    Points are checked with probe_tail_bounds at the series' order.  The
+    scaled column uses the eta bracket midpoint and float exponentiation:
+    this is a boundedness probe, not a verified quantity.
     """
+    tails = probe_tail_bounds(points, gs.order, tail_tol)
     rows = []
     eta_mid = inv.eta.midpoint()
-    for z in points:
-        if not 0 < z < 1:
-            raise ValueError("probe points must lie strictly inside (0, 1)")
-        tail = z ** (gs.order + 1) / (1 - z)
-        if tail > tail_tol:
-            raise KernelError(
-                f"point {z} too close to 1 for order {gs.order}: "
-                f"tail bound {float(tail):.3g} exceeds {float(tail_tol):.3g}"
-            )
+    for z, tail in zip(points, tails):
         partial = Fraction(0)
         for c in reversed(gs.series.coeffs[: gs.order + 1]):
             partial = partial * z + c

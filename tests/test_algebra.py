@@ -1,10 +1,11 @@
 """Exact algebra layer: polynomials, rational functions, series, roots."""
 
 from fractions import Fraction
+import hashlib
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cellgreen.algebra import (
     Bracket,
@@ -26,6 +27,9 @@ from cellgreen.algebra import (
     squarefree_part,
 )
 from cellgreen.algebra.matrix import det_bareiss, det_laplace, solve_linear
+from cellgreen.greenkernel import cell_functions
+from cellgreen.iteration import green_series
+from cellgreen.registry import builtin_cell
 
 X = Poly([0, 1])
 
@@ -189,6 +193,73 @@ class TestPowerSeries:
         assert (a + b).order == 2
         assert (a * b).order == 2
         assert (a * b).coeffs == (1, 3)
+
+
+# -- series product against the schoolbook reference ------------------------
+
+
+def schoolbook_product(a: PowerSeries, b: PowerSeries) -> PowerSeries:
+    """Reference product: the double loop over Fraction coefficients."""
+    n = min(a.order, b.order)
+    out = [Fraction(0)] * n
+    for i, x in enumerate(a.coeffs[:n]):
+        for j, y in enumerate(b.coeffs[: n - i]):
+            out[i + j] += x * y
+    return PowerSeries(out, n)
+
+
+# Signed numerators up to 2**70 over mixed denominators, so the packed
+# slots are many bytes wide and carry borrows from negative products.
+wide_rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=1, max_value=10**6),
+)
+series_coeffs = st.one_of(
+    st.lists(wide_rationals, max_size=24),
+    st.lists(rationals, max_size=24),
+    st.integers(min_value=0, max_value=24).map(lambda n: [Fraction(0)] * n),
+)
+
+
+class TestSeriesProduct:
+    @given(series_coeffs, series_coeffs)
+    @example([], [Fraction(3)])
+    @example([Fraction(-5, 7)], [Fraction(3, 4)])
+    @example([Fraction(0)] * 4, [Fraction(1, 3), Fraction(-1, 2)])
+    @example([Fraction(-1)] * 9, [Fraction(-1)] * 9)
+    @example([Fraction(-(2**70), 3), Fraction(2**70 - 1, 5)], [Fraction(-7, 2)] * 5)
+    # bits(255) + bits(127) + 1 is a whole number of bytes, so a slot width
+    # without the bits(n) term would overflow on these 24 like-signed sums.
+    @example([Fraction(255)] * 24, [Fraction(-127)] * 24)
+    def test_matches_schoolbook(self, a_c, b_c):
+        a = PowerSeries(a_c)
+        b = PowerSeries(b_c)
+        expected = schoolbook_product(a, b)
+        assert a * b == expected
+        assert b * a == expected
+        assert (a * b).coeffs == expected.coeffs
+
+    def test_unknown_tail_shortens_product(self):
+        a = PowerSeries([Fraction(1, 2), -3], 5)
+        b = PowerSeries([1, Fraction(-2, 3), 0, 4], 4)
+        assert (a * b).order == 4
+        assert a * b == schoolbook_product(a, b)
+
+    # sha256 of the newline-joined coefficient strings through z^200, as
+    # computed by the schoolbook product before the Kronecker engine.
+    GOLDEN_ORDER_200 = {
+        "diamond": "7d2423196dcc36ca3999f705ea5b454948ed4865bfb109af34821427ece4d106",
+        "sierpinski": "9e9646549837d4e8662f6fb0d86c249daa7c9a25352662d4916e6355ff5730b8",
+        "theta4": "5779e0de6a3c23f71fdada8c8c04e275aa1cefe4a1b3aea96f65a865fe0a88f1",
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ORDER_200))
+    def test_green_series_golden_digest(self, name):
+        gs = green_series(cell_functions(builtin_cell(name)), 200)
+        text = "\n".join(str(c) for c in gs.coefficients())
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == self.GOLDEN_ORDER_200[name]
 
 
 # -- rational function reconstruction ---------------------------------------

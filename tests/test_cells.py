@@ -119,6 +119,23 @@ class TestParsing:
             g = builtin_cell(name)
             assert parse_cell(json.dumps(cell_to_json(g))) == g
 
+    @pytest.mark.parametrize("field, value", [
+        ("vertices", 3.0),
+        ("vertices", True),
+        ("vertices", "3"),
+        ("boundary", [0, 1.0]),
+        ("boundary", [False, 1]),
+        ("boundary", ["0", 1]),
+        ("edges", [[0, 2], [1, 2.7]]),
+        ("edges", [[0, 2], [True, 2]]),
+        ("edges", [[0, 2], [1, "2"]]),
+    ])
+    def test_json_rejects_non_integer_entries(self, field, value):
+        doc = cell_to_json(builtin_cell("path2"))
+        doc[field] = value
+        with pytest.raises(CellError, match="integers"):
+            parse_cell(json.dumps(doc))
+
 
 class TestValidation:
     def test_diamond_report(self):

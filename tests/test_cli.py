@@ -1,8 +1,11 @@
-"""End-to-end runs of the command line tool in a subprocess."""
+"""End-to-end runs of the command line tool: in a subprocess, or in-process
+where a test replaces a function that the CLI calls."""
 
 import json
 
 import pytest
+
+import cellgreen.cli
 
 DIAMOND_TEXT = """\
 vertices 6
@@ -202,7 +205,59 @@ class TestProbe:
         assert first[0] == "1/2"
         assert float(first[3]) == pytest.approx(0.8165, abs=5e-4)
 
+    def test_bad_point_fails_before_the_series(self, monkeypatch, capsys):
+        def no_series(*args, **kwargs):
+            raise AssertionError("green_series was called")
+
+        monkeypatch.setattr(cellgreen.cli, "green_series", no_series)
+        code = cellgreen.cli.main([
+            "probe", "--builtin", "sierpinski", "--order", "120",
+            "--points", "1/2,9/10",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: point 9/10 too close to 1 for order 120")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("points", ["1/0", "abc", "1/2,x/3"])
+    def test_unreadable_points_exit_two(self, cli, points):
+        result = cli("probe", "--builtin", "path2", "--points", points)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: probe point ")
+        assert "is not a rational number" in result.stderr
+        assert result.stderr.count("\n") == 1
+
     def test_version_flag(self, cli):
         result = cli("--version")
         assert result.returncode == 0
         assert result.stdout.startswith("cellgreen ")
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("command", ["functions", "green", "probe"])
+    def test_negative_order_exits_two(self, cli, command):
+        result = cli(command, "--builtin", "diamond", "--order", "-1")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: --order must be nonnegative, got -1\n"
+
+    def test_from_report_needs_a_report(self, cli, tmp_path):
+        path = tmp_path / "not-a-report.json"
+        path.write_text(json.dumps({"a": 1}))
+        result = cli("verify", "--from-report", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: {path} is not a verify report: no field 'cell'\n"
+        )
+
+    def test_from_report_names_a_nested_field(self, cli, tmp_path):
+        doc = payload(cli("verify", "--builtin", "path2", "--max-steps", "6"))
+        del doc["verify"]["settings"]
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(doc))
+        result = cli("verify", "--from-report", str(path))
+        assert result.returncode == 2
+        assert "is not a verify report: no field 'settings'" in result.stderr
+        assert result.stderr.count("\n") == 1
