@@ -6,6 +6,7 @@ from .matrix import (
     SingularMatrixError,
     det_bareiss,
     det_laplace,
+    det_linear,
     minor,
     solve_linear,
 )
@@ -23,7 +24,6 @@ from .ratfunc import PoleError, RatFunc, ZeroDenominatorError
 from .roots import (
     IsolatedRoot,
     NoPositiveRootError,
-    compare_with_rational,
     count_roots,
     root_compare,
     roots_equal,
@@ -45,10 +45,10 @@ __all__ = [
     "X",
     "ZERO",
     "ZeroDenominatorError",
-    "compare_with_rational",
     "count_roots",
     "det_bareiss",
     "det_laplace",
+    "det_linear",
     "format_poly",
     "ln_bracket",
     "log_ratio",

@@ -2,12 +2,15 @@
 
 Two independent determinant routines are kept on purpose: Bareiss
 fraction-free elimination (fast path) and memoized Laplace expansion
-(cross-check path).  Tests compare them on random matrices.
+(cross-check path).  Tests compare them on random matrices.  Matrices of
+linear polynomials, such as the resolvents I - zT, go through
+``det_linear``, which runs Bareiss on plain integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .poly import Poly
@@ -25,9 +28,12 @@ def _is_zero(x) -> bool:
 
 
 def _exact_div(a, b):
-    if isinstance(a, Poly) or isinstance(b, Poly):
+    """a / b where b divides a: Poly and int quotients stay in their domain."""
+    if isinstance(a, Poly) or isinstance(b, Poly) or (
+        isinstance(a, int) and isinstance(b, int)
+    ):
         q, r = divmod(a, b)
-        if not r.is_zero:
+        if r:
             raise ArithmeticError("inexact division in fraction-free elimination")
         return q
     return a / b
@@ -72,6 +78,54 @@ def det_bareiss(rows: Sequence[Sequence]):
             m[i][k] = m[i][k] * 0
         prev = m[k][k]
     return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
+
+
+def det_linear(rows: Sequence[Sequence[Poly]]) -> Poly:
+    """Determinant of a square matrix of Poly entries of degree at most 1.
+
+    Row i is multiplied by the lcm ``s_i`` of its coefficient denominators,
+    which gives a matrix ``A + zB`` with integer ``A`` and ``B``.  Its
+    determinant ``p(z) = prod(s_i) det(rows)`` has integer coefficients and
+    degree at most n, so its values at the n + 1 integer points z = 0..n fix
+    it; each value is ``det_bareiss`` of an integer matrix.
+
+    Newton interpolation on those points divides the k-th differences by k
+    (the spacing of points k apart), so the Newton coefficient ``c_k`` is
+    the k-th forward difference of p at 0 over k!.  That is the coefficient
+    of p in the falling-factorial basis ``z(z-1)...(z-k+1)``.  Every power
+    z^m is an integer combination of falling factorials (Stirling numbers of
+    the second kind), so these coefficients, and the divided differences at
+    every other start point (those of p(z + i)), are integers: each
+    division is exact, and ``_exact_div`` raises if one is not.  Expanding
+    the Newton form back to powers of z keeps integers, and the final
+    division by ``prod(s_i)`` gives the rational determinant.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square")
+    scale = 1
+    lows, highs = [], []
+    for row in rows:
+        if any(e.degree > 1 for e in row):
+            raise ValueError("det_linear needs entries of degree at most 1")
+        s = lcm(1, *(c.denominator for e in row for c in e.coeffs))
+        scale *= s
+        lows.append([int(e.coefficient(0) * s) for e in row])
+        highs.append([int(e.coefficient(1) * s) for e in row])
+    diffs = [
+        det_bareiss(
+            [[a + z * b for a, b in zip(lo, hi)] for lo, hi in zip(lows, highs)]
+        )
+        for z in range(n + 1)
+    ]
+    # After pass k, diffs[i] is the divided difference over points i-k..i.
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            diffs[i] = _exact_div(diffs[i] - diffs[i - 1], k)
+    p = Poly([diffs[n]])
+    for k in range(n - 1, -1, -1):
+        p = p * Poly([-k, 1]) + diffs[k]
+    return p * Fraction(1, scale)
 
 
 def det_laplace(rows: Sequence[Sequence]):

@@ -153,17 +153,6 @@ class Poly:
             return self
         return self * (1 / self.leading_coefficient())
 
-    def scale_to_integers(self) -> tuple[Poly, Fraction]:
-        """Return (p * s, s) where s clears all denominators, for sign-safe use s > 0."""
-        if self.is_zero:
-            return self, Fraction(1)
-        from math import lcm
-
-        denom = 1
-        for c in self.coeffs:
-            denom = lcm(denom, c.denominator)
-        return self * Fraction(denom), Fraction(denom)
-
     # -- dunder plumbing ----------------------------------------------------
 
     def __eq__(self, other) -> bool:

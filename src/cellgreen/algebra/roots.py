@@ -155,6 +155,15 @@ def smallest_positive_root(
     Raises NoPositiveRootError when there is none.  The returned bracket has
     non-root rational endpoints, contains exactly one distinct root of p, and
     no root lies between 0 and its lower end.
+
+    Bisection keeps the lower half of (lo, hi) whenever it holds a root of
+    the squarefree part ``sf``.  While (lo, hi) holds more than one root, a
+    Sturm count decides that.  Once it holds exactly one, the sign of ``sf``
+    at the midpoint m decides it: ``sf`` has only simple roots, so it
+    changes sign at each one, and (lo, m) holds the root exactly when sf(m)
+    differs in sign from sf(lo), which is the sign of sf(0) since no root
+    lies in (0, lo].  Each step keeps the half that a Sturm count would
+    keep, so the brackets are those of Sturm-only bisection.
     """
     if p.degree < 1:
         raise NoPositiveRootError("constant polynomial has no roots")
@@ -170,15 +179,23 @@ def smallest_positive_root(
     while sf(hi) == 0:
         hi += 1
     lo = Fraction(0)
-    total = count_roots(sf, lo, hi)
-    if total == 0:
+    inside = count_roots(sf, lo, hi)
+    if inside == 0:
         raise NoPositiveRootError(f"no positive real root: {p}")
-    # Invariant: no root in (0, lo], at least one in (lo, hi).
-    while count_roots(sf, lo, hi) > 1 or hi - lo > width:
+    # Invariant: no root in (0, lo] and `inside` roots in (lo, hi); lo and
+    # hi are non-roots.  So sf has on [0, lo] the sign it has at 0.
+    positive_at_0 = sf(lo) > 0
+    while inside > 1 or hi - lo > width:
         m = _nonroot_near(sf, (lo + hi) / 2, (hi - lo) / 64)
         if not lo < m < hi:
             m = _nonroot_near(sf, (lo + hi) / 2, (hi - lo) / 1024)
-        if count_roots(sf, lo, m) >= 1:
+        if inside > 1:
+            below = count_roots(sf, lo, m)
+            if below:
+                inside = below
+        else:
+            below = (sf(m) > 0) != positive_at_0
+        if below:
             hi = m
         else:
             lo = m
@@ -217,16 +234,3 @@ def root_compare(a: IsolatedRoot, b: IsolatedRoot) -> int:
             return 1
         a = a.refine(a.width / 4)
         b = b.refine(b.width / 4)
-
-
-def compare_with_rational(a: IsolatedRoot, q: Fraction) -> int:
-    """-1, 0, or 1 as the root compares with the rational q (exact)."""
-    q = Fraction(q)
-    while True:
-        if q <= a.low:
-            return 1
-        if q >= a.high:
-            return -1
-        if a.defining(q) == 0:
-            return 0  # q inside the bracket and a root: it is the root
-        a = a.refine(a.width / 4)

@@ -203,7 +203,7 @@ def series_from_ratfunc(r: RatFunc, order: int) -> PowerSeries:
     """Expand a rational function with den(0) != 0 to ``order`` coefficients."""
     den0 = r.den.coefficient(0)
     if den0 == 0:
-        raise PoleError("rational function has a pole at 0; no series expansion")
+        raise PoleError(Fraction(0))
     num, den = r.num, r.den
     out: list[Fraction] = []
     for n in range(order):

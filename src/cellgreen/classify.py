@@ -21,15 +21,16 @@ from .algebra import PowerSeries
 from .blowup import DEFAULT_EDGE_BUDGET, blowup, exact_return_probs, sufficient_level
 from .cells import CellGraph, CellReport, validate_cell
 from .greenkernel import (
+    CellFunctions,
     CheckItem,
     KernelError,
     PropertyReport,
     cell_functions,
-    modified_determinants,
     spectral_property_report,
 )
 from .harmonic import alpha_from_harmonic, verify_alpha_mu
 from .iteration import (
+    CellInvariants,
     GreenSeries,
     functional_residual,
     green_series,
@@ -105,7 +106,7 @@ def _verify_star_form(gs: GreenSeries) -> None:
     if gs.series != star_series(count):
         raise KernelError("path cell series deviates from 1/sqrt(1-z^2)")
     # Independent algebraicity witness: (1 - z^2) G^2 = 1 as truncated series.
-    one_minus_z2 = PowerSeries([1, 0, -1], count)
+    one_minus_z2 = PowerSeries([1, 0, -1][:count], count)
     if one_minus_z2 * gs.series * gs.series != PowerSeries.one(count):
         raise KernelError("algebraic identity (1-z^2) G^2 = 1 failed")
 
@@ -115,7 +116,13 @@ def classify(
     series_order: int = 50,
     cf: CellFunctions | None = None,
 ) -> Verdict:
-    """Total, deterministic verdict with verified evidence attached."""
+    """Total, deterministic verdict with verified evidence attached.
+
+    A path cell's series is checked against its closed form through
+    z^series_order.
+    """
+    if series_order < 0:
+        raise ValueError(f"series order must be nonnegative, got {series_order}")
     report = validate_cell(g)
     if not report.valid:
         return Verdict(
@@ -128,7 +135,7 @@ def classify(
     inv = invariants(g, cf)
     hyp = transcendence_hypotheses(cf)
     if g.theta == 2 and report.is_path:
-        gs = green_series(cf, max(series_order, 50))
+        gs = green_series(cf, series_order)
         _verify_star_form(gs)
         return Verdict(
             outcome="AlgebraicStar",
@@ -165,11 +172,6 @@ def classify(
 # -- full property suite ----------------------------------------------------------
 
 
-def _det_identity_holds(g: CellGraph) -> bool:
-    det_f, det_d = modified_determinants(g)
-    return det_f == det_d
-
-
 def verify_cell(
     g: CellGraph,
     max_steps: int = 12,
@@ -196,7 +198,7 @@ def verify_cell(
     inv = invariants(g, cf)
     items.extend(spectral_property_report(cf).items)
 
-    det_ok = _det_identity_holds(g)
+    det_ok = cf.det_f == cf.det_d
     items.append(
         CheckItem(
             "determinant_identity",
@@ -287,7 +289,7 @@ def verify_cell(
         )
     )
 
-    verdict = classify(g)
+    verdict = classify(g, cf=cf)
     expected = (
         "AlgebraicStar"
         if g.theta == 2 and report.is_path

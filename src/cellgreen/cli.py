@@ -81,10 +81,14 @@ def _load_cell(args) -> tuple[CellGraph, dict]:
     return g, meta
 
 
+def _nonnegative(flag: str, value: int) -> int:
+    if value < 0:
+        raise ValueError(f"{flag} must be nonnegative, got {value}")
+    return value
+
+
 def _order(args) -> int:
-    if args.order < 0:
-        raise ValueError(f"--order must be nonnegative, got {args.order}")
-    return args.order
+    return _nonnegative("--order", args.order)
 
 
 def _envelope(command: str, meta: dict, g: CellGraph | None) -> dict:
@@ -181,8 +185,9 @@ def cmd_invariants(args) -> int:
 
 def cmd_classify(args) -> int:
     started = time.monotonic()
+    series_order = _nonnegative("--series-order", args.series_order)
     g, meta = _load_cell(args)
-    verdict = classify(g, series_order=args.series_order)
+    verdict = classify(g, series_order=series_order)
     doc = _envelope("classify", meta, g)
     doc["verdict"] = verdict.to_json()
     _emit(doc, started)
@@ -199,6 +204,7 @@ def _verify_payload(g: CellGraph, args) -> dict:
 
 def cmd_verify(args) -> int:
     started = time.monotonic()
+    _nonnegative("--max-steps", args.max_steps)
     if args.from_report:
         with open(args.from_report, "r", encoding="utf-8") as fh:
             old = json.load(fh)
@@ -299,6 +305,7 @@ def cmd_blowup(args) -> int:
 
 def cmd_simulate(args) -> int:
     started = time.monotonic()
+    _nonnegative("--steps", args.steps)
     g, meta = _load_cell(args)
     level = args.level
     if level is None:

@@ -20,7 +20,7 @@ from .algebra import (
     PowerSeries,
     RatFunc,
     count_roots,
-    det_bareiss,
+    det_linear,
     minor,
     root_compare,
     roots_equal,
@@ -49,17 +49,23 @@ def _resolvent_matrix(t: Matrix) -> list[list[Poly]]:
     ]
 
 
-def green_entry(t: Matrix, i: int, j: int) -> RatFunc:
+def resolvent_det(t: Matrix) -> Poly:
+    """det(I - zT), the common denominator of every entry of (I - zT)^{-1}."""
+    return det_linear(_resolvent_matrix(t))
+
+
+def green_entry(t: Matrix, i: int, j: int, denom: Poly | None = None) -> RatFunc:
     """Entry [i, j] of (I - zT)^{-1} by the cofactor formula.
 
     The minor drops row j and column i; the transposition is what makes
     this the (i, j) entry of the inverse rather than the (j, i) one.
+    ``denom`` is ``resolvent_det(t)``; a caller that needs several entries
+    of one matrix passes it in, so that it is computed once.
     """
     m = _resolvent_matrix(t)
-    denom = det_bareiss(m)
-    if len(t) == 1:
-        return RatFunc(ONE, denom)
-    numer = det_bareiss(minor(m, j, i))
+    if denom is None:
+        denom = det_linear(m)
+    numer = det_linear(minor(m, j, i))
     if (i + j) % 2:
         numer = -numer
     return RatFunc(numer, denom)
@@ -95,10 +101,7 @@ def build_pd(g: CellGraph) -> Matrix:
 
 def modified_determinants(g: CellGraph) -> tuple[Poly, Poly]:
     """det(I - zP_f) and det(I - zP_d); equal for every valid cell."""
-    return (
-        det_bareiss(_resolvent_matrix(build_pf(g))),
-        det_bareiss(_resolvent_matrix(build_pd(g))),
-    )
+    return resolvent_det(build_pf(g)), resolvent_det(build_pd(g))
 
 
 # -- spectral data -----------------------------------------------------------
@@ -147,7 +150,6 @@ def radius(func: RatFunc) -> SpectralData | None:
     # The scale kappa with func ~ kappa (1 - z/rho)^{-order} near the pole.
     # For a simple pole kappa = -num(rho) / (rho den'(rho)); evaluate the
     # formula over a bracket tight enough that den' stays away from zero.
-    rho = rho.refine()
     kappa = None
     if rho.multiplicity == 1:
         dprime = den.derivative()
@@ -170,7 +172,11 @@ def radius(func: RatFunc) -> SpectralData | None:
 
 @dataclass(frozen=True)
 class CellFunctions:
-    """Return function f, transition function d, first-return function r."""
+    """Return function f, transition function d, first-return function r.
+
+    ``det_f`` and ``det_d`` are det(I - zP_f) and det(I - zP_d), the
+    denominators that f and d were built over.
+    """
 
     cell: CellGraph
     f: RatFunc
@@ -179,6 +185,8 @@ class CellFunctions:
     spectral_f: SpectralData
     spectral_d: SpectralData
     spectral_r: SpectralData | None
+    det_f: Poly
+    det_d: Poly
 
 
 def cell_functions(g: CellGraph, check_symmetry: bool = True) -> CellFunctions:
@@ -191,10 +199,12 @@ def cell_functions(g: CellGraph, check_symmetry: bool = True) -> CellFunctions:
     require_valid(g, check_automorphisms=check_symmetry)
     pf = build_pf(g)
     pd = build_pd(g)
-    f = green_entry(pf, 0, 0)
+    det_f = resolvent_det(pf)
+    det_d = resolvent_det(pd)
+    f = green_entry(pf, 0, 0, det_f)
     d = RatFunc(Poly([0]))
     for j in range(1, g.theta):
-        d = d + green_entry(pd, 0, j)
+        d = d + green_entry(pd, 0, j, det_d)
     r = 1 - 1 / f
 
     zero = Fraction(0)
@@ -216,7 +226,15 @@ def cell_functions(g: CellGraph, check_symmetry: bool = True) -> CellFunctions:
         raise KernelError("f and d must have a positive pole")
     sr = radius(r)
     return CellFunctions(
-        cell=g, f=f, d=d, r=r, spectral_f=sf, spectral_d=sd, spectral_r=sr
+        cell=g,
+        f=f,
+        d=d,
+        r=r,
+        spectral_f=sf,
+        spectral_d=sd,
+        spectral_r=sr,
+        det_f=det_f,
+        det_d=det_d,
     )
 
 

@@ -26,7 +26,20 @@ from cellgreen.algebra import (
     smallest_positive_root,
     squarefree_part,
 )
-from cellgreen.algebra.matrix import det_bareiss, det_laplace, solve_linear
+from cellgreen.algebra.matrix import (
+    _exact_div,
+    det_bareiss,
+    det_laplace,
+    det_linear,
+    solve_linear,
+)
+from cellgreen.algebra.roots import (
+    DEFAULT_WIDTH,
+    IsolatedRoot,
+    _multiplicity_in_bracket,
+    _nonroot_near,
+    cauchy_bound,
+)
 from cellgreen.greenkernel import cell_functions
 from cellgreen.iteration import green_series
 from cellgreen.registry import builtin_cell
@@ -151,6 +164,12 @@ class TestPowerSeries:
     def test_pole_at_zero_rejected(self):
         with pytest.raises(PoleError):
             series_from_ratfunc(RatFunc(P(1), P(0, 1)), 4)
+
+    def test_pole_error_names_the_point(self):
+        with pytest.raises(PoleError) as info:
+            series_from_ratfunc(RatFunc(P(1), P(0, 1)), 4)
+        assert info.value.point == 0
+        assert isinstance(info.value.point, Fraction)
 
     def test_compose_simple(self):
         outer = series_from_poly(P(1, 1), 4)
@@ -311,7 +330,78 @@ class TestReinterpolation:
 # -- root isolation ---------------------------------------------------------
 
 
+def sturm_smallest_positive_root(
+    p: Poly, width: Fraction = DEFAULT_WIDTH
+) -> IsolatedRoot:
+    """Reference isolation: every bisection step decided by a Sturm count."""
+    if p.degree < 1:
+        raise NoPositiveRootError("constant polynomial has no roots")
+    val = p.valuation()
+    if val > 0:
+        p = Poly(p.coeffs[val:])
+        if p.degree < 1:
+            raise NoPositiveRootError("no positive root (pure power of z)")
+    sf = squarefree_part(p)
+    hi = cauchy_bound(sf)
+    while sf(hi) == 0:
+        hi += 1
+    lo = Fraction(0)
+    inside = count_roots(sf, lo, hi)
+    if inside == 0:
+        raise NoPositiveRootError(f"no positive real root: {p}")
+    while inside > 1 or hi - lo > width:
+        m = _nonroot_near(sf, (lo + hi) / 2, (hi - lo) / 64)
+        if not lo < m < hi:
+            m = _nonroot_near(sf, (lo + hi) / 2, (hi - lo) / 1024)
+        below = count_roots(sf, lo, m)
+        if below:
+            hi, inside = m, below
+        else:
+            lo = m
+    return IsolatedRoot(lo, hi, p, _multiplicity_in_bracket(p, lo, hi))
+
+
+def isolation_outcome(isolate, p: Poly):
+    try:
+        return isolate(p)
+    except NoPositiveRootError:
+        return None
+
+
+# The polynomials that the root tests below isolate, plus a repeated root,
+# a rational root behind a power of z, and four rational roots.
+ROOT_TEST_POLYS = [
+    P(-2, 0, 1),
+    P(9, 0, -9, 0, 1),
+    P(1, -1),
+    P(1, 0, 1),
+    P(-2, 0, 1) * P(-5, 1),
+    P(-3, 0, 1),
+    *(P(-k, 0, k - 1, 1) for k in range(2, 41)),
+    P(-2, 0, 1) ** 2 * P(-3, 1),
+    P(0, 0, -1, 2),
+    P(-1, 1) * P(-2, 1) * P(-3, 1) * P(-4, 1),
+]
+
+
 class TestRoots:
+    @pytest.mark.parametrize("p", ROOT_TEST_POLYS, ids=str)
+    def test_brackets_match_sturm_bisection(self, p):
+        assert isolation_outcome(smallest_positive_root, p) == isolation_outcome(
+            sturm_smallest_positive_root, p
+        )
+
+    def test_brackets_match_sturm_bisection_on_cell_denominators(self, sweep):
+        dens = {
+            r.den
+            for rec in sweep.records
+            for r in (rec.cf.f, rec.cf.d, rec.cf.r)
+        }
+        for den in sorted(dens, key=lambda q: q.coeffs):
+            assert isolation_outcome(smallest_positive_root, den) == (
+                isolation_outcome(sturm_smallest_positive_root, den)
+            ), den
+
     def test_sqrt_two_bracket(self):
         root = smallest_positive_root(P(-2, 0, 1))
         assert float(root) == pytest.approx(math.sqrt(2), abs=1e-9)
@@ -368,6 +458,43 @@ class TestDeterminants:
     def test_identity(self):
         m = [[Fraction(int(i == j)) for j in range(5)] for i in range(5)]
         assert det_bareiss(m) == 1
+
+    @given(
+        st.integers(0, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.lists(rationals, max_size=2).map(lambda cs: P(*cs)),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    # A zero pivot at z = 0 that needs a row swap, a singular matrix, and
+    # an entry of z alone in the first pivot.
+    @example([[P(0), P(1)], [P(1), P(0)]])
+    @example([[P(0, 1), P(1, 2)], [P(0, 2), P(2, 4)]])
+    @example([[P(0, 1), P(1), P(0)], [P(1), P(0), P(0, -1)], [P(0), P(1, 1), P(3)]])
+    @example([])
+    @example([[P(Fraction(-3, 7), Fraction(5, 2))]])
+    def test_linear_matches_bareiss_and_laplace(self, rows):
+        got = det_linear(rows)
+        assert isinstance(got, Poly)
+        assert got == det_bareiss(rows)
+        assert got == det_laplace(rows)
+
+    def test_linear_rejects_higher_degree(self):
+        with pytest.raises(ValueError):
+            det_linear([[P(1, 0, 1)]])
+
+    def test_exact_div_on_integers(self):
+        q = _exact_div(-(3**40) * 7, 7)
+        assert q == -(3**40)
+        assert type(q) is int
+        with pytest.raises(ArithmeticError):
+            _exact_div(10, 4)
 
 
 # -- brackets ---------------------------------------------------------------

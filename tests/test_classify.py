@@ -1,5 +1,6 @@
 """Verdicts for the nature of the return generating function."""
 
+import importlib
 import re
 from fractions import Fraction
 
@@ -26,6 +27,14 @@ class TestStarCase:
             assert v.outcome == "AlgebraicStar"
             assert v.closed_form == "1/sqrt(1-z^2)"
             assert v.closed_form_verified_order >= 50
+
+    def test_closed_form_checked_to_the_given_order(self):
+        g = builtin_cell("path2")
+        assert classify(g).closed_form_verified_order == 50
+        for order in (0, 7, 80):
+            assert classify(g, series_order=order).closed_form_verified_order == order
+        with pytest.raises(ValueError):
+            classify(g, series_order=-1)
 
     def test_star_series_central_binomials(self):
         s = star_series(9)
@@ -129,6 +138,20 @@ class TestFullVerification:
 
     def test_path_report(self):
         assert verify_cell(builtin_cell("path2"), max_steps=12).all_passed
+
+    def test_cell_functions_once_per_verify(self, monkeypatch):
+        # The package attribute `classify` is the function, not the module.
+        module = importlib.import_module("cellgreen.classify")
+        calls = []
+        real = module.cell_functions
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "cell_functions", counted)
+        assert verify_cell(builtin_cell("sierpinski"), max_steps=6).all_passed
+        assert len(calls) == 1
 
     def test_invalid_cell_fails_verification(self):
         report = verify_cell(four_cycle(), max_steps=6)

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line tool: in a subprocess, or in-process
 where a test replaces a function that the CLI calls."""
 
+import hashlib
 import json
 
 import pytest
@@ -261,3 +262,38 @@ class TestInputErrors:
         assert result.returncode == 2
         assert "is not a verify report: no field 'settings'" in result.stderr
         assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args, flag, value",
+        [
+            (["simulate", "--steps", "-2"], "--steps", -2),
+            (["verify", "--max-steps", "-1"], "--max-steps", -1),
+            (["classify", "--series-order", "-5"], "--series-order", -5),
+        ],
+    )
+    def test_negative_counts_exit_two(self, cli, args, flag, value):
+        result = cli(*args, "--builtin", "diamond")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: {flag} must be nonnegative, got {value}\n"
+
+
+class TestVerifyGolden:
+    # sha256 of each builtin's `verify` JSON (sorted keys, elapsed_seconds
+    # removed), recorded before the determinants and root isolation moved
+    # to integer evaluation and sign bisection.
+    GOLDEN = {
+        "diamond": "914831100b541424be338954f1f74a1fd2c81da04cd81cf6e94d49f638886a28",
+        "path2": "6ad10d30a27ea599bfeee33072ea24fb31776a21eeb7464a735600a9d132d49b",
+        "path3": "4c1baf3bcfd015fdb370a3a14339b18a97044af616afb42d2a541f1661e71d40",
+        "sierpinski": "d05b3e3a693ef09ea538517310ac09b7fc084c5ca8844d8b0924cd6938304a5c",
+        "theta4": "1144bc912fc61b9f1b4a407413e97b40362582befbd20f4cee543ff61970fdd9",
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_verify_report_digest(self, name, capsys):
+        assert cellgreen.cli.main(["verify", "--builtin", name]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        del doc["elapsed_seconds"]
+        text = json.dumps(doc, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[name]

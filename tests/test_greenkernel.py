@@ -20,6 +20,7 @@ from cellgreen.greenkernel import (
     build_pf,
     green_entry,
     green_entry_elim,
+    resolvent_det,
 )
 
 
@@ -59,11 +60,22 @@ class TestModifiedMatrices:
         assert det_f == det_d
         assert det_f == P(1, 0, -1, 0, Fraction(1, 9))
 
+    def test_cell_functions_carry_the_determinants(self, diamond_cf):
+        det_f, det_d = modified_determinants(builtin_cell("diamond"))
+        assert diamond_cf.det_f == det_f
+        assert diamond_cf.det_d == det_d
+
 
 class TestGreenEntry:
     def test_single_state_chain(self):
         t = [[Fraction(0)]]
         assert green_entry(t, 0, 0) == RatFunc(P(1), P(1))
+
+    def test_given_denominator_gives_the_same_entry(self):
+        t = build_pd(builtin_cell("sierpinski"))
+        den = resolvent_det(t)
+        for j in range(3):
+            assert green_entry(t, 0, j, den) == green_entry(t, 0, j)
 
     def test_diamond_origin_entry(self):
         t = transition_matrix(builtin_cell("diamond"))
