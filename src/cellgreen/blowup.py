@@ -13,6 +13,8 @@ matrix-vector powering and seeded Monte Carlo simulation.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -79,6 +81,16 @@ def blowup(
     probabilities identical, which tests confirm.  origin_copies > 1 glues
     extra disjoint copies at the origin (the walk probabilities again must
     not change).
+
+    The cliques are rows of an int array.  One refinement maps every cell
+    vertex through a (cliques, n) table, whose first theta columns are the
+    clique members and whose other columns are fresh interior ids in
+    clique order, and gathers the base cliques through it.  Boundary
+    vertices of a cell are pairwise non-adjacent, so a base clique holds
+    at most one of them, first; the fresh ids exceed every older id and
+    grow with the cell vertex, so each gathered row is sorted already.
+    For the same reason the cliques share no edge, and the adjacency comes
+    from one sort of the directed edges, with no pair repeated.
     """
     if k < 1:
         raise CellError("level must be at least 1")
@@ -98,44 +110,47 @@ def blowup(
         if randomize_identification is not None
         else None
     )
-    base_cliques = [tuple(sorted(c)) for c in clique_partition(g)]
-    cell_interior = list(g.interior)
+    base = np.array([sorted(c) for c in clique_partition(g)], dtype=np.int64)
+    per_copy = g.n - theta  # interior vertices, ids theta..n-1
 
-    cliques = list(base_cliques)
+    cliques = base
     next_id = g.n
     for _ in range(k - 1):
-        refined = []
-        for cl in cliques:
-            members = list(cl)
-            if rng is not None:
+        if rng is not None:
+            rows = cliques.tolist()
+            for members in rows:
                 rng.shuffle(members)
-            vmap = dict(zip(range(theta), members))
-            for v in cell_interior:
-                vmap[v] = next_id
-                next_id += 1
-            for base in base_cliques:
-                refined.append(tuple(sorted(vmap[v] for v in base)))
-        cliques = refined
+            cliques = np.array(rows, dtype=np.int64)
+        count = len(cliques)
+        vmap = np.empty((count, g.n), dtype=np.int64)
+        vmap[:, :theta] = cliques
+        fresh = np.arange(next_id, next_id + count * per_copy, dtype=np.int64)
+        vmap[:, theta:] = fresh.reshape(count, per_copy)
+        next_id += count * per_copy
+        cliques = vmap[:, base].reshape(-1, theta)
 
-    # Non-origin vertex count of one copy; copies share vertex 0 only.
+    # Non-origin vertex count of one copy; copies share vertex 0 only, and
+    # shifting every other id keeps each row sorted.
     block = next_id - 1
     if origin_copies > 1:
-        single = list(cliques)
-        for c in range(1, origin_copies):
-            off = c * block
-            for cl in single:
-                cliques.append(
-                    tuple(sorted(v if v == 0 else v + off for v in cl))
-                )
+        cliques = np.concatenate(
+            [cliques]
+            + [np.where(cliques == 0, 0, cliques + c * block)
+               for c in range(1, origin_copies)]
+        )
         next_id += (origin_copies - 1) * block
 
-    nbrs: list[set[int]] = [set() for _ in range(next_id)]
-    for cl in cliques:
-        for i in range(theta):
-            for j in range(i + 1, theta):
-                nbrs[cl[i]].add(cl[j])
-                nbrs[cl[j]].add(cl[i])
-    adjacency = tuple(tuple(sorted(s)) for s in nbrs)
+    # Edge (v, u) is the key v * next_id + u, exact in int64 for fewer
+    # than 3 * 10^9 vertices, far more than fit in memory as tuples.
+    first, second = np.triu_indices(theta, 1)
+    lo = cliques[:, first].ravel()
+    hi = cliques[:, second].ravel()
+    keys = np.sort(np.concatenate([lo * next_id + hi, hi * next_id + lo]))
+    bounds = np.zeros(next_id + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // next_id, minlength=next_id), out=bounds[1:])
+    targets = (keys % next_id).tolist()
+    ends = bounds.tolist()
+    adjacency = tuple(tuple(targets[s:e]) for s, e in zip(ends, ends[1:]))
 
     # Defect vertices are the non-origin boundary ids of every top-level
     # copy: in the infinite graph they would be glued into further copies,
@@ -186,8 +201,13 @@ def exact_return_probs(a: Approximant, n_max: int) -> ReturnProbs:
 
     A closed walk of length n stays within distance n // 2 of the origin,
     so the computation is restricted to that ball; probability mass that
-    steps outside can never return in time and is dropped.  Scaling by the
-    lcm of the ball degrees keeps the iteration in integers.
+    steps outside can never return in time and is dropped.  The same
+    argument prunes every step: mass at distance r after n - 1 steps can
+    be back by step n_max only if r <= n_max - n + 1, and it cannot be
+    farther out than n - 1.  So step n reads only the prefix of the ball
+    (in BFS order, hence by distance) within min(n - 1, n_max - n + 1).
+    This holds on any graph, so also past the safe horizon.  Scaling by
+    the lcm of the ball degrees keeps the iteration in integers.
     """
     radius = n_max // 2
     dist = {a.origin: 0}
@@ -200,6 +220,7 @@ def exact_return_probs(a: Approximant, n_max: int) -> ReturnProbs:
                 dist[u] = dist[v] + 1
                 order.append(u)
     index = {v: i for i, v in enumerate(order)}
+    depth = [dist[v] for v in order]
     degs = [a.degree(v) for v in order]
     scale = math.lcm(*degs) if degs else 1
     weight = [scale // d for d in degs]
@@ -207,12 +228,13 @@ def exact_return_probs(a: Approximant, n_max: int) -> ReturnProbs:
     for v in order:
         targets.append([index[u] for u in a.adjacency[v] if u in index])
 
-    vec = [0] * len(order)
-    vec[0] = 1
+    vec = [1]
     probs = [Fraction(1)]
     for n in range(1, n_max + 1):
-        nxt = [0] * len(order)
-        for i, val in enumerate(vec):
+        reach = min(n - 1, n_max - n + 1)
+        nxt = [0] * bisect.bisect_right(depth, reach + 1)
+        for i in range(bisect.bisect_right(depth, reach)):
+            val = vec[i]
             if not val:
                 continue
             w = val * weight[i]
@@ -249,6 +271,43 @@ class WalkStats:
         }
 
 
+def bounded_draws(rng: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
+    """rng.integers(0, bounds) for uint32 bounds >= 1, drawn the same way.
+
+    numpy draws a value below d with Lemire's multiply-shift method
+    (D. Lemire, ACM TOMACS 29, 2019): a 32-bit word u gives m = u * d,
+    the value is m >> 32, and u is rejected, and another word drawn, when
+    the low word of m is below (2^32 - d) % d; a bound of 1 draws nothing.
+    Here every bound above 1 takes its word, in order, from one batch of
+    32-bit draws, which is what the one-by-one loop draws unless it
+    rejects.  A rejection is rare for small d (probability below
+    d / 2^32); from the first rejected bound on, the generator is rewound
+    and numpy draws the rest itself.  Values and generator state thus
+    match rng.integers(0, bounds) exactly.  Returns int64 values.
+    """
+    many = bounds > 1
+    words = np.zeros(len(bounds), dtype=np.uint32)
+    state = rng.bit_generator.state
+    words[many] = rng.integers(
+        0, 1 << 32, size=np.count_nonzero(many), dtype=np.uint32
+    )
+    m = np.multiply(words, bounds, dtype=np.uint64)
+    out = (m >> 32).view(np.int64)
+    low = m.astype(np.uint32)
+    near = np.flatnonzero(many & (low < bounds))
+    if len(near):
+        d = bounds[near]  # in uint32, (-d) % d is (2^32 - d) % d
+        bad = near[low[near] < (-d) % d]
+        if len(bad):
+            first = bad[0]
+            rng.bit_generator.state = state
+            rng.integers(
+                0, 1 << 32, size=np.count_nonzero(many[:first]), dtype=np.uint32
+            )
+            out[first:] = rng.integers(0, bounds[first:].astype(np.int64))
+    return out
+
+
 def monte_carlo(
     a: Approximant,
     n: int,
@@ -259,19 +318,35 @@ def monte_carlo(
 ) -> WalkStats:
     """Estimate p^(n)(origin, origin) by seeded vectorized simulation.
 
-    One PCG64 stream per worker, spawned from the master seed, with the
-    trial count split evenly (remainder to the first workers).  Results
-    are bit-for-bit reproducible for a fixed (seed, workers) pair.
+    The trial count is split evenly over `workers` PCG64 streams spawned
+    from the master seed (remainder to the first streams).  The streams
+    run one after another in this process: `workers` fixes the split, not
+    a degree of parallelism.  Each stream moves batches of at most `chunk`
+    walkers; every step draws each walker's neighbour with bounded_draws,
+    exactly as rng.integers(0, degrees) would.  Results are bit-for-bit
+    reproducible for a fixed (seed, workers, chunk).
+
+    The approximant is held in CSR form, and a walker is held as the
+    offset where its vertex's neighbour list starts, so one step is two
+    lookups: the degree at that offset, and the start offset of the
+    chosen neighbour.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if workers < 1:
         raise ValueError("need at least one worker")
-    max_deg = max(len(nb) for nb in a.adjacency)
-    deg = np.array([len(nb) for nb in a.adjacency], dtype=np.int64)
-    nbr = np.zeros((a.num_vertices, max_deg), dtype=np.int64)
-    for v, nb in enumerate(a.adjacency):
-        nbr[v, : len(nb)] = nb
+    deg = np.array([len(nb) for nb in a.adjacency], dtype=np.uint32)
+    start = np.zeros(a.num_vertices, dtype=np.int64)
+    np.cumsum(deg[:-1], out=start[1:])
+    nbr = np.fromiter(
+        itertools.chain.from_iterable(a.adjacency),
+        dtype=np.int64,
+        count=int(deg.sum()),
+    )
+    deg_at = np.zeros(len(nbr), dtype=np.uint32)
+    deg_at[start] = deg
+    nbr_start = start[nbr]
+    home = start[a.origin]
 
     streams = np.random.SeedSequence(seed).spawn(workers)
     base, rem = divmod(trials, workers)
@@ -282,11 +357,10 @@ def monte_carlo(
         while todo > 0:
             batch = min(todo, chunk)
             todo -= batch
-            pos = np.full(batch, a.origin, dtype=np.int64)
+            at = np.full(batch, home, dtype=np.int64)
             for _ in range(n):
-                step = rng.integers(0, deg[pos])
-                pos = nbr[pos, step]
-            hits += int(np.count_nonzero(pos == a.origin))
+                at = nbr_start[at + bounded_draws(rng, deg_at[at])]
+            hits += int(np.count_nonzero(at == home))
     estimate = Fraction(hits, trials)
     p = hits / trials
     std_err = math.sqrt(p * (1 - p) / trials)
@@ -301,13 +375,15 @@ def monte_carlo(
     )
 
 
-def sufficient_level(g: CellGraph, n_max: int, edge_budget: int = DEFAULT_EDGE_BUDGET) -> int:
-    """Smallest level whose safe horizon covers walks of length n_max.
+def sufficient_approximant(
+    g: CellGraph, n_max: int, edge_budget: int = DEFAULT_EDGE_BUDGET
+) -> Approximant:
+    """The approximant of smallest level whose safe horizon covers n_max.
 
     The origin-to-boundary distance scales by the cell's boundary distance
     at every refinement, so the needed level is logarithmic in n_max.  The
-    estimate is confirmed by building the approximant; the loop exists for
-    safety, not as a search.
+    estimate is confirmed by building the approximant, which is returned;
+    the loop exists for safety, not as a search.
     """
     d_cell = g.bfs_distances(0)[1]
     level = 1
@@ -318,5 +394,6 @@ def sufficient_level(g: CellGraph, n_max: int, edge_budget: int = DEFAULT_EDGE_B
     for k in range(level, level + 3):
         a = blowup(g, k, edge_budget=edge_budget)
         if a.safe_horizon >= n_max:
-            return k
+            return a
     raise CellError("could not reach the requested horizon within budget")
+

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import PowerSeries
-from .blowup import DEFAULT_EDGE_BUDGET, blowup, exact_return_probs, sufficient_level
+from .blowup import DEFAULT_EDGE_BUDGET, exact_return_probs, sufficient_approximant
 from .cells import CellGraph, CellReport, validate_cell
 from .greenkernel import (
     CellFunctions,
@@ -248,8 +248,7 @@ def verify_cell(
         )
 
     n_cap = max_steps
-    level = sufficient_level(g, n_cap, edge_budget=edge_budget)
-    approx = blowup(g, level, edge_budget=edge_budget)
+    approx = sufficient_approximant(g, n_cap, edge_budget=edge_budget)
     n_cap = min(n_cap, approx.safe_horizon)
     gs = green_series(cf, n_cap)
     probs = exact_return_probs(approx, n_cap).probs
@@ -260,7 +259,7 @@ def verify_cell(
         CheckItem(
             "oracle_equivalence",
             oracle_ok,
-            f"series = walk probabilities for n <= {n_cap} at level {level}"
+            f"series = walk probabilities for n <= {n_cap} at level {approx.level}"
             if oracle_ok
             else "series and walk probabilities disagree",
         )

@@ -28,7 +28,7 @@ from .blowup import (
     approximant_to_text,
     exact_return_probs,
     monte_carlo,
-    sufficient_level,
+    sufficient_approximant,
 )
 from .cells import (
     CellError,
@@ -205,6 +205,7 @@ def _verify_payload(g: CellGraph, args) -> dict:
 def cmd_verify(args) -> int:
     started = time.monotonic()
     _nonnegative("--max-steps", args.max_steps)
+    _nonnegative("--edge-budget", args.edge_budget)
     if args.from_report:
         with open(args.from_report, "r", encoding="utf-8") as fh:
             old = json.load(fh)
@@ -278,6 +279,7 @@ def cmd_verify(args) -> int:
 
 def cmd_blowup(args) -> int:
     started = time.monotonic()
+    _nonnegative("--edge-budget", args.edge_budget)
     g, meta = _load_cell(args)
     a = blowup(
         g,
@@ -306,17 +308,19 @@ def cmd_blowup(args) -> int:
 def cmd_simulate(args) -> int:
     started = time.monotonic()
     _nonnegative("--steps", args.steps)
+    _nonnegative("--seed", args.seed)
+    _nonnegative("--edge-budget", args.edge_budget)
     g, meta = _load_cell(args)
-    level = args.level
-    if level is None:
-        level = sufficient_level(g, args.steps, edge_budget=args.edge_budget)
-    a = blowup(g, level, edge_budget=args.edge_budget)
+    if args.level is None:
+        a = sufficient_approximant(g, args.steps, edge_budget=args.edge_budget)
+    else:
+        a = blowup(g, args.level, edge_budget=args.edge_budget)
     stats = monte_carlo(
         a, args.steps, args.trials, args.seed, workers=args.workers
     )
     doc = _envelope("simulate", meta, g)
     doc["simulate"] = stats.to_json()
-    doc["simulate"]["level"] = level
+    doc["simulate"]["level"] = a.level
     doc["simulate"]["safe_horizon"] = a.safe_horizon
     doc["simulate"]["within_horizon"] = args.steps <= a.safe_horizon
     if args.steps <= a.safe_horizon:
@@ -448,7 +452,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=4)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="split the trials over this many seeded streams, run one "
+        "after another in this process",
+    )
     p.add_argument("--edge-budget", type=int, default=budget)
     p.set_defaults(func=cmd_simulate)
 

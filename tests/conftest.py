@@ -24,7 +24,6 @@ from cellgreen import (
     CellReport,
     PropertyReport,
     Verdict,
-    blowup,
     builtin_cell,
     builtin_names,
     cell_functions,
@@ -35,7 +34,7 @@ from cellgreen import (
     invariants,
     modified_determinants,
     spectral_property_report,
-    sufficient_level,
+    sufficient_approximant,
     validate_cell,
 )
 from cellgreen.harmonic import alpha_from_harmonic
@@ -78,8 +77,7 @@ def _sweep_one(g: CellGraph) -> tuple[SweepRecord, float]:
     verdict = classify(g, cf=cf)
 
     t0 = time.perf_counter()
-    level = sufficient_level(g, ORACLE_STEP_CAP)
-    appx = blowup(g, level)
+    appx = sufficient_approximant(g, ORACLE_STEP_CAP)
     n_cap = min(ORACLE_STEP_CAP, appx.safe_horizon)
     probs = exact_return_probs(appx, n_cap)
     gs = green_series(cf, n_cap)
@@ -94,7 +92,7 @@ def _sweep_one(g: CellGraph) -> tuple[SweepRecord, float]:
         det_equal=det_f == det_d,
         harmonic_alpha=alpha_from_harmonic(g),
         verdict=verdict,
-        oracle_level=level,
+        oracle_level=appx.level,
         oracle_n=n_cap,
         series_prefix=gs.coefficients(),
         oracle_probs=probs.probs,

@@ -25,7 +25,7 @@ from cellgreen import (
     monte_carlo,
     spectral_property_report,
     star_series,
-    sufficient_level,
+    sufficient_approximant,
 )
 from cellgreen.algebra.roots import roots_equal
 
@@ -118,8 +118,7 @@ def test_ac05_oracle_agreement(record_acceptance, sweep):
     ]
 
     g = builtin_cell("sierpinski")
-    level = sufficient_level(g, 20)
-    a = blowup(g, level)
+    a = sufficient_approximant(g, 20)
     n_cap = min(20, a.safe_horizon)
     rp = exact_return_probs(a, n_cap)
     gs = green_series(cell_functions(g), n_cap)

@@ -1,20 +1,118 @@
 """Finite approximants, the exact walk oracle, and the simulator."""
 
+import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cellgreen import (
+    Approximant,
     BudgetError,
     blowup,
     builtin_cell,
+    builtin_names,
+    enumerate_cells,
     exact_return_probs,
     green_series,
     cell_functions,
     monte_carlo,
-    sufficient_level,
+    sufficient_approximant,
 )
-from cellgreen.blowup import approximant_to_text
+from cellgreen.blowup import (
+    _distance_to_defect,
+    approximant_to_text,
+    bounded_draws,
+)
+from cellgreen.cells import clique_partition
+
+
+def reference_blowup(g, k, origin_copies=1, randomize_identification=None):
+    """The set-based refinement that blowup replaced, kept as its oracle."""
+    theta = g.theta
+    rng = (
+        random.Random(randomize_identification)
+        if randomize_identification is not None
+        else None
+    )
+    base_cliques = [tuple(sorted(c)) for c in clique_partition(g)]
+    cliques = list(base_cliques)
+    next_id = g.n
+    for _ in range(k - 1):
+        refined = []
+        for cl in cliques:
+            members = list(cl)
+            if rng is not None:
+                rng.shuffle(members)
+            vmap = dict(zip(range(theta), members))
+            for v in g.interior:
+                vmap[v] = next_id
+                next_id += 1
+            for base in base_cliques:
+                refined.append(tuple(sorted(vmap[v] for v in base)))
+        cliques = refined
+
+    block = next_id - 1
+    if origin_copies > 1:
+        single = list(cliques)
+        for c in range(1, origin_copies):
+            off = c * block
+            for cl in single:
+                cliques.append(tuple(sorted(v if v == 0 else v + off for v in cl)))
+        next_id += (origin_copies - 1) * block
+
+    nbrs = [set() for _ in range(next_id)]
+    for cl in cliques:
+        for i in range(theta):
+            for j in range(i + 1, theta):
+                nbrs[cl[i]].add(cl[j])
+                nbrs[cl[j]].add(cl[i])
+    adjacency = tuple(tuple(sorted(s)) for s in nbrs)
+    defect = frozenset(
+        b + c * block for c in range(origin_copies) for b in range(1, theta)
+    )
+    return Approximant(
+        level=k,
+        origin=0,
+        adjacency=adjacency,
+        defect_set=defect,
+        safe_horizon=2 * _distance_to_defect(adjacency, 0, defect) - 1,
+        cell_name=g.name,
+    )
+
+
+def reference_return_probs(a, n_max):
+    """The transfer-matrix loop over the whole radius-n_max//2 ball, unpruned."""
+    radius = n_max // 2
+    dist = {a.origin: 0}
+    order = [a.origin]
+    for v in order:
+        if dist[v] == radius:
+            continue
+        for u in a.adjacency[v]:
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                order.append(u)
+    index = {v: i for i, v in enumerate(order)}
+    degs = [a.degree(v) for v in order]
+    scale = math.lcm(*degs)
+    weight = [scale // d for d in degs]
+    targets = [[index[u] for u in a.adjacency[v] if u in index] for v in order]
+    vec = [0] * len(order)
+    vec[0] = 1
+    probs = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        nxt = [0] * len(order)
+        for i, val in enumerate(vec):
+            if val:
+                w = val * weight[i]
+                for j in targets[i]:
+                    nxt[j] += w
+        vec = nxt
+        probs.append(Fraction(vec[0], scale**n))
+    return tuple(probs)
 
 
 class TestBlowup:
@@ -120,17 +218,18 @@ class TestExactOracle:
             assert exact_return_probs(shuffled, 10).probs == base.probs
 
     def test_sufficient_level_hits_requested_horizon(self):
-        assert sufficient_level(builtin_cell("path2"), 20) == 4
-        assert sufficient_level(builtin_cell("diamond"), 4) == 1
-        assert sufficient_level(builtin_cell("diamond"), 8) == 2
+        assert sufficient_approximant(builtin_cell("path2"), 20).level == 4
+        assert sufficient_approximant(builtin_cell("diamond"), 4).level == 1
+        assert sufficient_approximant(builtin_cell("diamond"), 8).level == 2
         g = builtin_cell("path2")
         for n_max in (4, 10, 16):
-            a = blowup(g, sufficient_level(g, n_max))
+            a = sufficient_approximant(g, n_max)
             assert a.safe_horizon >= n_max
+            assert a == blowup(g, a.level)
 
     def test_sufficient_level_respects_budget(self):
         with pytest.raises(BudgetError):
-            sufficient_level(builtin_cell("path2"), 200, edge_budget=100)
+            sufficient_approximant(builtin_cell("path2"), 200, edge_budget=100)
 
 
 class TestMonteCarlo:
@@ -167,3 +266,110 @@ class TestMonteCarlo:
         stats = monte_carlo(a, 2, 40_000, seed=9, workers=2)
         assert stats.estimate == Fraction(stats.hits, stats.trials)
         assert abs(float(stats.estimate) - 0.5) < 0.02
+
+
+class TestAgainstReferences:
+    """The array-built approximant and the pruned walk counts against the
+    set-based and unpruned loops they replaced."""
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_blowup_matches_reference_on_builtins(self, name):
+        g = builtin_cell(name)
+        for k in (1, 2, 3, 4):
+            for copies in (1, 2, 3):
+                for seed in (None, 0, 7):
+                    kwargs = dict(origin_copies=copies, randomize_identification=seed)
+                    assert blowup(g, k, **kwargs) == reference_blowup(g, k, **kwargs)
+
+    def test_blowup_matches_reference_on_enumerated_cells(self):
+        for i, g in enumerate(enumerate_cells(2, 7)):
+            if i % 5 == 0:
+                for k in (1, 2, 3):
+                    assert blowup(g, k) == reference_blowup(g, k)
+                assert blowup(g, 2, origin_copies=2, randomize_identification=i) == (
+                    reference_blowup(g, 2, origin_copies=2, randomize_identification=i)
+                )
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_pruned_walk_counts_match_reference(self, name):
+        g = builtin_cell(name)
+        for k in (1, 2, 3):
+            a = blowup(g, k, origin_copies=1 + k % 2, randomize_identification=k)
+            h = a.safe_horizon
+            for n_max in (0, 1, 2, 7, 8, h, h + 1, h + 6):
+                assert exact_return_probs(a, n_max).probs == reference_return_probs(a, n_max)
+
+    def test_pruned_walk_counts_match_reference_on_enumerated_cells(self):
+        for i, g in enumerate(enumerate_cells(2, 7)):
+            if i % 5 == 0:
+                a = blowup(g, 1 + i % 3)
+                for n_max in (3, 2 * a.safe_horizon + 5):
+                    assert exact_return_probs(a, n_max).probs == (
+                        reference_return_probs(a, n_max)
+                    )
+
+
+bounds_lists = st.lists(
+    st.one_of(
+        st.just(1),
+        st.integers(2, 6),
+        st.integers(2**31, 2**32 - 1),
+    ),
+    max_size=41,
+)
+
+
+class TestBoundedDraws:
+    @given(st.integers(0, 2**64 - 1), bounds_lists)
+    @example(0, [])
+    @example(1, [1])
+    @example(2, [1, 1, 1])
+    @example(3, [2, 3, 4, 5, 6])
+    @example(4, [3, 1, 2**31, 2**32 - 1, 1, 2**31 + 1, 6])
+    def test_same_values_and_state_as_numpy(self, seed, bounds):
+        mine = np.random.Generator(np.random.PCG64(seed))
+        ref = np.random.Generator(np.random.PCG64(seed))
+        got = bounded_draws(mine, np.array(bounds, dtype=np.uint32))
+        want = ref.integers(0, np.array(bounds, dtype=np.int64))
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
+        assert mine.bit_generator.state == ref.bit_generator.state
+        assert mine.integers(0, 2**32) == ref.integers(0, 2**32)
+
+    def test_rejections_take_the_sequential_route(self):
+        # (2^32 - d) % d is about 2^31 for d = 2^31 + 1, so about half the
+        # words are rejected; more words are drawn than there are bounds.
+        bounds = np.full(64, 2**31 + 1, dtype=np.uint32)
+        mine = np.random.Generator(np.random.PCG64(5))
+        plain = np.random.Generator(np.random.PCG64(5))
+        got = bounded_draws(mine, bounds)
+        plain.integers(0, 2**32, size=64, dtype=np.uint32)
+        assert mine.bit_generator.state != plain.bit_generator.state
+        ref = np.random.Generator(np.random.PCG64(5))
+        assert got.tolist() == ref.integers(0, bounds.astype(np.int64)).tolist()
+        assert mine.bit_generator.state == ref.bit_generator.state
+
+
+class TestMonteCarloGolden:
+    # Hits recorded with the one-call-per-step rng.integers(0, degrees)
+    # walk that bounded_draws replaced.  path2 at level 1 has only the
+    # middle vertex of degree above 1; theta4 and path3 split the trials
+    # over several streams; the last three use chunks that do not divide
+    # the trial count.
+    GOLDEN = [
+        ("diamond", 5, 40, 30000, 17, 1, 1 << 18, 1823),
+        ("path2", 1, 11, 20001, 3, 1, 1 << 18, 0),
+        ("path2", 1, 12, 20001, 3, 1, 1 << 18, 10019),
+        ("path2", 3, 12, 20001, 3, 2, 1 << 18, 4445),
+        ("theta4", 2, 24, 30000, 8, 3, 1 << 18, 1349),
+        ("sierpinski", 3, 16, 25000, 2, 2, 4096, 991),
+        ("diamond", 2, 10, 10000, 4, 1, 999, 1521),
+        ("path3", 3, 30, 9999, 2**32 - 1, 4, 1000, 1384),
+    ]
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
+    def test_hits_unchanged(self, case):
+        name, level, n, trials, seed, workers, chunk, hits = case
+        a = blowup(builtin_cell(name), level)
+        stats = monte_carlo(a, n, trials, seed, workers=workers, chunk=chunk)
+        assert stats.hits == hits

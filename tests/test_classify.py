@@ -153,6 +153,19 @@ class TestFullVerification:
         assert verify_cell(builtin_cell("sierpinski"), max_steps=6).all_passed
         assert len(calls) == 1
 
+    def test_approximant_once_per_verify(self, monkeypatch):
+        module = importlib.import_module("cellgreen.blowup")
+        calls = []
+        real = module.blowup
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "blowup", counted)
+        assert verify_cell(builtin_cell("diamond"), max_steps=8).all_passed
+        assert len(calls) == 1
+
     def test_invalid_cell_fails_verification(self):
         report = verify_cell(four_cycle(), max_steps=6)
         assert not report.all_passed

@@ -269,6 +269,10 @@ class TestInputErrors:
             (["simulate", "--steps", "-2"], "--steps", -2),
             (["verify", "--max-steps", "-1"], "--max-steps", -1),
             (["classify", "--series-order", "-5"], "--series-order", -5),
+            (["blowup", "--level", "2", "--edge-budget", "-5"], "--edge-budget", -5),
+            (["simulate", "--edge-budget", "-5"], "--edge-budget", -5),
+            (["verify", "--edge-budget", "-5"], "--edge-budget", -5),
+            (["simulate", "--seed", "-3"], "--seed", -3),
         ],
     )
     def test_negative_counts_exit_two(self, cli, args, flag, value):
