@@ -8,22 +8,9 @@ classifies G as algebraic or differentially transcendental, with
 independent blow-up and Monte Carlo oracles backing every coefficient.
 """
 
-from .algebra import (
-    Bracket,
-    IsolatedRoot,
-    Poly,
-    PowerSeries,
-    RatFunc,
-    ln_bracket,
-    log_ratio,
-    series_from_ratfunc,
-    smallest_positive_root,
-)
 from .blowup import (
     Approximant,
     BudgetError,
-    ReturnProbs,
-    WalkStats,
     blowup,
     exact_return_probs,
     monte_carlo,
@@ -32,121 +19,48 @@ from .blowup import (
 from .cells import (
     CellError,
     CellGraph,
-    CellParseError,
     CellReport,
-    cell_to_json,
-    cell_to_text,
-    clique_partition,
     enumerate_cells,
     parse_cell,
-    transition_matrix,
     validate_cell,
 )
-from .classify import Verdict, classify, star_series, verify_cell
-from .greenkernel import (
-    AsymptoticReport,
-    CellFunctions,
-    CheckItem,
-    KernelError,
-    PropertyReport,
-    SpectralData,
-    asymptotic_check,
-    build_pd,
-    build_pf,
-    cell_functions,
-    cell_green_series,
-    green_entry,
-    green_entry_elim,
-    modified_determinants,
-    radius,
-    spectral_property_report,
-)
-from .harmonic import (
-    AlphaMuReport,
-    HarmonicSolution,
-    alpha_from_harmonic,
-    harmonic_function,
-    verify_alpha_mu,
-)
-from .iteration import (
-    CellInvariants,
-    GreenSeries,
-    functional_residual,
-    green_series,
-    green_series_recursion,
-    invariants,
-    iteration_hypotheses,
-    singular_prefactor_probe,
-    transcendence_hypotheses,
-)
+from .classify import Verdict, classify, verify_cell
+from .greenkernel import CellFunctions, KernelError, PropertyReport, cell_functions
+from .harmonic import alpha_from_harmonic, harmonic_function
+from .iteration import CellInvariants, GreenSeries, green_series, invariants
 from .registry import builtin_cell, builtin_names
 
 __version__ = "0.1.0"
 
+# The documented surface; README.md lists the same names.  Everything else
+# is imported from its module (cellgreen.cells, cellgreen.algebra, ...).
 __all__ = [
-    "AlphaMuReport",
     "Approximant",
-    "AsymptoticReport",
-    "Bracket",
     "BudgetError",
     "CellError",
     "CellFunctions",
     "CellGraph",
     "CellInvariants",
-    "CellParseError",
     "CellReport",
-    "CheckItem",
     "GreenSeries",
-    "HarmonicSolution",
-    "IsolatedRoot",
     "KernelError",
-    "Poly",
-    "PowerSeries",
     "PropertyReport",
-    "RatFunc",
-    "ReturnProbs",
-    "SpectralData",
     "Verdict",
-    "WalkStats",
     "alpha_from_harmonic",
-    "asymptotic_check",
     "blowup",
-    "build_pd",
-    "build_pf",
     "builtin_cell",
     "builtin_names",
     "cell_functions",
-    "cell_green_series",
-    "cell_to_json",
-    "cell_to_text",
     "classify",
-    "clique_partition",
     "enumerate_cells",
     "exact_return_probs",
-    "functional_residual",
-    "green_entry",
-    "green_entry_elim",
     "green_series",
-    "green_series_recursion",
     "harmonic_function",
     "invariants",
-    "iteration_hypotheses",
-    "ln_bracket",
-    "log_ratio",
-    "modified_determinants",
     "monte_carlo",
     "parse_cell",
-    "radius",
-    "series_from_ratfunc",
-    "singular_prefactor_probe",
-    "smallest_positive_root",
-    "spectral_property_report",
-    "star_series",
     "sufficient_approximant",
-    "transcendence_hypotheses",
-    "transition_matrix",
     "validate_cell",
-    "verify_alpha_mu",
     "verify_cell",
     "__version__",
 ]

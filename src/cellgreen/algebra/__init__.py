@@ -5,7 +5,6 @@ from .brackets import Bracket, ln_bracket, log_ratio
 from .matrix import (
     SingularMatrixError,
     det_bareiss,
-    det_laplace,
     det_linear,
     minor,
     solve_linear,
@@ -47,7 +46,6 @@ __all__ = [
     "ZeroDenominatorError",
     "count_roots",
     "det_bareiss",
-    "det_laplace",
     "det_linear",
     "format_poly",
     "ln_bracket",

@@ -1,10 +1,9 @@
 """Exact linear algebra over rationals, polynomials, and rational functions.
 
-Two independent determinant routines are kept on purpose: Bareiss
-fraction-free elimination (fast path) and memoized Laplace expansion
-(cross-check path).  Tests compare them on random matrices.  Matrices of
-linear polynomials, such as the resolvents I - zT, go through
-``det_linear``, which runs Bareiss on plain integers.
+Determinants use Bareiss fraction-free elimination; the tests compare it
+with a memoized Laplace expansion on random matrices.  Matrices of linear
+polynomials, such as the resolvents I - zT, go through ``det_linear``,
+which runs Bareiss on plain integers.
 """
 
 from __future__ import annotations
@@ -126,40 +125,6 @@ def det_linear(rows: Sequence[Sequence[Poly]]) -> Poly:
     for k in range(n - 1, -1, -1):
         p = p * Poly([-k, 1]) + diffs[k]
     return p * Fraction(1, scale)
-
-
-def det_laplace(rows: Sequence[Sequence]):
-    """Determinant by first-row expansion, memoized on the column subset."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    cache: dict[tuple[int, ...], object] = {}
-
-    def go(cols: tuple[int, ...]):
-        if len(cols) == 1:
-            return rows[n - 1][cols[0]]
-        got = cache.get(cols)
-        if got is not None:
-            return got
-        i = n - len(cols)
-        acc = None
-        for pos, c in enumerate(cols):
-            entry = rows[i][c]
-            if _is_zero(entry):
-                continue
-            sub = go(cols[:pos] + cols[pos + 1 :])
-            term = entry * sub
-            if pos % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = rows[0][0] * 0
-        cache[cols] = acc
-        return acc
-
-    return go(tuple(range(n)))
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> list:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cells import CellError, CellGraph, clique_partition, require_valid
+from .cells import CellError, CellGraph, require_valid
 
 DEFAULT_EDGE_BUDGET = 10**6
 
@@ -110,7 +110,7 @@ def blowup(
         if randomize_identification is not None
         else None
     )
-    base = np.array([sorted(c) for c in clique_partition(g)], dtype=np.int64)
+    base = np.array([sorted(c) for c in report.clique_partition], dtype=np.int64)
     per_copy = g.n - theta  # interior vertices, ids theta..n-1
 
     cliques = base

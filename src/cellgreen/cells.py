@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class CellError(ValueError):
@@ -31,6 +31,19 @@ class CellParseError(CellError):
 
 def _norm_edge(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
+
+
+def _reachable(nbrs: Sequence[Iterable[int]], start: int) -> set[int]:
+    """Vertices reachable from start, given each vertex's neighbors."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for u in nbrs[v]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -72,7 +85,7 @@ class CellGraph:
                     raise CellError(
                         f"boundary vertices {a} and {b} are adjacent"
                     )
-        if len(self._component(0)) != self.n:
+        if len(_reachable(self._nbrs, 0)) != self.n:
             raise CellError("graph is not connected")
 
     # -- basic structure ----------------------------------------------------
@@ -97,17 +110,6 @@ class CellGraph:
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self._nbrs)
-
-    def _component(self, start: int) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in self._nbrs[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return seen
 
     def bfs_distances(self, source: int) -> list[int]:
         dist = [-1] * self.n
@@ -164,20 +166,6 @@ class CellGraph:
             frozenset(_norm_edge(perm[a], perm[b]) for a, b in self.edges),
             name=self.name,
         )
-
-    def canonical_key(self) -> tuple:
-        """Minimum edge encoding over boundary-set-preserving permutations."""
-        best = None
-        interior = list(self.interior)
-        for bperm in itertools.permutations(range(self.theta)):
-            for iperm in itertools.permutations(interior):
-                perm = list(bperm) + list(iperm)
-                enc = tuple(
-                    sorted(_norm_edge(perm[a], perm[b]) for a, b in self.edges)
-                )
-                if best is None or enc < best:
-                    best = enc
-        return (self.n, self.theta, best)
 
 
 # -- parsing and serialization ---------------------------------------------
@@ -554,18 +542,6 @@ def require_valid(g: CellGraph, check_automorphisms: bool = True) -> CellReport:
 # -- enumeration of two-boundary cells ----------------------------------------
 
 
-def _connected(m: int, adj: list[set[int]]) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == m
-
-
 def _degree_respecting_perms(
     m: int, degs: tuple[int, ...]
 ) -> Iterator[tuple[int, ...]]:
@@ -629,7 +605,7 @@ def connected_graph_classes(m: int) -> tuple[frozenset[tuple[int, int]], ...]:
         for a, b in edges:
             adj[a].add(b)
             adj[b].add(a)
-        if not _connected(m, adj):
+        if len(_reachable(adj, 0)) != m:
             continue
         degs = tuple(len(s) for s in adj)
         key = (tuple(sorted(degs)), _canon_edges(m, edges, degs))

@@ -28,7 +28,7 @@ from .greenkernel import (
     cell_functions,
     spectral_property_report,
 )
-from .harmonic import alpha_from_harmonic, verify_alpha_mu
+from .harmonic import alpha_from_harmonic, harmonic_function, verify_alpha_mu
 from .iteration import (
     CellInvariants,
     GreenSeries,
@@ -63,6 +63,9 @@ _BASIS = {
     ),
     "Invalid": "the graph fails the cell symmetry axioms",
 }
+
+# verify_cell checks G - f (G over d) = 0 through this power of z.
+RESIDUAL_ORDER = 40
 
 
 @dataclass(frozen=True)
@@ -119,11 +122,12 @@ def classify(
     """Total, deterministic verdict with verified evidence attached.
 
     A path cell's series is checked against its closed form through
-    z^series_order.
+    z^series_order.  A caller that holds the cell's functions passes them
+    as ``cf``, and the verdict reuses their validation report.
     """
     if series_order < 0:
         raise ValueError(f"series order must be nonnegative, got {series_order}")
-    report = validate_cell(g)
+    report = validate_cell(g) if cf is None else cf.report
     if not report.valid:
         return Verdict(
             outcome="Invalid",
@@ -131,7 +135,7 @@ def classify(
             cell_report=report,
         )
     if cf is None:
-        cf = cell_functions(g, check_symmetry=False)
+        cf = cell_functions(g, report=report)
     inv = invariants(g, cf)
     hyp = transcendence_hypotheses(cf)
     if g.theta == 2 and report.is_path:
@@ -194,8 +198,9 @@ def verify_cell(
     if not report.valid:
         return PropertyReport(tuple(items))
 
-    cf = cell_functions(g, check_symmetry=False)
-    inv = invariants(g, cf)
+    cf = cell_functions(g, report=report)
+    verdict = classify(g, cf=cf)
+    inv = verdict.invariants
     items.extend(spectral_property_report(cf).items)
 
     det_ok = cf.det_f == cf.det_d
@@ -208,7 +213,8 @@ def verify_cell(
     )
 
     if g.theta == 2:
-        am = verify_alpha_mu(g)
+        ha = alpha_from_harmonic(harmonic_function(g, validate=False))
+        am = verify_alpha_mu(report, ha)
         items.append(
             CheckItem(
                 "alpha_mu",
@@ -217,7 +223,6 @@ def verify_cell(
                 + ("equality on a path" if am.is_path else "strict"),
             )
         )
-        ha = alpha_from_harmonic(g)
         cross = ha == inv.alpha
         items.append(
             CheckItem(
@@ -237,7 +242,6 @@ def verify_cell(
             detail = f"-1/2 < eta < 0: {inv.eta.approx_str()}"
         items.append(CheckItem("eta_range", eta_ok, detail))
     else:
-        am = None
         items.append(
             CheckItem(
                 "alpha_mu",
@@ -247,10 +251,10 @@ def verify_cell(
             )
         )
 
-    n_cap = max_steps
-    approx = sufficient_approximant(g, n_cap, edge_budget=edge_budget)
-    n_cap = min(n_cap, approx.safe_horizon)
-    gs = green_series(cf, n_cap)
+    approx = sufficient_approximant(g, max_steps, edge_budget=edge_budget)
+    n_cap = min(max_steps, approx.safe_horizon)
+    # One expansion serves every series check; each reads its own prefix.
+    gs = green_series(cf, max(n_cap, RESIDUAL_ORDER))
     probs = exact_return_probs(approx, n_cap).probs
     oracle_ok = all(
         gs.coefficient(n) == probs[n] for n in range(n_cap + 1)
@@ -278,17 +282,15 @@ def verify_cell(
         )
     )
 
-    gs40 = green_series(cf, 40)
-    residual_ok = functional_residual(cf, gs40).is_zero
+    residual_ok = functional_residual(cf, gs.truncate(RESIDUAL_ORDER)).is_zero
     items.append(
         CheckItem(
             "functional_residual",
             residual_ok,
-            "G - f*(G over d) vanishes through z^40",
+            f"G - f*(G over d) vanishes through z^{RESIDUAL_ORDER}",
         )
     )
 
-    verdict = classify(g, cf=cf)
     expected = (
         "AlgebraicStar"
         if g.theta == 2 and report.is_path

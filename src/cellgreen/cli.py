@@ -5,8 +5,8 @@ runs one library operation, and prints a JSON report with a stable layout:
 rationals as "p/q" strings, real intervals as {"low", "high"} pairs, plus
 float approximations marked as such.  Reports are byte-identical across
 runs except for the elapsed_seconds field.  Exit codes: 0 success,
-1 internal error, 2 invalid input or failed validation, 3 edge budget
-exceeded.
+1 internal error, 2 invalid input or failed validation, 3 a budget
+exceeded (approximant edges, or enumerated cell size).
 """
 
 from __future__ import annotations
@@ -53,15 +53,20 @@ from .registry import builtin_cell, builtin_names
 
 ENV_EDGE_BUDGET = "CELLGREEN_EDGE_BUDGET"
 
+# connected_graph_classes(m) scans 2^(m(m-1)/2) edge masks; 8 vertices is
+# the largest enumeration the test sweep and the benchmark run.
+MAX_ENUMERATE_VERTICES = 8
+
 
 def _default_budget() -> int:
     raw = os.environ.get(ENV_EDGE_BUDGET)
     if raw is None:
         return DEFAULT_EDGE_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise CellError(f"{ENV_EDGE_BUDGET} must be an integer, got {raw!r}")
+    if not raw.strip().isdecimal():
+        raise CellError(
+            f"{ENV_EDGE_BUDGET} must be a nonnegative integer, got {raw!r}"
+        )
+    return int(raw)
 
 
 def _load_cell(args) -> tuple[CellGraph, dict]:
@@ -176,9 +181,10 @@ def cmd_invariants(args) -> int:
     doc["invariants"] = inv.to_json()
     if g.theta == 2:
         h = harmonic_function(g, validate=False)
+        alpha = alpha_from_harmonic(h)
         doc["harmonic"] = h.to_json()
-        doc["alpha_from_harmonic"] = str(alpha_from_harmonic(g))
-        doc["alpha_mu"] = verify_alpha_mu(g).to_json()
+        doc["alpha_from_harmonic"] = str(alpha)
+        doc["alpha_mu"] = verify_alpha_mu(cf.report, alpha).to_json()
     _emit(doc, started)
     return 0
 
@@ -239,6 +245,11 @@ def cmd_verify(args) -> int:
         return 0 if not diffs else 2
 
     if args.enumerate:
+        if args.max_vertices > MAX_ENUMERATE_VERTICES:
+            raise BudgetError(
+                f"--max-vertices {args.max_vertices} exceeds the enumeration "
+                f"budget of {MAX_ENUMERATE_VERTICES}"
+            )
         checked = 0
         failures = []
         for g in enumerate_cells(2, args.max_vertices):
@@ -392,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    budget = _default_budget()
 
     p = sub.add_parser("validate", help="check the cell axioms")
     _add_input_args(p)
@@ -428,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enumerate", action="store_true", help="run over all small cells")
     p.add_argument("--max-vertices", type=int, default=6, help="cap for --enumerate")
     p.add_argument("--from-report", help="re-run a saved report and compare")
-    p.add_argument("--edge-budget", type=int, default=budget)
+    p.add_argument("--edge-budget", type=int)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("blowup", help="build a finite approximant")
@@ -443,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SEED",
         help="shuffle clique-to-boundary bijections with this seed",
     )
-    p.add_argument("--edge-budget", type=int, default=budget)
+    p.add_argument("--edge-budget", type=int)
     p.set_defaults(func=cmd_blowup)
 
     p = sub.add_parser("simulate", help="Monte Carlo return-probability estimate")
@@ -459,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="split the trials over this many seeded streams, run one "
         "after another in this process",
     )
-    p.add_argument("--edge-budget", type=int, default=budget)
+    p.add_argument("--edge-budget", type=int)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("probe", help="singular prefactor table (CSV)")
@@ -475,6 +485,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Read here, inside the error handling: a bad value is an input error.
+        budget = _default_budget()
+        if "edge_budget" in vars(args) and args.edge_budget is None:
+            args.edge_budget = budget
         return args.func(args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,19 +17,21 @@ from .algebra import (
     IsolatedRoot,
     NoPositiveRootError,
     Poly,
-    PowerSeries,
     RatFunc,
     count_roots,
     det_linear,
     minor,
     root_compare,
     roots_equal,
-    series_from_ratfunc,
     smallest_positive_root,
-    solve_linear,
 )
-from .algebra.poly import ONE
-from .cells import CellError, CellGraph, require_valid, transition_matrix
+from .cells import (
+    CellError,
+    CellGraph,
+    CellReport,
+    require_valid,
+    transition_matrix,
+)
 
 Matrix = list[list[Fraction]]
 
@@ -71,13 +73,6 @@ def green_entry(t: Matrix, i: int, j: int, denom: Poly | None = None) -> RatFunc
     return RatFunc(numer, denom)
 
 
-def green_entry_elim(t: Matrix, i: int, j: int) -> RatFunc:
-    """Same entry via exact Gaussian elimination; cross-check route."""
-    m = [[RatFunc(p) for p in row] for row in _resolvent_matrix(t)]
-    rhs = [RatFunc(ONE if k == j else Poly([0])) for k in range(len(t))]
-    return solve_linear(m, rhs)[i]
-
-
 # -- the two modified step matrices ------------------------------------------
 
 
@@ -99,11 +94,6 @@ def build_pd(g: CellGraph) -> Matrix:
     return t
 
 
-def modified_determinants(g: CellGraph) -> tuple[Poly, Poly]:
-    """det(I - zP_f) and det(I - zP_d); equal for every valid cell."""
-    return resolvent_det(build_pf(g)), resolvent_det(build_pd(g))
-
-
 # -- spectral data -----------------------------------------------------------
 
 
@@ -113,7 +103,7 @@ class SpectralData:
 
     rho: IsolatedRoot
     pole_order: int
-    residue_scale: Bracket
+    residue_scale: Bracket | None
 
     def to_json(self) -> dict:
         r = self.rho
@@ -122,7 +112,9 @@ class SpectralData:
             "rho_high": str(r.high),
             "rho_approx": float(r),
             "pole_order": self.pole_order,
-            "residue_scale": self.residue_scale.to_json(),
+            "residue_scale": (
+                None if self.residue_scale is None else self.residue_scale.to_json()
+            ),
         }
 
 
@@ -138,7 +130,8 @@ def radius(func: RatFunc) -> SpectralData | None:
     """Smallest positive pole with order and leading expansion scale.
 
     None when the function has no positive pole (polynomials included),
-    which callers report as an infinite radius.
+    which callers report as an infinite radius.  The scale is None for a
+    pole that is not simple.
     """
     den = func.den
     if den(Fraction(0)) == 0:
@@ -150,20 +143,17 @@ def radius(func: RatFunc) -> SpectralData | None:
     # The scale kappa with func ~ kappa (1 - z/rho)^{-order} near the pole.
     # For a simple pole kappa = -num(rho) / (rho den'(rho)); evaluate the
     # formula over a bracket tight enough that den' stays away from zero.
+    # The refinement ends because den'(rho) != 0 at a simple root.
     kappa = None
     if rho.multiplicity == 1:
         dprime = den.derivative()
-        for _ in range(8):
+        while True:
             b = Bracket(rho.low, rho.high)
             dpb = poly_on_bracket(dprime, b)
             if not dpb.contains_zero():
-                kappa = -poly_on_bracket(func.num, b) / (b * dpb)
                 break
             rho = rho.refine(rho.width / 1024)
-    if kappa is None:
-        # Higher-order pole, or the bracket would not separate den' from 0;
-        # report a wide placeholder rather than guessing.
-        kappa = Bracket(Fraction(-(10**9)), Fraction(10**9))
+        kappa = -poly_on_bracket(func.num, b) / (b * dpb)
     return SpectralData(rho=rho, pole_order=rho.multiplicity, residue_scale=kappa)
 
 
@@ -175,10 +165,13 @@ class CellFunctions:
     """Return function f, transition function d, first-return function r.
 
     ``det_f`` and ``det_d`` are det(I - zP_f) and det(I - zP_d), the
-    denominators that f and d were built over.
+    denominators that f and d were built over.  ``report`` is the cell's
+    validation report, which carries mu, bipartiteness, the path test and
+    the clique partition for everything downstream.
     """
 
     cell: CellGraph
+    report: CellReport
     f: RatFunc
     d: RatFunc
     r: RatFunc
@@ -189,14 +182,19 @@ class CellFunctions:
     det_d: Poly
 
 
-def cell_functions(g: CellGraph, check_symmetry: bool = True) -> CellFunctions:
+def cell_functions(g: CellGraph, report: CellReport | None = None) -> CellFunctions:
     """Compute f, d, r for a valid cell and verify their defining identities.
 
     f(z) generates returns to the origin that avoid the rest of the boundary;
     d(z) generates first hits of the rest of the boundary; r = 1 - 1/f
     generates first returns to the origin under the same avoidance rule.
+    ``report`` is ``validate_cell(g)``; a caller that has validated the
+    cell passes it in, so that validation runs once.
     """
-    require_valid(g, check_automorphisms=check_symmetry)
+    if report is None:
+        report = require_valid(g)
+    elif not report.valid:
+        raise KernelError("cell_functions needs the report of a valid cell")
     pf = build_pf(g)
     pd = build_pd(g)
     det_f = resolvent_det(pf)
@@ -227,6 +225,7 @@ def cell_functions(g: CellGraph, check_symmetry: bool = True) -> CellFunctions:
     sr = radius(r)
     return CellFunctions(
         cell=g,
+        report=report,
         f=f,
         d=d,
         r=r,
@@ -353,96 +352,3 @@ def spectral_property_report(cf: CellFunctions, grid_points: int = 32) -> Proper
         )
     )
     return PropertyReport(tuple(items))
-
-
-# -- finite-cell coefficient asymptotics --------------------------------------
-
-
-@dataclass(frozen=True)
-class AsymptoticReport:
-    phi: Fraction
-    bipartite: bool
-    odd_coefficients_zero: bool | None
-    even_relative_errors: tuple[Fraction, ...]
-    errors_nonincreasing: bool
-    coefficients: tuple[Fraction, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "phi": str(self.phi),
-            "bipartite": self.bipartite,
-            "odd_coefficients_zero": self.odd_coefficients_zero,
-            "even_relative_errors": [str(e) for e in self.even_relative_errors],
-            "errors_nonincreasing": self.errors_nonincreasing,
-        }
-
-
-def _stationary(t: Matrix) -> list[Fraction]:
-    """Stationary row vector of an irreducible stochastic matrix, exactly."""
-    n = len(t)
-    rows = []
-    for j in range(n - 1):
-        rows.append(
-            [t[i][j] - (1 if i == j else 0) for i in range(n)]
-        )
-    rows.append([Fraction(1)] * n)
-    rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
-    return solve_linear(rows, rhs)
-
-
-def asymptotic_check(t: Matrix, i: int, n_max: int) -> AsymptoticReport:
-    """Convergence of walk return coefficients toward their stationary mass.
-
-    The n-step return coefficient at state i tends to the stationary weight
-    pi_i (doubled, over even n, when the chain is two-periodic).  The report
-    records the exact relative errors on even n and whether they never
-    increase.
-    """
-    n = len(t)
-    for row in t:
-        if sum(row, Fraction(0)) != 1:
-            raise ValueError("rows must sum to 1")
-    coeffs = series_from_ratfunc(green_entry(t, i, i), n_max + 1).coeffs
-
-    color = [-1] * n
-    color[0] = 0
-    queue = [0]
-    for v in queue:
-        for u in range(n):
-            if t[v][u] == 0:
-                continue
-            if color[u] < 0:
-                color[u] = 1 - color[v]
-                queue.append(u)
-    bipartite = all(
-        t[v][u] == 0 or color[v] != color[u]
-        for v in range(n)
-        for u in range(n)
-    )
-
-    pi = _stationary(t)
-    phi = 2 * pi[i] if bipartite else pi[i]
-
-    odd_zero = None
-    if bipartite:
-        odd_zero = all(coeffs[k] == 0 for k in range(1, n_max + 1, 2))
-
-    errors = tuple(
-        abs(coeffs[k] / phi - 1) for k in range(0, n_max + 1, 2)
-    )
-    nonincreasing = all(
-        errors[m + 1] <= errors[m] for m in range(len(errors) - 1)
-    )
-    return AsymptoticReport(
-        phi=phi,
-        bipartite=bipartite,
-        odd_coefficients_zero=odd_zero,
-        even_relative_errors=errors,
-        errors_nonincreasing=nonincreasing,
-        coefficients=tuple(coeffs),
-    )
-
-
-def cell_green_series(g: CellGraph, count: int) -> PowerSeries:
-    """Return-walk series of the finite cell at its origin, `count` coefficients."""
-    return series_from_ratfunc(green_entry(transition_matrix(g), 0, 0), count)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import solve_linear
-from .cells import CellError, CellGraph, require_valid
+from .cells import CellError, CellGraph, CellReport, require_valid
 
 
 @dataclass(frozen=True)
@@ -73,15 +73,14 @@ def harmonic_function(g: CellGraph, validate: bool = True) -> HarmonicSolution:
     return HarmonicSolution(values=tuple(values), w=w)
 
 
-def alpha_from_harmonic(g: CellGraph) -> Fraction:
+def alpha_from_harmonic(h: HarmonicSolution) -> Fraction:
     """Return scale via the geometric law of repeated origin visits.
 
     Each visit to the origin continues to w, and the walk comes back before
     touching the rest of the boundary with probability H(w); the visit
     count is geometric, so its expectation is 1/(1 - H(w)).
     """
-    h = harmonic_function(g)
-    if g.theta != 2 or h.w is None:
+    if h.w is None:
         raise CellError(
             "return-scale identity needs a two-boundary cell with a single "
             "origin neighbor"
@@ -116,35 +115,15 @@ class AlphaMuReport:
         }
 
 
-def verify_alpha_mu(g: CellGraph) -> AlphaMuReport:
-    """Exact comparison of the return scale against the clique count."""
-    alpha = alpha_from_harmonic(g)
-    mu = 2 * g.num_edges // (g.theta * (g.theta - 1))
+def verify_alpha_mu(report: CellReport, alpha: Fraction) -> AlphaMuReport:
+    """Exact comparison of the return scale against the clique count.
+
+    ``report`` is the cell's validation report, and ``alpha`` its return
+    scale from alpha_from_harmonic.
+    """
     return AlphaMuReport(
         alpha=alpha,
-        mu=mu,
-        is_path=g.is_path(),
-        strict=alpha < mu,
+        mu=report.mu,
+        is_path=report.is_path,
+        strict=alpha < report.mu,
     )
-
-
-def delete_vertex(g: CellGraph, v: int) -> CellGraph | None:
-    """Cell graph minus one interior vertex, or None if it disconnects.
-
-    Used by the monotonicity property: removing a vertex off every
-    origin-to-boundary path never lowers H at the origin's neighbor.
-    The result usually fails the symmetry axioms; it is built for the
-    harmonic solver only, so we bypass cell validation and only keep the
-    structural requirements (connected, boundary non-adjacent).
-    """
-    if v < g.theta:
-        raise CellError("cannot delete a boundary vertex")
-    keep = [u for u in range(g.n) if u != v]
-    remap = {u: k for k, u in enumerate(keep)}
-    edges = frozenset(
-        (remap[a], remap[b]) for a, b in g.edges if a != v and b != v
-    )
-    try:
-        return CellGraph(g.n - 1, g.theta, edges, name=g.name)
-    except CellError:
-        return None

@@ -51,6 +51,10 @@ class GreenSeries:
     def coefficients(self) -> tuple[Fraction, ...]:
         return self.series.coeffs[: self.order + 1]
 
+    def truncate(self, order: int) -> GreenSeries:
+        """The same expansion known only through z^order."""
+        return GreenSeries(self.series.truncate(order + 1), self.factors_used, order)
+
 
 def _require_flat_start(d: RatFunc):
     # d must vanish to second order at 0: one step cannot cross the cell.
@@ -160,7 +164,7 @@ def invariants(g: CellGraph, cf: CellFunctions | None = None) -> CellInvariants:
     """
     if cf is None:
         cf = cell_functions(g)
-    mu = 2 * g.num_edges // (g.theta * (g.theta - 1))
+    mu = cf.report.mu
     tau = cf.d.derivative()(Fraction(1))
     alpha = cf.f(Fraction(1))
     if tau <= 1:
@@ -184,7 +188,7 @@ def invariants(g: CellGraph, cf: CellFunctions | None = None) -> CellInvariants:
         eta_alt=eta_alt,
         rho_f=cf.spectral_f.rho,
         rho_d=cf.spectral_d.rho,
-        bipartite=g.is_bipartite(),
+        bipartite=cf.report.bipartite,
     )
 
 

@@ -8,6 +8,7 @@ it per test.
 
 from __future__ import annotations
 
+import importlib
 import os
 import subprocess
 import sys
@@ -31,12 +32,14 @@ from cellgreen import (
     enumerate_cells,
     exact_return_probs,
     green_series,
+    harmonic_function,
     invariants,
-    modified_determinants,
-    spectral_property_report,
     sufficient_approximant,
     validate_cell,
 )
+from cellgreen.algebra import PowerSeries, series_from_ratfunc
+from cellgreen.cells import transition_matrix
+from cellgreen.greenkernel import green_entry, spectral_property_report
 from cellgreen.harmonic import alpha_from_harmonic
 
 ORACLE_STEP_CAP = 20
@@ -70,11 +73,9 @@ class Sweep:
 
 def _sweep_one(g: CellGraph) -> tuple[SweepRecord, float]:
     report = validate_cell(g)
-    cf = cell_functions(g, check_symmetry=False)
-    inv = invariants(g, cf)
-    spectral = spectral_property_report(cf)
-    det_f, det_d = modified_determinants(g)
+    cf = cell_functions(g, report=report)
     verdict = classify(g, cf=cf)
+    spectral = spectral_property_report(cf)
 
     t0 = time.perf_counter()
     appx = sufficient_approximant(g, ORACLE_STEP_CAP)
@@ -87,10 +88,10 @@ def _sweep_one(g: CellGraph) -> tuple[SweepRecord, float]:
         cell=g,
         report=report,
         cf=cf,
-        inv=inv,
+        inv=verdict.invariants,
         spectral=spectral,
-        det_equal=det_f == det_d,
-        harmonic_alpha=alpha_from_harmonic(g),
+        det_equal=cf.det_f == cf.det_d,
+        harmonic_alpha=alpha_from_harmonic(harmonic_function(g, validate=False)),
         verdict=verdict,
         oracle_level=appx.level,
         oracle_n=n_cap,
@@ -132,6 +133,44 @@ def builtin_invariants(builtin_cells, builtin_functions) -> dict[str, CellInvari
         name: invariants(g, builtin_functions[name])
         for name, g in builtin_cells.items()
     }
+
+
+@pytest.fixture(scope="session")
+def cell_green_series():
+    """Return-walk series of a finite cell at its origin, `count` coefficients."""
+
+    def series(g: CellGraph, count: int) -> PowerSeries:
+        return series_from_ratfunc(green_entry(transition_matrix(g), 0, 0), count)
+
+    return series
+
+
+# -- call counting ----------------------------------------------------------
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Count the calls of a cellgreen function, wherever cellgreen refers to it.
+
+    ``count_calls("cellgreen.cells", "validate_cell")`` wraps the function in
+    every cellgreen module that holds it (callers import it by name) and
+    returns the list that each call appends its arguments to.
+    """
+
+    def install(module: str, name: str) -> list:
+        real = getattr(importlib.import_module(module), name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "cellgreen" and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    return install
 
 
 # -- command line runner ----------------------------------------------------

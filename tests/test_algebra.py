@@ -28,8 +28,8 @@ from cellgreen.algebra import (
 )
 from cellgreen.algebra.matrix import (
     _exact_div,
+    _is_zero,
     det_bareiss,
-    det_laplace,
     det_linear,
     solve_linear,
 )
@@ -446,6 +446,43 @@ class TestRoots:
 
 
 # -- determinants -----------------------------------------------------------
+
+
+def det_laplace(rows):
+    """Determinant by first-row expansion, memoized on the column subset.
+
+    The reference that Bareiss elimination and det_linear are checked against.
+    """
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square")
+    cache: dict[tuple[int, ...], object] = {}
+
+    def go(cols: tuple[int, ...]):
+        if len(cols) == 1:
+            return rows[n - 1][cols[0]]
+        got = cache.get(cols)
+        if got is not None:
+            return got
+        i = n - len(cols)
+        acc = None
+        for pos, c in enumerate(cols):
+            entry = rows[i][c]
+            if _is_zero(entry):
+                continue
+            sub = go(cols[:pos] + cols[pos + 1 :])
+            term = entry * sub
+            if pos % 2:
+                term = -term
+            acc = term if acc is None else acc + term
+        if acc is None:
+            acc = rows[0][0] * 0
+        cache[cols] = acc
+        return acc
+
+    return go(tuple(range(n)))
 
 
 class TestDeterminants:

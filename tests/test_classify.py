@@ -6,14 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from cellgreen import (
-    CellGraph,
-    builtin_cell,
-    classify,
-    star_series,
-    verify_cell,
-)
-from cellgreen.classify import OUTCOMES, Verdict
+from cellgreen import CellGraph, builtin_cell, classify, verify_cell
+from cellgreen.classify import OUTCOMES, Verdict, star_series
 
 
 def four_cycle() -> CellGraph:
@@ -165,6 +159,37 @@ class TestFullVerification:
         monkeypatch.setattr(module, "blowup", counted)
         assert verify_cell(builtin_cell("diamond"), max_steps=8).all_passed
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["diamond", "path2", "theta4"])
+    def test_each_stage_runs_once_per_verify(self, name, count_calls):
+        calls = {
+            fn: count_calls(module, fn)
+            for module, fn in [
+                ("cellgreen.cells", "validate_cell"),
+                ("cellgreen.cells", "boundary_doubly_transitive"),
+                ("cellgreen.cells", "clique_partition"),
+                ("cellgreen.iteration", "invariants"),
+                ("cellgreen.harmonic", "harmonic_function"),
+                ("cellgreen.iteration", "green_series"),
+            ]
+        }
+        g = builtin_cell(name)
+        assert verify_cell(g).all_passed
+        # verify_cell validates once, and blowup once more without the
+        # automorphism search; a path cell's verdict expands its own series.
+        assert len(calls["validate_cell"]) <= 2
+        assert len(calls["boundary_doubly_transitive"]) == 1
+        assert len(calls["clique_partition"]) <= 2
+        assert len(calls["invariants"]) == 1
+        assert len(calls["harmonic_function"]) == (1 if g.theta == 2 else 0)
+        assert len(calls["green_series"]) <= (2 if g.is_path() else 1)
+
+    def test_classify_validates_once(self, count_calls):
+        calls = count_calls("cellgreen.cells", "validate_cell")
+        for name in ("diamond", "path2", "theta4"):
+            calls.clear()
+            classify(builtin_cell(name))
+            assert len(calls) == 1
 
     def test_invalid_cell_fails_verification(self):
         report = verify_cell(four_cycle(), max_steps=6)

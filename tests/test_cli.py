@@ -3,9 +3,12 @@ where a test replaces a function that the CLI calls."""
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import cellgreen
 import cellgreen.cli
 
 DIAMOND_TEXT = """\
@@ -109,6 +112,12 @@ class TestComputations:
         result = cli("classify", str(path))
         assert result.returncode == 2
         assert json.loads(result.stdout)["verdict"]["outcome"] == "Invalid"
+
+    def test_invariants_solves_the_harmonic_system_once(self, count_calls, capsys):
+        calls = count_calls("cellgreen.harmonic", "harmonic_function")
+        assert cellgreen.cli.main(["invariants", "--builtin", "diamond"]) == 0
+        assert json.loads(capsys.readouterr().out)["alpha_from_harmonic"] == "3"
+        assert len(calls) == 1
 
     def test_output_is_deterministic(self, cli):
         first = payload(cli("invariants", "--builtin", "sierpinski"))
@@ -301,3 +310,69 @@ class TestVerifyGolden:
         del doc["elapsed_seconds"]
         text = json.dumps(doc, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[name]
+
+
+class TestBudgets:
+    @pytest.mark.parametrize("raw", ["abc", "-5", "1.5", ""])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["validate", "--builtin", "diamond"],
+            ["blowup", "--builtin", "diamond", "--level", "2"],
+        ],
+    )
+    def test_bad_budget_variable_exits_two(self, cli, args, raw):
+        result = cli(*args, env_extra={"CELLGREEN_EDGE_BUDGET": raw})
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: CELLGREEN_EDGE_BUDGET must be a nonnegative integer, got {raw!r}\n"
+        )
+
+    def test_flag_overrides_budget_variable(self, cli):
+        result = cli(
+            "blowup", "--builtin", "diamond", "--level", "2", "--edge-budget", "100",
+            env_extra={"CELLGREEN_EDGE_BUDGET": "10"},
+        )
+        assert payload(result)["approximant"]["edges"] == 36
+
+    def test_enumeration_budget_exits_three_before_enumerating(
+        self, monkeypatch, capsys
+    ):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("enumerate_cells was called")
+
+        monkeypatch.setattr(cellgreen.cli, "enumerate_cells", no_enumeration)
+        code = cellgreen.cli.main(["verify", "--enumerate", "--max-vertices", "40"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --max-vertices 40 exceeds the enumeration budget of 8\n"
+        )
+
+    def test_enumeration_budget_admits_eight(self, monkeypatch, capsys):
+        seen = []
+
+        def no_cells(theta, max_vertices):
+            seen.append(max_vertices)
+            return iter(())
+
+        monkeypatch.setattr(cellgreen.cli, "enumerate_cells", no_cells)
+        code = cellgreen.cli.main(["verify", "--enumerate", "--max-vertices", "8"])
+        assert code == 0
+        assert seen == [8]
+        assert json.loads(capsys.readouterr().out)["verify"]["cells_checked"] == 0
+
+
+class TestPackage:
+    def test_exports_match_the_readme(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        library = readme.split("## Library")[1].split("\n## ")[0]
+        listed = library.split("The package exports exactly these names")[1]
+        bullets = listed.split("\n\n")[1]
+        names = re.findall(r"`(\w+)`", bullets)
+        assert sorted(names) == sorted(cellgreen.__all__)
+        assert len(names) == len(set(names))
+        for name in names:
+            assert hasattr(cellgreen, name)

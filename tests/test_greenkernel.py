@@ -1,31 +1,115 @@
 """Finite-graph walk kernels: f, d, r, radii, and the spectral checks."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from cellgreen import (
-    KernelError,
-    asymptotic_check,
-    builtin_cell,
-    cell_functions,
-    cell_green_series,
-    modified_determinants,
-    spectral_property_report,
-    transition_matrix,
-)
-from cellgreen.algebra import Poly, RatFunc, series_from_ratfunc
+from cellgreen import builtin_cell, cell_functions
+from cellgreen.algebra import Poly, RatFunc, series_from_ratfunc, solve_linear
+from cellgreen.cells import transition_matrix
 from cellgreen.greenkernel import (
+    Matrix,
     build_pd,
     build_pf,
     green_entry,
-    green_entry_elim,
+    radius,
     resolvent_det,
+    spectral_property_report,
 )
 
 
 def P(*coeffs) -> Poly:
     return Poly([Fraction(c) for c in coeffs])
+
+
+# -- finite-cell coefficient asymptotics: a route only these tests use ---------
+
+
+@dataclass(frozen=True)
+class AsymptoticReport:
+    phi: Fraction
+    bipartite: bool
+    odd_coefficients_zero: bool | None
+    even_relative_errors: tuple[Fraction, ...]
+    errors_nonincreasing: bool
+    coefficients: tuple[Fraction, ...]
+
+
+def _stationary(t: Matrix) -> list[Fraction]:
+    """Stationary row vector of an irreducible stochastic matrix, exactly."""
+    n = len(t)
+    rows = []
+    for j in range(n - 1):
+        rows.append(
+            [t[i][j] - (1 if i == j else 0) for i in range(n)]
+        )
+    rows.append([Fraction(1)] * n)
+    rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
+    return solve_linear(rows, rhs)
+
+
+def asymptotic_check(t: Matrix, i: int, n_max: int) -> AsymptoticReport:
+    """Convergence of walk return coefficients toward their stationary mass.
+
+    The n-step return coefficient at state i tends to the stationary weight
+    pi_i (doubled, over even n, when the chain is two-periodic).  The report
+    records the exact relative errors on even n and whether they never
+    increase.
+    """
+    n = len(t)
+    for row in t:
+        if sum(row, Fraction(0)) != 1:
+            raise ValueError("rows must sum to 1")
+    coeffs = series_from_ratfunc(green_entry(t, i, i), n_max + 1).coeffs
+
+    color = [-1] * n
+    color[0] = 0
+    queue = [0]
+    for v in queue:
+        for u in range(n):
+            if t[v][u] == 0:
+                continue
+            if color[u] < 0:
+                color[u] = 1 - color[v]
+                queue.append(u)
+    bipartite = all(
+        t[v][u] == 0 or color[v] != color[u]
+        for v in range(n)
+        for u in range(n)
+    )
+
+    pi = _stationary(t)
+    phi = 2 * pi[i] if bipartite else pi[i]
+
+    odd_zero = None
+    if bipartite:
+        odd_zero = all(coeffs[k] == 0 for k in range(1, n_max + 1, 2))
+
+    errors = tuple(
+        abs(coeffs[k] / phi - 1) for k in range(0, n_max + 1, 2)
+    )
+    nonincreasing = all(
+        errors[m + 1] <= errors[m] for m in range(len(errors) - 1)
+    )
+    return AsymptoticReport(
+        phi=phi,
+        bipartite=bipartite,
+        odd_coefficients_zero=odd_zero,
+        even_relative_errors=errors,
+        errors_nonincreasing=nonincreasing,
+        coefficients=tuple(coeffs),
+    )
+
+
+def entry_by_elimination(t: Matrix, i: int, j: int, z: Fraction) -> Fraction:
+    """Entry [i, j] of (I - zT)^{-1} at one rational z: solve (I - zT) x = e_j."""
+    n = len(t)
+    rows = [
+        [(1 if r == c else 0) - z * t[r][c] for c in range(n)] for r in range(n)
+    ]
+    rhs = [Fraction(1 if r == j else 0) for r in range(n)]
+    return solve_linear(rows, rhs)[i]
 
 
 @pytest.fixture(scope="module")
@@ -56,12 +140,14 @@ class TestModifiedMatrices:
         assert pd[3] == [0, Fraction(1, 3), 0, 0, Fraction(1, 3), Fraction(1, 3)]
 
     def test_determinants_agree_and_match_hand_value(self):
-        det_f, det_d = modified_determinants(builtin_cell("diamond"))
+        g = builtin_cell("diamond")
+        det_f, det_d = resolvent_det(build_pf(g)), resolvent_det(build_pd(g))
         assert det_f == det_d
         assert det_f == P(1, 0, -1, 0, Fraction(1, 9))
 
     def test_cell_functions_carry_the_determinants(self, diamond_cf):
-        det_f, det_d = modified_determinants(builtin_cell("diamond"))
+        g = builtin_cell("diamond")
+        det_f, det_d = resolvent_det(build_pf(g)), resolvent_det(build_pd(g))
         assert diamond_cf.det_f == det_f
         assert diamond_cf.det_d == det_d
 
@@ -87,11 +173,21 @@ class TestGreenEntry:
         assert green_entry(t, 0, 0) == RatFunc(P(2, 0, -1), P(2, 0, -2))
 
     def test_elimination_route_agrees_on_every_small_cell(self, enumerated_cells):
+        # Both routes give a rational function whose numerator and
+        # denominator have degree at most n.  Two such functions are equal
+        # iff a polynomial of degree at most 2n vanishes at 2n + 1 distinct
+        # points.  I - zT is invertible for z in (0, 1), since the rows of
+        # T sum to at most 1.
         for g in enumerated_cells:
-            pf = build_pf(g)
-            pd = build_pd(g)
-            assert green_entry(pf, 0, 0) == green_entry_elim(pf, 0, 0)
-            assert green_entry(pd, 0, 1) == green_entry_elim(pd, 0, 1)
+            n = g.n
+            points = [Fraction(k, 2 * n + 2) for k in range(1, 2 * n + 2)]
+            for t, j in ((build_pf(g), 0), (build_pd(g), 1)):
+                entry = green_entry(t, 0, j)
+                assert entry.num.degree <= n and entry.den.degree <= n
+                for z in points:
+                    den = entry.den(z)
+                    assert den != 0
+                    assert entry.num(z) / den == entry_by_elimination(t, 0, j, z)
 
     def test_offdiagonal_entry_transpose_convention(self):
         # first-step decomposition: G(v1, w | z) = z/deg(v1) * sum over
@@ -175,6 +271,20 @@ class TestSpectralData:
             report = spectral_property_report(cf)
             assert report.all_passed, (name, report.to_json())
 
+    def test_double_pole_has_no_residue_scale(self):
+        sd = radius(RatFunc(P(1), P(1, -2) * P(1, -2)))
+        assert sd.pole_order == 2
+        assert sd.rho.contains(Fraction(1, 2))
+        assert sd.residue_scale is None
+        assert sd.to_json()["residue_scale"] is None
+
+    def test_simple_pole_scale_brackets_the_residue(self):
+        # 1/((1-2z)(1-3z)) behaves like 3/(1 - 3z) near its pole 1/3.
+        sd = radius(RatFunc(P(1), P(1, -2) * P(1, -3)))
+        assert sd.pole_order == 1
+        assert 3 in sd.residue_scale
+        assert not sd.residue_scale.contains_zero()
+
     def test_report_items_exact_names(self, diamond_cf):
         report = spectral_property_report(diamond_cf)
         assert [item.name for item in report.items] == [
@@ -234,14 +344,14 @@ class TestAsymptotics:
 
 
 class TestCellGreenSeries:
-    def test_diamond_walk_counts(self):
+    def test_diamond_walk_counts(self, cell_green_series):
         s = cell_green_series(builtin_cell("diamond"), 9)
         assert s.coeffs == (
             1, 0, Fraction(1, 3), 0, Fraction(2, 9), 0,
             Fraction(5, 27), 0, Fraction(14, 81),
         )
 
-    def test_prefix_stability(self):
+    def test_prefix_stability(self, cell_green_series):
         short = cell_green_series(builtin_cell("diamond"), 5)
         long = cell_green_series(builtin_cell("diamond"), 30)
         assert long.truncate(5) == short

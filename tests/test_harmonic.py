@@ -6,13 +6,45 @@ import pytest
 
 from cellgreen import (
     CellError,
+    CellGraph,
+    alpha_from_harmonic,
     builtin_cell,
     cell_functions,
     enumerate_cells,
     harmonic_function,
-    verify_alpha_mu,
+    validate_cell,
 )
-from cellgreen.harmonic import alpha_from_harmonic, delete_vertex
+from cellgreen.harmonic import verify_alpha_mu
+
+
+def alpha_of(g: CellGraph):
+    return alpha_from_harmonic(harmonic_function(g))
+
+
+def alpha_mu_of(g: CellGraph):
+    return verify_alpha_mu(validate_cell(g), alpha_of(g))
+
+
+def delete_vertex(g: CellGraph, v: int) -> CellGraph | None:
+    """Cell graph minus one interior vertex, or None if it disconnects.
+
+    Used by the monotonicity property: removing a vertex off every
+    origin-to-boundary path never lowers H at the origin's neighbor.
+    The result usually fails the symmetry axioms; it is built for the
+    harmonic solver only, so we bypass cell validation and only keep the
+    structural requirements (connected, boundary non-adjacent).
+    """
+    if v < g.theta:
+        raise CellError("cannot delete a boundary vertex")
+    keep = [u for u in range(g.n) if u != v]
+    remap = {u: k for k, u in enumerate(keep)}
+    edges = frozenset(
+        (remap[a], remap[b]) for a, b in g.edges if a != v and b != v
+    )
+    try:
+        return CellGraph(g.n - 1, g.theta, edges, name=g.name)
+    except CellError:
+        return None
 
 
 class TestHarmonicSolve:
@@ -52,8 +84,6 @@ class TestHarmonicSolve:
                 assert 0 < sol.value(v) < 1
 
     def test_invalid_cell_rejected_unless_asked(self):
-        from cellgreen import CellGraph
-
         c4 = CellGraph(4, 2, frozenset({(0, 2), (0, 3), (1, 2), (1, 3)}))
         with pytest.raises(CellError):
             harmonic_function(c4)
@@ -63,27 +93,27 @@ class TestHarmonicSolve:
 
 class TestAlphaIdentity:
     def test_diamond(self):
-        assert alpha_from_harmonic(builtin_cell("diamond")) == 3
+        assert alpha_of(builtin_cell("diamond")) == 3
 
     def test_paths_give_their_length(self):
         for g in enumerate_cells(2, 8):
             if g.is_path():
-                assert alpha_from_harmonic(g) == g.num_edges
+                assert alpha_of(g) == g.num_edges
 
     def test_matches_return_function_at_one(self):
         for name in ("diamond", "path2", "path3"):
             g = builtin_cell(name)
             cf = cell_functions(g)
-            assert alpha_from_harmonic(g) == cf.f(Fraction(1))
+            assert alpha_of(g) == cf.f(Fraction(1))
 
     def test_needs_single_neighbor_origin(self):
         with pytest.raises(CellError):
-            alpha_from_harmonic(builtin_cell("sierpinski"))
+            alpha_of(builtin_cell("sierpinski"))
 
 
 class TestAlphaMuComparison:
     def test_diamond_strict(self):
-        rep = verify_alpha_mu(builtin_cell("diamond"))
+        rep = alpha_mu_of(builtin_cell("diamond"))
         assert rep.alpha == 3
         assert rep.mu == 6
         assert rep.strict
@@ -91,7 +121,7 @@ class TestAlphaMuComparison:
         assert rep.consistent
 
     def test_path3_equality(self):
-        rep = verify_alpha_mu(builtin_cell("path3"))
+        rep = alpha_mu_of(builtin_cell("path3"))
         assert rep.alpha == rep.mu == 3
         assert rep.is_path
         assert rep.consistent

@@ -5,14 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from cellgreen import (
-    KernelError,
-    builtin_cell,
-    cell_functions,
+from cellgreen import KernelError, builtin_cell, cell_functions, green_series, invariants
+from cellgreen.iteration import (
     functional_residual,
-    green_series,
     green_series_recursion,
-    invariants,
     iteration_hypotheses,
     singular_prefactor_probe,
     transcendence_hypotheses,
@@ -40,9 +36,9 @@ class TestGreenSeries:
         )
         assert gs.factors_used == 2
 
-    def test_diamond_deviates_from_cell_series_at_eight(self, diamond_cf):
-        from cellgreen import cell_green_series
-
+    def test_diamond_deviates_from_cell_series_at_eight(
+        self, diamond_cf, cell_green_series
+    ):
         cell = cell_green_series(builtin_cell("diamond"), 9)
         infinite = green_series(diamond_cf, 8)
         assert cell.coeffs[:8] == infinite.coefficients()[:8]
