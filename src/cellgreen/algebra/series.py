@@ -114,19 +114,8 @@ class PowerSeries:
             return PowerSeries([], 0)
         a, den_a = _numerators(self.coeffs[:n])
         b, den_b = _numerators(other.coeffs[:n])
-        width = _bits_of_max(a) + _bits_of_max(b) + n.bit_length() + 2
-        size = (width + 7) // 8
-        half = 1 << (8 * size - 1)
-        low = _pack(a, size) * _pack(b, size) + _pack([half] * n, size)
-        digits = (low & ((1 << (8 * size * n)) - 1)).to_bytes(size * n, "little")
         den = den_a * den_b
-        return PowerSeries(
-            [
-                Fraction(int.from_bytes(digits[k : k + size], "little") - half, den)
-                for k in range(0, size * n, size)
-            ],
-            n,
-        )
+        return PowerSeries([Fraction(c, den) for c in _int_product(a, b, n)], n)
 
     __rmul__ = __mul__
 
@@ -141,7 +130,7 @@ class PowerSeries:
         unknown tail of the outer series into every coefficient).  The result
         carries order
 
-            min(inner.order, outer.order * max(valuation(inner), 1))
+            n = min(inner.order, outer.order * max(valuation(inner), 1))
 
         because the unknown tail of the outer series contributes only from
         z**(outer.order * valuation) on, while the unknown tail of the inner
@@ -149,6 +138,15 @@ class PowerSeries:
         valuation >= 2 inner with outer.order * valuation >= inner.order
         preserves the inner order, and composing with z of sufficient order
         is the identity.
+
+        Horner's rule runs over outer coefficients k = k_max .. 0 with
+        k_max = (n - 1) // val, val = max(valuation(inner), 1): higher
+        powers of ``inner`` vanish mod z**n.  The step for coefficient k is
+        computed only mod z**(n - k*val), since the accumulator is then
+        multiplied by ``inner`` k more times and each product raises its
+        valuation by val.  The accumulator is one list of integer numerators
+        over a common denominator, reduced by one gcd per step; the
+        ``Fraction`` coefficients are built once, at the end.
         """
         if inner.order == 0:
             return PowerSeries([], 0)
@@ -158,15 +156,25 @@ class PowerSeries:
         n = min(inner.order, self.order * val)
         if n == 0 or self.order == 0:
             return PowerSeries([], n)
-        # Horner evaluation mod z**n; powers of the inner series gain
-        # valuation, so only outer coefficients up to (n-1)//val contribute.
-        k_max = self.order - 1 if val == 1 else min(self.order - 1, (n - 1) // val)
-        inner_n = inner.truncate(n)
-        acc = PowerSeries([self.coeffs[k_max]], n)
+        k_max = min(self.order - 1, (n - 1) // val)
+        b, den_b = _numerators(inner.coeffs[:n])
+        top = self.coeffs[k_max]
+        acc, den = [top.numerator], top.denominator
         for k in range(k_max - 1, -1, -1):
-            acc = acc * inner_n
-            acc = PowerSeries((acc.coeffs[0] + self.coeffs[k],) + acc.coeffs[1:], n)
-        return acc
+            m = n - k * val
+            acc = _int_product(acc, b[:m], m)
+            den *= den_b
+            c = self.coeffs[k]
+            scale = c.denominator // math.gcd(den, c.denominator)
+            if scale > 1:
+                acc = [x * scale for x in acc]
+                den *= scale
+            acc[0] += c.numerator * (den // c.denominator)
+            g = math.gcd(den, *acc)
+            if g > 1:
+                acc = [x // g for x in acc]
+                den //= g
+        return PowerSeries([Fraction(x, den) for x in acc], n)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -186,6 +194,25 @@ def _numerators(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
     """Integer numerators of ``coeffs`` over the lcm of their denominators."""
     den = math.lcm(*[c.denominator for c in coeffs])
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _int_product(a: list[int], b: list[int], n: int) -> list[int]:
+    """First ``n`` coefficients of the product of integer coefficient lists.
+
+    One big-integer product by Kronecker substitution; the class docstring
+    gives the slot width and the borrow settling.  Slot ``k < n`` sums at
+    most ``n`` products, whatever the lengths of ``a`` and ``b``.
+    """
+    a, b = a[:n], b[:n]
+    width = _bits_of_max(a) + _bits_of_max(b) + n.bit_length() + 2
+    size = (width + 7) // 8
+    half = 1 << (8 * size - 1)
+    low = _pack(a, size) * _pack(b, size) + _pack([half] * n, size)
+    digits = (low & ((1 << (8 * size * n)) - 1)).to_bytes(size * n, "little")
+    return [
+        int.from_bytes(digits[k : k + size], "little") - half
+        for k in range(0, size * n, size)
+    ]
 
 
 def _bits_of_max(nums: list[int]) -> int:

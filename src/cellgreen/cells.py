@@ -156,17 +156,6 @@ class CellGraph:
             and all(degs[v] == 2 for v in self.interior)
         )
 
-    def relabel(self, perm: Sequence[int]) -> CellGraph:
-        """Image under a vertex permutation; perm must keep 0..theta-1 boundary."""
-        if sorted(perm[: self.theta]) != list(range(self.theta)):
-            raise CellError("relabeling must preserve the boundary set")
-        return CellGraph(
-            self.n,
-            self.theta,
-            frozenset(_norm_edge(perm[a], perm[b]) for a, b in self.edges),
-            name=self.name,
-        )
-
 
 # -- parsing and serialization ---------------------------------------------
 

@@ -245,6 +245,11 @@ def cmd_verify(args) -> int:
         return 0 if not diffs else 2
 
     if args.enumerate:
+        if args.max_vertices < 3:
+            # Every cell has at least 3 vertices: a smaller cap checks none.
+            raise ValueError(
+                f"--max-vertices must be at least 3, got {args.max_vertices}"
+            )
         if args.max_vertices > MAX_ENUMERATE_VERTICES:
             raise BudgetError(
                 f"--max-vertices {args.max_vertices} exceeds the enumeration "

@@ -1,8 +1,8 @@
 """Green's function of the infinite self-similar graph via iteration.
 
 The return series G of the limit graph solves G(z) = f(z) G(d(z)), so its
-truncation is a finite product of f composed with iterates of d.  This
-module expands that product exactly, extracts the growth invariants
+truncation to any order follows from a shorter truncation composed with d.
+This module expands it exactly by that nesting, extracts the growth invariants
 (branching count mu, time scaling tau, return scaling alpha, exponent eta),
 and checks the hypotheses under which the iteration forces the dichotomy
 used by the classifier.
@@ -37,8 +37,9 @@ class GreenSeries:
     """Truncated return series of the limit graph.
 
     series holds coefficients of z^0 .. z^order inclusive; factors_used is
-    the number of f(d_k(z)) factors multiplied, where d_k is the k-th
-    iterate of d and k runs from 0 to factors_used - 1.
+    the nesting depth of green_series (at least 1), which equals the number
+    of factors f(d_k(z)) of G = prod_k f(d_k(z)) that reach z^order, where
+    d_k is the k-th iterate of d and k runs from 0 to factors_used - 1.
     """
 
     series: PowerSeries
@@ -65,12 +66,18 @@ def _require_flat_start(d: RatFunc):
 
 
 def green_series(cf: CellFunctions, order: int) -> GreenSeries:
-    """Product expansion of G with all coefficients through z^order exact.
+    """Nested expansion of G with all coefficients through z^order exact.
 
-    Factors f(d_k(z)) with the k-th iterate of d vanishing beyond z^order
-    contribute nothing below the truncation and are dropped; since each
-    composition at least doubles the vanishing order, the factor count
-    stays logarithmic in order.
+    With v the valuation of d, G mod z^m depends only on G mod z^m' for
+    m' = (m - 1) // v + 1, since (z^m')(d) vanishes to order m' v >= m:
+
+        G mod z^m = f (G mod z^m')(d)  mod z^m.
+
+    Starting from G mod z^1 = 1 (f(0) = 1 for a return function), each
+    level composes a short series with d; the iterates of d are never
+    built.  The number of levels with m > 1, the nesting depth, equals the
+    number of factors f(d_k(z)) of the product G = prod_k f(d_k(z)) that
+    reach z^order.  Since v >= 2 it is logarithmic in order.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -78,14 +85,14 @@ def green_series(cf: CellFunctions, order: int) -> GreenSeries:
     count = order + 1
     f_ser = series_from_ratfunc(cf.f, count)
     d_ser = series_from_ratfunc(cf.d, count)
-    product = f_ser
-    factors = 1
-    inner = d_ser
-    while inner.valuation() <= order:
-        product = product * f_ser.compose(inner)
-        factors += 1
-        inner = d_ser.compose(inner)
-    return GreenSeries(series=product, factors_used=factors, order=order)
+    v = cf.d.num.valuation()
+    sizes = [count]
+    while sizes[-1] > 1:
+        sizes.append((sizes[-1] - 1) // v + 1)
+    g = PowerSeries.one(1)
+    for m in reversed(sizes[:-1]):
+        g = f_ser.truncate(m) * g.compose(d_ser.truncate(m))
+    return GreenSeries(series=g, factors_used=max(len(sizes) - 1, 1), order=order)
 
 
 def green_series_recursion(cf: CellFunctions, order: int) -> PowerSeries:

@@ -280,6 +280,84 @@ class TestSeriesProduct:
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == self.GOLDEN_ORDER_200[name]
 
+    # The same digest through z^400, as computed by the product of composed
+    # factors before the nested series engine.
+    GOLDEN_ORDER_400 = {
+        "diamond": "2c0ae36fea3de23cd5a7dcb4775f28204baa2caa73bad0256edc3cec81a034e1",
+        "sierpinski": "9408d0e22a034c48950779dd41daf25d20a0f4f11d95cf983189c646f848cfb1",
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ORDER_400))
+    def test_green_series_golden_digest_order_400(self, name):
+        gs = green_series(cell_functions(builtin_cell(name)), 400)
+        text = "\n".join(str(c) for c in gs.coefficients())
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == self.GOLDEN_ORDER_400[name]
+
+
+# -- composition against the full-length Horner reference -------------------
+
+
+def horner_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
+    """Reference composition: Horner's rule with every step at full length.
+
+    Each step is one ``Fraction`` series product mod z**n, with
+    n = min(inner.order, outer.order * max(valuation(inner), 1)).
+    """
+    if inner.order == 0:
+        return PowerSeries([], 0)
+    if inner.coeffs[0] != 0:
+        raise ValueError("inner series must have zero constant term")
+    val = max(inner.valuation(), 1)
+    n = min(inner.order, outer.order * val)
+    if n == 0 or outer.order == 0:
+        return PowerSeries([], n)
+    k_max = outer.order - 1 if val == 1 else min(outer.order - 1, (n - 1) // val)
+    inner_n = inner.truncate(n)
+    acc = PowerSeries([outer.coeffs[k_max]], n)
+    for k in range(k_max - 1, -1, -1):
+        acc = acc * inner_n
+        acc = PowerSeries((acc.coeffs[0] + outer.coeffs[k],) + acc.coeffs[1:], n)
+    return acc
+
+
+@st.composite
+def compose_pairs(draw):
+    """An outer series and an inner one of valuation 1..4 (or all zero).
+
+    The outer order ranges over 0..12 and the inner order over 1..12, so
+    either may exceed the other.
+    """
+    coeff = st.one_of(rationals, wide_rationals)
+    outer = draw(st.lists(coeff, max_size=12))
+    val = draw(st.integers(min_value=1, max_value=4))
+    order = draw(st.integers(min_value=1, max_value=12))
+    lead = draw(coeff.filter(lambda c: c != 0))
+    rest = draw(st.lists(coeff, max_size=max(order - val - 1, 0)))
+    inner = ([Fraction(0)] * val + [lead] + rest)[:order]
+    return PowerSeries(outer), PowerSeries(inner, order)
+
+
+class TestCompose:
+    @given(compose_pairs())
+    # valuation 1 with the outer order above the inner order
+    @example((PowerSeries([1, 2, 3, 4, 5, 6]), PowerSeries([0, Fraction(1, 3), -2], 3)))
+    @example((PowerSeries([Fraction(2, 7)] * 9), PowerSeries([0, -1], 2)))
+    # orders 0 and 1
+    @example((PowerSeries([]), PowerSeries([0, 1, 1], 3)))
+    @example((PowerSeries([Fraction(5, 3)]), PowerSeries([0, 0, 1], 3)))
+    @example((PowerSeries([1, 1]), PowerSeries([0], 1)))
+    @example((PowerSeries([1, 1]), PowerSeries([], 0)))
+    # valuation 4, outer order below and above the inner order
+    @example((PowerSeries([1, -1, 1]), PowerSeries([0, 0, 0, 0, Fraction(1, 2)], 11)))
+    @example((PowerSeries([3] * 12), PowerSeries([0, 0, 0, 0, 1, 1, 1], 7)))
+    def test_matches_horner_reference(self, pair):
+        outer, inner = pair
+        result = outer.compose(inner)
+        expected = horner_compose(outer, inner)
+        assert result == expected
+        assert result.order == expected.order
+
 
 # -- rational function reconstruction ---------------------------------------
 

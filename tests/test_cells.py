@@ -26,6 +26,18 @@ from cellgreen.cells import (
     transition_matrix,
 )
 
+
+def relabel(g: CellGraph, perm) -> CellGraph:
+    """Image of g under a vertex permutation that keeps 0..theta-1 boundary."""
+    assert sorted(perm[: g.theta]) == list(range(g.theta))
+    return CellGraph(
+        g.n,
+        g.theta,
+        frozenset(_norm_edge(perm[a], perm[b]) for a, b in g.edges),
+        name=g.name,
+    )
+
+
 DIAMOND_TEXT = """\
 # two ends, two hubs, two middles
 vertices 6
@@ -202,7 +214,7 @@ class TestValidation:
         g = builtin_cell("diamond")
         base = validate_cell(g)
         for perm in ((0, 1, 3, 2, 5, 4), (0, 1, 2, 3, 5, 4), (1, 0, 3, 2, 4, 5)):
-            other = validate_cell(g.relabel(perm))
+            other = validate_cell(relabel(g, perm))
             assert (base.theta, base.mu, base.bipartite, base.is_path) == (
                 other.theta, other.mu, other.bipartite, other.is_path
             )
@@ -275,8 +287,8 @@ class TestEnumeration:
 
     def test_relabeled_cell_shares_canonical_key(self):
         g = builtin_cell("diamond")
-        assert canonical_key(g.relabel((0, 1, 3, 2, 5, 4))) == canonical_key(g)
-        assert canonical_key(g.relabel((1, 0, 3, 2, 4, 5))) == canonical_key(g)
+        assert canonical_key(relabel(g, (0, 1, 3, 2, 5, 4))) == canonical_key(g)
+        assert canonical_key(relabel(g, (1, 0, 3, 2, 4, 5))) == canonical_key(g)
 
     def test_unsupported_theta_rejected(self):
         with pytest.raises(CellError):

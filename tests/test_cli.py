@@ -351,6 +351,27 @@ class TestBudgets:
             "error: --max-vertices 40 exceeds the enumeration budget of 8\n"
         )
 
+    @pytest.mark.parametrize("cap", ["-3", "0", "1", "2"])
+    def test_enumeration_cap_below_three_exits_two_before_enumerating(
+        self, cap, monkeypatch, capsys
+    ):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("enumerate_cells was called")
+
+        monkeypatch.setattr(cellgreen.cli, "enumerate_cells", no_enumeration)
+        code = cellgreen.cli.main(["verify", "--enumerate", "--max-vertices", cap])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --max-vertices must be at least 3, got {cap}\n"
+
+    def test_enumeration_cap_of_three_checks_cells(self, capsys):
+        code = cellgreen.cli.main(["verify", "--enumerate", "--max-vertices", "3"])
+        doc = json.loads(capsys.readouterr().out)["verify"]
+        assert code == 0
+        assert doc["cells_checked"] > 0
+        assert doc["all_passed"] is True
+
     def test_enumeration_budget_admits_eight(self, monkeypatch, capsys):
         seen = []
 

@@ -4,8 +4,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from cellgreen import KernelError, builtin_cell, cell_functions, green_series, invariants
+from cellgreen import (
+    KernelError,
+    builtin_cell,
+    cell_functions,
+    enumerate_cells,
+    green_series,
+    invariants,
+)
 from cellgreen.iteration import (
     functional_residual,
     green_series_recursion,
@@ -13,7 +21,7 @@ from cellgreen.iteration import (
     singular_prefactor_probe,
     transcendence_hypotheses,
 )
-from cellgreen.algebra import Poly, RatFunc, log_ratio
+from cellgreen.algebra import Poly, PowerSeries, RatFunc, log_ratio, series_from_ratfunc
 from cellgreen.classify import star_series
 
 
@@ -25,6 +33,29 @@ def diamond_cf():
 @pytest.fixture(scope="module")
 def path2_cf():
     return cell_functions(builtin_cell("path2"))
+
+
+def product_green_series(cf, order: int) -> tuple[PowerSeries, int]:
+    """Reference expansion: the product of f(d_k(z)) over the iterates d_k.
+
+    Each level composes f and d with the previous iterate at full length;
+    a factor whose iterate vanishes beyond z^order is dropped.  Returns the
+    series and the number of factors multiplied.
+    """
+    count = order + 1
+    f_ser = series_from_ratfunc(cf.f, count)
+    d_ser = series_from_ratfunc(cf.d, count)
+    product = f_ser
+    factors = 1
+    inner = d_ser
+    while inner.valuation() <= order:
+        product = product * f_ser.compose(inner)
+        factors += 1
+        inner = d_ser.compose(inner)
+    return product, factors
+
+
+SMALL_CELLS = tuple(enumerate_cells(2, 7))
 
 
 class TestGreenSeries:
@@ -63,6 +94,29 @@ class TestGreenSeries:
             product = green_series(cf, 20)
             direct = green_series_recursion(cf, 20)
             assert product.series == direct
+
+    @given(st.sampled_from(SMALL_CELLS), st.integers(min_value=0, max_value=24))
+    def test_nested_product_and_recursion_routes_agree(self, g, order):
+        cf = cell_functions(g)
+        nested = green_series(cf, order)
+        product, factors = product_green_series(cf, order)
+        assert nested.series == product
+        assert nested.factors_used == factors
+        assert green_series_recursion(cf, order) == product
+
+    # factors_used as counted by the product route before the nested engine
+    FACTORS_USED = {
+        "diamond": (1, 1, 1, 1, 4),
+        "path2": (1, 1, 2, 2, 8),
+        "sierpinski": (1, 1, 2, 2, 8),
+        "theta4": (1, 1, 1, 2, 5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FACTORS_USED))
+    def test_factors_used_unchanged(self, name):
+        cf = cell_functions(builtin_cell(name))
+        counts = tuple(green_series(cf, n).factors_used for n in (0, 1, 2, 3, 200))
+        assert counts == self.FACTORS_USED[name]
 
     def test_functional_residual_vanishes(self):
         for name in ("diamond", "path2", "sierpinski"):
