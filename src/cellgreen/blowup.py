@@ -14,7 +14,6 @@ matrix-vector powering and seeded Monte Carlo simulation.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -31,38 +30,82 @@ class BudgetError(CellError):
     """Requested approximant exceeds the configured edge budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Approximant:
+    """A finite approximant, held as CSR arrays.
+
+    The neighbours of vertex v are indices[indptr[v]:indptr[v + 1]], in
+    increasing order.  indptr is int64 and indices int32; both are made
+    read-only here.  Two approximants are equal when their arrays and
+    their other fields are.
+    """
+
     level: int
     origin: int
-    adjacency: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
     defect_set: frozenset[int]
     safe_horizon: int
     cell_name: str | None = None
 
+    def __post_init__(self):
+        self.indptr.flags.writeable = False
+        self.indices.flags.writeable = False
+
+    def __eq__(self, other):
+        if not isinstance(other, Approximant):
+            return NotImplemented
+        scalars = ("level", "origin", "defect_set", "safe_horizon", "cell_name")
+        return (
+            all(getattr(self, f) == getattr(other, f) for f in scalars)
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+        )
+
     @property
     def num_vertices(self) -> int:
-        return len(self.adjacency)
+        return len(self.indptr) - 1
 
     @property
     def num_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+        return len(self.indices) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
+
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted neighbour tuple of every vertex (for --emit and tests)."""
+        flat = self.indices.tolist()
+        ends = self.indptr.tolist()
+        return tuple(tuple(flat[s:e]) for s, e in zip(ends, ends[1:]))
 
 
-def _distance_to_defect(adjacency, origin: int, defect: frozenset[int]) -> int:
-    dist = {origin: 0}
-    queue = [origin]
-    for v in queue:
-        if v in defect:
-            return dist[v]
-        for u in adjacency[v]:
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    raise CellError("no defect vertex reachable; approximant malformed")
+def _bfs(indptr: np.ndarray, indices: np.ndarray, origin: int):
+    """Yield (vertex, distance) in BFS order from origin.
+
+    A scalar loop over memoryviews of the CSR arrays.  The distances and
+    the queue are int32 arrays, which cost less time and memory than a
+    list of Python ints.  A level-by-level numpy BFS would pay per level,
+    and a path cell's approximant has thousands of levels.
+    """
+    ptr = memoryview(indptr)
+    nbr = memoryview(indices)
+    n = len(indptr) - 1
+    dist = memoryview(np.full(n, -1, dtype=np.int32))
+    queue = memoryview(np.empty(n, dtype=np.int32))
+    dist[origin] = 0
+    queue[0] = origin
+    head, tail = 0, 1
+    while head < tail:
+        v = queue[head]
+        head += 1
+        d = dist[v]
+        yield v, d
+        for u in nbr[ptr[v]:ptr[v + 1]]:
+            if dist[u] < 0:
+                dist[u] = d + 1
+                queue[tail] = u
+                tail += 1
 
 
 def blowup(
@@ -89,8 +132,9 @@ def blowup(
     vertices of a cell are pairwise non-adjacent, so a base clique holds
     at most one of them, first; the fresh ids exceed every older id and
     grow with the cell vertex, so each gathered row is sorted already.
-    For the same reason the cliques share no edge, and the adjacency comes
-    from one sort of the directed edges, with no pair repeated.
+    For the same reason the cliques share no edge, and the CSR arrays come
+    from one sort of the directed edges, with no pair repeated; they are
+    returned as they are built.
     """
     if k < 1:
         raise CellError("level must be at least 1")
@@ -103,6 +147,13 @@ def blowup(
     if edge_cost > edge_budget:
         raise BudgetError(
             f"level {k} needs {edge_cost} edges, budget is {edge_budget}"
+        )
+    # Vertex ids are stored as int32; a connected graph has at most one
+    # vertex more than it has edges.
+    if edge_cost >= 2**31 - 1:
+        raise BudgetError(
+            f"level {k} needs {edge_cost} edges, int32 vertex ids allow fewer "
+            f"than {2**31 - 1}"
         )
 
     rng = (
@@ -141,39 +192,49 @@ def blowup(
         next_id += (origin_copies - 1) * block
 
     # Edge (v, u) is the key v * next_id + u, exact in int64 for fewer
-    # than 3 * 10^9 vertices, far more than fit in memory as tuples.
+    # than 3 * 10^9 vertices.  The keys are built and sorted in place, and
+    # each temporary is dropped once used, before the horizon BFS too, so
+    # the build holds few edge-sized arrays at once.
     first, second = np.triu_indices(theta, 1)
     lo = cliques[:, first].ravel()
     hi = cliques[:, second].ravel()
-    keys = np.sort(np.concatenate([lo * next_id + hi, hi * next_id + lo]))
-    bounds = np.zeros(next_id + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // next_id, minlength=next_id), out=bounds[1:])
-    targets = (keys % next_id).tolist()
-    ends = bounds.tolist()
-    adjacency = tuple(tuple(targets[s:e]) for s, e in zip(ends, ends[1:]))
+    del cliques
+    half = len(lo)
+    keys = np.empty(2 * half, dtype=np.int64)
+    np.multiply(lo, next_id, out=keys[:half])
+    keys[:half] += hi
+    np.multiply(hi, next_id, out=keys[half:])
+    keys[half:] += lo
+    del lo, hi
+    keys.sort()
+    indptr = np.zeros(next_id + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // next_id, minlength=next_id), out=indptr[1:])
+    indices = (keys % next_id).astype(np.int32)
+    del keys
 
     # Defect vertices are the non-origin boundary ids of every top-level
     # copy: in the infinite graph they would be glued into further copies,
     # so their approximant degree is too small.
-    defect = set()
-    for c in range(origin_copies):
-        for b in range(1, theta):
-            defect.add(b + c * block)
-    defect_f = frozenset(defect)
-    horizon = 2 * _distance_to_defect(adjacency, 0, defect_f) - 1
+    defect = frozenset(
+        b + c * block for c in range(origin_copies) for b in range(1, theta)
+    )
+    reach = next((d for v, d in _bfs(indptr, indices, 0) if v in defect), None)
+    if reach is None:
+        raise CellError("no defect vertex reachable; approximant malformed")
     return Approximant(
         level=k,
         origin=0,
-        adjacency=adjacency,
-        defect_set=defect_f,
-        safe_horizon=horizon,
+        indptr=indptr,
+        indices=indices,
+        defect_set=defect,
+        safe_horizon=2 * reach - 1,
         cell_name=g.name,
     )
 
 
 def approximant_to_text(a: Approximant) -> str:
     lines = [f"vertices {a.num_vertices}", f"origin {a.origin}"]
-    for v, nbrs in enumerate(a.adjacency):
+    for v, nbrs in enumerate(a.adjacency()):
         for u in nbrs:
             if v < u:
                 lines.append(f"edge {v} {u}")
@@ -207,26 +268,29 @@ def exact_return_probs(a: Approximant, n_max: int) -> ReturnProbs:
     farther out than n - 1.  So step n reads only the prefix of the ball
     (in BFS order, hence by distance) within min(n - 1, n_max - n + 1).
     This holds on any graph, so also past the safe horizon.  Scaling by
-    the lcm of the ball degrees keeps the iteration in integers.
+    the lcm of the ball degrees keeps the iteration in integers.  The ball
+    is found by a BFS over the approximant's CSR arrays, which stops at
+    the radius, so only the ball is ever held as Python lists.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     radius = n_max // 2
-    dist = {a.origin: 0}
-    order = [a.origin]
-    for v in order:
-        if dist[v] == radius:
-            continue
-        for u in a.adjacency[v]:
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                order.append(u)
+    order = []
+    depth = []
+    for v, d in _bfs(a.indptr, a.indices, a.origin):
+        if d > radius:
+            break
+        order.append(v)
+        depth.append(d)
     index = {v: i for i, v in enumerate(order)}
-    depth = [dist[v] for v in order]
-    degs = [a.degree(v) for v in order]
+    ptr = memoryview(a.indptr)
+    nbr = memoryview(a.indices)
+    degs = [ptr[v + 1] - ptr[v] for v in order]
     scale = math.lcm(*degs) if degs else 1
     weight = [scale // d for d in degs]
-    targets: list[list[int]] = []
-    for v in order:
-        targets.append([index[u] for u in a.adjacency[v] if u in index])
+    targets = [
+        [index[u] for u in nbr[ptr[v]:ptr[v + 1]] if u in index] for v in order
+    ]
 
     vec = [1]
     probs = [Fraction(1)]
@@ -326,23 +390,20 @@ def monte_carlo(
     exactly as rng.integers(0, degrees) would.  Results are bit-for-bit
     reproducible for a fixed (seed, workers, chunk).
 
-    The approximant is held in CSR form, and a walker is held as the
-    offset where its vertex's neighbour list starts, so one step is two
-    lookups: the degree at that offset, and the start offset of the
-    chosen neighbour.
+    The walk reads the approximant's CSR arrays directly.  A walker is
+    held as the offset where its vertex's neighbour list starts (its
+    indptr entry), so one step is two lookups: the degree at that offset,
+    and the start offset of the chosen neighbour.
     """
+    if n < 0:
+        raise ValueError(f"step count must be nonnegative, got {n}")
     if trials < 1:
         raise ValueError("need at least one trial")
     if workers < 1:
         raise ValueError("need at least one worker")
-    deg = np.array([len(nb) for nb in a.adjacency], dtype=np.uint32)
-    start = np.zeros(a.num_vertices, dtype=np.int64)
-    np.cumsum(deg[:-1], out=start[1:])
-    nbr = np.fromiter(
-        itertools.chain.from_iterable(a.adjacency),
-        dtype=np.int64,
-        count=int(deg.sum()),
-    )
+    start = a.indptr[:-1]
+    deg = np.diff(a.indptr).astype(np.uint32)
+    nbr = a.indices
     deg_at = np.zeros(len(nbr), dtype=np.uint32)
     deg_at[start] = deg
     nbr_start = start[nbr]

@@ -1,7 +1,10 @@
 """Finite approximants, the exact walk oracle, and the simulator."""
 
+import dataclasses
+import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,12 +24,22 @@ from cellgreen import (
     monte_carlo,
     sufficient_approximant,
 )
-from cellgreen.blowup import (
-    _distance_to_defect,
-    approximant_to_text,
-    bounded_draws,
-)
+from cellgreen.blowup import approximant_to_text, bounded_draws
 from cellgreen.cells import clique_partition
+
+
+def reference_distance_to_defect(adjacency, origin, defect):
+    """The dict BFS over neighbour tuples that the array BFS replaced."""
+    dist = {origin: 0}
+    queue = [origin]
+    for v in queue:
+        if v in defect:
+            return dist[v]
+        for u in adjacency[v]:
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    raise AssertionError("no defect vertex reachable")
 
 
 def reference_blowup(g, k, origin_copies=1, randomize_identification=None):
@@ -76,9 +89,10 @@ def reference_blowup(g, k, origin_copies=1, randomize_identification=None):
     return Approximant(
         level=k,
         origin=0,
-        adjacency=adjacency,
+        indptr=np.cumsum([0] + [len(nb) for nb in adjacency], dtype=np.int64),
+        indices=np.array([u for nb in adjacency for u in nb], dtype=np.int32),
         defect_set=defect,
-        safe_horizon=2 * _distance_to_defect(adjacency, 0, defect) - 1,
+        safe_horizon=2 * reference_distance_to_defect(adjacency, 0, defect) - 1,
         cell_name=g.name,
     )
 
@@ -86,12 +100,13 @@ def reference_blowup(g, k, origin_copies=1, randomize_identification=None):
 def reference_return_probs(a, n_max):
     """The transfer-matrix loop over the whole radius-n_max//2 ball, unpruned."""
     radius = n_max // 2
+    adjacency = a.adjacency()
     dist = {a.origin: 0}
     order = [a.origin]
     for v in order:
         if dist[v] == radius:
             continue
-        for u in a.adjacency[v]:
+        for u in adjacency[v]:
             if u not in dist:
                 dist[u] = dist[v] + 1
                 order.append(u)
@@ -99,7 +114,7 @@ def reference_return_probs(a, n_max):
     degs = [a.degree(v) for v in order]
     scale = math.lcm(*degs)
     weight = [scale // d for d in degs]
-    targets = [[index[u] for u in a.adjacency[v] if u in index] for v in order]
+    targets = [[index[u] for u in adjacency[v] if u in index] for v in order]
     vec = [0] * len(order)
     vec[0] = 1
     probs = [Fraction(1)]
@@ -125,7 +140,7 @@ class TestBlowup:
         assert a.safe_horizon == 7
         assert a.defect_set == frozenset({1})
         edges = {
-            (v, u) for v, nbrs in enumerate(a.adjacency) for u in nbrs if v < u
+            (v, u) for v, nbrs in enumerate(a.adjacency()) for u in nbrs if v < u
         }
         assert edges == g.edges
 
@@ -161,6 +176,12 @@ class TestBlowup:
         with pytest.raises(BudgetError):
             blowup(builtin_cell("diamond"), 3, edge_budget=100)
 
+    def test_int32_vertex_ids_bound_the_size(self):
+        # 6^12 edges pass this budget but not the int32 vertex ids; the
+        # check fails before anything is built.
+        with pytest.raises(BudgetError, match="int32"):
+            blowup(builtin_cell("diamond"), 12, edge_budget=10**12)
+
     def test_text_rendering(self):
         a = blowup(builtin_cell("path2"), 1)
         text = approximant_to_text(a)
@@ -168,6 +189,75 @@ class TestBlowup:
         assert lines[0] == "vertices 3"
         assert lines[1] == "origin 0"
         assert len(lines) == 2 + a.num_edges
+
+    def test_csr_arrays_are_typed_and_read_only(self):
+        a = blowup(builtin_cell("theta4"), 2)
+        assert a.indptr.dtype == np.int64
+        assert a.indices.dtype == np.int32
+        assert len(a.indptr) == a.num_vertices + 1
+        assert len(a.indices) == 2 * a.num_edges
+        for arr in (a.indptr, a.indices):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_equality_compares_arrays_and_fields(self):
+        g = builtin_cell("diamond")
+        a = blowup(g, 2)
+        assert a == blowup(g, 2)
+        assert a != blowup(g, 3)
+        assert a != blowup(g, 2, origin_copies=2)
+        assert a != a.adjacency()
+        flipped = a.indices.copy()
+        flipped[[0, -1]] = flipped[[-1, 0]]
+        assert a != dataclasses.replace(a, indices=flipped)
+        assert a != dataclasses.replace(a, safe_horizon=a.safe_horizon + 1)
+        assert a != dataclasses.replace(a, cell_name="other")
+
+    def test_build_memory_stays_near_the_arrays(self):
+        # The build holds a few edge-sized int arrays at once: measured at
+        # 4.15 times the returned arrays' bytes, and 4.39 times with a
+        # Python-list BFS queue.  Per-vertex neighbour tuples, the earlier
+        # stored form, peaked at 20 times.
+        g = builtin_cell("diamond")
+        blowup(g, 2)
+        tracemalloc.start()
+        try:
+            a = blowup(g, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a.num_vertices == 37326
+        assert peak < 5 * (a.indptr.nbytes + a.indices.nbytes)
+
+
+class TestEmitGolden:
+    # sha256 of approximant_to_text (the `blowup --emit` file), recorded
+    # when the approximant was still a tuple of neighbour tuples.
+    GOLDEN = [
+        ("diamond", 3, 1, None,
+         "bc609c60438aafd771d0a6cbb0794213a7cad3066f1df7cc10d6b10c607c76b8"),
+        ("path2", 3, 1, None,
+         "ac3cf0d9655487b845983ba1ebeb93613bb7bdfacdc47b75c4d1b85bf9da97b2"),
+        ("path3", 3, 1, None,
+         "9bcea316a5193325a4f1c45b753e8169494529582e8b812cc11ed39bffeb2ac6"),
+        ("sierpinski", 3, 1, None,
+         "1056a45841153ade18c3da99021235e2c4042f8af27691f435fa74eeb5d53053"),
+        ("theta4", 3, 1, None,
+         "9432b7702e80996728036d30628444a78b8730ec23b0113823a191ea4524c033"),
+        ("diamond", 2, 2, 7,
+         "e7c7bce8eed2d13b6c7c2c7cd4e7fc20648b97c14e5679791f39f4e77eabd026"),
+    ]
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
+    def test_emitted_text_unchanged(self, case):
+        name, level, copies, seed, digest = case
+        a = blowup(
+            builtin_cell(name), level,
+            origin_copies=copies, randomize_identification=seed,
+        )
+        text = approximant_to_text(a)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestExactOracle:
@@ -227,6 +317,11 @@ class TestExactOracle:
             assert a.safe_horizon >= n_max
             assert a == blowup(g, a.level)
 
+    def test_negative_step_count_rejected(self):
+        a = blowup(builtin_cell("diamond"), 2)
+        with pytest.raises(ValueError, match="-1"):
+            exact_return_probs(a, -1)
+
     def test_sufficient_level_respects_budget(self):
         with pytest.raises(BudgetError):
             sufficient_approximant(builtin_cell("path2"), 200, edge_budget=100)
@@ -261,6 +356,11 @@ class TestMonteCarlo:
         assert stats.hits == 0
         assert stats.estimate == 0
 
+    def test_negative_step_count_rejected(self):
+        a = blowup(builtin_cell("diamond"), 2)
+        with pytest.raises(ValueError, match="-2"):
+            monte_carlo(a, -2, 10, seed=0)
+
     def test_estimate_is_hit_ratio(self):
         a = blowup(builtin_cell("path2"), 2)
         stats = monte_carlo(a, 2, 40_000, seed=9, workers=2)
@@ -289,6 +389,24 @@ class TestAgainstReferences:
                 assert blowup(g, 2, origin_copies=2, randomize_identification=i) == (
                     reference_blowup(g, 2, origin_copies=2, randomize_identification=i)
                 )
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_safe_horizon_matches_reference_bfs_on_builtins(self, name):
+        g = builtin_cell(name)
+        for k in (1, 2, 3, 4, 5):
+            for copies in (1, 2, 3):
+                for seed in (None, 0, 7):
+                    a = blowup(g, k, origin_copies=copies, randomize_identification=seed)
+                    reach = reference_distance_to_defect(a.adjacency(), 0, a.defect_set)
+                    assert a.safe_horizon == 2 * reach - 1
+
+    def test_safe_horizon_matches_reference_bfs_on_enumerated_cells(self):
+        for i, g in enumerate(enumerate_cells(2, 7)):
+            if i % 5 == 0:
+                for k, copies in ((1, 1), (2, 1), (3, 1), (2, 2)):
+                    a = blowup(g, k, origin_copies=copies, randomize_identification=i)
+                    reach = reference_distance_to_defect(a.adjacency(), 0, a.defect_set)
+                    assert a.safe_horizon == 2 * reach - 1
 
     @pytest.mark.parametrize("name", builtin_names())
     def test_pruned_walk_counts_match_reference(self, name):
