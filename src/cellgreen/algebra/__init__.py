@@ -16,7 +16,6 @@ from .poly import (
     Poly,
     format_poly,
     poly_gcd,
-    squarefree_decomposition,
     squarefree_part,
 )
 from .ratfunc import PoleError, RatFunc, ZeroDenominatorError
@@ -29,36 +28,4 @@ from .roots import (
     smallest_positive_root,
     sturm_chain,
 )
-from .series import PowerSeries, series_from_poly, series_from_ratfunc
-
-__all__ = [
-    "Bracket",
-    "IsolatedRoot",
-    "NoPositiveRootError",
-    "ONE",
-    "PoleError",
-    "Poly",
-    "PowerSeries",
-    "RatFunc",
-    "SingularMatrixError",
-    "X",
-    "ZERO",
-    "ZeroDenominatorError",
-    "count_roots",
-    "det_bareiss",
-    "det_linear",
-    "format_poly",
-    "ln_bracket",
-    "log_ratio",
-    "minor",
-    "poly_gcd",
-    "root_compare",
-    "roots_equal",
-    "series_from_poly",
-    "series_from_ratfunc",
-    "smallest_positive_root",
-    "solve_linear",
-    "squarefree_decomposition",
-    "squarefree_part",
-    "sturm_chain",
-]
+from .series import PowerSeries, series_from_ratfunc

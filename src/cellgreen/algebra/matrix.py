@@ -1,41 +1,29 @@
-"""Exact linear algebra over rationals, polynomials, and rational functions.
+"""Exact linear algebra: integer determinants and rational linear solves.
 
-Determinants use Bareiss fraction-free elimination; the tests compare it
-with a memoized Laplace expansion on random matrices.  Matrices of linear
-polynomials, such as the resolvents I - zT, go through ``det_linear``,
-which runs Bareiss on plain integers.
+``det_bareiss`` runs Bareiss fraction-free elimination (Math. Comp. 22,
+1968) on a matrix of plain ints.  ``det_linear`` takes matrices of linear
+polynomials, such as the resolvents I - zT, down to it; ``solve_linear``
+eliminates over ``Fraction`` or ``RatFunc`` entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
-from .poly import Poly
+from .poly import Poly, integer_content
 
 
 class SingularMatrixError(ArithmeticError):
     pass
 
 
-def _is_zero(x) -> bool:
-    flag = getattr(x, "is_zero", None)
-    if flag is not None:
-        return bool(flag)
-    return x == 0
-
-
-def _exact_div(a, b):
-    """a / b where b divides a: Poly and int quotients stay in their domain."""
-    if isinstance(a, Poly) or isinstance(b, Poly) or (
-        isinstance(a, int) and isinstance(b, int)
-    ):
-        q, r = divmod(a, b)
-        if r:
-            raise ArithmeticError("inexact division in fraction-free elimination")
-        return q
-    return a / b
+def _exact_div(a: int, b: int) -> int:
+    """a // b for ints where b divides a; raises if it does not."""
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("inexact division in fraction-free elimination")
+    return q
 
 
 def minor(rows: Sequence[Sequence], drop_row: int, drop_col: int) -> list[list]:
@@ -47,44 +35,46 @@ def minor(rows: Sequence[Sequence], drop_row: int, drop_col: int) -> list[list]:
     ]
 
 
-def det_bareiss(rows: Sequence[Sequence]):
-    """Fraction-free determinant; entries may be Fraction or Poly.
+def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square int matrix; every entry stays an int.
 
-    All intermediate divisions are exact by the Bareiss identity, so the
-    computation stays in the entry domain.
+    The Bareiss identity makes each division by the previous pivot exact;
+    a nonzero remainder raises ``ArithmeticError``.
     """
     n = len(rows)
-    if n == 0:
-        return Fraction(1)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
+    if n == 0:
+        return 1
     m = [list(r) for r in rows]
     sign = 1
-    prev = None
+    prev = 1
     for k in range(n - 1):
-        if _is_zero(m[k][k]):
+        if not m[k][k]:
             for r in range(k + 1, n):
-                if not _is_zero(m[r][k]):
+                if m[r][k]:
                     m[k], m[r] = m[r], m[k]
                     sign = -sign
                     break
             else:
-                return m[0][0] * 0  # zero of the entry domain
-        for i in range(k + 1, n):
+                return 0
+        top = m[k]
+        pivot = top[k]
+        for row in m[k + 1 :]:
+            lead = row[k]
             for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num if prev is None else _exact_div(num, prev)
-            m[i][k] = m[i][k] * 0
-        prev = m[k][k]
-    return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
+                row[j] = _exact_div(pivot * row[j] - lead * top[j], prev)
+        prev = pivot
+    return sign * m[n - 1][n - 1]
 
 
 def det_linear(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Determinant of a square matrix of Poly entries of degree at most 1.
 
-    Row i is multiplied by the lcm ``s_i`` of its coefficient denominators,
-    which gives a matrix ``A + zB`` with integer ``A`` and ``B``.  Its
-    determinant ``p(z) = prod(s_i) det(rows)`` has integer coefficients and
+    Row i is ``c_i`` times a row of integer polynomials, where ``c_i`` is the
+    positive content from ``integer_content``; this gives a matrix ``A + zB``
+    with integer ``A`` and ``B``.  Its determinant
+    ``p(z) = det(rows) / prod(c_i)`` has integer coefficients and
     degree at most n, so its values at the n + 1 integer points z = 0..n fix
     it; each value is ``det_bareiss`` of an integer matrix.
 
@@ -97,20 +87,22 @@ def det_linear(rows: Sequence[Sequence[Poly]]) -> Poly:
     every other start point (those of p(z + i)), are integers: each
     division is exact, and ``_exact_div`` raises if one is not.  Expanding
     the Newton form back to powers of z keeps integers, and the final
-    division by ``prod(s_i)`` gives the rational determinant.
+    product with ``prod(c_i)`` gives the rational determinant.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    scale = 1
+    scale = Fraction(1)
     lows, highs = [], []
     for row in rows:
         if any(e.degree > 1 for e in row):
             raise ValueError("det_linear needs entries of degree at most 1")
-        s = lcm(1, *(c.denominator for e in row for c in e.coeffs))
-        scale *= s
-        lows.append([int(e.coefficient(0) * s) for e in row])
-        highs.append([int(e.coefficient(1) * s) for e in row])
+        ints, content = integer_content(
+            [e.coefficient(0) for e in row] + [e.coefficient(1) for e in row]
+        )
+        scale *= content
+        lows.append(ints[:n])
+        highs.append(ints[n:])
     diffs = [
         det_bareiss(
             [[a + z * b for a, b in zip(lo, hi)] for lo, hi in zip(lows, highs)]
@@ -121,10 +113,14 @@ def det_linear(rows: Sequence[Sequence[Poly]]) -> Poly:
     for k in range(1, n + 1):
         for i in range(n, k - 1, -1):
             diffs[i] = _exact_div(diffs[i] - diffs[i - 1], k)
-    p = Poly([diffs[n]])
+    coeffs = [diffs[n]]
     for k in range(n - 1, -1, -1):
-        p = p * Poly([-k, 1]) + diffs[k]
-    return p * Fraction(1, scale)
+        # Horner on the Newton form: coeffs = coeffs * (z - k) + diffs[k].
+        coeffs.insert(0, 0)
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= k * coeffs[i + 1]
+        coeffs[0] += diffs[k]
+    return Poly(c * scale for c in coeffs)
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> list:
@@ -138,15 +134,13 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> list:
         raise ValueError("shape mismatch")
     a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
     for col in range(n):
-        pivot_row = next(
-            (r for r in range(col, n) if not _is_zero(a[r][col])), None
-        )
+        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot_row is None:
             raise SingularMatrixError("matrix is singular")
         a[col], a[pivot_row] = a[pivot_row], a[col]
         pivot = a[col][col]
         for r in range(col + 1, n):
-            if _is_zero(a[r][col]):
+            if a[r][col] == 0:
                 continue
             factor = a[r][col] / pivot
             for c in range(col, n + 1):

@@ -1,15 +1,21 @@
-"""Dense univariate polynomials over exact rationals.
+"""Dense univariate polynomials over exact rationals, with an integer kernel.
 
 Coefficients are ``fractions.Fraction`` stored lowest degree first with
 trailing zeros stripped, so the representation of each polynomial is unique
 and equality is structural.  The zero polynomial has an empty coefficient
 tuple and degree -1.
+
+The hot routines run on plain ints: ``integer_content`` splits a Poly into
+a positive content times primitive integers, evaluation is one homogenized
+integer Horner, and ``poly_gcd`` and the Sturm chains in ``roots`` step a
+primitive pseudo-remainder sequence (Collins, J. ACM 14, 1967).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from math import gcd, lcm
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[Fraction, int]
 
@@ -22,16 +28,40 @@ def _as_fraction(x: Scalar) -> Fraction:
     raise TypeError(f"expected a rational scalar, got {type(x).__name__}")
 
 
+def clear_denominators(coeffs: Sequence[Scalar]) -> tuple[list[int], int]:
+    """Integer numerators of ``coeffs`` over the lcm of their denominators."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def integer_content(coeffs: Sequence[Scalar]) -> tuple[list[int], Fraction]:
+    """``(ints, c)``: coprime integers and a rational ``c > 0``, coeffs == c * ints."""
+    ints, den = clear_denominators(coeffs)
+    g = gcd(*ints) or 1
+    return [v // g for v in ints], Fraction(g, den)
+
+
+def _homogeneous_horner(ints: Sequence[int], x: Fraction) -> int:
+    """``b**n`` times the polynomial ``ints`` (degree n) at ``x = a/b``, b > 0."""
+    a, b = x.numerator, x.denominator
+    acc, bp = 0, 1
+    for c in reversed(ints):
+        acc = acc * a + c * bp
+        bp *= b
+    return acc
+
+
 class Poly:
     """Immutable polynomial with exact rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_integer")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [_as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_integer", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -55,6 +85,14 @@ class Poly:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return Fraction(0)
+
+    def integer_form(self) -> tuple[list[int], Fraction]:
+        """``integer_content`` of the coefficients, computed once per Poly."""
+        form = self._integer
+        if form is None:
+            form = integer_content(self.coeffs)
+            object.__setattr__(self, "_integer", form)
+        return form
 
     def valuation(self) -> int:
         """Index of the lowest nonzero coefficient; -1 for the zero polynomial."""
@@ -139,11 +177,16 @@ class Poly:
         return result
 
     def __call__(self, x: Scalar) -> Fraction:
+        """Exact value at x: an integer Horner, then one Fraction."""
         x = _as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        ints, c = self.integer_form()
+        v = _homogeneous_horner(ints, x) * c.numerator
+        return Fraction(v, c.denominator * x.denominator ** max(self.degree, 0))
+
+    def sign_at(self, x: Scalar) -> int:
+        """-1, 0 or 1 as p(x) is negative, zero or positive; builds no Fraction."""
+        v = _homogeneous_horner(self.integer_form()[0], _as_fraction(x))
+        return (v > 0) - (v < 0)
 
     def derivative(self) -> Poly:
         return Poly(i * c for i, c in enumerate(self.coeffs) if i > 0)
@@ -186,11 +229,34 @@ ONE = Poly([1])
 ZERO = Poly()
 
 
+def prs_step(a: list[int], b: list[int]) -> list[int]:
+    """The primitive part of ``a mod b``, with its sign, on integer lists.
+
+    Pseudo-division by the nonzero ``b`` multiplies by ``|lc(b)| > 0`` at
+    each step, which changes no sign.  Empty when ``b`` divides ``a``.
+    """
+    lb = b[-1]
+    if lb < 0:
+        b, lb = [-c for c in b], -lb
+    r = list(a)
+    for k in range(len(r) - len(b), -1, -1):
+        q = r.pop()
+        r = [lb * c for c in r]
+        for j, c in enumerate(b[:-1], k):
+            r[j] -= q * c
+    while r and r[-1] == 0:
+        r.pop()
+    return integer_content(r)[0]
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor via the euclidean algorithm."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    """Monic greatest common divisor by a primitive remainder sequence."""
+    u, v = a.integer_form()[0], b.integer_form()[0]
+    while v:
+        u, v = v, prs_step(u, v)
+    if not u:
+        return Poly()
+    return Poly(Fraction(c, u[-1]) for c in u)
 
 
 def squarefree_part(p: Poly) -> Poly:
@@ -199,34 +265,6 @@ def squarefree_part(p: Poly) -> Poly:
         return p.monic() if not p.is_zero else p
     g = poly_gcd(p, p.derivative())
     return (p // g).monic()
-
-
-def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: monic factors [(q_i, i)] with p ~ prod q_i**i.
-
-    Factors are squarefree, pairwise coprime, and nonconstant; the rational
-    leading content is dropped.
-    """
-    if p.degree <= 0:
-        return []
-    p = p.monic()
-    out: list[tuple[Poly, int]] = []
-    dp = p.derivative()
-    g = poly_gcd(p, dp)
-    if g.degree == 0:
-        return [(p, 1)]
-    w = p // g
-    y = dp // g
-    i = 1
-    while w.degree > 0:
-        z = y - w.derivative()
-        q = poly_gcd(w, z)
-        if q.degree > 0:
-            out.append((q.monic(), i))
-        w = w // q
-        y = z // q
-        i += 1
-    return out
 
 
 def format_poly(p: Poly, var: str = "z") -> str:

@@ -5,6 +5,9 @@ Roots are carried as ``IsolatedRoot`` brackets: a rational interval
 defining polynomial, with endpoints that are never roots themselves.  All
 decisions (counting, comparison, equality) are made exactly with Sturm
 sequences and polynomial gcds; floating point appears only in diagnostics.
+
+Sign tests read ``Poly.sign_at``, the sign of an integer Horner, and build
+no ``Fraction``; Sturm chains are primitive integer polynomials.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .poly import Poly, poly_gcd, squarefree_decomposition, squarefree_part
+from .poly import Poly, poly_gcd, prs_step, squarefree_part
 
 DEFAULT_WIDTH = Fraction(1, 2**30)
 
@@ -22,43 +25,27 @@ class NoPositiveRootError(ValueError):
     """The polynomial has no root in (0, infinity)."""
 
 
-def _positive_content_scaled(p: Poly) -> Poly:
-    """Scale by a positive rational so coefficients are small coprime integers."""
-    if p.is_zero:
-        return p
-    from math import gcd, lcm
-
-    den = 1
-    for c in p.coeffs:
-        den = lcm(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    return Poly(Fraction(v, g) for v in ints)
-
-
 @lru_cache(maxsize=256)
 def sturm_chain(p: Poly) -> tuple[Poly, ...]:
-    """Canonical Sturm sequence of p, content-normalized at each step."""
-    chain = [_positive_content_scaled(p)]
+    """Sturm sequence of p: p, p', then minus each remainder (``prs_step``).
+
+    Each member is divided by a positive rational to coprime integer
+    coefficients, which changes no sign.
+    """
+    chain = [p.integer_form()[0]]
     d = p.derivative()
     if not d.is_zero:
-        chain.append(_positive_content_scaled(d))
+        chain.append(d.integer_form()[0])
         while True:
-            rem = chain[-2] % chain[-1]
-            if rem.is_zero:
+            rem = prs_step(chain[-2], chain[-1])
+            if not rem:
                 break
-            chain.append(_positive_content_scaled(-rem))
-    return tuple(chain)
+            chain.append([-c for c in rem])
+    return tuple(Poly(c) for c in chain)
 
 
 def _sign_variations(chain: tuple[Poly, ...], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = q(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+    signs = [s for s in (q.sign_at(x) for q in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -72,7 +59,7 @@ def count_roots(p: Poly, lo: Fraction, hi: Fraction) -> int:
         raise ValueError("cannot count roots of the zero polynomial")
     if lo >= hi:
         return 0
-    if p(lo) == 0 or p(hi) == 0:
+    if p.sign_at(lo) == 0 or p.sign_at(hi) == 0:
         raise ValueError("interval endpoint is a root")
     chain = sturm_chain(p)
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
@@ -89,12 +76,12 @@ def cauchy_bound(p: Poly) -> Fraction:
 
 def _nonroot_near(p: Poly, x: Fraction, step: Fraction) -> Fraction:
     """A point close to x (within |step|) where p does not vanish."""
-    if p(x) != 0:
+    if p.sign_at(x):
         return x
     delta = step
     while True:
         for cand in (x - delta, x + delta):
-            if p(cand) != 0:
+            if p.sign_at(cand):
                 return cand
         delta = delta / 2
 
@@ -124,7 +111,7 @@ class IsolatedRoot:
         lo, hi = self.low, self.high
         while hi - lo > width:
             m = (lo + hi) / 2
-            if p(m) == 0:
+            if p.sign_at(m) == 0:
                 # The bracket's unique root is exactly m; any strict
                 # sub-interval around m has non-root endpoints.
                 delta = min(hi - m, m - lo, width) / 4
@@ -140,11 +127,17 @@ class IsolatedRoot:
 
 
 def _multiplicity_in_bracket(p: Poly, lo: Fraction, hi: Fraction) -> int:
-    for factor, mult in squarefree_decomposition(p):
-        if factor.degree > 0 and factor(lo) != 0 and factor(hi) != 0:
-            if count_roots(factor, lo, hi) == 1:
-                return mult
-    return 1
+    """Multiplicity in p of its one distinct root in (lo, hi).
+
+    gcd(q, q') has each root of q with one less multiplicity, so the root's
+    multiplicity is the number of members of p, gcd(p, p'), ... that vanish
+    in the bracket.  Each member divides p, so lo and hi are not its roots.
+    """
+    mult = 0
+    while p.degree > 0 and count_roots(p, lo, hi):
+        mult += 1
+        p = poly_gcd(p, p.derivative())
+    return max(mult, 1)
 
 
 def smallest_positive_root(
@@ -176,7 +169,7 @@ def smallest_positive_root(
     sf = squarefree_part(p)
     # The Cauchy bound strictly dominates every root, so it is non-root.
     hi = cauchy_bound(sf)
-    while sf(hi) == 0:
+    while sf.sign_at(hi) == 0:
         hi += 1
     lo = Fraction(0)
     inside = count_roots(sf, lo, hi)
@@ -184,7 +177,7 @@ def smallest_positive_root(
         raise NoPositiveRootError(f"no positive real root: {p}")
     # Invariant: no root in (0, lo] and `inside` roots in (lo, hi); lo and
     # hi are non-roots.  So sf has on [0, lo] the sign it has at 0.
-    positive_at_0 = sf(lo) > 0
+    positive_at_0 = sf.sign_at(lo) > 0
     while inside > 1 or hi - lo > width:
         m = _nonroot_near(sf, (lo + hi) / 2, (hi - lo) / 64)
         if not lo < m < hi:
@@ -194,7 +187,7 @@ def smallest_positive_root(
             if below:
                 inside = below
         else:
-            below = (sf(m) > 0) != positive_at_0
+            below = (sf.sign_at(m) > 0) != positive_at_0
         if below:
             hi = m
         else:

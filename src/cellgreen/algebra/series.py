@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .poly import Poly
+from .poly import clear_denominators
 from .ratfunc import PoleError, RatFunc
 
 Scalar = Union[Fraction, int]
@@ -112,8 +112,8 @@ class PowerSeries:
         n = min(self.order, other.order)
         if n == 0:
             return PowerSeries([], 0)
-        a, den_a = _numerators(self.coeffs[:n])
-        b, den_b = _numerators(other.coeffs[:n])
+        a, den_a = clear_denominators(self.coeffs[:n])
+        b, den_b = clear_denominators(other.coeffs[:n])
         den = den_a * den_b
         return PowerSeries([Fraction(c, den) for c in _int_product(a, b, n)], n)
 
@@ -157,7 +157,7 @@ class PowerSeries:
         if n == 0 or self.order == 0:
             return PowerSeries([], n)
         k_max = min(self.order - 1, (n - 1) // val)
-        b, den_b = _numerators(inner.coeffs[:n])
+        b, den_b = clear_denominators(inner.coeffs[:n])
         top = self.coeffs[k_max]
         acc, den = [top.numerator], top.denominator
         for k in range(k_max - 1, -1, -1):
@@ -188,12 +188,6 @@ class PowerSeries:
 
     def __repr__(self) -> str:
         return f"PowerSeries({list(self.coeffs)!r}, order={self.order})"
-
-
-def _numerators(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Integer numerators of ``coeffs`` over the lcm of their denominators."""
-    den = math.lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _int_product(a: list[int], b: list[int], n: int) -> list[int]:
@@ -240,6 +234,3 @@ def series_from_ratfunc(r: RatFunc, order: int) -> PowerSeries:
         out.append(s / den0)
     return PowerSeries(out, order)
 
-
-def series_from_poly(p: Poly, order: int) -> PowerSeries:
-    return PowerSeries([p.coefficient(i) for i in range(order)], order)

@@ -17,6 +17,7 @@ import bisect
 import math
 import random
 from dataclasses import dataclass
+from typing import TextIO
 from fractions import Fraction
 
 import numpy as np
@@ -74,7 +75,7 @@ class Approximant:
         return int(self.indptr[v + 1] - self.indptr[v])
 
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """The sorted neighbour tuple of every vertex (for --emit and tests)."""
+        """The sorted neighbour tuple of every vertex (for the tests)."""
         flat = self.indices.tolist()
         ends = self.indptr.tolist()
         return tuple(tuple(flat[s:e]) for s, e in zip(ends, ends[1:]))
@@ -232,13 +233,28 @@ def blowup(
     )
 
 
-def approximant_to_text(a: Approximant) -> str:
-    lines = [f"vertices {a.num_vertices}", f"origin {a.origin}"]
-    for v, nbrs in enumerate(a.adjacency()):
-        for u in nbrs:
-            if v < u:
-                lines.append(f"edge {v} {u}")
-    return "\n".join(lines) + "\n"
+EMIT_CHUNK = 1 << 11  # CSR entries per slice: about 0.3 MB of lines at a time
+
+
+def write_approximant(a: Approximant, out: TextIO) -> None:
+    """Write the edge list of ``blowup --emit`` to a text stream.
+
+    The header lines ``vertices N`` and ``origin O`` come first, then one
+    line ``edge v u`` per edge with ``v < u``, in CSR order: by v, then u.
+    The lines are made from slices of ``EMIT_CHUNK`` CSR entries, so the
+    memory used stays bounded whatever the size of the approximant.
+    """
+    out.write(f"vertices {a.num_vertices}\norigin {a.origin}\n")
+    for s in range(0, len(a.indices), EMIT_CHUNK):
+        cols = a.indices[s : s + EMIT_CHUNK]
+        rows = np.searchsorted(a.indptr, np.arange(s, s + len(cols)), "right") - 1
+        keep = rows < cols
+        out.write(
+            "".join(
+                f"edge {v} {u}\n"
+                for v, u in zip(rows[keep].tolist(), cols[keep].tolist())
+            )
+        )
 
 
 # -- exact oracle ---------------------------------------------------------------

@@ -25,10 +25,10 @@ from .blowup import (
     DEFAULT_EDGE_BUDGET,
     BudgetError,
     blowup,
-    approximant_to_text,
     exact_return_probs,
     monte_carlo,
     sufficient_approximant,
+    write_approximant,
 )
 from .cells import (
     CellError,
@@ -306,7 +306,7 @@ def cmd_blowup(args) -> int:
     )
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(approximant_to_text(a))
+            write_approximant(a, fh)
     doc = _envelope("blowup", meta, g)
     doc["approximant"] = {
         "level": a.level,

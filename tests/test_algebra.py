@@ -21,14 +21,13 @@ from cellgreen.algebra import (
     log_ratio,
     poly_gcd,
     roots_equal,
-    series_from_poly,
     series_from_ratfunc,
     smallest_positive_root,
     squarefree_part,
+    sturm_chain,
 )
 from cellgreen.algebra.matrix import (
     _exact_div,
-    _is_zero,
     det_bareiss,
     det_linear,
     solve_linear,
@@ -58,7 +57,30 @@ small_polys = st.lists(rationals, min_size=0, max_size=9).map(lambda cs: P(*cs))
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero)
 
 
+def series_from_poly(p: Poly, order: int) -> PowerSeries:
+    return PowerSeries([p.coefficient(i) for i in range(order)], order)
+
+
+def sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
 # -- polynomials ------------------------------------------------------------
+
+
+def fraction_horner(p: Poly, x: Fraction) -> Fraction:
+    """Reference evaluation: Horner's rule in Fraction arithmetic."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def euclid_gcd(a: Poly, b: Poly) -> Poly:
+    """Reference gcd: the euclidean algorithm over Fractions, made monic."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
 
 
 class TestPoly:
@@ -98,6 +120,29 @@ class TestPoly:
         assert format_poly(P(9, 0, -9, 0, 1)) == "z^4 - 9z^2 + 9"
         assert format_poly(P(0)) == "0"
         assert format_poly(P(Fraction(1, 3), 1)) == "z + 1/3"
+
+    @given(small_polys, st.fractions(max_denominator=10**12))
+    @example(Poly(), Fraction(3, 7))
+    @example(P(-5), Fraction(2, 3))
+    @example(P(1, -2, 3), Fraction(0))
+    @example(P(2, 0, -1, 1), Fraction(-7, 2))
+    @example(P(Fraction(1, 3), -1, 0, 2), Fraction(-1, 10**40 + 1))
+    @example(P(-1, 1) * P(-3, 2), Fraction(3, 2))
+    def test_horner_matches_fraction_horner(self, p, x):
+        want = fraction_horner(p, x)
+        assert p(x) == want
+        assert p.sign_at(x) == sign(want)
+
+    @given(small_polys, small_polys, small_polys)
+    @example(Poly(), Poly(), P(1))
+    @example(Poly(), P(2, 4), P(1))
+    @example(P(2, 4), Poly(), P(-3))
+    @example(P(1, 0, 0, 0, 0, 1), P(1, 1), P(Fraction(-1, 2), 1))
+    @example(P(7), P(1, 2, 3), P(1))
+    def test_gcd_matches_euclid(self, a, b, c):
+        assert poly_gcd(a, b) == euclid_gcd(a, b)
+        assert poly_gcd(b, a) == euclid_gcd(b, a)
+        assert poly_gcd(a * c, b * c) == euclid_gcd(a * c, b * c)
 
     @given(small_polys, small_polys)
     def test_mul_commutes(self, a, b):
@@ -408,6 +453,33 @@ class TestReinterpolation:
 # -- root isolation ---------------------------------------------------------
 
 
+def fraction_sturm_chain(p: Poly) -> tuple[Poly, ...]:
+    """Reference Sturm chain: Fraction division, then a positive rescaling.
+
+    Each member is scaled by a positive rational so that its coefficients
+    are coprime integers.
+    """
+
+    def scaled(q: Poly) -> Poly:
+        if q.is_zero:
+            return q
+        den = math.lcm(*(c.denominator for c in q.coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in q.coeffs]
+        g = math.gcd(*ints)
+        return Poly(Fraction(v, g) for v in ints)
+
+    chain = [scaled(p)]
+    d = p.derivative()
+    if not d.is_zero:
+        chain.append(scaled(d))
+        while True:
+            rem = chain[-2] % chain[-1]
+            if rem.is_zero:
+                break
+            chain.append(scaled(-rem))
+    return tuple(chain)
+
+
 def sturm_smallest_positive_root(
     p: Poly, width: Fraction = DEFAULT_WIDTH
 ) -> IsolatedRoot:
@@ -480,6 +552,45 @@ class TestRoots:
                 isolation_outcome(sturm_smallest_positive_root, den)
             ), den
 
+    def test_sturm_chains_match_fraction_chains_on_cell_denominators(self, sweep):
+        dens = {
+            r.den
+            for rec in sweep.records
+            for r in (rec.cf.f, rec.cf.d, rec.cf.r)
+        }
+        assert len(dens) == 1359
+        for den in dens:
+            assert sturm_chain(den) == fraction_sturm_chain(den), den
+            sf = squarefree_part(den)
+            assert sturm_chain(sf) == fraction_sturm_chain(sf), den
+
+    @given(nonzero_polys)
+    @example(P(3))
+    @example(P(0, 0, 1))
+    @example(P(-2, 0, 1) ** 2 * P(-3, 1))
+    @example(P(Fraction(-1, 3), 0, 0, -2))
+    @example(P(9, 0, -9, 0, 1))
+    # Remainders two degrees below a divisor with a negative leading
+    # coefficient: an odd power of that coefficient would flip the sign.
+    @example(P(1, 1, 0, 0, 2))
+    @example(P(-2, 3, -3, -4, -2))
+    def test_sturm_chain_matches_fraction_chain(self, p):
+        assert sturm_chain(p) == fraction_sturm_chain(p)
+
+    @pytest.mark.parametrize(
+        "p, mult",
+        [
+            (P(-2, 0, 1), 1),
+            (P(-2, 0, 1) ** 2 * P(-3, 1), 2),
+            (P(-1, 1) ** 3 * P(-2, 1) ** 2, 3),
+            (P(-3, 1) * P(-1, 2) ** 2 * P(1, 1) ** 4, 2),
+            (P(0, 0, 1) * P(-5, 1) ** 4, 4),
+        ],
+        ids=str,
+    )
+    def test_multiplicity_of_smallest_root(self, p, mult):
+        assert smallest_positive_root(p).multiplicity == mult
+
     def test_sqrt_two_bracket(self):
         root = smallest_positive_root(P(-2, 0, 1))
         assert float(root) == pytest.approx(math.sqrt(2), abs=1e-9)
@@ -548,7 +659,7 @@ def det_laplace(rows):
         acc = None
         for pos, c in enumerate(cols):
             entry = rows[i][c]
-            if _is_zero(entry):
+            if entry == 0:
                 continue
             sub = go(cols[:pos] + cols[pos + 1 :])
             term = entry * sub
@@ -563,16 +674,76 @@ def det_laplace(rows):
     return go(tuple(range(n)))
 
 
+def generic_bareiss(rows):
+    """Reference Bareiss elimination over Fraction or Poly entries.
+
+    The divisions are exact by the Bareiss identity: Poly quotients are
+    checked for a zero remainder, Fraction quotients are plain divisions.
+    """
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = None
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return m[0][0] * 0  # zero of the entry domain
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
+                if prev is None:
+                    m[i][j] = num
+                elif isinstance(num, Poly):
+                    m[i][j], rem = divmod(num, prev)
+                    assert rem.is_zero
+                else:
+                    m[i][j] = num / prev
+            m[i][k] = m[i][k] * 0
+        prev = m[k][k]
+    return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
+
+
+int_matrices = st.integers(0, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
 class TestDeterminants:
     @given(st.lists(st.lists(rationals, min_size=4, max_size=4),
                     min_size=4, max_size=4))
     def test_bareiss_matches_laplace(self, rows):
         m = [[Fraction(c) for c in row] for row in rows]
-        assert det_bareiss(m) == det_laplace(m)
+        assert generic_bareiss(m) == det_laplace(m)
 
     def test_identity(self):
-        m = [[Fraction(int(i == j)) for j in range(5)] for i in range(5)]
+        m = [[int(i == j) for j in range(5)] for i in range(5)]
         assert det_bareiss(m) == 1
+
+    @given(int_matrices)
+    # Sizes 0 and 1, a zero pivot that needs a row swap, a singular
+    # matrix, a column with no pivot, and entries far above one word.
+    @example([])
+    @example([[-4]])
+    @example([[0, 1, 2], [3, 4, 5], [1, 1, 1]])
+    @example([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    @example([[0, 1], [0, 2]])
+    @example([[3**40, 2], [5, -(7**30)]])
+    def test_integer_bareiss_matches_generic(self, rows):
+        got = det_bareiss(rows)
+        assert type(got) is int
+        assert got == generic_bareiss([[Fraction(x) for x in r] for r in rows])
+        assert got == det_laplace(rows)
 
     @given(
         st.integers(0, 5).flatmap(
@@ -597,7 +768,7 @@ class TestDeterminants:
     def test_linear_matches_bareiss_and_laplace(self, rows):
         got = det_linear(rows)
         assert isinstance(got, Poly)
-        assert got == det_bareiss(rows)
+        assert got == generic_bareiss(rows)
         assert got == det_laplace(rows)
 
     def test_linear_rejects_higher_degree(self):
