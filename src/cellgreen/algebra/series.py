@@ -63,11 +63,6 @@ class PowerSeries:
     def one(cls, order: int) -> PowerSeries:
         return cls([1] if order > 0 else [], order)
 
-    @classmethod
-    def identity(cls, order: int) -> PowerSeries:
-        """The series z, known to the given order."""
-        return cls([0, 1][:order], order)
-
     # -- queries ---------------------------------------------------------
 
     def coefficient(self, k: int) -> Fraction:

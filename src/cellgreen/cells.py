@@ -126,20 +126,13 @@ class CellGraph:
         return self.bfs_distances(u)[v]
 
     def bipartition(self) -> tuple[frozenset[int], frozenset[int]] | None:
-        """Two-coloring if one exists, else None."""
-        color = [-1] * self.n
-        color[0] = 0
-        queue = [0]
-        for v in queue:
-            for u in self._nbrs[v]:
-                if color[u] < 0:
-                    color[u] = 1 - color[v]
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return None
+        """Two-coloring by parity of the distance from vertex 0, else None."""
+        parity = [d % 2 for d in self.bfs_distances(0)]
+        if any(parity[a] == parity[b] for a, b in self.edges):
+            return None
         return (
-            frozenset(v for v in range(self.n) if color[v] == 0),
-            frozenset(v for v in range(self.n) if color[v] == 1),
+            frozenset(v for v in range(self.n) if parity[v] == 0),
+            frozenset(v for v in range(self.n) if parity[v] == 1),
         )
 
     def is_bipartite(self) -> bool:
@@ -531,93 +524,46 @@ def require_valid(g: CellGraph, check_automorphisms: bool = True) -> CellReport:
 # -- enumeration of two-boundary cells ----------------------------------------
 
 
-def _degree_respecting_perms(
-    m: int, degs: tuple[int, ...]
-) -> Iterator[tuple[int, ...]]:
-    """All permutations of 0..m-1 mapping each vertex to one of equal degree."""
-    buckets: dict[int, list[int]] = {}
-    for v, dv in enumerate(degs):
-        buckets.setdefault(dv, []).append(v)
-    groups = list(buckets.values())
-    for images in itertools.product(
-        *(itertools.permutations(grp) for grp in groups)
-    ):
-        perm = [0] * m
-        for grp, img in zip(groups, images):
-            for src, dst in zip(grp, img):
-                perm[src] = dst
-        yield tuple(perm)
-
-
-def _canon_edges(
-    m: int, edges: frozenset[tuple[int, int]], degs: tuple[int, ...]
-) -> tuple:
-    """Minimal edge encoding over relabelings onto degree-sorted positions.
-
-    Vertices may land only on positions reserved for their degree, so two
-    labeled graphs share an encoding exactly when they are isomorphic.
-    """
-    order = sorted(range(m), key=lambda v: (-degs[v], v))
-    pos_by_deg: dict[int, list[int]] = {}
-    for i, v in enumerate(order):
-        pos_by_deg.setdefault(degs[v], []).append(i)
-    buckets: dict[int, list[int]] = {}
-    for v, dv in enumerate(degs):
-        buckets.setdefault(dv, []).append(v)
-    degrees = list(buckets)
-    edge_list = list(edges)
-    best = None
-    for images in itertools.product(
-        *(itertools.permutations(pos_by_deg[d]) for d in degrees)
-    ):
-        perm = [0] * m
-        for d, img in zip(degrees, images):
-            for src, dst in zip(buckets[d], img):
-                perm[src] = dst
-        enc = tuple(sorted(_norm_edge(perm[a], perm[b]) for a, b in edge_list))
-        if best is None or enc < best:
-            best = enc
-    return best
-
-
 @lru_cache(maxsize=None)
 def connected_graph_classes(m: int) -> tuple[frozenset[tuple[int, int]], ...]:
-    """Connected simple graphs on m labeled vertices, one per isomorphism class."""
-    if m == 1:
-        return (frozenset(),)
+    """Connected simple graphs on m labeled vertices, one per isomorphism class.
+
+    Edge masks are scanned in increasing order; each connected mask not yet
+    seen is emitted, and the masks of all its relabelings are marked seen
+    (Read's orderly rejection), so every class comes out as its least mask.
+    """
     pairs = list(itertools.combinations(range(m), 2))
-    seen = set()
+    # bits[p][i]: the mask bit of pair i's image under permutation p
+    bits = [
+        [1 << pairs.index(_norm_edge(p[a], p[b])) for a, b in pairs]
+        for p in itertools.permutations(range(m))
+    ]
+    seen: set[int] = set()
     out = []
     for mask in range(1 << len(pairs)):
-        edges = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+        if mask in seen:
+            continue
+        on = [i for i in range(len(pairs)) if mask >> i & 1]
         adj = [set() for _ in range(m)]
-        for a, b in edges:
+        for i in on:
+            a, b = pairs[i]
             adj[a].add(b)
             adj[b].add(a)
         if len(_reachable(adj, 0)) != m:
             continue
-        degs = tuple(len(s) for s in adj)
-        key = (tuple(sorted(degs)), _canon_edges(m, edges, degs))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(edges)
+        out.append(frozenset(pairs[i] for i in on))
+        seen.update(sum(pb[i] for i in on) for pb in bits)
     return tuple(out)
 
 
 def _interior_automorphisms(
     m: int, edges: frozenset[tuple[int, int]]
 ) -> list[tuple[int, ...]]:
-    adj = [set() for _ in range(m)]
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    degs = tuple(len(s) for s in adj)
-    out = []
-    for perm in _degree_respecting_perms(m, degs):
-        if all(_norm_edge(perm[a], perm[b]) in edges for a, b in edges):
-            out.append(perm)
-    return out
+    return [
+        perm
+        for perm in itertools.permutations(range(m))
+        if all(_norm_edge(perm[a], perm[b]) in edges for a, b in edges)
+    ]
 
 
 def enumerate_cells(theta: int = 2, max_vertices: int = 8) -> Iterator[CellGraph]:

@@ -98,9 +98,11 @@ def green_series(cf: CellFunctions, order: int) -> GreenSeries:
 def green_series_recursion(cf: CellFunctions, order: int) -> PowerSeries:
     """Coefficients of G solved order-by-order from G = f (G over d).
 
-    Independent of the product route: coefficient n of the right side only
-    involves earlier coefficients of G because d starts at z^2.  Quadratic
-    in order, intended as a cross-check at small truncations.
+    Independent of the nesting in green_series: no level sizes, each
+    coefficient comes from the full equation, and coefficient n of the
+    right side only involves earlier coefficients of G because d starts at
+    z^2.  One compose per coefficient, so meant as a cross-check at small
+    truncations.
     """
     _require_flat_start(cf.d)
     count = order + 1

@@ -1,7 +1,9 @@
 """Cell graphs: parsing, validation, transition matrices, enumeration."""
 
+import hashlib
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,13 +19,22 @@ from cellgreen import (
 )
 from cellgreen.cells import (
     CellParseError,
+    _interior_automorphisms,
     _norm_edge,
+    _reachable,
     boundary_doubly_transitive,
     cell_to_json,
     cell_to_text,
     connected_graph_classes,
     has_automorphism,
     transition_matrix,
+)
+
+
+# sha256 over cell_to_text(g) + g.name of enumerate_cells(2, 8), in order,
+# recorded from the canonical-form enumeration.
+ENUMERATION_SHA256 = (
+    "113e5ce67178d90c797ab99cfe84ca488708ecd2a8ff9a923af633b671cbd5b8"
 )
 
 
@@ -55,7 +66,7 @@ def canonical_key(g: CellGraph) -> tuple:
     """Minimum edge encoding over boundary-set-preserving permutations.
 
     A brute force over theta! (n - theta)! relabelings: the reference that
-    the enumeration's degree-bucketed canonical forms are checked against.
+    checks the enumerated cells are pairwise non-isomorphic.
     """
     best = None
     interior = list(g.interior)
@@ -66,6 +77,99 @@ def canonical_key(g: CellGraph) -> tuple:
             if best is None or enc < best:
                 best = enc
     return (g.n, g.theta, best)
+
+
+def degree_respecting_perms(m: int, degs: tuple[int, ...]):
+    """All permutations of 0..m-1 mapping each vertex to one of equal degree."""
+    buckets: dict[int, list[int]] = {}
+    for v, dv in enumerate(degs):
+        buckets.setdefault(dv, []).append(v)
+    groups = list(buckets.values())
+    for images in itertools.product(
+        *(itertools.permutations(grp) for grp in groups)
+    ):
+        perm = [0] * m
+        for grp, img in zip(groups, images):
+            for src, dst in zip(grp, img):
+                perm[src] = dst
+        yield tuple(perm)
+
+
+def canon_edges(m: int, edges, degs: tuple[int, ...]) -> tuple:
+    """Minimal edge encoding over relabelings onto degree-sorted positions.
+
+    Vertices may land only on positions reserved for their degree, so two
+    labeled graphs share an encoding exactly when they are isomorphic.
+    """
+    order = sorted(range(m), key=lambda v: (-degs[v], v))
+    pos_by_deg: dict[int, list[int]] = {}
+    for i, v in enumerate(order):
+        pos_by_deg.setdefault(degs[v], []).append(i)
+    buckets: dict[int, list[int]] = {}
+    for v, dv in enumerate(degs):
+        buckets.setdefault(dv, []).append(v)
+    degrees = list(buckets)
+    best = None
+    for images in itertools.product(
+        *(itertools.permutations(pos_by_deg[d]) for d in degrees)
+    ):
+        perm = [0] * m
+        for d, img in zip(degrees, images):
+            for src, dst in zip(buckets[d], img):
+                perm[src] = dst
+        enc = tuple(sorted(_norm_edge(perm[a], perm[b]) for a, b in edges))
+        if best is None or enc < best:
+            best = enc
+    return best
+
+
+def canon_edges_graph_classes(m: int) -> tuple:
+    """The mask scan keyed by a canonical form: first mask of each class."""
+    pairs = list(itertools.combinations(range(m), 2))
+    seen = set()
+    out = []
+    for mask in range(1 << len(pairs)):
+        edges = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+        adj = [set() for _ in range(m)]
+        for a, b in edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        if len(_reachable(adj, 0)) != m:
+            continue
+        degs = tuple(len(s) for s in adj)
+        key = (tuple(sorted(degs)), canon_edges(m, edges, degs))
+        if key not in seen:
+            seen.add(key)
+            out.append(edges)
+    return tuple(out)
+
+
+def degree_bucket_automorphisms(m: int, edges) -> list[tuple[int, ...]]:
+    """Automorphisms of a graph on 0..m-1, searched within degree classes."""
+    degs = tuple(sum(v in e for e in edges) for v in range(m))
+    return [
+        perm
+        for perm in degree_respecting_perms(m, degs)
+        if all(_norm_edge(perm[a], perm[b]) in edges for a, b in edges)
+    ]
+
+
+def bfs_bipartition(g: CellGraph):
+    """Two-coloring by breadth-first search from vertex 0, else None."""
+    color = [-1] * g.n
+    color[0] = 0
+    queue = [0]
+    for v in queue:
+        for u in g.neighbors(v):
+            if color[u] < 0:
+                color[u] = 1 - color[v]
+                queue.append(u)
+            elif color[u] == color[v]:
+                return None
+    return (
+        frozenset(v for v in range(g.n) if color[v] == 0),
+        frozenset(v for v in range(g.n) if color[v] == 1),
+    )
 
 
 def four_cycle() -> CellGraph:
@@ -109,6 +213,12 @@ class TestConstruction:
         assert builtin_cell("path2").is_path()
         assert builtin_cell("path3").is_path()
         assert not builtin_cell("sierpinski").is_bipartite()
+
+    def test_bipartition_matches_bfs_coloring(self, enumerated_cells):
+        cells = list(enumerated_cells) + [builtin_cell(n) for n in builtin_names()]
+        for g in cells:
+            assert g.bipartition() == bfs_bipartition(g)
+        assert any(g.bipartition() is None for g in enumerated_cells)
 
 
 class TestParsing:
@@ -252,6 +362,32 @@ class TestEnumeration:
         assert [len(connected_graph_classes(m)) for m in range(1, 7)] == [
             1, 1, 2, 6, 21, 112,
         ]
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_classes_match_canonical_form_scan(self, m):
+        assert connected_graph_classes(m) == canon_edges_graph_classes(m)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_automorphisms_match_degree_bucket_search(self, m):
+        for edges in connected_graph_classes(m):
+            assert set(_interior_automorphisms(m, edges)) == set(
+                degree_bucket_automorphisms(m, edges)
+            )
+
+    def test_orbits_cover_connected_labeled_graphs(self):
+        # Orbit-stabilizer: the classes' orbits under the m! relabelings
+        # partition the connected labeled graphs (OEIS A001187).
+        for m, labeled in enumerate([1, 1, 4, 38, 728, 26704], start=1):
+            assert sum(
+                math.factorial(m) // len(_interior_automorphisms(m, edges))
+                for edges in connected_graph_classes(m)
+            ) == labeled
+
+    def test_enumeration_golden_digest(self, enumerated_cells):
+        h = hashlib.sha256()
+        for g in enumerated_cells:
+            h.update((cell_to_text(g) + g.name).encode())
+        assert h.hexdigest() == ENUMERATION_SHA256
 
     def test_cell_counts_by_size(self):
         assert len(list(enumerate_cells(2, 3))) == 1
