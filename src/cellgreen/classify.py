@@ -36,7 +36,7 @@ from .iteration import (
     green_series,
     green_series_recursion,
     invariants,
-    transcendence_hypotheses,
+    iteration_hypotheses,
 )
 
 OUTCOMES = (
@@ -137,7 +137,7 @@ def classify(
     if cf is None:
         cf = cell_functions(g, report=report)
     inv = invariants(g, cf)
-    hyp = transcendence_hypotheses(cf)
+    hyp = iteration_hypotheses(cf.d)
     if g.theta == 2 and report.is_path:
         gs = green_series(cf, series_order)
         _verify_star_form(gs)
@@ -282,7 +282,7 @@ def verify_cell(
         )
     )
 
-    residual_ok = functional_residual(cf, gs.truncate(RESIDUAL_ORDER)).is_zero
+    residual_ok = functional_residual(gs.truncate(RESIDUAL_ORDER)).is_zero
     items.append(
         CheckItem(
             "functional_residual",

@@ -6,7 +6,7 @@ rationals as "p/q" strings, real intervals as {"low", "high"} pairs, plus
 float approximations marked as such.  Reports are byte-identical across
 runs except for the elapsed_seconds field.  Exit codes: 0 success,
 1 internal error, 2 invalid input or failed validation, 3 a budget
-exceeded (approximant edges, or enumerated cell size).
+exceeded (approximant edges, enumerated cell size, or series order).
 """
 
 from __future__ import annotations
@@ -60,6 +60,11 @@ ENV_EDGE_BUDGET = "CELLGREEN_EDGE_BUDGET"
 # the largest enumeration the test sweep and the benchmark run.
 MAX_ENUMERATE_VERTICES = 8
 
+# --order and --series-order.  Diamond at order 800 takes about 13 CPU s,
+# sierpinski at 600 about 29 s, theta4 at 800 about 82 s (2-core x86-64,
+# Python 3.11, under 35 MB).  Tests and the benchmark stay at order <= 400.
+MAX_ORDER = 1000
+
 
 def _default_budget() -> int:
     raw = os.environ.get(ENV_EDGE_BUDGET)
@@ -95,8 +100,13 @@ def _nonnegative(flag: str, value: int) -> int:
     return value
 
 
-def _order(args) -> int:
-    return _nonnegative("--order", args.order)
+def _series_order(flag: str, value: int) -> int:
+    _nonnegative(flag, value)
+    if value > MAX_ORDER:
+        raise BudgetError(
+            f"{flag} {value} exceeds the series budget of {MAX_ORDER}"
+        )
+    return value
 
 
 def _envelope(command: str, meta: dict, g: CellGraph | None) -> dict:
@@ -142,7 +152,7 @@ def cmd_validate(args) -> int:
 
 def cmd_functions(args) -> int:
     started = time.monotonic()
-    count = _order(args) + 1
+    count = _series_order("--order", args.order) + 1
     g, meta = _load_cell(args)
     cf = cell_functions(g)
     doc = _envelope("functions", meta, g)
@@ -161,7 +171,7 @@ def cmd_functions(args) -> int:
 
 def cmd_green(args) -> int:
     started = time.monotonic()
-    order = _order(args)
+    order = _series_order("--order", args.order)
     g, meta = _load_cell(args)
     cf = cell_functions(g)
     gs = green_series(cf, order)
@@ -194,7 +204,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_classify(args) -> int:
     started = time.monotonic()
-    series_order = _nonnegative("--series-order", args.series_order)
+    series_order = _series_order("--series-order", args.series_order)
     g, meta = _load_cell(args)
     verdict = classify(g, series_order=series_order)
     doc = _envelope("classify", meta, g)
@@ -371,7 +381,7 @@ def _parse_points(raw: str) -> list[Fraction]:
 def cmd_probe(args) -> int:
     # The points need only the order, so a bad one fails before the series.
     points = _parse_points(args.points)
-    order = _order(args)
+    order = _series_order("--order", args.order)
     probe_tail_bounds(points, order)
     g, _meta = _load_cell(args)
     cf = cell_functions(g)

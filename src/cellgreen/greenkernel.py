@@ -56,21 +56,23 @@ def resolvent_det(t: Matrix) -> Poly:
     return det_linear(_resolvent_matrix(t))
 
 
+def _cofactor(m: list[list[Poly]], i: int, j: int) -> Poly:
+    # Numerator of entry (i, j) of m^{-1}: the minor drops row j and
+    # column i, and that transposition is what makes it (i, j), not (j, i).
+    numer = det_linear(minor(m, j, i))
+    return -numer if (i + j) % 2 else numer
+
+
 def green_entry(t: Matrix, i: int, j: int, denom: Poly | None = None) -> RatFunc:
     """Entry [i, j] of (I - zT)^{-1} by the cofactor formula.
 
-    The minor drops row j and column i; the transposition is what makes
-    this the (i, j) entry of the inverse rather than the (j, i) one.
     ``denom`` is ``resolvent_det(t)``; a caller that needs several entries
     of one matrix passes it in, so that it is computed once.
     """
     m = _resolvent_matrix(t)
     if denom is None:
         denom = det_linear(m)
-    numer = det_linear(minor(m, j, i))
-    if (i + j) % 2:
-        numer = -numer
-    return RatFunc(numer, denom)
+    return RatFunc(_cofactor(m, i, j), denom)
 
 
 # -- the two modified step matrices ------------------------------------------
@@ -167,7 +169,9 @@ class CellFunctions:
     ``det_f`` and ``det_d`` are det(I - zP_f) and det(I - zP_d), the
     denominators that f and d were built over.  ``report`` is the cell's
     validation report, which carries mu, bipartiteness, the path test and
-    the clique partition for everything downstream.
+    the clique partition for everything downstream.  Construction checks,
+    once for every consumer, that d has a double zero at the origin: one
+    step cannot cross the cell, and green_series relies on it to end.
     """
 
     cell: CellGraph
@@ -181,6 +185,12 @@ class CellFunctions:
     det_f: Poly
     det_d: Poly
 
+    def __post_init__(self):
+        if self.d.den(0) == 0 or self.d.num.valuation() < 2:
+            raise KernelError(
+                "transition function must vanish to second order at 0"
+            )
+
 
 def cell_functions(g: CellGraph, report: CellReport | None = None) -> CellFunctions:
     """Compute f, d, r for a valid cell and verify their defining identities.
@@ -188,32 +198,29 @@ def cell_functions(g: CellGraph, report: CellReport | None = None) -> CellFuncti
     f(z) generates returns to the origin that avoid the rest of the boundary;
     d(z) generates first hits of the rest of the boundary; r = 1 - 1/f
     generates first returns to the origin under the same avoidance rule.
-    ``report`` is ``validate_cell(g)``; a caller that has validated the
-    cell passes it in, so that validation runs once.
+    Each matrix I - zP is built once; d is the sum of the signed (0, j)
+    cofactors of I - zP_d over det_d, normalised once, and its double zero
+    at 0 is checked by CellFunctions.  ``report`` is ``validate_cell(g)``;
+    a caller that has validated the cell passes it in, so that validation
+    runs once.
     """
     if report is None:
         report = require_valid(g)
     elif not report.valid:
         raise KernelError("cell_functions needs the report of a valid cell")
-    pf = build_pf(g)
-    pd = build_pd(g)
-    det_f = resolvent_det(pf)
-    det_d = resolvent_det(pd)
-    f = green_entry(pf, 0, 0, det_f)
-    d = RatFunc(Poly([0]))
-    for j in range(1, g.theta):
-        d = d + green_entry(pd, 0, j, det_d)
-    r = 1 - 1 / f
+    mf = _resolvent_matrix(build_pf(g))
+    md = _resolvent_matrix(build_pd(g))
+    det_f = det_linear(mf)
+    det_d = det_linear(md)
+    f = RatFunc(_cofactor(mf, 0, 0), det_f)
+    d_num = sum((_cofactor(md, 0, j) for j in range(1, g.theta)), Poly([0]))
+    d = RatFunc(d_num, det_d)
+    # 1 - 1/f, over f's coprime numerator and denominator.
+    r = RatFunc(f.num - f.den, f.num)
 
-    zero = Fraction(0)
-    one = Fraction(1)
-    if f(zero) != 1:
+    if f(0) != 1:
         raise KernelError("return function must start at 1")
-    if d(zero) != 0 or d.derivative()(zero) != 0:
-        raise KernelError(
-            "transition function must vanish to second order at 0"
-        )
-    if d(one) != 1:
+    if d(1) != 1:
         raise KernelError("transition function must reach 1 at z = 1")
     if 1 / (1 - r) != f:
         raise KernelError("first-return identity f = 1/(1 - r) failed")

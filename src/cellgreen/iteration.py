@@ -17,6 +17,7 @@ from fractions import Fraction
 from .algebra import (
     Bracket,
     IsolatedRoot,
+    Poly,
     PowerSeries,
     RatFunc,
     log_ratio,
@@ -40,11 +41,15 @@ class GreenSeries:
     the nesting depth of green_series (at least 1), which equals the number
     of factors f(d_k(z)) of G = prod_k f(d_k(z)) that reach z^order, where
     d_k is the k-th iterate of d and k runs from 0 to factors_used - 1.
+    f_series and d_series are the expansions of f and d through z^order
+    that G was solved from, kept for functional_residual.
     """
 
     series: PowerSeries
     factors_used: int
     order: int
+    f_series: PowerSeries
+    d_series: PowerSeries
 
     def coefficient(self, k: int) -> Fraction:
         return self.series.coefficient(k)
@@ -54,14 +59,10 @@ class GreenSeries:
 
     def truncate(self, order: int) -> GreenSeries:
         """The same expansion known only through z^order."""
-        return GreenSeries(self.series.truncate(order + 1), self.factors_used, order)
-
-
-def _require_flat_start(d: RatFunc):
-    # d must vanish to second order at 0: one step cannot cross the cell.
-    if d.den(Fraction(0)) == 0 or d.num.valuation() < 2:
-        raise KernelError(
-            "transition function must have a double zero at the origin"
+        n = order + 1
+        return GreenSeries(
+            self.series.truncate(n), self.factors_used, order,
+            self.f_series.truncate(n), self.d_series.truncate(n),
         )
 
 
@@ -77,11 +78,10 @@ def green_series(cf: CellFunctions, order: int) -> GreenSeries:
     level composes a short series with d; the iterates of d are never
     built.  The number of levels with m > 1, the nesting depth, equals the
     number of factors f(d_k(z)) of the product G = prod_k f(d_k(z)) that
-    reach z^order.  Since v >= 2 it is logarithmic in order.
+    reach z^order.  CellFunctions ensures v >= 2, so it is logarithmic.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    _require_flat_start(cf.d)
     count = order + 1
     f_ser = series_from_ratfunc(cf.f, count)
     d_ser = series_from_ratfunc(cf.d, count)
@@ -92,7 +92,7 @@ def green_series(cf: CellFunctions, order: int) -> GreenSeries:
     g = PowerSeries.one(1)
     for m in reversed(sizes[:-1]):
         g = f_ser.truncate(m) * g.compose(d_ser.truncate(m))
-    return GreenSeries(series=g, factors_used=max(len(sizes) - 1, 1), order=order)
+    return GreenSeries(g, max(len(sizes) - 1, 1), order, f_ser, d_ser)
 
 
 def green_series_recursion(cf: CellFunctions, order: int) -> PowerSeries:
@@ -102,9 +102,8 @@ def green_series_recursion(cf: CellFunctions, order: int) -> PowerSeries:
     coefficient comes from the full equation, and coefficient n of the
     right side only involves earlier coefficients of G because d starts at
     z^2.  One compose per coefficient, so meant as a cross-check at small
-    truncations.
+    truncations.  It expands f and d itself, sharing nothing with G.
     """
-    _require_flat_start(cf.d)
     count = order + 1
     f_ser = series_from_ratfunc(cf.f, count)
     d_ser = series_from_ratfunc(cf.d, count)
@@ -116,15 +115,16 @@ def green_series_recursion(cf: CellFunctions, order: int) -> PowerSeries:
     return PowerSeries(coeffs, count)
 
 
-def functional_residual(cf: CellFunctions, gs: GreenSeries) -> PowerSeries:
-    """G - f (G over d) truncated at gs.order; exactly zero when G is right."""
-    count = gs.order + 1
-    f_ser = series_from_ratfunc(cf.f, count)
-    d_ser = series_from_ratfunc(cf.d, count)
-    return gs.series - f_ser * gs.series.compose(d_ser)
+def functional_residual(gs: GreenSeries) -> PowerSeries:
+    """G - f (G over d) from the series gs carries; zero when G is right."""
+    return gs.series - gs.f_series * gs.series.compose(gs.d_series)
 
 
 # -- invariants ----------------------------------------------------------------
+
+
+def _root_json(r: IsolatedRoot) -> dict:
+    return {"low": str(r.low), "high": str(r.high), "approx": float(r)}
 
 
 @dataclass(frozen=True)
@@ -147,16 +147,8 @@ class CellInvariants:
             "alpha": str(self.alpha),
             "eta": self.eta.to_json(),
             "eta_alt": self.eta_alt.to_json(),
-            "rho_f": {
-                "low": str(self.rho_f.low),
-                "high": str(self.rho_f.high),
-                "approx": float(self.rho_f),
-            },
-            "rho_d": {
-                "low": str(self.rho_d.low),
-                "high": str(self.rho_d.high),
-                "approx": float(self.rho_d),
-            },
+            "rho_f": _root_json(self.rho_f),
+            "rho_d": _root_json(self.rho_d),
             "bipartite": self.bipartite,
         }
 
@@ -213,9 +205,8 @@ def iteration_hypotheses(b: RatFunc) -> PropertyReport:
     can equal z.  A candidate with b'(0) a root of unity (say b(z) = z)
     fails here and is rejected.
     """
-    zero = Fraction(0)
     items = []
-    at0 = b.den(zero) != 0 and b.num(zero) == 0
+    at0 = b.den(0) != 0 and b.num(0) == 0
     items.append(
         CheckItem(
             "fixed_origin",
@@ -223,7 +214,8 @@ def iteration_hypotheses(b: RatFunc) -> PropertyReport:
             "b(0) = 0" if at0 else "b does not fix the origin",
         )
     )
-    flat = at0 and b.derivative()(zero) == 0
+    # With b(0) = 0 and den(0) != 0, b'(0) = num_1 / den(0).
+    flat = at0 and b.num.coefficient(1) == 0
     items.append(
         CheckItem(
             "zero_multiplier",
@@ -231,8 +223,7 @@ def iteration_hypotheses(b: RatFunc) -> PropertyReport:
             "b'(0) = 0" if flat else "b'(0) is nonzero",
         )
     )
-    val = b.num.valuation() if b.den(zero) != 0 else -1
-    no_identity = at0 and val >= 2
+    no_identity = at0 and b.num.valuation() >= 2
     items.append(
         CheckItem(
             "no_iterate_is_identity",
@@ -243,10 +234,6 @@ def iteration_hypotheses(b: RatFunc) -> PropertyReport:
         )
     )
     return PropertyReport(tuple(items))
-
-
-def transcendence_hypotheses(cf: CellFunctions) -> PropertyReport:
-    return iteration_hypotheses(cf.d)
 
 
 # -- singular prefactor probe ------------------------------------------------------
@@ -272,17 +259,13 @@ class ProbeRow:
 PROBE_TAIL_TOL = Fraction(1, 10**6)
 
 
-def probe_tail_bounds(
-    points: list[Fraction],
-    order: int,
-    tail_tol: Fraction = PROBE_TAIL_TOL,
-) -> list[Fraction]:
+def probe_tail_bounds(points: list[Fraction], order: int) -> list[Fraction]:
     """Truncation error bound z^(order+1)/(1-z) of each probe point.
 
     Coefficients of G are probabilities, so this bounds what the terms
     beyond z^order add at z.  Needs only the points and the order, so a
     caller can reject a point before it builds the series: a point outside
-    (0, 1) raises ValueError, and one whose bound exceeds tail_tol raises
+    (0, 1) raises ValueError, and one whose bound exceeds PROBE_TAIL_TOL raises
     KernelError.
     """
     tails = []
@@ -290,10 +273,10 @@ def probe_tail_bounds(
         if not 0 < z < 1:
             raise ValueError("probe points must lie strictly inside (0, 1)")
         tail = z ** (order + 1) / (1 - z)
-        if tail > tail_tol:
+        if tail > PROBE_TAIL_TOL:
             raise KernelError(
                 f"point {z} too close to 1 for order {order}: "
-                f"tail bound {float(tail):.3g} exceeds {float(tail_tol):.3g}"
+                f"tail bound {float(tail):.3g} exceeds {float(PROBE_TAIL_TOL):.3g}"
             )
         tails.append(tail)
     return tails
@@ -303,7 +286,6 @@ def singular_prefactor_probe(
     gs: GreenSeries,
     inv: CellInvariants,
     points: list[Fraction],
-    tail_tol: Fraction = PROBE_TAIL_TOL,
 ) -> list[ProbeRow]:
     """Diagnostic table of G(z) (1-z)^(-eta) at rational points in (0, 1).
 
@@ -311,13 +293,12 @@ def singular_prefactor_probe(
     scaled column uses the eta bracket midpoint and float exponentiation:
     this is a boundedness probe, not a verified quantity.
     """
-    tails = probe_tail_bounds(points, gs.order, tail_tol)
+    tails = probe_tail_bounds(points, gs.order)
+    partial_sum = Poly(gs.coefficients())
     rows = []
     eta_mid = inv.eta.midpoint()
     for z, tail in zip(points, tails):
-        partial = Fraction(0)
-        for c in reversed(gs.series.coeffs[: gs.order + 1]):
-            partial = partial * z + c
+        partial = partial_sum(z)
         scaled = float(partial) * math.exp(
             -float(eta_mid) * math.log(1 - float(z))
         )

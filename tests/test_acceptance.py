@@ -99,7 +99,7 @@ def test_ac04_path_star_closed_form(record_acceptance):
     cf = cell_functions(builtin_cell("path2"))
     gs = green_series(cf, 100)
     closed = star_series(101)
-    residual = functional_residual(cf, gs)
+    residual = functional_residual(gs)
     ok = gs.series == closed and residual.is_zero
     record_acceptance(
         "AC4", ok, "two-edge path series equals 1/sqrt(1-z^2) through z^100"

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cellgreen import CellGraph, builtin_cell, classify, verify_cell
+from cellgreen.algebra import RatFunc
 from cellgreen.classify import OUTCOMES, Verdict, star_series
 
 
@@ -160,8 +161,8 @@ class TestFullVerification:
         assert verify_cell(builtin_cell("diamond"), max_steps=8).all_passed
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("name", ["diamond", "path2", "theta4"])
-    def test_each_stage_runs_once_per_verify(self, name, count_calls):
+    @pytest.mark.parametrize("name", ["diamond", "path2", "sierpinski", "theta4"])
+    def test_each_stage_runs_once_per_verify(self, name, count_calls, monkeypatch):
         calls = {
             fn: count_calls(module, fn)
             for module, fn in [
@@ -171,8 +172,18 @@ class TestFullVerification:
                 ("cellgreen.iteration", "invariants"),
                 ("cellgreen.harmonic", "harmonic_function"),
                 ("cellgreen.iteration", "green_series"),
+                ("cellgreen.algebra.series", "series_from_ratfunc"),
+                ("cellgreen.greenkernel", "_resolvent_matrix"),
             ]
         }
+        derivatives = []
+        real_derivative = RatFunc.derivative
+
+        def counted_derivative(self):
+            derivatives.append(self)
+            return real_derivative(self)
+
+        monkeypatch.setattr(RatFunc, "derivative", counted_derivative)
         g = builtin_cell(name)
         assert verify_cell(g).all_passed
         # verify_cell validates once, and blowup once more without the
@@ -183,6 +194,13 @@ class TestFullVerification:
         assert len(calls["invariants"]) == 1
         assert len(calls["harmonic_function"]) == (1 if g.theta == 2 else 0)
         assert len(calls["green_series"]) <= (2 if g.is_path() else 1)
+        # f and d are expanded for G, which carries them to the residual,
+        # and again by the order-by-order cross-check.
+        assert len(calls["series_from_ratfunc"]) <= (6 if g.is_path() else 4)
+        # I - zP_f and I - zP_d, each built once by cell_functions.
+        assert len(calls["_resolvent_matrix"]) == 2
+        # d' and d'' on the expansion grid, and tau = d'(1).
+        assert len(derivatives) == 3
 
     def test_classify_validates_once(self, count_calls):
         calls = count_calls("cellgreen.cells", "validate_cell")

@@ -385,6 +385,45 @@ class TestBudgets:
         assert seen == [8]
         assert json.loads(capsys.readouterr().out)["verify"]["cells_checked"] == 0
 
+    SERIES_COMMANDS = [
+        ("functions", "--order"),
+        ("green", "--order"),
+        ("probe", "--order"),
+        ("classify", "--series-order"),
+    ]
+
+    @pytest.mark.parametrize("command, flag", SERIES_COMMANDS)
+    def test_series_budget_exits_three(self, cli, command, flag):
+        result = cli(command, "--builtin", "diamond", flag, "1001")
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: {flag} 1001 exceeds the series budget of 1000\n"
+        )
+
+    @pytest.mark.parametrize("command, flag", SERIES_COMMANDS)
+    def test_series_budget_checked_before_the_series(
+        self, command, flag, monkeypatch, capsys
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("the cell was loaded or expanded")
+
+        for name in ("builtin_cell", "cell_functions", "green_series", "classify"):
+            monkeypatch.setattr(cellgreen.cli, name, fail)
+        code = cellgreen.cli.main([command, "--builtin", "sierpinski", flag, "5000"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {flag} 5000 exceeds the series budget of 1000\n"
+        )
+
+    def test_series_budget_admits_its_limit(self, cli):
+        result = cli("functions", "--builtin", "path2", "--order", "1000")
+        body = payload(result)["functions"]
+        assert body["order"] == 1000
+        assert len(body["f"]["series"]) == 1001
+
 
 class TestPackage:
     def test_exports_match_the_readme(self):

@@ -1,11 +1,12 @@
 """Finite-graph walk kernels: f, d, r, radii, and the spectral checks."""
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from cellgreen import builtin_cell, cell_functions
+from cellgreen import KernelError, builtin_cell, cell_functions, enumerate_cells
 from cellgreen.algebra import Poly, RatFunc, series_from_ratfunc, solve_linear
 from cellgreen.cells import transition_matrix
 from cellgreen.greenkernel import (
@@ -110,6 +111,22 @@ def entry_by_elimination(t: Matrix, i: int, j: int, z: Fraction) -> Fraction:
     ]
     rhs = [Fraction(1 if r == j else 0) for r in range(n)]
     return solve_linear(rows, rhs)[i]
+
+
+def arithmetic_route(g) -> tuple[RatFunc, RatFunc]:
+    """d and r of a cell by RatFunc arithmetic, normalising at each step.
+
+    d adds the normalised (0, j) entries of P_d's resolvent one at a time,
+    and r is 1 - 1/f; cell_functions instead sums the cofactors over one
+    denominator and writes r over f's numerator.
+    """
+    pd = build_pd(g)
+    det_d = resolvent_det(pd)
+    d = RatFunc(Poly([0]))
+    for j in range(1, g.theta):
+        d = d + green_entry(pd, 0, j, det_d)
+    f = green_entry(build_pf(g), 0, 0)
+    return d, 1 - 1 / f
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +260,21 @@ class TestCellFunctions:
         assert composed.coeffs == (
             1, 0, 0, 0, 0, 0, 0, 0, Fraction(1, 243)
         )
+
+    def test_functions_match_the_arithmetic_route(self, builtin_cells):
+        for g in [*enumerate_cells(2, 7), *builtin_cells.values()]:
+            cf = cell_functions(g)
+            d, r = arithmetic_route(g)
+            assert cf.d == d and repr(cf.d) == repr(d)
+            assert cf.r == r and repr(cf.r) == repr(r)
+
+    def test_transition_function_needs_a_double_zero(self, diamond_cf):
+        with pytest.raises(KernelError, match="second order"):
+            dataclasses.replace(diamond_cf, d=RatFunc(Poly([0, 1])))
+        with pytest.raises(KernelError, match="second order"):
+            dataclasses.replace(diamond_cf, d=RatFunc(Poly([1]), Poly([0, 1])))
+        square = RatFunc(Poly([0, 0, 1]))
+        assert dataclasses.replace(diamond_cf, d=square).d == square
 
     def test_invalid_cell_rejected(self):
         bad = "vertices 4\nboundary 0 1\nedge 0 2\nedge 0 3\nedge 1 2\nedge 1 3\n"

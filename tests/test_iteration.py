@@ -19,7 +19,6 @@ from cellgreen.iteration import (
     green_series_recursion,
     iteration_hypotheses,
     singular_prefactor_probe,
-    transcendence_hypotheses,
 )
 from cellgreen.algebra import Poly, PowerSeries, RatFunc, log_ratio, series_from_ratfunc
 from cellgreen.classify import star_series
@@ -122,7 +121,17 @@ class TestGreenSeries:
         for name in ("diamond", "path2", "sierpinski"):
             cf = cell_functions(builtin_cell(name))
             gs = green_series(cf, 40)
-            assert functional_residual(cf, gs).is_zero
+            assert functional_residual(gs).is_zero
+
+    def test_series_carries_the_expansions_it_was_solved_from(self, diamond_cf):
+        gs = green_series(diamond_cf, 40)
+        assert gs.f_series == series_from_ratfunc(diamond_cf.f, 41)
+        assert gs.d_series == series_from_ratfunc(diamond_cf.d, 41)
+        short = gs.truncate(10)
+        assert short.series == gs.series.truncate(11)
+        assert short.f_series == series_from_ratfunc(diamond_cf.f, 11)
+        assert short.d_series == series_from_ratfunc(diamond_cf.d, 11)
+        assert functional_residual(short).is_zero
 
     def test_star_closed_form(self, path2_cf):
         gs = green_series(path2_cf, 100)
@@ -177,7 +186,7 @@ class TestInvariants:
 
 class TestHypotheses:
     def test_diamond_passes(self, diamond_cf):
-        rep = transcendence_hypotheses(diamond_cf)
+        rep = iteration_hypotheses(diamond_cf.d)
         assert rep.all_passed
         assert [item.name for item in rep.items] == [
             "fixed_origin",
@@ -199,6 +208,19 @@ class TestHypotheses:
         sq = RatFunc(Poly([0, 0, 1]), Poly([1]))
         assert iteration_hypotheses(sq).all_passed
 
+    def test_multiplier_matches_the_derivative_at_zero(self):
+        maps = [
+            RatFunc(Poly([0, Fraction(1, 2)])),
+            RatFunc(Poly([0, 1]), Poly([2, -1])),
+            RatFunc(Poly([0, 0, 1]), Poly([3, 1])),
+            RatFunc(Poly([0, -1, 0, 1]), Poly([1, 0, 1])),
+            RatFunc(Poly([0, 0, 0, 0, 1]), Poly([9, 0, -9, 0, 1])),
+        ]
+        for b in maps:
+            item = iteration_hypotheses(b).items[1]
+            assert item.name == "zero_multiplier"
+            assert item.passed == (b.derivative()(Fraction(0)) == 0)
+
 
 class TestSingularProbe:
     def test_star_prefactor_levels_off(self, path2_cf):
@@ -213,6 +235,16 @@ class TestSingularProbe:
             assert row.scaled == pytest.approx(expected, rel=1e-3)
         assert rows[0].scaled == pytest.approx(0.8165, abs=5e-4)
         assert rows[1].scaled == pytest.approx(0.7255, abs=5e-4)
+
+    def test_partial_sum_is_the_exact_truncated_sum(self, diamond_cf):
+        gs = green_series(diamond_cf, 120)
+        inv = invariants(builtin_cell("diamond"), diamond_cf)
+        points = [Fraction(1, 3), Fraction(1, 2), Fraction(3, 5)]
+        for row in singular_prefactor_probe(gs, inv, points):
+            partial = Fraction(0)
+            for c in reversed(gs.coefficients()):
+                partial = partial * row.z + c
+            assert row.partial_sum == partial
 
     def test_point_too_close_for_order(self, path2_cf):
         gs = green_series(path2_cf, 200)
