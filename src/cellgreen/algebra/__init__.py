@@ -10,9 +10,7 @@ from .matrix import (
     solve_linear,
 )
 from .poly import (
-    ONE,
     X,
-    ZERO,
     Poly,
     format_poly,
     poly_gcd,

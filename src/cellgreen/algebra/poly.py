@@ -225,8 +225,6 @@ def _coerce(x: Poly | Scalar) -> Poly:
 
 
 X = Poly([0, 1])
-ONE = Poly([1])
-ZERO = Poly()
 
 
 def prs_step(a: list[int], b: list[int]) -> list[int]:

@@ -4,11 +4,12 @@ The infinite graph is never materialized.  Level-k approximants arise by
 repeatedly replacing every clique with a fresh cell copy; all vertices keep
 their ids when a level is refined, so the original boundary vertices remain
 the outermost glue points.  A closed walk of length n from the origin stays
-within distance n // 2, so any n below the safe horizon (twice the distance
-from the origin to the nearest vertex whose degree would still grow, minus
-one) sees no difference between the approximant and the infinite graph.
-That is what makes the two oracles here exact for small n: integer
-matrix-vector powering and seeded Monte Carlo simulation.
+within distance n // 2.  When every two boundary vertices of the cell are D
+apart, the vertices whose degree would still grow lie at distance D^k from
+the origin of the level-k approximant (see blowup), so every n up to the
+safe horizon 2 D^k - 1 sees no difference between the approximant and the
+infinite graph.  That is what makes the two oracles here exact for small n:
+integer matrix-vector powering and seeded Monte Carlo simulation.
 """
 
 from __future__ import annotations
@@ -136,6 +137,19 @@ def blowup(
     For the same reason the cliques share no edge, and the CSR arrays come
     from one sort of the directed edges, with no pair repeated; they are
     returned as they are built.
+
+    The safe horizon is 2 D^k - 1, where D is the distance between any two
+    boundary vertices of the cell; a cell whose boundary distances are not
+    all equal is rejected.  Lemma: one refinement multiplies the distance
+    between any two existing vertices by exactly D.
+      (<=) Each edge lies in one clique.  Replace it by a path of length D
+      between the same two vertices inside that clique's cell copy.
+      (>=) Cut any path at the existing vertices it passes.  Each piece
+      stays inside one cell copy and runs between two boundary vertices of
+      that copy.  Those two are adjacent one level down, and the piece has
+      length at least D.
+    So the defects, D from the origin at level 1, are D^k away at level k,
+    in every origin copy and under any identification shuffle.
     """
     if k < 1:
         raise CellError("level must be at least 1")
@@ -143,6 +157,13 @@ def blowup(
         raise CellError("need at least one copy at the origin")
     report = require_valid(g, check_automorphisms=False)
     theta = g.theta
+    d = g.distance(0, 1)
+    spread = {x for a in range(theta) for x in g.bfs_distances(a)[a + 1 : theta]}
+    if spread != {d}:
+        raise CellError(
+            f"invalid {g.name or 'cell'}: boundary vertices lie at distances "
+            f"{sorted(spread)}, not all equal, so no safe horizon is known"
+        )
     mu = report.mu
     edge_cost = origin_copies * mu**k * theta * (theta - 1) // 2
     if edge_cost > edge_budget:
@@ -194,8 +215,8 @@ def blowup(
 
     # Edge (v, u) is the key v * next_id + u, exact in int64 for fewer
     # than 3 * 10^9 vertices.  The keys are built and sorted in place, and
-    # each temporary is dropped once used, before the horizon BFS too, so
-    # the build holds few edge-sized arrays at once.
+    # each temporary is dropped once used, so the build holds few
+    # edge-sized arrays at once.
     first, second = np.triu_indices(theta, 1)
     lo = cliques[:, first].ravel()
     hi = cliques[:, second].ravel()
@@ -219,16 +240,13 @@ def blowup(
     defect = frozenset(
         b + c * block for c in range(origin_copies) for b in range(1, theta)
     )
-    reach = next((d for v, d in _bfs(indptr, indices, 0) if v in defect), None)
-    if reach is None:
-        raise CellError("no defect vertex reachable; approximant malformed")
     return Approximant(
         level=k,
         origin=0,
         indptr=indptr,
         indices=indices,
         defect_set=defect,
-        safe_horizon=2 * reach - 1,
+        safe_horizon=2 * d**k - 1,
         cell_name=g.name,
     )
 
@@ -457,20 +475,13 @@ def sufficient_approximant(
 ) -> Approximant:
     """The approximant of smallest level whose safe horizon covers n_max.
 
-    The origin-to-boundary distance scales by the cell's boundary distance
-    at every refinement, so the needed level is logarithmic in n_max.  The
-    estimate is confirmed by building the approximant, which is returned;
-    the loop exists for safety, not as a search.
+    The level is the least k >= 1 with 2 D^k - 1 >= n_max, D the distance
+    between the cell's boundary vertices (at least 2, as they are never
+    adjacent), so it is logarithmic in n_max.  blowup checks that D is the
+    distance between every pair of boundary vertices.
     """
-    d_cell = g.bfs_distances(0)[1]
+    d = g.distance(0, 1)
     level = 1
-    reach = d_cell
-    while 2 * reach - 1 < n_max:
+    while 2 * d**level - 1 < n_max:
         level += 1
-        reach *= d_cell
-    for k in range(level, level + 3):
-        a = blowup(g, k, edge_budget=edge_budget)
-        if a.safe_horizon >= n_max:
-            return a
-    raise CellError("could not reach the requested horizon within budget")
-
+    return blowup(g, level, edge_budget=edge_budget)

@@ -525,18 +525,21 @@ def require_valid(g: CellGraph, check_automorphisms: bool = True) -> CellReport:
 
 
 @lru_cache(maxsize=None)
-def connected_graph_classes(m: int) -> tuple[frozenset[tuple[int, int]], ...]:
+def connected_graph_classes(m: int) -> tuple[tuple[frozenset, tuple], ...]:
     """Connected simple graphs on m labeled vertices, one per isomorphism class.
 
     Edge masks are scanned in increasing order; each connected mask not yet
     seen is emitted, and the masks of all its relabelings are marked seen
     (Read's orderly rejection), so every class comes out as its least mask.
+    Each class comes with its automorphism group: the relabelings whose
+    image is the class's own mask.
     """
     pairs = list(itertools.combinations(range(m), 2))
+    perms = list(itertools.permutations(range(m)))
     # bits[p][i]: the mask bit of pair i's image under permutation p
     bits = [
         [1 << pairs.index(_norm_edge(p[a], p[b])) for a, b in pairs]
-        for p in itertools.permutations(range(m))
+        for p in perms
     ]
     seen: set[int] = set()
     out = []
@@ -551,19 +554,11 @@ def connected_graph_classes(m: int) -> tuple[frozenset[tuple[int, int]], ...]:
             adj[b].add(a)
         if len(_reachable(adj, 0)) != m:
             continue
-        out.append(frozenset(pairs[i] for i in on))
-        seen.update(sum(pb[i] for i in on) for pb in bits)
+        images = [sum(pb[i] for i in on) for pb in bits]
+        seen.update(images)
+        group = tuple(p for p, image in zip(perms, images) if image == mask)
+        out.append((frozenset(pairs[i] for i in on), group))
     return tuple(out)
-
-
-def _interior_automorphisms(
-    m: int, edges: frozenset[tuple[int, int]]
-) -> list[tuple[int, ...]]:
-    return [
-        perm
-        for perm in itertools.permutations(range(m))
-        if all(_norm_edge(perm[a], perm[b]) in edges for a, b in edges)
-    ]
 
 
 def enumerate_cells(theta: int = 2, max_vertices: int = 8) -> Iterator[CellGraph]:
@@ -578,8 +573,7 @@ def enumerate_cells(theta: int = 2, max_vertices: int = 8) -> Iterator[CellGraph
     if max_vertices < 3:
         return
     for m in range(1, max_vertices - 1):
-        for edges in connected_graph_classes(m):
-            auts = _interior_automorphisms(m, edges)
+        for edges, auts in connected_graph_classes(m):
             seen_pairs: set[frozenset[int]] = set()
             for a in range(m):
                 for b in range(a, m):

@@ -243,6 +243,12 @@ def cmd_verify(args) -> int:
             raise CellError(
                 f"{args.from_report} is not a verify report: wrong layout"
             ) from None
+        steps = args.max_steps
+        if type(steps) is not int or steps < 0:
+            raise CellError(
+                f"{args.from_report}: max_steps must be a nonnegative "
+                f"integer, got {json.dumps(steps)}"
+            )
         g = cell_from_json(cell_doc, name=name)
         fresh = _verify_payload(g, args)
         new_items = {

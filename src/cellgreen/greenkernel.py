@@ -51,28 +51,11 @@ def _resolvent_matrix(t: Matrix) -> list[list[Poly]]:
     ]
 
 
-def resolvent_det(t: Matrix) -> Poly:
-    """det(I - zT), the common denominator of every entry of (I - zT)^{-1}."""
-    return det_linear(_resolvent_matrix(t))
-
-
 def _cofactor(m: list[list[Poly]], i: int, j: int) -> Poly:
     # Numerator of entry (i, j) of m^{-1}: the minor drops row j and
     # column i, and that transposition is what makes it (i, j), not (j, i).
     numer = det_linear(minor(m, j, i))
     return -numer if (i + j) % 2 else numer
-
-
-def green_entry(t: Matrix, i: int, j: int, denom: Poly | None = None) -> RatFunc:
-    """Entry [i, j] of (I - zT)^{-1} by the cofactor formula.
-
-    ``denom`` is ``resolvent_det(t)``; a caller that needs several entries
-    of one matrix passes it in, so that it is computed once.
-    """
-    m = _resolvent_matrix(t)
-    if denom is None:
-        denom = det_linear(m)
-    return RatFunc(_cofactor(m, i, j), denom)
 
 
 # -- the two modified step matrices ------------------------------------------

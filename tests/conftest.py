@@ -39,8 +39,9 @@ from cellgreen import (
 )
 from cellgreen.algebra import PowerSeries, series_from_ratfunc
 from cellgreen.cells import transition_matrix
-from cellgreen.greenkernel import green_entry, spectral_property_report
+from cellgreen.greenkernel import spectral_property_report
 from cellgreen.harmonic import alpha_from_harmonic
+from routes import green_entry
 
 ORACLE_STEP_CAP = 20
 
@@ -133,6 +134,18 @@ def builtin_invariants(builtin_cells, builtin_functions) -> dict[str, CellInvari
         name: invariants(g, builtin_functions[name])
         for name, g in builtin_cells.items()
     }
+
+
+@pytest.fixture(scope="session")
+def chained_triangles_text() -> str:
+    """Four triangles in a chain, the boundary in the first three: distances
+    2 (0 to 1), 3 (0 to 2) and 2 (1 to 2).  Only its automorphisms make it
+    invalid, so a build that skips that check must reject it itself."""
+    triangles = ((0, 3, 4), (4, 1, 5), (5, 2, 6), (6, 7, 8))
+    lines = ["vertices 9", "boundary 0 1 2"]
+    for a, b, c in triangles:
+        lines += [f"edge {a} {b}", f"edge {a} {c}", f"edge {b} {c}"]
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,7 @@ from hypothesis import example, given, strategies as st
 from cellgreen import (
     Approximant,
     BudgetError,
+    CellError,
     blowup,
     builtin_cell,
     builtin_names,
@@ -24,6 +25,7 @@ from cellgreen import (
     green_series,
     cell_functions,
     monte_carlo,
+    parse_cell,
     sufficient_approximant,
 )
 from cellgreen.blowup import bounded_draws, write_approximant
@@ -207,6 +209,14 @@ class TestBlowup:
         with pytest.raises(BudgetError):
             blowup(builtin_cell("diamond"), 3, edge_budget=100)
 
+    def test_unequal_boundary_distances_rejected(self, chained_triangles_text):
+        # The safe horizon 2 D^k - 1 needs every boundary pair D apart.
+        g = parse_cell(chained_triangles_text, name="chain")
+        with pytest.raises(CellError, match=r"distances \[2, 3\]"):
+            blowup(g, 2)
+        with pytest.raises(CellError, match="not all equal"):
+            sufficient_approximant(g, 5)
+
     def test_int32_vertex_ids_bound_the_size(self):
         # 6^12 edges pass this budget but not the int32 vertex ids; the
         # check fails before anything is built.
@@ -368,7 +378,7 @@ class TestExactOracle:
             shuffled = blowup(g, 3, randomize_identification=seed)
             assert exact_return_probs(shuffled, 10).probs == base.probs
 
-    def test_sufficient_level_hits_requested_horizon(self):
+    def test_sufficient_level_hits_requested_horizon(self, count_calls):
         assert sufficient_approximant(builtin_cell("path2"), 20).level == 4
         assert sufficient_approximant(builtin_cell("diamond"), 4).level == 1
         assert sufficient_approximant(builtin_cell("diamond"), 8).level == 2
@@ -377,6 +387,22 @@ class TestExactOracle:
             a = sufficient_approximant(g, n_max)
             assert a.safe_horizon >= n_max
             assert a == blowup(g, a.level)
+        # One build per request, at the least level whose horizon, found
+        # by the reference BFS, covers n_max.
+        calls = count_calls("cellgreen.blowup", "blowup")
+        for name in builtin_names():
+            g = builtin_cell(name)
+            horizons = {}
+            k = 0
+            while not horizons or horizons[k] < 40:
+                k += 1
+                horizons[k] = reference_blowup(g, k).safe_horizon
+            for n_max in range(41):
+                del calls[:]
+                a = sufficient_approximant(g, n_max)
+                assert len(calls) == 1
+                assert a.level == min(k for k, h in horizons.items() if h >= n_max)
+                assert a.safe_horizon == horizons[a.level]
 
     def test_negative_step_count_rejected(self):
         a = blowup(builtin_cell("diamond"), 2)
@@ -461,13 +487,20 @@ class TestAgainstReferences:
                     reach = reference_distance_to_defect(a.adjacency(), 0, a.defect_set)
                     assert a.safe_horizon == 2 * reach - 1
 
-    def test_safe_horizon_matches_reference_bfs_on_enumerated_cells(self):
+    def test_safe_horizon_matches_reference_bfs_on_enumerated_cells(
+        self, enumerated_cells
+    ):
         for i, g in enumerate(enumerate_cells(2, 7)):
             if i % 5 == 0:
                 for k, copies in ((1, 1), (2, 1), (3, 1), (2, 2)):
                     a = blowup(g, k, origin_copies=copies, randomize_identification=i)
                     reach = reference_distance_to_defect(a.adjacency(), 0, a.defect_set)
                     assert a.safe_horizon == 2 * reach - 1
+        for g in enumerated_cells:
+            for k in (1, 2):
+                a = blowup(g, k)
+                reach = reference_distance_to_defect(a.adjacency(), 0, a.defect_set)
+                assert a.safe_horizon == 2 * reach - 1
 
     @pytest.mark.parametrize("name", builtin_names())
     def test_pruned_walk_counts_match_reference(self, name):

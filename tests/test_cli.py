@@ -169,6 +169,22 @@ class TestBlowupAndSimulate:
         assert sim["deviation_sigmas"] < 5
         assert sim["seed"] == 7
 
+    @pytest.mark.parametrize(
+        "args", [["blowup", "--level", "2"], ["simulate", "--steps", "4"]]
+    )
+    def test_unequal_boundary_distances_exit_two(
+        self, cli, tmp_path, chained_triangles_text, args
+    ):
+        path = tmp_path / "chain.cell"
+        path.write_text(chained_triangles_text)
+        result = cli(*args, str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: invalid chain.cell: boundary vertices lie at distances "
+            "[2, 3], not all equal, so no safe horizon is known\n"
+        )
+
     def test_simulate_is_reproducible(self, cli):
         args = (
             "simulate", "--builtin", "path2", "--steps", "2",
@@ -271,6 +287,20 @@ class TestInputErrors:
         assert result.returncode == 2
         assert "is not a verify report: no field 'settings'" in result.stderr
         assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("steps", [12.5, "12", True, -3])
+    def test_from_report_checks_max_steps(self, cli, tmp_path, steps):
+        doc = payload(cli("verify", "--builtin", "path2", "--max-steps", "6"))
+        doc["verify"]["settings"]["max_steps"] = steps
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        result = cli("verify", "--from-report", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: {path}: max_steps must be a nonnegative integer, "
+            f"got {json.dumps(steps)}\n"
+        )
 
     @pytest.mark.parametrize(
         "args, flag, value",

@@ -13,11 +13,10 @@ from cellgreen.greenkernel import (
     Matrix,
     build_pd,
     build_pf,
-    green_entry,
     radius,
-    resolvent_det,
     spectral_property_report,
 )
+from routes import green_entry, resolvent_det
 
 
 def P(*coeffs) -> Poly:
