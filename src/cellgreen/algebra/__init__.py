@@ -10,7 +10,6 @@ from .matrix import (
     solve_linear,
 )
 from .poly import (
-    X,
     Poly,
     format_poly,
     poly_gcd,

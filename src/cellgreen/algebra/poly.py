@@ -224,9 +224,6 @@ def _coerce(x: Poly | Scalar) -> Poly:
     return Poly([_as_fraction(x)])
 
 
-X = Poly([0, 1])
-
-
 def prs_step(a: list[int], b: list[int]) -> list[int]:
     """The primitive part of ``a mod b``, with its sign, on integer lists.
 

@@ -68,10 +68,6 @@ class RatFunc:
             raise PoleError(Fraction(x))
         return self.num(x) / dx
 
-    def derivative(self) -> RatFunc:
-        n, d = self.num, self.den
-        return RatFunc(n.derivative() * d - n * d.derivative(), d * d)
-
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: Operand) -> RatFunc:

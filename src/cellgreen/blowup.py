@@ -164,12 +164,14 @@ def blowup(
             f"invalid {g.name or 'cell'}: boundary vertices lie at distances "
             f"{sorted(spread)}, not all equal, so no safe horizon is known"
         )
-    mu = report.mu
-    edge_cost = origin_copies * mu**k * theta * (theta - 1) // 2
+    # The cost never falls with the level, and past the budget's bit length
+    # mu**j > budget unless mu = 1, when the cost does not grow at all.  So
+    # the cost at j decides the budget, and it is the cost at k if j == k.
+    j = min(k, edge_budget.bit_length() + 1)
+    edge_cost = origin_copies * report.mu**j * theta * (theta - 1) // 2
     if edge_cost > edge_budget:
-        raise BudgetError(
-            f"level {k} needs {edge_cost} edges, budget is {edge_budget}"
-        )
+        needs = edge_cost if j == k else f"more than {edge_budget}"
+        raise BudgetError(f"level {k} needs {needs} edges, budget is {edge_budget}")
     # Vertex ids are stored as int32; a connected graph has at most one
     # vertex more than it has edges.
     if edge_cost >= 2**31 - 1:

@@ -183,8 +183,8 @@ def verify_cell(
 ) -> PropertyReport:
     """Everything checkable about one cell, as a pass/fail item list.
 
-    Exact unless stated: the expansion grid item samples rationals, and the
-    oracle item is limited to walk lengths min(max_steps, safe horizon).
+    Exact, with the oracle item limited to walk lengths
+    min(max_steps, safe horizon).
     """
     items: list[CheckItem] = []
     report = validate_cell(g)

@@ -4,7 +4,7 @@ Everything here is exact: entries of (I - zT)^{-1} are rational functions
 over Fraction coefficients, poles are isolated as root brackets, and the
 analytic facts needed downstream (simple poles, pole ordering, expansion
 of the transition function between its fixed points) are checked by Sturm
-counts and rational-grid evaluation rather than floating point.
+counts rather than floating point.
 """
 
 from __future__ import annotations
@@ -255,90 +255,91 @@ class PropertyReport:
         }
 
 
-def _grid(lo: Fraction, hi: Fraction, points: int) -> list[Fraction]:
-    step = (hi - lo) / (points + 1)
-    return [lo + step * k for k in range(1, points + 1)]
+def _expands(d: RatFunc, sd: SpectralData) -> bool:
+    """Whether d(z) > z, d'(z) > 1 and d''(z) > 0 on (1, rho), exactly.
+
+    Write d = N/D and W = N'D - ND', so d' = W/D^2 and
+    d'' = ((N''D - ND'')D - 2D'W)/D^3.  The pole rho is the least positive
+    root of D, so D keeps on (1, rho) its sign s at 1.  With z - 1 > 0 there:
+      d - z   = (z - 1) q1 / D, q1 = (N - zD) / (z - 1), exact as d(1) = 1;
+      d' - 1  = q2 / D^2,       q2 = W - D^2;
+      d''     = q3 / D^3,       q3 = (N''D - ND'')D - 2D'W.
+    So the three inequalities say that q1, q2, q3 have the signs s, 1, s
+    on (1, rho), that is, no root there and that sign at one point.  The
+    bracket (low, high) of rho is refined until low > 1 and no q_i
+    vanishes at low or high or has a root between them; then a Sturm
+    count on (1, low) and the sign at low decide each q_i on (1, rho).
+    The refinement ends at a simple pole: q1, q2, q3 equal N/(rho - 1),
+    -ND' and 2ND'^2 at rho, and none is 0.  A pole that is not simple and
+    a q_i that vanishes at 1 fail the item.
+    """
+    if sd.pole_order != 1:
+        return False
+    n, den = d.num, d.den
+    z = Poly([0, 1])
+    q1 = (n - z * den) // Poly([-1, 1])
+    dn, dd = n.derivative(), den.derivative()
+    w = dn * den - n * dd
+    q2 = w - den * den
+    q3 = (dn.derivative() * den - n * dd.derivative()) * den - dd * w * 2
+    s = den.sign_at(1)
+    qs = ((q1, s), (q2, 1), (q3, s))
+    if any(q.sign_at(1) == 0 for q, _ in qs):
+        return False
+    rho = sd.rho
+    while rho.low <= 1 or any(
+        q.sign_at(rho.low) == 0
+        or q.sign_at(rho.high) == 0
+        or count_roots(q, rho.low, rho.high)
+        for q, _ in qs
+    ):
+        rho = rho.refine(rho.width / 16)
+    return all(
+        count_roots(q, Fraction(1), rho.low) == 0 and q.sign_at(rho.low) == sign
+        for q, sign in qs
+    )
 
 
-def spectral_property_report(cf: CellFunctions, grid_points: int = 32) -> PropertyReport:
-    """The five analytic facts the iteration theory rests on, checked exactly.
+def spectral_property_report(cf: CellFunctions) -> PropertyReport:
+    """The five analytic facts the iteration theory rests on, all exact.
 
     (1) f and d share their smallest positive pole; (2) that pole is simple
     for both; (3) it lies strictly below the first positive pole of r;
     (4) between its fixed points 1 and rho, d expands: d(z) > z, d'(z) > 1,
-    d''(z) > 0 on a rational grid; (5) f has no pole in (0, rho_f).
-    Items 1-3 and 5 are exact; item 4 samples a grid of grid_points
-    rationals, which certifies signs at those points only.
+    d''(z) > 0 on (1, rho_d); (5) f has no pole in (0, rho_f).  Each item
+    is decided by root brackets and Sturm counts on polynomials.
     """
     items = []
 
-    same_pole = roots_equal(cf.spectral_f.rho, cf.spectral_d.rho)
-    items.append(
-        CheckItem(
-            "shared_radius",
-            same_pole,
-            "smallest positive poles of f and d coincide"
-            if same_pole
-            else "f and d have different smallest positive poles",
-        )
-    )
+    def check(name: str, passed: bool, detail: str, failure: str = "") -> None:
+        shown = failure if failure and not passed else detail
+        items.append(CheckItem(name, passed, shown))
 
-    simple = cf.spectral_f.pole_order == 1 and cf.spectral_d.pole_order == 1
-    items.append(
-        CheckItem(
-            "simple_poles",
-            simple,
-            f"pole orders f:{cf.spectral_f.pole_order} d:{cf.spectral_d.pole_order}",
-        )
+    sf, sd, sr = cf.spectral_f, cf.spectral_d, cf.spectral_r
+    check(
+        "shared_radius",
+        roots_equal(sf.rho, sd.rho),
+        "smallest positive poles of f and d coincide",
+        "f and d have different smallest positive poles",
     )
-
-    if cf.spectral_r is None:
-        items.append(
-            CheckItem(
-                "radius_gap",
-                True,
-                "r is a polynomial (infinite radius), gap is automatic",
-            )
-        )
+    orders = f"pole orders f:{sf.pole_order} d:{sd.pole_order}"
+    check("simple_poles", sf.pole_order == 1 and sd.pole_order == 1, orders)
+    if sr is None:
+        automatic = "r is a polynomial (infinite radius), gap is automatic"
+        check("radius_gap", True, automatic)
     else:
-        gap = root_compare(cf.spectral_f.rho, cf.spectral_r.rho) < 0
-        items.append(
-            CheckItem(
-                "radius_gap",
-                gap,
-                "rho_f < rho_r" if gap else "rho_f is not below rho_r",
-            )
-        )
-
-    rho_d = cf.spectral_d.rho
-    while rho_d.low <= 1:
-        rho_d = rho_d.refine(rho_d.width / 16)
-    dp = cf.d.derivative()
-    dpp = dp.derivative()
-    expanding = True
-    for x in _grid(Fraction(1), rho_d.low, grid_points):
-        if not (cf.d(x) > x and dp(x) > 1 and dpp(x) > 0):
-            expanding = False
-            break
-    items.append(
-        CheckItem(
-            "expansion_between_fixed_points",
-            expanding,
-            f"d(z)>z, d'(z)>1, d''(z)>0 at {grid_points} rational points in (1, rho_d)"
-            if expanding
-            else "expansion inequality failed on the grid",
-        )
+        gap = root_compare(sf.rho, sr.rho) < 0
+        check("radius_gap", gap, "rho_f < rho_r", "rho_f is not below rho_r")
+    check(
+        "expansion_between_fixed_points",
+        _expands(cf.d, sd),
+        "d(z)>z, d'(z)>1, d''(z)>0 on (1, rho_d), certified by Sturm counts",
+        "expansion inequality not certified on (1, rho_d)",
     )
-
-    den = cf.f.den
-    below = count_roots(den, Fraction(0), cf.spectral_f.rho.low) == 0
-    items.append(
-        CheckItem(
-            "first_pole",
-            below,
-            "Sturm count confirms no denominator root of f in (0, rho_f)"
-            if below
-            else "f has a pole below rho_f",
-        )
+    check(
+        "first_pole",
+        count_roots(cf.f.den, Fraction(0), sf.rho.low) == 0,
+        "Sturm count confirms no denominator root of f in (0, rho_f)",
+        "f has a pole below rho_f",
     )
     return PropertyReport(tuple(items))

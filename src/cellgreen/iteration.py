@@ -166,7 +166,9 @@ def invariants(g: CellGraph, cf: CellFunctions | None = None) -> CellInvariants:
     if cf is None:
         cf = cell_functions(g)
     mu = cf.report.mu
-    tau = cf.d.derivative()(Fraction(1))
+    # d'(1) by the quotient rule; d(1) = 1, so D(1) != 0.
+    n, den = cf.d.num, cf.d.den
+    tau = (n.derivative()(1) * den(1) - n(1) * den.derivative()(1)) / den(1) ** 2
     alpha = cf.f(Fraction(1))
     if tau <= 1:
         raise KernelError("time scaling tau must exceed 1")

@@ -1,14 +1,20 @@
-"""Matrix Green entries by the cofactor formula, a route only tests use.
+"""Reference routes that only tests use.
 
 cell_functions reads f and d off the same resolvent matrices and cofactors
-without building single entries; these helpers give any entry of
-(I - zT)^{-1} for the cross-checks.
+without building single entries; resolvent_det and green_entry give any
+entry of (I - zT)^{-1} for the cross-checks.  grid_expansion samples the
+expansion inequalities that spectral_property_report certifies.
 """
 
 from __future__ import annotations
 
 from cellgreen.algebra import Poly, RatFunc, det_linear
-from cellgreen.greenkernel import Matrix, _cofactor, _resolvent_matrix
+from cellgreen.greenkernel import (
+    CellFunctions,
+    Matrix,
+    _cofactor,
+    _resolvent_matrix,
+)
 
 
 def resolvent_det(t: Matrix) -> Poly:
@@ -26,3 +32,22 @@ def green_entry(t: Matrix, i: int, j: int, denom: Poly | None = None) -> RatFunc
     if denom is None:
         denom = det_linear(m)
     return RatFunc(_cofactor(m, i, j), denom)
+
+
+def _derivative(r: RatFunc) -> RatFunc:
+    n, d = r.num, r.den
+    return RatFunc(n.derivative() * d - n * d.derivative(), d * d)
+
+
+def grid_expansion(cf: CellFunctions, points: int = 32) -> bool:
+    """d(z) > z, d'(z) > 1 and d''(z) > 0 at ``points`` evenly spaced
+    rationals in (1, rho_d): the sampled check that the Sturm certificate
+    of spectral_property_report replaced, kept as its reference."""
+    rho_d = cf.spectral_d.rho
+    while rho_d.low <= 1:
+        rho_d = rho_d.refine(rho_d.width / 16)
+    dp = _derivative(cf.d)
+    dpp = _derivative(dp)
+    step = (rho_d.low - 1) / (points + 1)
+    grid = (1 + step * k for k in range(1, points + 1))
+    return all(cf.d(x) > x and dp(x) > 1 and dpp(x) > 0 for x in grid)

@@ -26,6 +26,7 @@ from cellgreen.cells import cell_to_text
 from cellgreen.classify import star_series
 from cellgreen.greenkernel import spectral_property_report
 from cellgreen.iteration import functional_residual
+from routes import grid_expansion
 
 
 def P(*coeffs):
@@ -171,6 +172,12 @@ def test_ac07_eta_lower_bound(record_acceptance, sweep):
 
 def test_ac08_spectral_lemma(record_acceptance, sweep, builtin_functions):
     bad = [r for r in sweep.records if not r.spectral.all_passed]
+    # The certified expansion item agrees with the sampled reference.
+    off_reference = [
+        r
+        for r in sweep.records
+        if r.spectral.items[3].passed != grid_expansion(r.cf)
+    ]
     named_ok = True
     for name in ("diamond", "path2", "sierpinski"):
         cf = builtin_functions[name]
@@ -179,14 +186,16 @@ def test_ac08_spectral_lemma(record_acceptance, sweep, builtin_functions):
         named_ok = named_ok and roots_equal(
             cf.spectral_f.rho, cf.spectral_d.rho
         )
-    ok = not bad and named_ok
+    ok = not bad and not off_reference and named_ok
     record_acceptance(
         "AC8",
         ok,
         f"five spectral checks on {len(sweep.records)} cells plus three "
-        "named cells, shared radius decided exactly",
+        "named cells, shared radius decided exactly, expansion equal to "
+        "the grid reference",
     )
     assert bad == []
+    assert off_reference == []
     assert named_ok
 
 

@@ -179,12 +179,6 @@ class TestRatFunc:
             r(Fraction(1))
         assert r(Fraction(2)) == 1
 
-    def test_derivative_quotient_rule(self):
-        r = RatFunc(P(0, 0, 1), P(2, 0, -1))
-        d = r.derivative()
-        assert d(Fraction(1)) == 4
-        assert d(Fraction(0)) == 0
-
     @given(small_polys, nonzero_polys, nonzero_polys)
     def test_common_factor_invisible(self, a, b, c):
         assert RatFunc(a * c, b * c) == RatFunc(a, b)

@@ -6,6 +6,7 @@ import io
 import math
 import random
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -208,6 +209,20 @@ class TestBlowup:
             blowup(builtin_cell("diamond"), 9)
         with pytest.raises(BudgetError):
             blowup(builtin_cell("diamond"), 3, edge_budget=100)
+
+    @pytest.mark.parametrize("level", [7000, 30_000_000])
+    def test_budget_stops_the_cost_product(self, level):
+        # 6^level edges is past the budget long before the product ends,
+        # and far past the digits that a str() of an int may have.
+        started = time.process_time()
+        with pytest.raises(BudgetError) as info:
+            blowup(builtin_cell("diamond"), level)
+        assert time.process_time() - started < 1
+        assert str(info.value) == (
+            f"level {level} needs more than 1000000 edges, budget is 1000000"
+        )
+        with pytest.raises(BudgetError, match="^level 9 needs 10077696 edges, "):
+            blowup(builtin_cell("diamond"), 9)
 
     def test_unequal_boundary_distances_rejected(self, chained_triangles_text):
         # The safe horizon 2 D^k - 1 needs every boundary pair D apart.

@@ -4,6 +4,7 @@ where a test replaces a function that the CLI calls."""
 import hashlib
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,21 @@ class TestBlowupAndSimulate:
         )
         assert result.returncode == 3
         assert "error" in result.stderr
+
+    @pytest.mark.parametrize(
+        "command, level",
+        [("blowup", 7000), ("blowup", 30_000_000), ("simulate", 9000)],
+    )
+    def test_budget_exits_three_at_any_level(self, cli, command, level):
+        started = time.perf_counter()
+        result = cli(command, "--builtin", "diamond", "--level", str(level))
+        assert time.perf_counter() - started < 5
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: level {level} needs more than 1000000 edges, "
+            "budget is 1000000\n"
+        )
 
     def test_budget_env_var(self, cli):
         result = cli(
@@ -323,14 +339,15 @@ class TestInputErrors:
 
 class TestVerifyGolden:
     # sha256 of each builtin's `verify` JSON (sorted keys, elapsed_seconds
-    # removed), recorded before the determinants and root isolation moved
-    # to integer evaluation and sign bisection.
+    # removed), re-recorded when expansion_between_fixed_points became a
+    # Sturm certificate: the JSON before differs only in that item's detail
+    # string, which read "... at 32 rational points in (1, rho_d)".
     GOLDEN = {
-        "diamond": "914831100b541424be338954f1f74a1fd2c81da04cd81cf6e94d49f638886a28",
-        "path2": "6ad10d30a27ea599bfeee33072ea24fb31776a21eeb7464a735600a9d132d49b",
-        "path3": "4c1baf3bcfd015fdb370a3a14339b18a97044af616afb42d2a541f1661e71d40",
-        "sierpinski": "d05b3e3a693ef09ea538517310ac09b7fc084c5ca8844d8b0924cd6938304a5c",
-        "theta4": "1144bc912fc61b9f1b4a407413e97b40362582befbd20f4cee543ff61970fdd9",
+        "diamond": "9b7cbf0cd759e36af0b046e3a435f22f0ec6bf182490f8bdc9941e6ab28d7229",
+        "path2": "5def892793348642061322d5a06518633b76e53e1e0ddecd76337259e2b78b52",
+        "path3": "9e406286ab7d811a2fff1934d1e15e3dcca7b662d729d6e336954ecaee3e4457",
+        "sierpinski": "3ff81cacfdcf90f280a1746dcfdddac6243d826d5299cca2a4302db0bac8646d",
+        "theta4": "fcc75e7a3fa1a8621ede6f30c5b4526a52b2d63c9021eb5c2e82de279a36c873",
     }
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -6,7 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from cellgreen import KernelError, builtin_cell, cell_functions, enumerate_cells
+from cellgreen import (
+    KernelError,
+    builtin_cell,
+    cell_functions,
+    enumerate_cells,
+    invariants,
+)
 from cellgreen.algebra import Poly, RatFunc, series_from_ratfunc, solve_linear
 from cellgreen.cells import transition_matrix
 from cellgreen.greenkernel import (
@@ -16,7 +22,7 @@ from cellgreen.greenkernel import (
     radius,
     spectral_property_report,
 )
-from routes import green_entry, resolvent_det
+from routes import green_entry, grid_expansion, resolvent_det
 
 
 def P(*coeffs) -> Poly:
@@ -237,7 +243,7 @@ class TestCellFunctions:
             assert cf.f(Fraction(0)) == 1
             assert cf.d(Fraction(0)) == 0
             assert cf.d(Fraction(1)) == 1
-            assert cf.d.derivative()(Fraction(0)) == 0
+            assert cf.d.num.coefficient(1) == 0
 
     def test_diamond_series_prefixes(self, diamond_cf):
         f_ser = series_from_ratfunc(diamond_cf.f, 7)
@@ -283,6 +289,15 @@ class TestCellFunctions:
             cell_functions(parse_cell(bad))
 
 
+SLIVER = 2 + Fraction(1, 2**120)
+
+
+def _pole_sum(p: Poly, e: int) -> RatFunc:
+    """z^2 p(z) + e z^2/(3 - z), scaled so that it maps 1 to 1."""
+    d = RatFunc(P(0, 0, 1) * p) + RatFunc(P(0, 0, e), P(3, -1))
+    return d * (1 / d(1))
+
+
 class TestSpectralData:
     def test_diamond_shared_radius(self, diamond_cf):
         rho_f = diamond_cf.spectral_f.rho
@@ -301,6 +316,37 @@ class TestSpectralData:
             cf = cell_functions(builtin_cell(name))
             report = spectral_property_report(cf)
             assert report.all_passed, (name, report.to_json())
+
+    # Maps with a double zero at 0 and d(1) = 1 that do not expand on
+    # (1, rho).  z^2 p(z) + e z^2/(3 - z), scaled to d(1) = 1, has a simple
+    # pole at 3: with p = z - z^2 and e = 3 it keeps d > z and d' > 1 but
+    # turns concave; with p = 4 + z - z^2 and e = 1 it keeps d > z but d'
+    # dips below 1.  The sliver map turns concave, slows and falls from
+    # about 4 to 0 within 2^-39 below its pole at 2 + 2^-120: all inside
+    # the first bracket of that pole, where only the refinement of the
+    # bracket sees it, and a grid cannot.
+    NOT_EXPANDING = {
+        "concave": _pole_sum(P(0, 1, -1), 3),
+        "slow_slope": _pole_sum(P(4, 1, -1), 1),
+        "double_pole": RatFunc(P(0, 0, 1), P(2, -1) * P(2, -1)),
+        "sliver_below_pole": RatFunc(
+            P(0, 0, 2, -1) * (SLIVER - 1), P(SLIVER, -1)
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NOT_EXPANDING))
+    def test_expansion_certificate_rejects(self, name, diamond_cf):
+        d = self.NOT_EXPANDING[name]
+        assert d(1) == 1
+        sd = radius(d)
+        assert sd.pole_order == (2 if name == "double_pole" else 1)
+        cf = dataclasses.replace(diamond_cf, d=d, spectral_d=sd)
+        item = spectral_property_report(cf).items[3]
+        assert item.name == "expansion_between_fixed_points"
+        assert not item.passed
+        assert item.detail == "expansion inequality not certified on (1, rho_d)"
+        if name == "sliver_below_pole":
+            assert sd.rho.low < 2 and grid_expansion(cf)
 
     def test_double_pole_has_no_residue_scale(self):
         sd = radius(RatFunc(P(1), P(1, -2) * P(1, -2)))
@@ -338,7 +384,7 @@ class TestSeriesNonnegativity:
             assert sum(d_ser.coeffs) <= 1
             assert cf.d(Fraction(1)) == 1
             assert cf.f(Fraction(1)) >= 1
-            assert cf.d.derivative()(Fraction(1)) >= 2
+            assert invariants(builtin_cell(name), cf).tau >= 2
 
 
 class TestAsymptotics:
