@@ -26,6 +26,7 @@ import numpy as np
 from .cells import CellError, CellGraph, require_valid
 
 DEFAULT_EDGE_BUDGET = 10**6
+SLICE = 1 << 15  # walkers per Monte Carlo draw: the buffers stay in the warm heap
 
 
 class BudgetError(CellError):
@@ -371,41 +372,34 @@ class WalkStats:
         }
 
 
-def bounded_draws(rng: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
-    """rng.integers(0, bounds) for uint32 bounds >= 1, drawn the same way.
-
-    numpy draws a value below d with Lemire's multiply-shift method
-    (D. Lemire, ACM TOMACS 29, 2019): a 32-bit word u gives m = u * d,
-    the value is m >> 32, and u is rejected, and another word drawn, when
-    the low word of m is below (2^32 - d) % d; a bound of 1 draws nothing.
-    Here every bound above 1 takes its word, in order, from one batch of
-    32-bit draws, which is what the one-by-one loop draws unless it
-    rejects.  A rejection is rare for small d (probability below
-    d / 2^32); from the first rejected bound on, the generator is rewound
-    and numpy draws the rest itself.  Values and generator state thus
-    match rng.integers(0, bounds) exactly.  Returns int64 values.
-    """
-    many = bounds > 1
-    words = np.zeros(len(bounds), dtype=np.uint32)
-    state = rng.bit_generator.state
-    words[many] = rng.integers(
-        0, 1 << 32, size=np.count_nonzero(many), dtype=np.uint32
-    )
-    m = np.multiply(words, bounds, dtype=np.uint64)
-    out = (m >> 32).view(np.int64)
-    low = m.astype(np.uint32)
-    near = np.flatnonzero(many & (low < bounds))
-    if len(near):
-        d = bounds[near]  # in uint32, (-d) % d is (2^32 - d) % d
-        bad = near[low[near] < (-d) % d]
-        if len(bad):
-            first = bad[0]
-            rng.bit_generator.state = state
-            rng.integers(
-                0, 1 << 32, size=np.count_nonzero(many[:first]), dtype=np.uint32
-            )
-            out[first:] = rng.integers(0, bounds[first:].astype(np.int64))
-    return out
+def _draw_below(rng, d, words, out, carry):
+    """Set out to rng.integers(0, d) for uint32 bounds d >= 1, drawn as
+    monte_carlo says, and return the new carry, PCG64's buffered half-word
+    (has_uint32, uinteger); words is a uint32 buffer at least as long as d."""
+    bitgen = rng.bit_generator
+    snapshot = bitgen.state
+    has0, half0 = has, half = carry
+    many = d > 1
+    need = int(np.count_nonzero(many))
+    if has and need:
+        first = many.argmax()
+        words[first], many[first] = half, False
+        need, has = need - 1, 0
+    raw = bitgen.random_raw((need + 1) // 2).view(np.uint32)
+    words = words[: len(d)]
+    words[many] = raw[:need]
+    if need % 2:
+        has, half = 1, int(raw[-1])
+    np.multiply(words, d, out=out, dtype=np.uint64)
+    low = np.multiply(words, d, out=words)  # u * d mod 2^32
+    if np.less(low, d, out=many).any():
+        bound = d[many]  # in uint32, (-d) % d is (2^32 - d) % d
+        if (low[many] < (-bound) % bound).any():
+            bitgen.state = {**snapshot, "has_uint32": has0, "uinteger": half0}
+            out[:] = rng.integers(0, d.astype(np.int64))
+            return bitgen.state["has_uint32"], bitgen.state["uinteger"]
+    out >>= 32
+    return has, half
 
 
 def monte_carlo(
@@ -422,14 +416,23 @@ def monte_carlo(
     from the master seed (remainder to the first streams).  The streams
     run one after another in this process: `workers` fixes the split, not
     a degree of parallelism.  Each stream moves batches of at most `chunk`
-    walkers; every step draws each walker's neighbour with bounded_draws,
-    exactly as rng.integers(0, degrees) would.  Results are bit-for-bit
-    reproducible for a fixed (seed, workers, chunk).
+    walkers.  Results are bit-for-bit reproducible for a fixed (seed,
+    workers, chunk).
 
     The walk reads the approximant's CSR arrays directly.  A walker is
     held as the offset where its vertex's neighbour list starts (its
     indptr entry), so one step is two lookups: the degree at that offset,
-    and the start offset of the chosen neighbour.
+    and the start offset of the chosen neighbour.  A step runs over the
+    batch in slices of SLICE walkers, in order, in buffers made once.
+    numpy draws below d by Lemire's method (ACM TOMACS 29, 2019): a word u
+    gives (u * d) >> 32, or is rejected if the low word of u * d is below
+    (2^32 - d) % d.  PCG64 (O'Neill, 2014) gives out each 64-bit output as
+    two words, low half first, and buffers the high half; _draw_below
+    reads the words from random_raw and carries that half from slice to
+    slice itself.  A bound of 1 maps any word to 0 and never rejects, so
+    a leaf's slot may keep a stale word.  On a rejection (chance below
+    d / 2^32) the slice is rewound, carry included, and rng.integers
+    draws it.  So the draws are exactly those of rng.integers(0, degrees).
     """
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
@@ -438,12 +441,12 @@ def monte_carlo(
     if workers < 1:
         raise ValueError("need at least one worker")
     start = a.indptr[:-1]
-    deg = np.diff(a.indptr).astype(np.uint32)
-    nbr = a.indices
-    deg_at = np.zeros(len(nbr), dtype=np.uint32)
-    deg_at[start] = deg
-    nbr_start = start[nbr]
+    deg_at = np.zeros(len(a.indices), dtype=np.uint32)
+    deg_at[start] = np.diff(a.indptr)
+    nbr_start = start[a.indices]
     home = start[a.origin]
+    degs, words = np.empty((2, SLICE), dtype=np.uint32)
+    draws = np.empty(SLICE, dtype=np.int64)
 
     streams = np.random.SeedSequence(seed).spawn(workers)
     base, rem = divmod(trials, workers)
@@ -451,21 +454,27 @@ def monte_carlo(
     for w in range(workers):
         todo = base + (1 if w < rem else 0)
         rng = np.random.Generator(np.random.PCG64(streams[w]))
+        carry = (0, 0)  # a fresh PCG64 buffers no half-word
         while todo > 0:
             batch = min(todo, chunk)
             todo -= batch
             at = np.full(batch, home, dtype=np.int64)
             for _ in range(n):
-                at = nbr_start[at + bounded_draws(rng, deg_at[at])]
+                for s in range(0, batch, SLICE):
+                    here = at[s : s + SLICE]
+                    step = draws[: len(here)]
+                    d = np.take(deg_at, here, out=degs[: len(here)], mode="clip")
+                    carry = _draw_below(rng, d, words, step.view(np.uint64), carry)
+                    step += here
+                    np.take(nbr_start, step, out=here, mode="clip")
             hits += int(np.count_nonzero(at == home))
-    estimate = Fraction(hits, trials)
     p = hits / trials
     std_err = math.sqrt(p * (1 - p) / trials)
     return WalkStats(
         n=n,
         trials=trials,
         hits=hits,
-        estimate=estimate,
+        estimate=Fraction(hits, trials),
         std_err=std_err,
         seed=seed,
         workers=workers,

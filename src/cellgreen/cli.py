@@ -6,7 +6,8 @@ rationals as "p/q" strings, real intervals as {"low", "high"} pairs, plus
 float approximations marked as such.  Reports are byte-identical across
 runs except for the elapsed_seconds field.  Exit codes: 0 success,
 1 internal error, 2 invalid input or failed validation, 3 a budget
-exceeded (approximant edges, enumerated cell size, or series order).
+exceeded (approximant edges, enumerated cell size, series order, or walk
+steps).
 """
 
 from __future__ import annotations
@@ -65,6 +66,11 @@ MAX_ENUMERATE_VERTICES = 8
 # Python 3.11, under 35 MB).  Tests and the benchmark stay at order <= 400.
 MAX_ORDER = 1000
 
+# simulate --trials x --steps, fewer than 4096 trials counting as 4096 (a step
+# costs 15-40 us however few walkers move): about 80 CPU s at 1.2e8 walker
+# steps a second (2-core x86-64, numpy 2.4).  The benchmark's largest is 2.56e7.
+MAX_WALK_STEPS = 10**10
+
 
 def _default_budget() -> int:
     raw = os.environ.get(ENV_EDGE_BUDGET)
@@ -100,13 +106,14 @@ def _nonnegative(flag: str, value: int) -> int:
     return value
 
 
-def _series_order(flag: str, value: int) -> int:
-    _nonnegative(flag, value)
-    if value > MAX_ORDER:
-        raise BudgetError(
-            f"{flag} {value} exceeds the series budget of {MAX_ORDER}"
-        )
+def _within(flag: str, value: int, limit: int, budget: str) -> int:
+    if value > limit:
+        raise BudgetError(f"{flag} {value} exceeds the {budget} budget of {limit}")
     return value
+
+
+def _series_order(flag: str, value: int) -> int:
+    return _within(flag, _nonnegative(flag, value), MAX_ORDER, "series")
 
 
 def _envelope(command: str, meta: dict, g: CellGraph | None) -> dict:
@@ -269,11 +276,7 @@ def cmd_verify(args) -> int:
             raise ValueError(
                 f"--max-vertices must be at least 3, got {args.max_vertices}"
             )
-        if args.max_vertices > MAX_ENUMERATE_VERTICES:
-            raise BudgetError(
-                f"--max-vertices {args.max_vertices} exceeds the enumeration "
-                f"budget of {MAX_ENUMERATE_VERTICES}"
-            )
+        _within("--max-vertices", args.max_vertices, MAX_ENUMERATE_VERTICES, "enumeration")
         checked = 0
         failures = []
         for g in enumerate_cells(2, args.max_vertices):
@@ -345,6 +348,9 @@ def cmd_simulate(args) -> int:
     _nonnegative("--steps", args.steps)
     _nonnegative("--seed", args.seed)
     _nonnegative("--edge-budget", args.edge_budget)
+    _nonnegative("--trials", args.trials)
+    walk = max(args.trials, 4096) * args.steps
+    _within("--trials x --steps (at least 4096 a step)", walk, MAX_WALK_STEPS, "walk")
     g, meta = _load_cell(args)
     if args.level is None:
         a = sufficient_approximant(g, args.steps, edge_budget=args.edge_budget)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cellgreen import (
     Approximant,
@@ -29,8 +29,9 @@ from cellgreen import (
     parse_cell,
     sufficient_approximant,
 )
-from cellgreen.blowup import bounded_draws, write_approximant
+from cellgreen.blowup import SLICE, _draw_below, write_approximant
 from cellgreen.cells import clique_partition
+from routes import bounded_draws, reference_monte_carlo
 
 
 def emitted_text(a: Approximant) -> str:
@@ -469,6 +470,23 @@ class TestMonteCarlo:
         assert stats.estimate == Fraction(stats.hits, stats.trials)
         assert abs(float(stats.estimate) - 0.5) < 0.02
 
+    def test_walk_memory_stays_near_one_batch(self):
+        # The slices work in buffers made once, so the walk holds little
+        # beyond the offsets of two batches (2 MiB each for the default
+        # chunk; the old batch lives until the next is made): the traced
+        # peak was 4.68 MiB here, and 9.71 MiB when every step made
+        # batch-sized temporaries.
+        a = blowup(builtin_cell("diamond"), 5)
+        monte_carlo(a, 2, 10, seed=0)
+        tracemalloc.start()
+        try:
+            stats = monte_carlo(a, 40, 600_000, seed=12345)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.hits == 37582
+        assert peak < 2.5 * 8 * (1 << 18)
+
 
 class TestAgainstReferences:
     """The array-built approximant and the pruned walk counts against the
@@ -566,23 +584,75 @@ class TestBoundedDraws:
     def test_rejections_take_the_sequential_route(self):
         # (2^32 - d) % d is about 2^31 for d = 2^31 + 1, so about half the
         # words are rejected; more words are drawn than there are bounds.
+        # Both the batch draw and the fused draw rewind and let numpy draw.
         bounds = np.full(64, 2**31 + 1, dtype=np.uint32)
-        mine = np.random.Generator(np.random.PCG64(5))
         plain = np.random.Generator(np.random.PCG64(5))
-        got = bounded_draws(mine, bounds)
         plain.integers(0, 2**32, size=64, dtype=np.uint32)
-        assert mine.bit_generator.state != plain.bit_generator.state
         ref = np.random.Generator(np.random.PCG64(5))
-        assert got.tolist() == ref.integers(0, bounds.astype(np.int64)).tolist()
+        want = ref.integers(0, bounds.astype(np.int64)).tolist()
+        mine = np.random.Generator(np.random.PCG64(5))
+        got = bounded_draws(mine, bounds)
+        assert mine.bit_generator.state != plain.bit_generator.state
+        assert got.tolist() == want
         assert mine.bit_generator.state == ref.bit_generator.state
+        fused = np.random.Generator(np.random.PCG64(5))
+        out = np.empty(64, dtype=np.uint64)
+        carry = _draw_below(fused, bounds, np.empty(64, np.uint32), out, (0, 0))
+        assert fused.bit_generator.state["state"] != plain.bit_generator.state["state"]
+        assert out.tolist() == want
+        assert_same_live_state(fused, carry, ref)
+
+
+def assert_same_live_state(mine, carry, ref):
+    """mine, holding its buffered half-word as carry, is where ref is.
+
+    numpy leaves a stale uinteger behind once the half-word is used, so
+    uinteger is compared only while has_uint32 is 1.
+    """
+    want = ref.bit_generator.state
+    assert mine.bit_generator.state["state"] == want["state"]
+    assert carry[0] == want["has_uint32"]
+    if carry[0]:
+        assert carry[1] == want["uinteger"]
+
+
+class TestFusedDraws:
+    # Successive calls share one words buffer, so slots of bound 1 keep
+    # the words of earlier calls; odd word counts leave a half-word to
+    # carry into the next call; bounds from 2^31 up reject often enough
+    # to reach the rewind, also with a half-word carried in.
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.lists(bounds_lists, min_size=1, max_size=6),
+    )
+    @example(0, [[]])
+    @example(1, [[1], [1, 1, 1], []])
+    @example(2, [[2, 3, 4], [5], [6, 1, 2], [3, 1, 1]])
+    @example(3, [[3], [2**31 + 1] * 8, [2], [2**31 + 1] * 7])
+    @example(4, [[3, 1, 2**31, 2**32 - 1, 1, 2**31 + 1, 6], [1], [2, 2]])
+    def test_same_values_and_state_as_numpy(self, seed, calls):
+        mine = np.random.Generator(np.random.PCG64(seed))
+        ref = np.random.Generator(np.random.PCG64(seed))
+        words = np.zeros(max(map(len, calls)), dtype=np.uint32)
+        carry = (0, 0)
+        for bounds in calls:
+            d = np.array(bounds, dtype=np.uint32)
+            out = np.empty(len(d), dtype=np.uint64)
+            carry = _draw_below(mine, d, words, out, carry)
+            want = ref.integers(0, d.astype(np.int64))
+            assert out.tolist() == want.tolist()
+            assert_same_live_state(mine, carry, ref)
 
 
 class TestMonteCarloGolden:
     # Hits recorded with the one-call-per-step rng.integers(0, degrees)
     # walk that bounded_draws replaced.  path2 at level 1 has only the
     # middle vertex of degree above 1; theta4 and path3 split the trials
-    # over several streams; the last three use chunks that do not divide
-    # the trial count.
+    # over several streams; the last five use chunks that do not divide
+    # the trial count.  The last two were recorded with the bounded_draws
+    # walk, before the fused step: diamond's batches of 40,000 straddle a
+    # slice, and theta4 has no vertex of degree 1 and two streams of
+    # 35,000 trials.
     GOLDEN = [
         ("diamond", 5, 40, 30000, 17, 1, 1 << 18, 1823),
         ("path2", 1, 11, 20001, 3, 1, 1 << 18, 0),
@@ -592,6 +662,8 @@ class TestMonteCarloGolden:
         ("sierpinski", 3, 16, 25000, 2, 2, 4096, 991),
         ("diamond", 2, 10, 10000, 4, 1, 999, 1521),
         ("path3", 3, 30, 9999, 2**32 - 1, 4, 1000, 1384),
+        ("diamond", 4, 24, 90001, 21, 1, 40000, 8291),
+        ("theta4", 3, 18, 70001, 5, 2, 1 << 18, 3899),
     ]
 
     @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
@@ -600,3 +672,34 @@ class TestMonteCarloGolden:
         a = blowup(builtin_cell(name), level)
         stats = monte_carlo(a, n, trials, seed, workers=workers, chunk=chunk)
         assert stats.hits == hits
+
+
+MC_CELLS = [builtin_cell(name) for name in builtin_names()] + list(
+    enumerate_cells(2, 6)
+)
+CHUNKS = [1, 999, SLICE - 1, SLICE + 1, 40_000, 1 << 18]
+
+
+class TestAgainstReferenceWalk:
+    """monte_carlo against the walk that draws each step with one
+    rng.integers(0, degrees) call."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.sampled_from(range(len(MC_CELLS))),
+        st.integers(1, 3),
+        st.sampled_from(CHUNKS),
+        st.integers(1, 3),
+        st.integers(0, 10),
+        st.one_of(st.integers(1, 99), st.integers(SLICE - 2, 4 * SLICE)),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(0, 2, 1 << 18, 1, 8, 3 * SLICE + 7, 7)  # diamond: a leaf origin
+    @example(4, 3, 40_000, 3, 6, 3 * SLICE + 7, 11)  # theta4: no leaf
+    @example(1, 1, 1, 1, 9, 40, 3)
+    def test_same_hits(self, index, level, chunk, workers, n, trials, seed):
+        if chunk == 1:
+            trials = 1 + trials % 40  # one walker a batch: a Python loop each
+        a = blowup(MC_CELLS[index], level, edge_budget=20_000)
+        stats = monte_carlo(a, n, trials, seed, workers=workers, chunk=chunk)
+        assert stats.hits == reference_monte_carlo(a, n, trials, seed, workers, chunk)

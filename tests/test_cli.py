@@ -5,12 +5,14 @@ import hashlib
 import json
 import re
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import cellgreen
 import cellgreen.cli
+from cellgreen.blowup import WalkStats
 
 DIAMOND_TEXT = """\
 vertices 6
@@ -328,6 +330,7 @@ class TestInputErrors:
             (["simulate", "--edge-budget", "-5"], "--edge-budget", -5),
             (["verify", "--edge-budget", "-5"], "--edge-budget", -5),
             (["simulate", "--seed", "-3"], "--seed", -3),
+            (["simulate", "--trials", "-1", "--steps", "10000000"], "--trials", -1),
         ],
     )
     def test_negative_counts_exit_two(self, cli, args, flag, value):
@@ -470,6 +473,48 @@ class TestBudgets:
         body = payload(result)["functions"]
         assert body["order"] == 1000
         assert len(body["f"]["series"]) == 1001
+
+    @pytest.mark.parametrize(
+        "trials, steps, walk",
+        [(10**12, 4, 4 * 10**12), (1, 10**7, 4096 * 10**7), (10**9, 11, 11 * 10**9)],
+    )
+    def test_walk_budget_exits_three_before_loading(
+        self, trials, steps, walk, monkeypatch, capsys
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("the cell was loaded or walked")
+
+        for name in ("builtin_cell", "blowup", "sufficient_approximant", "monte_carlo"):
+            monkeypatch.setattr(cellgreen.cli, name, fail)
+        code = cellgreen.cli.main(
+            ["simulate", "--builtin", "diamond", "--trials", str(trials),
+             "--steps", str(steps)]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --trials x --steps (at least 4096 a step) {walk} exceeds "
+            "the walk budget of 10000000000\n"
+        )
+
+    @pytest.mark.parametrize("trials, steps", [(10**9, 10), (1, 10**10 // 4096)])
+    def test_walk_budget_admits_its_limit(self, trials, steps, monkeypatch, capsys):
+        seen = []
+
+        def no_walk(a, n, trials, seed, workers):
+            seen.append((n, trials))
+            return WalkStats(n, trials, 0, Fraction(0), 0.0, seed, workers)
+
+        monkeypatch.setattr(cellgreen.cli, "monte_carlo", no_walk)
+        monkeypatch.setattr(cellgreen.cli, "exact_return_probs", None)
+        code = cellgreen.cli.main(
+            ["simulate", "--builtin", "diamond", "--level", "1",
+             "--trials", str(trials), "--steps", str(steps)]
+        )
+        assert code == 0
+        assert seen == [(steps, trials)]
+        assert json.loads(capsys.readouterr().out)["simulate"]["trials"] == trials
 
 
 class TestPackage:
