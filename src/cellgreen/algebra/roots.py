@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .brackets import Bracket
 from .poly import Poly, poly_gcd, prs_step, squarefree_part
 
 DEFAULT_WIDTH = Fraction(1, 2**30)
@@ -87,23 +88,11 @@ def _nonroot_near(p: Poly, x: Fraction, step: Fraction) -> Fraction:
 
 
 @dataclass(frozen=True)
-class IsolatedRoot:
+class IsolatedRoot(Bracket):
     """One real algebraic number: the unique root of ``defining`` in (low, high)."""
 
-    low: Fraction
-    high: Fraction
     defining: Poly
     multiplicity: int = 1
-
-    @property
-    def width(self) -> Fraction:
-        return self.high - self.low
-
-    def midpoint(self) -> Fraction:
-        return (self.low + self.high) / 2
-
-    def __float__(self) -> float:
-        return float(self.midpoint())
 
     def refine(self, width: Fraction = DEFAULT_WIDTH) -> IsolatedRoot:
         """Shrink the bracket below the requested width by exact bisection."""
@@ -121,9 +110,6 @@ class IsolatedRoot:
             else:
                 lo = m
         return IsolatedRoot(lo, hi, p, self.multiplicity)
-
-    def contains(self, q: Fraction) -> bool:
-        return self.low <= q <= self.high
 
 
 def _multiplicity_in_bracket(p: Poly, lo: Fraction, hi: Fraction) -> int:

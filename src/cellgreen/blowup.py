@@ -416,8 +416,8 @@ def monte_carlo(
     from the master seed (remainder to the first streams).  The streams
     run one after another in this process: `workers` fixes the split, not
     a degree of parallelism.  Each stream moves batches of at most `chunk`
-    walkers.  Results are bit-for-bit reproducible for a fixed (seed,
-    workers, chunk).
+    walkers, held in one buffer for the whole call.  Results are
+    bit-for-bit reproducible for a fixed (seed, workers, chunk).
 
     The walk reads the approximant's CSR arrays directly.  A walker is
     held as the offset where its vertex's neighbour list starts (its
@@ -447,18 +447,22 @@ def monte_carlo(
     home = start[a.origin]
     degs, words = np.empty((2, SLICE), dtype=np.uint32)
     draws = np.empty(SLICE, dtype=np.int64)
+    walkers = np.empty(min(chunk, trials), dtype=np.int64)
 
-    streams = np.random.SeedSequence(seed).spawn(workers)
+    # spawn(1) per worker gives the streams of spawn(workers) without
+    # holding all of them at once.
+    root = np.random.SeedSequence(seed)
     base, rem = divmod(trials, workers)
     hits = 0
     for w in range(workers):
         todo = base + (1 if w < rem else 0)
-        rng = np.random.Generator(np.random.PCG64(streams[w]))
+        rng = np.random.Generator(np.random.PCG64(root.spawn(1)[0]))
         carry = (0, 0)  # a fresh PCG64 buffers no half-word
         while todo > 0:
             batch = min(todo, chunk)
             todo -= batch
-            at = np.full(batch, home, dtype=np.int64)
+            at = walkers[:batch]
+            at.fill(home)
             for _ in range(n):
                 for s in range(0, batch, SLICE):
                     here = at[s : s + SLICE]

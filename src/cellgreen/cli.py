@@ -66,9 +66,11 @@ MAX_ENUMERATE_VERTICES = 8
 # Python 3.11, under 35 MB).  Tests and the benchmark stay at order <= 400.
 MAX_ORDER = 1000
 
-# simulate --trials x --steps, fewer than 4096 trials counting as 4096 (a step
-# costs 15-40 us however few walkers move): about 80 CPU s at 1.2e8 walker
-# steps a second (2-core x86-64, numpy 2.4).  The benchmark's largest is 2.56e7.
+# simulate walker steps, max(--trials, 4096 x --workers) x max(--steps, 1):
+# a step of one worker's stream costs 15-40 us however few walkers move, and
+# a walk of no steps still sets every trial up.  About 80 CPU s at 1.2e8
+# walker steps a second (2-core x86-64, numpy 2.4).  The benchmark's largest
+# is 2.56e7.
 MAX_WALK_STEPS = 10**10
 
 
@@ -84,11 +86,11 @@ def _default_budget() -> int:
 
 
 def _load_cell(args) -> tuple[CellGraph, dict]:
-    if getattr(args, "builtin", None):
+    if args.builtin:
         g = builtin_cell(args.builtin)
         text = cell_to_text(g)
         source = f"builtin:{args.builtin}"
-    elif getattr(args, "cell", None):
+    elif args.cell:
         with open(args.cell, "r", encoding="utf-8") as fh:
             text = fh.read()
         g = parse_cell(text, name=os.path.basename(args.cell))
@@ -116,26 +118,6 @@ def _series_order(flag: str, value: int) -> int:
     return _within(flag, _nonnegative(flag, value), MAX_ORDER, "series")
 
 
-def _envelope(command: str, meta: dict, g: CellGraph | None) -> dict:
-    doc = {
-        "schema": 1,
-        "tool": "cellgreen",
-        "version": __version__,
-        "command": command,
-        "input": meta,
-    }
-    if g is not None:
-        cell = cell_to_json(g)
-        cell["name"] = g.name
-        doc["cell"] = cell
-    return doc
-
-
-def _emit(doc: dict, started: float) -> None:
-    doc["elapsed_seconds"] = round(time.monotonic() - started, 6)
-    print(json.dumps(doc, indent=2))
-
-
 def _ratfunc_json(r, series_count: int) -> dict:
     return {
         "num": format_poly(r.num),
@@ -145,25 +127,21 @@ def _ratfunc_json(r, series_count: int) -> dict:
 
 
 # -- subcommands ------------------------------------------------------------
+# Each checks its flags, loads the cell and returns (input meta, cell or None,
+# body keys, exit code) for main to report; probe prints CSV, returns the code.
 
 
-def cmd_validate(args) -> int:
-    started = time.monotonic()
+def cmd_validate(args):
     g, meta = _load_cell(args)
     report = validate_cell(g, check_automorphisms=not args.skip_automorphisms)
-    doc = _envelope("validate", meta, g)
-    doc["report"] = report.to_json()
-    _emit(doc, started)
-    return 0 if report.valid else 2
+    return meta, g, {"report": report.to_json()}, 0 if report.valid else 2
 
 
-def cmd_functions(args) -> int:
-    started = time.monotonic()
+def cmd_functions(args):
     count = _series_order("--order", args.order) + 1
     g, meta = _load_cell(args)
     cf = cell_functions(g)
-    doc = _envelope("functions", meta, g)
-    doc["functions"] = {
+    functions = {
         "order": args.order,
         "f": _ratfunc_json(cf.f, count),
         "d": _ratfunc_json(cf.d, count),
@@ -172,52 +150,39 @@ def cmd_functions(args) -> int:
         "spectral_d": cf.spectral_d.to_json(),
         "spectral_r": None if cf.spectral_r is None else cf.spectral_r.to_json(),
     }
-    _emit(doc, started)
-    return 0
+    return meta, g, {"functions": functions}, 0
 
 
-def cmd_green(args) -> int:
-    started = time.monotonic()
+def cmd_green(args):
     order = _series_order("--order", args.order)
     g, meta = _load_cell(args)
-    cf = cell_functions(g)
-    gs = green_series(cf, order)
-    doc = _envelope("green", meta, g)
-    doc["green"] = {
+    gs = green_series(cell_functions(g), order)
+    green = {
         "order": gs.order,
         "factors_used": gs.factors_used,
         "coefficients": [str(c) for c in gs.coefficients()],
     }
-    _emit(doc, started)
-    return 0
+    return meta, g, {"green": green}, 0
 
 
-def cmd_invariants(args) -> int:
-    started = time.monotonic()
+def cmd_invariants(args):
     g, meta = _load_cell(args)
     cf = cell_functions(g)
-    inv = invariants(g, cf)
-    doc = _envelope("invariants", meta, g)
-    doc["invariants"] = inv.to_json()
+    body = {"invariants": invariants(g, cf).to_json()}
     if g.theta == 2:
         h = harmonic_function(g, validate=False)
         alpha = alpha_from_harmonic(h)
-        doc["harmonic"] = h.to_json()
-        doc["alpha_from_harmonic"] = str(alpha)
-        doc["alpha_mu"] = verify_alpha_mu(cf.report, alpha).to_json()
-    _emit(doc, started)
-    return 0
+        body["harmonic"] = h.to_json()
+        body["alpha_from_harmonic"] = str(alpha)
+        body["alpha_mu"] = verify_alpha_mu(cf.report, alpha).to_json()
+    return meta, g, body, 0
 
 
-def cmd_classify(args) -> int:
-    started = time.monotonic()
+def cmd_classify(args):
     series_order = _series_order("--series-order", args.series_order)
     g, meta = _load_cell(args)
     verdict = classify(g, series_order=series_order)
-    doc = _envelope("classify", meta, g)
-    doc["verdict"] = verdict.to_json()
-    _emit(doc, started)
-    return 0 if verdict.outcome != "Invalid" else 2
+    return meta, g, {"verdict": verdict.to_json()}, 0 if verdict.outcome != "Invalid" else 2
 
 
 def _verify_payload(g: CellGraph, args) -> dict:
@@ -228,96 +193,84 @@ def _verify_payload(g: CellGraph, args) -> dict:
     }
 
 
-def cmd_verify(args) -> int:
-    started = time.monotonic()
-    _nonnegative("--max-steps", args.max_steps)
-    _nonnegative("--edge-budget", args.edge_budget)
-    if args.from_report:
-        with open(args.from_report, "r", encoding="utf-8") as fh:
-            old = json.load(fh)
-        try:
-            cell_doc = old["cell"]
-            name = cell_doc.get("name")
-            args.max_steps = old["verify"]["settings"]["max_steps"]
-            old_items = {
-                i["name"]: i["passed"] for i in old["verify"]["report"]["items"]
-            }
-        except KeyError as exc:
-            raise CellError(
-                f"{args.from_report} is not a verify report: no field {exc}"
-            ) from None
-        except (AttributeError, TypeError):
-            raise CellError(
-                f"{args.from_report} is not a verify report: wrong layout"
-            ) from None
-        steps = args.max_steps
-        if type(steps) is not int or steps < 0:
-            raise CellError(
-                f"{args.from_report}: max_steps must be a nonnegative "
-                f"integer, got {json.dumps(steps)}"
-            )
-        g = cell_from_json(cell_doc, name=name)
-        fresh = _verify_payload(g, args)
-        new_items = {
-            i["name"]: i["passed"] for i in fresh["report"]["items"]
+def _verify_from_report(args):
+    with open(args.from_report, "r", encoding="utf-8") as fh:
+        old = json.load(fh)
+    try:
+        cell_doc = old["cell"]
+        name = cell_doc.get("name")
+        args.max_steps = old["verify"]["settings"]["max_steps"]
+        old_items = {
+            i["name"]: i["passed"] for i in old["verify"]["report"]["items"]
         }
-        diffs = sorted(
-            set(old_items.items()) ^ set(new_items.items())
+    except KeyError as exc:
+        raise CellError(
+            f"{args.from_report} is not a verify report: no field {exc}"
+        ) from None
+    except (AttributeError, TypeError):
+        raise CellError(
+            f"{args.from_report} is not a verify report: wrong layout"
+        ) from None
+    if type(args.max_steps) is not int or args.max_steps < 0:
+        raise CellError(
+            f"{args.from_report}: max_steps must be a nonnegative "
+            f"integer, got {json.dumps(args.max_steps)}"
         )
-        doc = _envelope("verify", {"source": args.from_report, "sha256": None}, g)
-        doc["verify"] = fresh
-        doc["round_trip"] = {"match": not diffs, "differences": [d[0] for d in diffs]}
-        _emit(doc, started)
-        return 0 if not diffs else 2
+    g = cell_from_json(cell_doc, name=name)
+    fresh = _verify_payload(g, args)
+    new_items = {i["name"]: i["passed"] for i in fresh["report"]["items"]}
+    diffs = sorted(set(old_items.items()) ^ set(new_items.items()))
+    body = {
+        "verify": fresh,
+        "round_trip": {"match": not diffs, "differences": [d[0] for d in diffs]},
+    }
+    return {"source": args.from_report, "sha256": None}, g, body, 0 if not diffs else 2
 
-    if args.enumerate:
-        if args.max_vertices < 3:
-            # Every cell has at least 3 vertices: a smaller cap checks none.
-            raise ValueError(
-                f"--max-vertices must be at least 3, got {args.max_vertices}"
-            )
-        _within("--max-vertices", args.max_vertices, MAX_ENUMERATE_VERTICES, "enumeration")
-        checked = 0
-        failures = []
-        for g in enumerate_cells(2, args.max_vertices):
-            report = verify_cell(
-                g, max_steps=args.max_steps, edge_budget=args.edge_budget
-            )
-            checked += 1
-            if not report.all_passed:
-                failures.append(
-                    {
-                        "cell": cell_to_json(g),
-                        "failed": [
-                            i.to_json() for i in report.items if not i.passed
-                        ],
-                    }
-                )
-        doc = _envelope(
-            "verify", {"source": f"enumerate:max_vertices={args.max_vertices}", "sha256": None}, None
+
+def _verify_enumerate(args):
+    if args.max_vertices < 3:
+        # Every cell has at least 3 vertices: a smaller cap checks none.
+        raise ValueError(
+            f"--max-vertices must be at least 3, got {args.max_vertices}"
         )
-        doc["verify"] = {
-            "settings": {
-                "max_steps": args.max_steps,
-                "max_vertices": args.max_vertices,
-            },
-            "cells_checked": checked,
-            "all_passed": not failures,
-            "failures": failures,
-        }
-        _emit(doc, started)
-        return 0 if not failures else 2
+    _within("--max-vertices", args.max_vertices, MAX_ENUMERATE_VERTICES, "enumeration")
+    checked = 0
+    failures = []
+    for g in enumerate_cells(2, args.max_vertices):
+        report = _verify_payload(g, args)["report"]
+        checked += 1
+        if not report["all_passed"]:
+            failed = [i for i in report["items"] if not i["passed"]]
+            failures.append({"cell": cell_to_json(g), "failed": failed})
+    meta = {"source": f"enumerate:max_vertices={args.max_vertices}", "sha256": None}
+    verify = {
+        "settings": {
+            "max_steps": args.max_steps,
+            "max_vertices": args.max_vertices,
+        },
+        "cells_checked": checked,
+        "all_passed": not failures,
+        "failures": failures,
+    }
+    return meta, None, {"verify": verify}, 0 if not failures else 2
 
+
+def _verify_one(args):
     g, meta = _load_cell(args)
-    doc = _envelope("verify", meta, g)
-    doc["verify"] = _verify_payload(g, args)
-    _emit(doc, started)
-    return 0 if doc["verify"]["report"]["all_passed"] else 2
+    verify = _verify_payload(g, args)
+    return meta, g, {"verify": verify}, 0 if verify["report"]["all_passed"] else 2
 
 
-def cmd_blowup(args) -> int:
-    started = time.monotonic()
-    _nonnegative("--edge-budget", args.edge_budget)
+def cmd_verify(args):
+    _nonnegative("--max-steps", args.max_steps)
+    if args.from_report:
+        return _verify_from_report(args)
+    if args.enumerate:
+        return _verify_enumerate(args)
+    return _verify_one(args)
+
+
+def cmd_blowup(args):
     g, meta = _load_cell(args)
     a = blowup(
         g,
@@ -329,8 +282,7 @@ def cmd_blowup(args) -> int:
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
             write_approximant(a, fh)
-    doc = _envelope("blowup", meta, g)
-    doc["approximant"] = {
+    approximant = {
         "level": a.level,
         "origin": a.origin,
         "vertices": a.num_vertices,
@@ -339,18 +291,19 @@ def cmd_blowup(args) -> int:
         "safe_horizon": a.safe_horizon,
         "emitted": args.emit,
     }
-    _emit(doc, started)
-    return 0
+    return meta, g, {"approximant": approximant}, 0
 
 
-def cmd_simulate(args) -> int:
-    started = time.monotonic()
+def cmd_simulate(args):
     _nonnegative("--steps", args.steps)
     _nonnegative("--seed", args.seed)
-    _nonnegative("--edge-budget", args.edge_budget)
     _nonnegative("--trials", args.trials)
-    walk = max(args.trials, 4096) * args.steps
-    _within("--trials x --steps (at least 4096 a step)", walk, MAX_WALK_STEPS, "walk")
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
+    walk = max(args.trials, 4096 * args.workers) * max(args.steps, 1)
+    _within(
+        "max(--trials, 4096 x --workers) x max(--steps, 1)", walk, MAX_WALK_STEPS, "walk"
+    )
     g, meta = _load_cell(args)
     if args.level is None:
         a = sufficient_approximant(g, args.steps, edge_budget=args.edge_budget)
@@ -359,21 +312,17 @@ def cmd_simulate(args) -> int:
     stats = monte_carlo(
         a, args.steps, args.trials, args.seed, workers=args.workers
     )
-    doc = _envelope("simulate", meta, g)
-    doc["simulate"] = stats.to_json()
-    doc["simulate"]["level"] = a.level
-    doc["simulate"]["safe_horizon"] = a.safe_horizon
-    doc["simulate"]["within_horizon"] = args.steps <= a.safe_horizon
-    if args.steps <= a.safe_horizon:
+    sim = stats.to_json()
+    sim["level"] = a.level
+    sim["safe_horizon"] = a.safe_horizon
+    sim["within_horizon"] = args.steps <= a.safe_horizon
+    if sim["within_horizon"]:
         exact = exact_return_probs(a, args.steps).probs[args.steps]
-        doc["simulate"]["exact"] = str(exact)
+        sim["exact"] = str(exact)
         err = stats.std_err
         dev = abs(float(stats.estimate) - float(exact))
-        doc["simulate"]["deviation_sigmas"] = (
-            None if err == 0 else round(dev / err, 3)
-        )
-    _emit(doc, started)
-    return 0
+        sim["deviation_sigmas"] = None if err == 0 else round(dev / err, 3)
+    return meta, g, {"simulate": sim}, 0
 
 
 def _parse_points(raw: str) -> list[Fraction]:
@@ -514,18 +463,37 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
         # Read here, inside the error handling: a bad value is an input error.
         budget = _default_budget()
-        if "edge_budget" in vars(args) and args.edge_budget is None:
-            args.edge_budget = budget
-        return args.func(args)
+        if "edge_budget" in vars(args):
+            if args.edge_budget is None:
+                args.edge_budget = budget
+            _nonnegative("--edge-budget", args.edge_budget)
+        result = args.func(args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (CellError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if isinstance(result, int):
+        return result
+    meta, g, body, code = result
+    doc = {
+        "schema": 1,
+        "tool": "cellgreen",
+        "version": __version__,
+        "command": args.subcommand,
+        "input": meta,
+    }
+    if g is not None:
+        doc["cell"] = {**cell_to_json(g), "name": g.name}
+    doc.update(body)
+    doc["elapsed_seconds"] = round(time.monotonic() - started, 6)
+    print(json.dumps(doc, indent=2))
+    return code
 
 
 if __name__ == "__main__":

@@ -133,12 +133,11 @@ def radius(func: RatFunc) -> SpectralData | None:
     if rho.multiplicity == 1:
         dprime = den.derivative()
         while True:
-            b = Bracket(rho.low, rho.high)
-            dpb = poly_on_bracket(dprime, b)
+            dpb = poly_on_bracket(dprime, rho)
             if not dpb.contains_zero():
                 break
             rho = rho.refine(rho.width / 1024)
-        kappa = -poly_on_bracket(func.num, b) / (b * dpb)
+        kappa = -poly_on_bracket(func.num, rho) / (rho * dpb)
     return SpectralData(rho=rho, pole_order=rho.multiplicity, residue_scale=kappa)
 
 

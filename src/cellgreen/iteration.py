@@ -123,10 +123,6 @@ def functional_residual(gs: GreenSeries) -> PowerSeries:
 # -- invariants ----------------------------------------------------------------
 
 
-def _root_json(r: IsolatedRoot) -> dict:
-    return {"low": str(r.low), "high": str(r.high), "approx": float(r)}
-
-
 @dataclass(frozen=True)
 class CellInvariants:
     theta: int
@@ -147,8 +143,8 @@ class CellInvariants:
             "alpha": str(self.alpha),
             "eta": self.eta.to_json(),
             "eta_alt": self.eta_alt.to_json(),
-            "rho_f": _root_json(self.rho_f),
-            "rho_d": _root_json(self.rho_d),
+            "rho_f": self.rho_f.to_json(),
+            "rho_d": self.rho_d.to_json(),
             "bipartite": self.bipartite,
         }
 
@@ -247,15 +243,6 @@ class ProbeRow:
     partial_sum: Fraction
     tail_bound: Fraction
     scaled: float
-
-    def to_json(self) -> dict:
-        return {
-            "z": str(self.z),
-            "partial_sum": str(self.partial_sum),
-            "partial_sum_approx": float(self.partial_sum),
-            "tail_bound": float(self.tail_bound),
-            "scaled": self.scaled,
-        }
 
 
 PROBE_TAIL_TOL = Fraction(1, 10**6)

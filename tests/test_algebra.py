@@ -603,7 +603,7 @@ class TestRoots:
 
     def test_linear_root(self):
         root = smallest_positive_root(P(1, -1))
-        assert root.low < 1 < root.high or root.contains(Fraction(1))
+        assert root.low < 1 < root.high or Fraction(1) in root
 
     def test_no_positive_root(self):
         with pytest.raises(NoPositiveRootError):

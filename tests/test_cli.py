@@ -362,6 +362,125 @@ class TestVerifyGolden:
         assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[name]
 
 
+class TestOutputGolden:
+    # sha256 of each JSON subcommand's output (sorted keys, elapsed_seconds
+    # removed) on the five builtins and on one cell file, recorded before the
+    # subcommands' shared steps moved into main.
+    ARGS = {
+        "validate": ["validate"],
+        "functions": ["functions", "--order", "8"],
+        "green": ["green", "--order", "30"],
+        "invariants": ["invariants"],
+        "classify": ["classify"],
+        "blowup": ["blowup", "--level", "2"],
+        "simulate": [
+            "simulate", "--steps", "4", "--trials", "20000", "--seed", "7",
+            "--workers", "2",
+        ],
+    }
+    CELL_TEXT = (
+        "vertices 6\nboundary 0 1\nedge 0 2\nedge 1 3\nedge 2 3\nedge 2 4\n"
+        "edge 2 5\nedge 3 4\nedge 3 5\nedge 4 5\n"
+    )
+    GOLDEN = {
+        "validate": {
+            "diamond": "b7ab768c93ae1e96f4665868b68e8b9278eaabcff3b58f0530a5c394094cbce2",
+            "path2": "c2be639420043aeb25fb5287f2e31c1a35383aa0d28dbaf8fd446851a1d83022",
+            "path3": "8e4f484327a4c9685c273276274a688ccc9e127bb95d4316b0c00d6d330e2e7c",
+            "sierpinski": "e4b0578058906975cba5a2824c87b18ce16058df3ae02e17c42bfc7eac104138",
+            "theta4": "0f3fba70cb5597f5efe2e06ab89a0e9759ffe6501f197ba91ae65a0a569d9846",
+            "cell file": "1f181307794c2516437ff27f4d2151b92665956aed2606db72256e0ee6114658",
+        },
+        "functions": {
+            "diamond": "5d3aa596f726180aa0517a70dd4e8db9c894e1107a729739d67dd46081a5158e",
+            "path2": "fbd27c043f456a99a1efe98d206a3e6eb37cf8515c9b92339158bc71fc43568b",
+            "path3": "c35058a3e0ad0184c22d7d8cfdc4b22d816bcc40dc8b56371f5c10fc66cb9c80",
+            "sierpinski": "8e21bbb40c7809fe4ffd8accc369632c4e31b0efdbc3a4479e79132f79d5fc45",
+            "theta4": "6e67a0db7699bcdab75309f7c049f9b01e179f8838e77474879307d53ec8c97b",
+            "cell file": "74dcfd04f1a662c225d7003b5b15ba9fa90e1df91318bfba8c5bbb63874d195b",
+        },
+        "green": {
+            "diamond": "150dbbd4d3f836d9556a1e2e1d5d4b67902fecc6b2b3c48e3c941976a99c9956",
+            "path2": "9216662047b38230400dba183b7782d8e807dea6cf21de6ac7be5f548c709ec1",
+            "path3": "f422e0a1c6c2f822b0908fd080913768d1fbad0ea71f1f4f2797c4235d728051",
+            "sierpinski": "3107a6ad1a0a1d898880a1732efad370b0e5673e14644ee2a5bcbf1a9f54b742",
+            "theta4": "e952f147c267df56792ec8e5cd407b6277e5754986a7f8397469eb86ff9e8af1",
+            "cell file": "8fc27741251466d8343dc3a9896e789d97f1c7817b5919d41b087f6ef77c7dd7",
+        },
+        "invariants": {
+            "diamond": "f0d95d0d7e3f9b5ea94fac96018de3daaefeb78acd575ee8430416a1f46ec4d4",
+            "path2": "9b2e474b47b0f661af40886f5a7db2b441ad6480967f856c81cf367a9fa42e38",
+            "path3": "258d9b759f288afd0991130672367589ec87fd6fdc0e4b4b569a08fb3f88e53a",
+            "sierpinski": "c896c9121eda282250533d3c9e1a776e7b330979cefbddcdff6567bb6d599990",
+            "theta4": "4215102747f1bbb554f4198fec4e20df11ff6b5f1c6fcbcd4fd524920c1c0063",
+            "cell file": "d00aab4e7dd924aa4e2f975df3a3bb916218cbc3210035bb8cf712397545f03e",
+        },
+        "classify": {
+            "diamond": "cef19050d5a26125f5c67648db7282cd122b223943d06c1c47b7a028d61b0ac2",
+            "path2": "3935dc4d8cf32a2b60e9618d82c714a36341c1ca2bc2e73324f6fa2bd3440c56",
+            "path3": "05aa1118e4d10a1c0b581cd20166c6bab04f98413820d85e3146f761e5a14d39",
+            "sierpinski": "594cca4112e82f229503bd228651826ce2f820afe9871757b9ee8320a0723a25",
+            "theta4": "3820b20af184bdf41a7a15c0fb848d6a3d31495b954f13b0a075ec0d5225bef7",
+            "cell file": "ae75c1c7309d102f472df4da37767753190cb4993a4c39f624ce414b7a98fc54",
+        },
+        "blowup": {
+            "diamond": "7c0eea6b1c0032c69cbb16a0b6c787cbd9d0478aefda6fa6a711fd98df2cc060",
+            "path2": "fbf65a68109ba1ed9fb21b20c0718578ac78a66d2e39ac55a5e456876cf3debb",
+            "path3": "288ca21bd60ada80f7e9abfaa6a024829b200fb7e5f5e78cd4546d7b4c96a1e4",
+            "sierpinski": "88c1c49cc6114eb17fb3b4d5a23bb52e1de082476b9558390469903ed19cfcb7",
+            "theta4": "aa1286a6c6578fb16a110a046665d22fe2e8fce1cf34ba42cb4c7a1fa89cdb8a",
+            "cell file": "2fa702fd05a49c6c3d9e72ed3a6f9af86fb7ecdec920d8a5261934243eb849fd",
+        },
+        "simulate": {
+            "diamond": "69ccd2cdabcbe9a65945e308654b24bd1c389546837df3a31fc354c2919b9473",
+            "path2": "8535e821c56f088f38c389693f46241e48747d2ba8ac3f49a5d852bf0acfd61f",
+            "path3": "8c56994e8aac3d9d1dc68ae02cc5715ff8de3c64cd682942df45af06874b63ee",
+            "sierpinski": "03e4cf2672f103aa2c9e90c3b713c4b9b272c0dabe922722d7ca45ce43e61f4d",
+            "theta4": "6d03c8a8e48651709aa5ca3c1b63eb44d0775e385d8dafc679cd0de1d4eabc1d",
+            "cell file": "f73117bc9cfaddc8d26b4bb85b800d12dd1a058d18540bb68d50e86fa1c46a07",
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "command, source",
+        sorted((c, s) for c, by_source in GOLDEN.items() for s in by_source),
+    )
+    def test_report_digest(self, command, source, tmp_path, monkeypatch, capsys):
+        if source == "cell file":
+            # A relative path keeps input.source and the cell name fixed.
+            monkeypatch.chdir(tmp_path)
+            (tmp_path / "cell.txt").write_text(self.CELL_TEXT)
+            given = ["cell.txt"]
+        else:
+            given = ["--builtin", source]
+        assert cellgreen.cli.main(self.ARGS[command] + given) == 0
+        doc = json.loads(capsys.readouterr().out)
+        del doc["elapsed_seconds"]
+        text = json.dumps(doc, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[command][source]
+
+    ENVELOPE = ["schema", "tool", "version", "command", "input", "cell"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [*ARGS.values(), ["verify", "--max-steps", "6"]],
+        ids=[*ARGS, "verify"],
+    )
+    def test_envelope_keys_come_first_and_timing_last(self, args, capsys):
+        assert cellgreen.cli.main(args + ["--builtin", "path2"]) == 0
+        keys = list(json.loads(capsys.readouterr().out))
+        assert keys[:6] == self.ENVELOPE
+        assert keys[-1] == "elapsed_seconds"
+        assert len(keys) > 7
+
+    def test_enumerate_envelope_has_no_cell(self, capsys):
+        assert cellgreen.cli.main(["verify", "--enumerate", "--max-vertices", "3"]) == 0
+        keys = list(json.loads(capsys.readouterr().out))
+        assert keys[:5] == self.ENVELOPE[:5]
+        assert keys[5] == "verify"
+        assert keys[-1] == "elapsed_seconds"
+
+
 class TestBudgets:
     @pytest.mark.parametrize("raw", ["abc", "-5", "1.5", ""])
     @pytest.mark.parametrize(
@@ -474,29 +593,54 @@ class TestBudgets:
         assert body["order"] == 1000
         assert len(body["f"]["series"]) == 1001
 
-    @pytest.mark.parametrize(
-        "trials, steps, walk",
-        [(10**12, 4, 4 * 10**12), (1, 10**7, 4096 * 10**7), (10**9, 11, 11 * 10**9)],
-    )
-    def test_walk_budget_exits_three_before_loading(
-        self, trials, steps, walk, monkeypatch, capsys
-    ):
+    @staticmethod
+    def _simulate_unloaded(flags, monkeypatch, capsys):
+        """simulate on diamond with loading and walking forbidden."""
+
         def fail(*args, **kwargs):
             raise AssertionError("the cell was loaded or walked")
 
         for name in ("builtin_cell", "blowup", "sufficient_approximant", "monte_carlo"):
             monkeypatch.setattr(cellgreen.cli, name, fail)
-        code = cellgreen.cli.main(
-            ["simulate", "--builtin", "diamond", "--trials", str(trials),
-             "--steps", str(steps)]
-        )
+        code = cellgreen.cli.main(["simulate", "--builtin", "diamond", *flags])
         captured = capsys.readouterr()
-        assert code == 3
         assert captured.out == ""
-        assert captured.err == (
-            f"error: --trials x --steps (at least 4096 a step) {walk} exceeds "
-            "the walk budget of 10000000000\n"
-        )
+        return code, captured.err
+
+    WALK_REFUSED = (
+        "error: max(--trials, 4096 x --workers) x max(--steps, 1) {} "
+        "exceeds the walk budget of 10000000000\n"
+    )
+
+    @pytest.mark.parametrize(
+        "trials, steps, walk",
+        [
+            (10**12, 4, 4 * 10**12),
+            (1, 10**7, 4096 * 10**7),
+            (10**9, 11, 11 * 10**9),
+            (10**12, 0, 10**12),
+        ],
+    )
+    def test_walk_budget_exits_three_before_loading(
+        self, trials, steps, walk, monkeypatch, capsys
+    ):
+        flags = ["--trials", str(trials), "--steps", str(steps)]
+        refused = (3, self.WALK_REFUSED.format(walk))
+        assert self._simulate_unloaded(flags, monkeypatch, capsys) == refused
+
+    @pytest.mark.parametrize(
+        "workers, code, err",
+        [
+            (10**7, 3, WALK_REFUSED.format(4096 * 10**7 * 4)),
+            (0, 2, "error: --workers must be at least 1, got 0\n"),
+            (-2, 2, "error: --workers must be at least 1, got -2\n"),
+        ],
+    )
+    def test_workers_checked_before_loading(
+        self, workers, code, err, monkeypatch, capsys
+    ):
+        flags = ["--workers", str(workers)]
+        assert self._simulate_unloaded(flags, monkeypatch, capsys) == (code, err)
 
     @pytest.mark.parametrize("trials, steps", [(10**9, 10), (1, 10**10 // 4096)])
     def test_walk_budget_admits_its_limit(self, trials, steps, monkeypatch, capsys):

@@ -351,7 +351,7 @@ class TestSpectralData:
     def test_double_pole_has_no_residue_scale(self):
         sd = radius(RatFunc(P(1), P(1, -2) * P(1, -2)))
         assert sd.pole_order == 2
-        assert sd.rho.contains(Fraction(1, 2))
+        assert Fraction(1, 2) in sd.rho
         assert sd.residue_scale is None
         assert sd.to_json()["residue_scale"] is None
 
