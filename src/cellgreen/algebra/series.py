@@ -114,10 +114,6 @@ class PowerSeries:
 
     __rmul__ = __mul__
 
-    def derivative(self) -> PowerSeries:
-        n = max(self.order - 1, 0)
-        return PowerSeries([i * self.coeffs[i] for i in range(1, self.order)], n)
-
     def compose(self, inner: PowerSeries) -> PowerSeries:
         """Substitute ``inner`` for the variable.
 

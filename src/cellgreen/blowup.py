@@ -286,13 +286,6 @@ class ReturnProbs:
     probs: tuple[Fraction, ...]
     safe_horizon: int
 
-    @property
-    def approximant_only_from(self) -> int | None:
-        """First step count not covered by the infinite-graph guarantee."""
-        if len(self.probs) - 1 <= self.safe_horizon:
-            return None
-        return self.safe_horizon + 1
-
 
 def exact_return_probs(a: Approximant, n_max: int) -> ReturnProbs:
     """p^(n)(origin, origin) for n = 0..n_max, exactly.

@@ -297,7 +297,8 @@ def cmd_blowup(args):
 def cmd_simulate(args):
     _nonnegative("--steps", args.steps)
     _nonnegative("--seed", args.seed)
-    _nonnegative("--trials", args.trials)
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     walk = max(args.trials, 4096 * args.workers) * max(args.steps, 1)

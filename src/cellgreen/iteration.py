@@ -95,28 +95,15 @@ def green_series(cf: CellFunctions, order: int) -> GreenSeries:
     return GreenSeries(g, max(len(sizes) - 1, 1), order, f_ser, d_ser)
 
 
-def green_series_recursion(cf: CellFunctions, order: int) -> PowerSeries:
-    """Coefficients of G solved order-by-order from G = f (G over d).
-
-    Independent of the nesting in green_series: no level sizes, each
-    coefficient comes from the full equation, and coefficient n of the
-    right side only involves earlier coefficients of G because d starts at
-    z^2.  One compose per coefficient, so meant as a cross-check at small
-    truncations.  It expands f and d itself, sharing nothing with G.
-    """
-    count = order + 1
-    f_ser = series_from_ratfunc(cf.f, count)
-    d_ser = series_from_ratfunc(cf.d, count)
-    coeffs = [Fraction(1)] + [Fraction(0)] * order
-    for n in range(1, order + 1):
-        partial = PowerSeries(coeffs, count)
-        rhs = f_ser * partial.compose(d_ser)
-        coeffs[n] = rhs.coefficient(n)
-    return PowerSeries(coeffs, count)
-
-
 def functional_residual(gs: GreenSeries) -> PowerSeries:
-    """G - f (G over d) from the series gs carries; zero when G is right."""
+    """G - f (G over d) from the series gs carries; zero when G is right.
+
+    A zero residual through z^order with G(0) = 1 fixes G through z^order:
+    d vanishes to order at least 2, so coefficient n of f (G over d)
+    involves only g_0 .. g_(n // 2), and each g_n with n >= 1 follows from
+    earlier ones.  G(0) must be pinned apart, since the equation is linear:
+    2 G has a zero residual too.
+    """
     return gs.series - gs.f_series * gs.series.compose(gs.d_series)
 
 

@@ -5,14 +5,25 @@ without building single entries; resolvent_det and green_entry give any
 entry of (I - zT)^{-1} for the cross-checks.  grid_expansion samples the
 expansion inequalities that spectral_property_report certifies.
 bounded_draws and reference_monte_carlo are the batch draw and the walk
-that monte_carlo's fused step replaced.
+that monte_carlo's fused step replaced.  green_series_recursion solves
+G = f (G over d) one coefficient at a time, a reference for the nested
+expansion of green_series; verify no longer runs it, because its
+functional_residual item with G(0) = 1 implies the same coefficients.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
-from cellgreen.algebra import Poly, RatFunc, det_linear
+from cellgreen.algebra import (
+    Poly,
+    PowerSeries,
+    RatFunc,
+    det_linear,
+    series_from_ratfunc,
+)
 from cellgreen.greenkernel import (
     CellFunctions,
     Matrix,
@@ -36,6 +47,26 @@ def green_entry(t: Matrix, i: int, j: int, denom: Poly | None = None) -> RatFunc
     if denom is None:
         denom = det_linear(m)
     return RatFunc(_cofactor(m, i, j), denom)
+
+
+def green_series_recursion(cf: CellFunctions, order: int) -> PowerSeries:
+    """Coefficients of G solved order-by-order from G = f (G over d).
+
+    Independent of the nesting in green_series: no level sizes, each
+    coefficient comes from the full equation, and coefficient n of the
+    right side only involves earlier coefficients of G because d starts at
+    z^2.  One compose per coefficient, so meant as a cross-check at small
+    truncations.  It expands f and d itself, sharing nothing with G.
+    """
+    count = order + 1
+    f_ser = series_from_ratfunc(cf.f, count)
+    d_ser = series_from_ratfunc(cf.d, count)
+    coeffs = [Fraction(1)] + [Fraction(0)] * order
+    for n in range(1, order + 1):
+        partial = PowerSeries(coeffs, count)
+        rhs = f_ser * partial.compose(d_ser)
+        coeffs[n] = rhs.coefficient(n)
+    return PowerSeries(coeffs, count)
 
 
 def _derivative(r: RatFunc) -> RatFunc:

@@ -354,16 +354,16 @@ class TestExactOracle:
         assert rp.probs == (
             1, 0, Fraction(1, 2), 0, Fraction(3, 8), 0, Fraction(5, 16)
         )
-        assert rp.approximant_only_from is None
+        assert len(rp.probs) - 1 <= rp.safe_horizon
 
     def test_diamond_cell_vs_infinite_graph_at_eight(self):
         rp1 = exact_return_probs(blowup(builtin_cell("diamond"), 1), 8)
         assert rp1.safe_horizon == 7
-        assert rp1.approximant_only_from == 8
+        assert len(rp1.probs) - 1 == 8 > rp1.safe_horizon
         assert rp1.probs[8] == Fraction(14, 81)
 
         rp2 = exact_return_probs(blowup(builtin_cell("diamond"), 2), 8)
-        assert rp2.approximant_only_from is None
+        assert len(rp2.probs) - 1 <= rp2.safe_horizon
         assert rp2.probs[8] == Fraction(40, 243)
         assert rp1.probs[:8] == rp2.probs[:8]
 

@@ -1,5 +1,6 @@
 """Verdicts for the nature of the return generating function."""
 
+import dataclasses
 import importlib
 import re
 from fractions import Fraction
@@ -185,11 +186,25 @@ class TestFullVerification:
         assert len(calls["invariants"]) == 1
         assert len(calls["harmonic_function"]) == (1 if g.theta == 2 else 0)
         assert len(calls["green_series"]) <= (2 if g.is_path() else 1)
-        # f and d are expanded for G, which carries them to the residual,
-        # and again by the order-by-order cross-check.
-        assert len(calls["series_from_ratfunc"]) <= (6 if g.is_path() else 4)
+        # f and d are expanded once for G, which carries them to the residual.
+        assert len(calls["series_from_ratfunc"]) == (4 if g.is_path() else 2)
         # I - zP_f and I - zP_d, each built once by cell_functions.
         assert len(calls["_resolvent_matrix"]) == 2
+
+    def test_residual_item_pins_the_constant_term(self, monkeypatch):
+        # 2G solves the linear equation G = f*(G over d) as well as G does,
+        # so only the G(0) = 1 condition tells the two apart.
+        module = importlib.import_module("cellgreen.classify")
+        real = module.green_series
+
+        def doubled(cf, order):
+            gs = real(cf, order)
+            return dataclasses.replace(gs, series=gs.series * 2)
+
+        monkeypatch.setattr(module, "green_series", doubled)
+        report = verify_cell(builtin_cell("diamond"), max_steps=8)
+        items = {item.name: item.passed for item in report.items}
+        assert items["functional_residual"] is False
 
     def test_classify_validates_once(self, count_calls):
         calls = count_calls("cellgreen.cells", "validate_cell")

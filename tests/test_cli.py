@@ -330,7 +330,6 @@ class TestInputErrors:
             (["simulate", "--edge-budget", "-5"], "--edge-budget", -5),
             (["verify", "--edge-budget", "-5"], "--edge-budget", -5),
             (["simulate", "--seed", "-3"], "--seed", -3),
-            (["simulate", "--trials", "-1", "--steps", "10000000"], "--trials", -1),
         ],
     )
     def test_negative_counts_exit_two(self, cli, args, flag, value):
@@ -339,18 +338,29 @@ class TestInputErrors:
         assert result.stdout == ""
         assert result.stderr == f"error: {flag} must be nonnegative, got {value}\n"
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_below_one_exit_two(self, cli, trials):
+        result = cli(
+            "simulate", "--builtin", "diamond", "--trials", str(trials),
+            "--steps", "10000000",
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: --trials must be at least 1, got {trials}\n"
+
 
 class TestVerifyGolden:
     # sha256 of each builtin's `verify` JSON (sorted keys, elapsed_seconds
-    # removed), re-recorded when expansion_between_fixed_points became a
-    # Sturm certificate: the JSON before differs only in that item's detail
-    # string, which read "... at 32 rational points in (1, rho_d)".
+    # removed), re-recorded when the recursion_crosscheck item was dropped:
+    # the JSON before differs only in that item, which followed
+    # oracle_equivalence, and in the functional_residual detail, which read
+    # "G - f*(G over d) vanishes through z^40".
     GOLDEN = {
-        "diamond": "9b7cbf0cd759e36af0b046e3a435f22f0ec6bf182490f8bdc9941e6ab28d7229",
-        "path2": "5def892793348642061322d5a06518633b76e53e1e0ddecd76337259e2b78b52",
-        "path3": "9e406286ab7d811a2fff1934d1e15e3dcca7b662d729d6e336954ecaee3e4457",
-        "sierpinski": "3ff81cacfdcf90f280a1746dcfdddac6243d826d5299cca2a4302db0bac8646d",
-        "theta4": "fcc75e7a3fa1a8621ede6f30c5b4526a52b2d63c9021eb5c2e82de279a36c873",
+        "diamond": "884b5cfb60bfb2c94724c4a329643a0df800ef89cc357cfd0b2af357e2fe5cdf",
+        "path2": "c73d568f6569cf3637eb8e33224e948ee7b6f196df37663922a666611cccb0c3",
+        "path3": "5e0f35d013be17d373d6cbf3a8daf08d89c5cb4b5c13edaee9ba796e1bad2354",
+        "sierpinski": "e28520450dc7624dffb077761fa2dc566990fcc01e9a6e7032db875f343e5b61",
+        "theta4": "937645c9dae43f1e56d17acd89689dbd777a739b1e5a2def5b96236ebaec1a37",
     }
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -641,6 +651,12 @@ class TestBudgets:
     ):
         flags = ["--workers", str(workers)]
         assert self._simulate_unloaded(flags, monkeypatch, capsys) == (code, err)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_checked_before_loading(self, trials, monkeypatch, capsys):
+        flags = ["--trials", str(trials)]
+        err = f"error: --trials must be at least 1, got {trials}\n"
+        assert self._simulate_unloaded(flags, monkeypatch, capsys) == (2, err)
 
     @pytest.mark.parametrize("trials, steps", [(10**9, 10), (1, 10**10 // 4096)])
     def test_walk_budget_admits_its_limit(self, trials, steps, monkeypatch, capsys):

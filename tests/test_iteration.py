@@ -16,12 +16,12 @@ from cellgreen import (
 )
 from cellgreen.iteration import (
     functional_residual,
-    green_series_recursion,
     iteration_hypotheses,
     singular_prefactor_probe,
 )
 from cellgreen.algebra import Poly, PowerSeries, RatFunc, log_ratio, series_from_ratfunc
 from cellgreen.classify import star_series
+from routes import green_series_recursion
 
 
 @pytest.fixture(scope="module")
