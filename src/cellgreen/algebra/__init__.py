@@ -4,9 +4,7 @@ power series, root isolation, linear algebra, and interval enclosures."""
 from .brackets import Bracket, ln_bracket, log_ratio
 from .matrix import (
     SingularMatrixError,
-    det_bareiss,
-    det_linear,
-    minor,
+    resolvent_row,
     solve_linear,
 )
 from .poly import (

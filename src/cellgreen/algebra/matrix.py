@@ -1,14 +1,14 @@
-"""Exact linear algebra: integer determinants and rational linear solves.
+"""Exact linear algebra: resolvent rows in integers and rational solves.
 
-``det_bareiss`` runs Bareiss fraction-free elimination (Math. Comp. 22,
-1968) on a matrix of plain ints.  ``det_linear`` takes matrices of linear
-polynomials, such as the resolvents I - zT, down to it; ``solve_linear``
-eliminates over ``Fraction`` or ``RatFunc`` entries.
+``resolvent_row`` runs Bareiss elimination (Math. Comp. 22, 1968) on
+plain ints; ``solve_linear`` eliminates over ``Fraction`` or ``RatFunc``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
+from operator import mul
 from typing import Sequence
 
 from .poly import Poly, integer_content
@@ -26,89 +26,18 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
-def minor(rows: Sequence[Sequence], drop_row: int, drop_col: int) -> list[list]:
-    """Submatrix with one row and one column removed (0-based indices)."""
-    return [
-        [x for j, x in enumerate(row) if j != drop_col]
-        for i, row in enumerate(rows)
-        if i != drop_row
-    ]
+def interpolate(values: Sequence[int]) -> list[int]:
+    """Coefficients, lowest first, of the integer polynomial p of degree
+    below ``len(values)`` with p(k) = values[k], k = 0, 1, ...
 
-
-def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square int matrix; every entry stays an int.
-
-    The Bareiss identity makes each division by the previous pivot exact;
-    a nonzero remainder raises ``ArithmeticError``.
+    The k-th Newton divided difference on these points is p's coefficient
+    in the falling-factorial basis z(z-1)...(z-k+1).  Each power z^m is an
+    integer combination of falling factorials (Stirling numbers of the
+    second kind), so for integer p every difference, at every start point,
+    is an integer and each division by k is exact (``_exact_div`` checks).
     """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        top = m[k]
-        pivot = top[k]
-        for row in m[k + 1 :]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = _exact_div(pivot * row[j] - lead * top[j], prev)
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
-def det_linear(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a square matrix of Poly entries of degree at most 1.
-
-    Row i is ``c_i`` times a row of integer polynomials, where ``c_i`` is the
-    positive content from ``integer_content``; this gives a matrix ``A + zB``
-    with integer ``A`` and ``B``.  Its determinant
-    ``p(z) = det(rows) / prod(c_i)`` has integer coefficients and
-    degree at most n, so its values at the n + 1 integer points z = 0..n fix
-    it; each value is ``det_bareiss`` of an integer matrix.
-
-    Newton interpolation on those points divides the k-th differences by k
-    (the spacing of points k apart), so the Newton coefficient ``c_k`` is
-    the k-th forward difference of p at 0 over k!.  That is the coefficient
-    of p in the falling-factorial basis ``z(z-1)...(z-k+1)``.  Every power
-    z^m is an integer combination of falling factorials (Stirling numbers of
-    the second kind), so these coefficients, and the divided differences at
-    every other start point (those of p(z + i)), are integers: each
-    division is exact, and ``_exact_div`` raises if one is not.  Expanding
-    the Newton form back to powers of z keeps integers, and the final
-    product with ``prod(c_i)`` gives the rational determinant.
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    scale = Fraction(1)
-    lows, highs = [], []
-    for row in rows:
-        if any(e.degree > 1 for e in row):
-            raise ValueError("det_linear needs entries of degree at most 1")
-        ints, content = integer_content(
-            [e.coefficient(0) for e in row] + [e.coefficient(1) for e in row]
-        )
-        scale *= content
-        lows.append(ints[:n])
-        highs.append(ints[n:])
-    diffs = [
-        det_bareiss(
-            [[a + z * b for a, b in zip(lo, hi)] for lo, hi in zip(lows, highs)]
-        )
-        for z in range(n + 1)
-    ]
+    diffs = list(values)
+    n = len(diffs) - 1
     # After pass k, diffs[i] is the divided difference over points i-k..i.
     for k in range(1, n + 1):
         for i in range(n, k - 1, -1):
@@ -120,7 +49,98 @@ def det_linear(rows: Sequence[Sequence[Poly]]) -> Poly:
         for i in range(len(coeffs) - 1):
             coeffs[i] -= k * coeffs[i + 1]
         coeffs[0] += diffs[k]
-    return Poly(c * scale for c in coeffs)
+    return coeffs
+
+
+def _adjugate_row(m: list[list[int]]) -> tuple[int, list[int]]:
+    """``(det M, row 0 of adj M)`` from the rows of ``[M^T | e_0]``, for an
+    int matrix M whose leading principal minors, the pivots, are nonzero.
+
+    Bareiss elimination runs without a row swap, and a zero pivot raises
+    ``ArithmeticError``; each division by the previous pivot is exact by
+    the Bareiss identity.  The last pivot is det M, and back substitution
+    on y = det(M) M^{-T} e_0, an integer vector by Cramer's rule whose
+    entry j is adj(M)[0][j], divides exactly.
+    """
+    n = len(m)
+    prev = 1
+    for k in range(n):
+        top = m[k]
+        pivot = top[k]
+        if not pivot:
+            raise ArithmeticError("zero pivot in resolvent elimination")
+        rest = top[k + 1 :]
+        for row in m[k + 1 :]:
+            lead = row[k]
+            if lead:
+                row[k + 1 :] = [
+                    (pivot * x - lead * y) // prev for x, y in zip(row[k + 1 :], rest)
+                ]
+            else:
+                row[k + 1 :] = [pivot * x // prev for x in row[k + 1 :]]
+        prev = pivot
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        acc = prev * row[n] - sum(map(mul, row[i + 1 : n], y[i + 1 :]))
+        y[i] = _exact_div(acc, row[i])
+    return prev, y
+
+
+def resolvent_row(
+    t: Sequence[Sequence[Fraction]], cols: Sequence[int]
+) -> tuple[Poly, list[Poly]]:
+    """det(I - zT) and the entries adj(I - zT)[0][j] for j in ``cols``.
+
+    Every row of T must have absolute sum at most 1, else ``ValueError``.
+    Clearing denominators, row i of I - zT is (a_i + z B_i) / a_i, with an
+    integer a_i > 0 on the diagonal of A and an integer row B_i.  So the
+    determinant is p(z) / prod(a) and entry (0, j), which drops row j, is
+    a_j q_j(z) / prod(a), where p = det(A + zB) and q_j = adj(A + zB)[0][j]
+    are integer polynomials of degree at most n and n - 1.
+
+    *Rescale.*  At the nodes z = k/(n+1), k = 0..n, the integer matrix
+    N_k = (n+1)A + kB = (n+1)(A + zB) has det N_k = (n+1)^n p(z) and
+    adj(N_k)[0][j] = (n+1)^(n-1) q_j(z), integer polynomials in k whose
+    coefficient m is p_m (n+1)^(n-m) and q_jm (n+1)^(n-1-m): ``interpolate``
+    gives them, and dividing by the power of n + 1 is exact.
+
+    *Dominance lemma.*  For |z| < 1, I - zT is strictly diagonally
+    dominant, |1 - z t_ii| >= 1 - |z t_ii| > |z| sum_{j != i} |t_ij| as
+    |z| sum_j |t_ij| < 1, and so is each leading principal block I - zT'.
+    They are nonsingular (Levy-Desplanques), also after positive row
+    scaling and transposition.  Every node has 0 <= z < 1, so each pivot
+    of ``_adjugate_row`` on N_k^T is nonzero.  Integer nodes would not do:
+    I - zT is singular at z = 2 on some cells.
+    """
+    n = len(t)
+    if any(len(r) != n for r in t):
+        raise ValueError("matrix must be square")
+    diag, b_cols = [], [[0] * n for _ in range(n)]  # b_cols[j][i] is B[i][j]
+    for i, row in enumerate(t):
+        ints, _ = integer_content([1, *(-x for x in row)])
+        if sum(map(abs, ints[1:])) > ints[0]:
+            raise ValueError("resolvent_row needs row absolute sums at most 1")
+        diag.append(ints[0])
+        for col, b in zip(b_cols, ints[1:]):
+            col[i] = b
+    s = n + 1
+
+    def node(k: int) -> tuple[int, list[int]]:
+        mt = [[k * b for b in col] + [int(j == 0)] for j, col in enumerate(b_cols)]
+        for j, a in enumerate(diag):
+            mt[j][j] += s * a
+        return _adjugate_row(mt)
+
+    def rescaled(values: Sequence[int], top: int, scale: Fraction) -> Poly:
+        coeffs = interpolate(values[: top + 1])
+        return Poly(_exact_div(c, s ** (top - m)) * scale for m, c in enumerate(coeffs))
+
+    dets, ys = zip(*map(node, range(s)))
+    total = prod(diag)
+    return rescaled(dets, n, Fraction(1, total)), [
+        rescaled([y[j] for y in ys], n - 1, Fraction(diag[j], total)) for j in cols
+    ]
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> list:

@@ -19,8 +19,7 @@ from .algebra import (
     Poly,
     RatFunc,
     count_roots,
-    det_linear,
-    minor,
+    resolvent_row,
     root_compare,
     roots_equal,
     smallest_positive_root,
@@ -38,24 +37,6 @@ Matrix = list[list[Fraction]]
 
 class KernelError(CellError):
     """A walk-function invariant failed; the input cell is unusable."""
-
-
-# -- resolvent entries -------------------------------------------------------
-
-
-def _resolvent_matrix(t: Matrix) -> list[list[Poly]]:
-    n = len(t)
-    return [
-        [Poly([1 if i == j else 0, -t[i][j]]) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _cofactor(m: list[list[Poly]], i: int, j: int) -> Poly:
-    # Numerator of entry (i, j) of m^{-1}: the minor drops row j and
-    # column i, and that transposition is what makes it (i, j), not (j, i).
-    numer = det_linear(minor(m, j, i))
-    return -numer if (i + j) % 2 else numer
 
 
 # -- the two modified step matrices ------------------------------------------
@@ -111,20 +92,22 @@ def poly_on_bracket(p: Poly, b: Bracket) -> Bracket:
     return acc
 
 
-def radius(func: RatFunc) -> SpectralData | None:
+def radius(func: RatFunc, rho: IsolatedRoot | None = None) -> SpectralData | None:
     """Smallest positive pole with order and leading expansion scale.
 
     None when the function has no positive pole (polynomials included),
     which callers report as an infinite radius.  The scale is None for a
-    pole that is not simple.
+    pole that is not simple.  A given ``rho``, the pole ``radius`` found
+    for another function with this denominator, is reused, not isolated.
     """
     den = func.den
     if den(Fraction(0)) == 0:
         raise ValueError("denominator vanishes at 0")
-    try:
-        rho = smallest_positive_root(den)
-    except NoPositiveRootError:
-        return None
+    if rho is None:
+        try:
+            rho = smallest_positive_root(den)
+        except NoPositiveRootError:
+            return None
     # The scale kappa with func ~ kappa (1 - z/rho)^{-order} near the pole.
     # For a simple pole kappa = -num(rho) / (rho den'(rho)); evaluate the
     # formula over a bracket tight enough that den' stays away from zero.
@@ -180,23 +163,22 @@ def cell_functions(g: CellGraph, report: CellReport | None = None) -> CellFuncti
     f(z) generates returns to the origin that avoid the rest of the boundary;
     d(z) generates first hits of the rest of the boundary; r = 1 - 1/f
     generates first returns to the origin under the same avoidance rule.
-    Each matrix I - zP is built once; d is the sum of the signed (0, j)
-    cofactors of I - zP_d over det_d, normalised once, and its double zero
-    at 0 is checked by CellFunctions.  ``report`` is ``validate_cell(g)``;
-    a caller that has validated the cell passes it in, so that validation
-    runs once.
+    One ``resolvent_row`` per matrix gives det(I - zP) and row 0 of the
+    adjugate: f is entry (0, 0) of I - zP_f over det_f, and d the sum of
+    entries (0, j), 0 < j < theta, of I - zP_d over det_d, normalised once;
+    CellFunctions checks d's double zero at 0.  When f and d keep one
+    denominator after cancellation, its pole is isolated once, for f.
+    ``report`` is ``validate_cell(g)``; a caller that has validated the
+    cell passes it in, so that validation runs once.
     """
     if report is None:
         report = require_valid(g)
     elif not report.valid:
         raise KernelError("cell_functions needs the report of a valid cell")
-    mf = _resolvent_matrix(build_pf(g))
-    md = _resolvent_matrix(build_pd(g))
-    det_f = det_linear(mf)
-    det_d = det_linear(md)
-    f = RatFunc(_cofactor(mf, 0, 0), det_f)
-    d_num = sum((_cofactor(md, 0, j) for j in range(1, g.theta)), Poly([0]))
-    d = RatFunc(d_num, det_d)
+    det_f, (f_num,) = resolvent_row(build_pf(g), [0])
+    det_d, d_nums = resolvent_row(build_pd(g), range(1, g.theta))
+    f = RatFunc(f_num, det_f)
+    d = RatFunc(sum(d_nums, Poly([0])), det_d)
     # 1 - 1/f, over f's coprime numerator and denominator.
     r = RatFunc(f.num - f.den, f.num)
 
@@ -208,7 +190,7 @@ def cell_functions(g: CellGraph, report: CellReport | None = None) -> CellFuncti
         raise KernelError("first-return identity f = 1/(1 - r) failed")
 
     sf = radius(f)
-    sd = radius(d)
+    sd = radius(d, sf.rho if sf and d.den == f.den else None)
     if sf is None or sd is None:
         raise KernelError("f and d must have a positive pole")
     sr = radius(r)

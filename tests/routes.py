@@ -1,11 +1,15 @@
 """Reference routes that only tests use.
 
-cell_functions reads f and d off the same resolvent matrices and cofactors
-without building single entries; resolvent_det and green_entry give any
-entry of (I - zT)^{-1} for the cross-checks.  grid_expansion samples the
-expansion inequalities that spectral_property_report certifies.
-bounded_draws and reference_monte_carlo are the batch draw and the walk
-that monte_carlo's fused step replaced.  green_series_recursion solves
+det_bareiss, det_linear and _cofactor are the determinant and cofactor
+routes that cell_functions used before resolvent_row: one Bareiss
+elimination, with row swaps, per determinant or cofactor at each integer
+point z = 0..n, where resolvent_row needs one elimination per node for
+the determinant and a whole adjugate row.  resolvent_det and green_entry
+give any entry of (I - zT)^{-1} for the cross-checks, even where I - zT
+is not diagonally dominant.  grid_expansion samples the expansion
+inequalities that spectral_property_report certifies.  bounded_draws
+and reference_monte_carlo are the batch draw and the walk that
+monte_carlo's fused step replaced.  green_series_recursion solves
 G = f (G over d) one coefficient at a time, a reference for the nested
 expansion of green_series; verify no longer runs it, because its
 functional_residual item with G(0) = 1 implies the same coefficients.
@@ -14,6 +18,7 @@ functional_residual item with G(0) = 1 implies the same coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -21,15 +26,103 @@ from cellgreen.algebra import (
     Poly,
     PowerSeries,
     RatFunc,
-    det_linear,
     series_from_ratfunc,
 )
-from cellgreen.greenkernel import (
-    CellFunctions,
-    Matrix,
-    _cofactor,
-    _resolvent_matrix,
-)
+from cellgreen.algebra.matrix import _exact_div, interpolate
+from cellgreen.algebra.poly import integer_content
+from cellgreen.greenkernel import CellFunctions, Matrix
+
+
+def minor(rows: Sequence[Sequence], drop_row: int, drop_col: int) -> list[list]:
+    """Submatrix with one row and one column removed (0-based indices)."""
+    return [
+        [x for j, x in enumerate(row) if j != drop_col]
+        for i, row in enumerate(rows)
+        if i != drop_row
+    ]
+
+
+def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square int matrix; every entry stays an int.
+
+    The Bareiss identity makes each division by the previous pivot exact;
+    a nonzero remainder raises ``ArithmeticError``.  A zero pivot swaps in
+    a lower row.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square")
+    if n == 0:
+        return 1
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            for r in range(k + 1, n):
+                if m[r][k]:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        top = m[k]
+        pivot = top[k]
+        for row in m[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = _exact_div(pivot * row[j] - lead * top[j], prev)
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def det_linear(rows: Sequence[Sequence[Poly]]) -> Poly:
+    """Determinant of a square matrix of Poly entries of degree at most 1.
+
+    Row i is ``c_i`` times a row of integer polynomials, where ``c_i`` is the
+    positive content from ``integer_content``; this gives a matrix ``A + zB``
+    with integer ``A`` and ``B``.  Its determinant
+    ``p(z) = det(rows) / prod(c_i)`` has integer coefficients and degree at
+    most n, so its values at the n + 1 integer points z = 0..n, each a
+    ``det_bareiss`` of an integer matrix, fix it through ``interpolate``;
+    the product with ``prod(c_i)`` gives the rational determinant.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square")
+    scale = Fraction(1)
+    lows, highs = [], []
+    for row in rows:
+        if any(e.degree > 1 for e in row):
+            raise ValueError("det_linear needs entries of degree at most 1")
+        ints, content = integer_content(
+            [e.coefficient(0) for e in row] + [e.coefficient(1) for e in row]
+        )
+        scale *= content
+        lows.append(ints[:n])
+        highs.append(ints[n:])
+    values = [
+        det_bareiss(
+            [[a + z * b for a, b in zip(lo, hi)] for lo, hi in zip(lows, highs)]
+        )
+        for z in range(n + 1)
+    ]
+    return Poly(c * scale for c in interpolate(values))
+
+
+def _resolvent_matrix(t: Matrix) -> list[list[Poly]]:
+    n = len(t)
+    return [
+        [Poly([1 if i == j else 0, -t[i][j]]) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _cofactor(m: list[list[Poly]], i: int, j: int) -> Poly:
+    # Numerator of entry (i, j) of m^{-1}: the minor drops row j and
+    # column i, and that transposition is what makes it (i, j), not (j, i).
+    numer = det_linear(minor(m, j, i))
+    return -numer if (i + j) % 2 else numer
 
 
 def resolvent_det(t: Matrix) -> Poly:

@@ -27,9 +27,9 @@ from cellgreen.algebra import (
     sturm_chain,
 )
 from cellgreen.algebra.matrix import (
+    _adjugate_row,
     _exact_div,
-    det_bareiss,
-    det_linear,
+    resolvent_row,
     solve_linear,
 )
 from cellgreen.algebra.roots import (
@@ -42,6 +42,7 @@ from cellgreen.algebra.roots import (
 from cellgreen.greenkernel import cell_functions
 from cellgreen.iteration import green_series
 from cellgreen.registry import builtin_cell
+from routes import det_bareiss, det_linear, minor
 
 X = Poly([0, 1])
 
@@ -780,6 +781,67 @@ class TestDeterminants:
         assert type(q) is int
         with pytest.raises(ArithmeticError):
             _exact_div(10, 4)
+
+
+def _substochastic(rows):
+    """Each row scaled down, when needed, to absolute sum exactly 1."""
+    out = []
+    for row in rows:
+        total = sum(abs(x) for x in row)
+        out.append([x / total for x in row] if total > 1 else row)
+    return out
+
+
+substochastic_matrices = st.integers(0, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(
+            st.fractions(min_value=-1, max_value=1, max_denominator=6),
+            min_size=n,
+            max_size=n,
+        ),
+        min_size=n,
+        max_size=n,
+    ).map(_substochastic)
+)
+
+
+class TestResolventRow:
+    @given(substochastic_matrices)
+    # Zero (absorbing) rows; eigenvalue 1/2, where I - zT is singular at
+    # z = 2; a stochastic swap, singular at z = 1 and z = -1; a negative
+    # diagonal; and the empty matrix.
+    @example([[0, 0, 0], [Fraction(1, 2), 0, Fraction(1, 2)], [0, 0, 0]])
+    @example([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
+    @example([[Fraction(1, 2)]])
+    @example([[0, 1], [1, 0]])
+    @example([[Fraction(-1, 3), Fraction(2, 3)], [0, Fraction(-1)]])
+    @example([])
+    def test_matches_generic_bareiss_and_laplace(self, t):
+        n = len(t)
+        m = [[P(int(i == j), -t[i][j]) for j in range(n)] for i in range(n)]
+        det, row = resolvent_row(t, range(n))
+        assert det == generic_bareiss(m) == det_laplace(m)
+        for j, entry in enumerate(row):
+            sub = minor(m, j, 0)
+            sign = -1 if j % 2 else 1
+            assert entry == sign * generic_bareiss(sub) == sign * det_laplace(sub)
+
+    def test_columns_pick_entries_of_the_row(self):
+        t = [[0, Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), 0, 0], [0, 1, 0]]
+        det, row = resolvent_row(t, range(3))
+        det2, picked = resolvent_row(t, [2, 0])
+        assert det2 == det and picked == [row[2], row[0]]
+
+    def test_row_sum_above_one_rejected(self):
+        with pytest.raises(ValueError, match="at most 1"):
+            resolvent_row([[Fraction(1, 2), Fraction(2, 3)], [0, 0]], [0])
+        with pytest.raises(ValueError, match="at most 1"):
+            resolvent_row([[0, 0], [Fraction(-3, 4), Fraction(1, 3)]], [0])
+
+    def test_zero_pivot_raises_without_a_swap(self):
+        # [[0, 1], [1, 0]] is invertible, but its first leading minor is 0.
+        with pytest.raises(ArithmeticError, match="zero pivot"):
+            _adjugate_row([[0, 1, 1], [1, 0, 0]])
 
 
 # -- brackets ---------------------------------------------------------------

@@ -173,7 +173,8 @@ class TestFullVerification:
                 ("cellgreen.harmonic", "harmonic_function"),
                 ("cellgreen.iteration", "green_series"),
                 ("cellgreen.algebra.series", "series_from_ratfunc"),
-                ("cellgreen.greenkernel", "_resolvent_matrix"),
+                ("cellgreen.algebra.matrix", "resolvent_row"),
+                ("cellgreen.algebra.roots", "smallest_positive_root"),
             ]
         }
         g = builtin_cell(name)
@@ -188,8 +189,12 @@ class TestFullVerification:
         assert len(calls["green_series"]) <= (2 if g.is_path() else 1)
         # f and d are expanded once for G, which carries them to the residual.
         assert len(calls["series_from_ratfunc"]) == (4 if g.is_path() else 2)
-        # I - zP_f and I - zP_d, each built once by cell_functions.
-        assert len(calls["_resolvent_matrix"]) == 2
+        # I - zP_f and I - zP_d, each eliminated once by cell_functions.
+        assert len(calls["resolvent_row"]) == 2
+        # The poles of f and r; d's too where its denominator, after
+        # cancellation, is not f's (sierpinski and theta4).
+        shared = name in ("diamond", "path2")
+        assert len(calls["smallest_positive_root"]) == (2 if shared else 3)
 
     def test_residual_item_pins_the_constant_term(self, monkeypatch):
         # 2G solves the linear equation G = f*(G over d) as well as G does,

@@ -9,11 +9,19 @@ import pytest
 from cellgreen import (
     KernelError,
     builtin_cell,
+    builtin_names,
     cell_functions,
     enumerate_cells,
     invariants,
 )
-from cellgreen.algebra import Poly, RatFunc, series_from_ratfunc, solve_linear
+from cellgreen.algebra import (
+    Poly,
+    RatFunc,
+    resolvent_row,
+    series_from_ratfunc,
+    smallest_positive_root,
+    solve_linear,
+)
 from cellgreen.cells import transition_matrix
 from cellgreen.greenkernel import (
     Matrix,
@@ -22,7 +30,14 @@ from cellgreen.greenkernel import (
     radius,
     spectral_property_report,
 )
-from routes import green_entry, grid_expansion, resolvent_det
+from routes import (
+    _cofactor,
+    _resolvent_matrix,
+    det_linear,
+    green_entry,
+    grid_expansion,
+    resolvent_det,
+)
 
 
 def P(*coeffs) -> Poly:
@@ -174,6 +189,25 @@ class TestModifiedMatrices:
         assert diamond_cf.det_d == det_d
 
 
+class TestResolventRow:
+    def test_matches_the_cofactor_route_on_every_cell(self, enumerated_cells):
+        # The determinant and the adjugate entries that cell_functions reads
+        # equal one det_linear per determinant and per cofactor, exactly,
+        # also on the cells whose resolvent is singular at an integer point
+        # z in 1..n, where det_linear evaluates and resolvent_row does not.
+        singular = 0
+        for g in [*enumerated_cells, *map(builtin_cell, builtin_names())]:
+            at_integer = False
+            for t, cols in ((build_pf(g), [0]), (build_pd(g), range(1, g.theta))):
+                det, row = resolvent_row(t, cols)
+                m = _resolvent_matrix(t)
+                assert det == det_linear(m)
+                assert row == [_cofactor(m, 0, j) for j in cols]
+                at_integer |= any(det(z) == 0 for z in range(1, g.n + 1))
+            singular += at_integer
+        assert singular == 32
+
+
 class TestGreenEntry:
     def test_single_state_chain(self):
         t = [[Fraction(0)]]
@@ -306,6 +340,38 @@ class TestSpectralData:
         assert float(rho_f) == pytest.approx(1.07046626931927, abs=1e-9)
         assert float(rho_d) == pytest.approx(float(rho_f), abs=1e-9)
         assert diamond_cf.spectral_f.pole_order == 1
+
+    def test_shared_denominator_is_isolated_once(self, count_calls):
+        calls = count_calls("cellgreen.algebra.roots", "smallest_positive_root")
+        cf = cell_functions(builtin_cell("diamond"))
+        assert cf.f.den == cf.d.den
+        assert cf.spectral_d.rho is cf.spectral_f.rho
+        # f, then r (whose denominator is f's numerator); d reuses f's pole.
+        assert [args[0] for args in calls] == [cf.f.den, cf.r.den]
+
+    def test_distinct_denominators_are_isolated_apart(self, count_calls):
+        calls = count_calls("cellgreen.algebra.roots", "smallest_positive_root")
+        cf = cell_functions(builtin_cell("sierpinski"))
+        assert cf.f.den != cf.d.den
+        assert [args[0] for args in calls] == [cf.f.den, cf.d.den, cf.r.den]
+        assert cf.spectral_d.rho.defining == cf.d.den
+        items = spectral_property_report(cf).items
+        assert items[0].name == "shared_radius" and items[0].passed
+
+    def test_shared_radius_fails_on_a_different_pole(self, diamond_cf, count_calls):
+        # A rational pole inside f's bracket: the brackets overlap, so only
+        # the exact comparison tells the two poles apart.
+        rho = diamond_cf.spectral_f.rho
+        other = smallest_positive_root(P(-rho.midpoint(), 1))
+        assert max(rho.low, other.low) < min(rho.high, other.high)
+        sd = dataclasses.replace(diamond_cf.spectral_d, rho=other)
+        cf = dataclasses.replace(diamond_cf, spectral_d=sd)
+        calls = count_calls("cellgreen.algebra.roots", "roots_equal")
+        item = spectral_property_report(cf).items[0]
+        assert item.name == "shared_radius"
+        assert not item.passed
+        assert item.detail == "f and d have different smallest positive poles"
+        assert calls
 
     def test_path2_radius(self, path2_cf):
         assert float(path2_cf.spectral_f.rho) == pytest.approx(2 ** 0.5, abs=1e-9)
