@@ -3,13 +3,16 @@
 A ``PowerSeries`` stores exactly ``order`` known coefficients (indices
 0..order-1); everything from z**order on is unknown.  Arithmetic propagates
 the number of known coefficients conservatively so a result never claims
-more knowledge than its inputs justify.
+more knowledge than its inputs justify.  ``expand_scaled`` expands a
+rational function by an integer recurrence in a scaled variable, for
+``series_from_ratfunc`` and for the integer levels of ``green_series``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Union
 
 from .poly import clear_denominators
@@ -63,6 +66,15 @@ class PowerSeries:
     def one(cls, order: int) -> PowerSeries:
         return cls([1] if order > 0 else [], order)
 
+    @classmethod
+    def from_scaled(cls, ints: list[int], den: int, scale: int) -> PowerSeries:
+        """The series with coefficient n equal to ints[n] / (den scale^n)."""
+        coeffs = []
+        for x in ints:
+            coeffs.append(Fraction(x, den))
+            den *= scale
+        return cls(coeffs)
+
     # -- queries ---------------------------------------------------------
 
     def coefficient(self, k: int) -> Fraction:
@@ -110,7 +122,7 @@ class PowerSeries:
         a, den_a = clear_denominators(self.coeffs[:n])
         b, den_b = clear_denominators(other.coeffs[:n])
         den = den_a * den_b
-        return PowerSeries([Fraction(c, den) for c in _int_product(a, b, n)], n)
+        return PowerSeries([Fraction(c, den) for c in int_product(a, b, n)], n)
 
     __rmul__ = __mul__
 
@@ -153,7 +165,7 @@ class PowerSeries:
         acc, den = [top.numerator], top.denominator
         for k in range(k_max - 1, -1, -1):
             m = n - k * val
-            acc = _int_product(acc, b[:m], m)
+            acc = int_product(acc, b[:m], m)
             den *= den_b
             c = self.coeffs[k]
             scale = c.denominator // math.gcd(den, c.denominator)
@@ -181,7 +193,7 @@ class PowerSeries:
         return f"PowerSeries({list(self.coeffs)!r}, order={self.order})"
 
 
-def _int_product(a: list[int], b: list[int], n: int) -> list[int]:
+def int_product(a: list[int], b: list[int], n: int) -> list[int]:
     """First ``n`` coefficients of the product of integer coefficient lists.
 
     One big-integer product by Kronecker substitution; the class docstring
@@ -192,12 +204,8 @@ def _int_product(a: list[int], b: list[int], n: int) -> list[int]:
     width = _bits_of_max(a) + _bits_of_max(b) + n.bit_length() + 2
     size = (width + 7) // 8
     half = 1 << (8 * size - 1)
-    low = _pack(a, size) * _pack(b, size) + _pack([half] * n, size)
-    digits = (low & ((1 << (8 * size * n)) - 1)).to_bytes(size * n, "little")
-    return [
-        int.from_bytes(digits[k : k + size], "little") - half
-        for k in range(0, size * n, size)
-    ]
+    low = _pack(a, size) * _pack(b, size) + pack_slots([half] * n, size)
+    return [x - half for x in unpack_slots(low, size, n)]
 
 
 def _bits_of_max(nums: list[int]) -> int:
@@ -206,22 +214,64 @@ def _bits_of_max(nums: list[int]) -> int:
 
 def _pack(nums: list[int], size: int) -> int:
     """``sum nums[i] * 256**(size*i)`` for signed ``|nums[i]| < 256**size``."""
-    pos = b"".join((x if x > 0 else 0).to_bytes(size, "little") for x in nums)
-    neg = b"".join((-x if x < 0 else 0).to_bytes(size, "little") for x in nums)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    pos = pack_slots([x if x > 0 else 0 for x in nums], size)
+    return pos - pack_slots([-x if x < 0 else 0 for x in nums], size)
 
 
-def series_from_ratfunc(r: RatFunc, order: int) -> PowerSeries:
-    """Expand a rational function with den(0) != 0 to ``order`` coefficients."""
+def pack_slots(nums: list[int], size: int) -> int:
+    """``sum nums[i] * 256**(size*i)`` for ``0 <= nums[i] < 256**size``."""
+    return int.from_bytes(
+        b"".join(x.to_bytes(size, "little") for x in nums), "little"
+    )
+
+
+def unpack_slots(packed: int, size: int, n: int) -> list[int]:
+    """The low ``n`` slots of ``size`` bytes of a nonnegative ``packed``."""
+    digits = (packed & ((1 << (8 * size * n)) - 1)).to_bytes(size * n, "little")
+    return [
+        int.from_bytes(digits[k : k + size], "little")
+        for k in range(0, size * n, size)
+    ]
+
+
+def expand_scaled(r: RatFunc, scale: int, count: int) -> tuple[list[int], int]:
+    """Integers ``a_n`` and ``c >= 1`` with coefficient n of r = a_n / (c scale^n).
+
+    Put z = scale w and divide numerator and denominator by den(0): then
+    r(scale w) = N(w) / Q(w) with Q(0) = 1.  Q must have integer
+    coefficients (``ArithmeticError`` otherwise), and ``c`` is the lcm of
+    the denominators of N's coefficients.  The coefficients of
+    c r(scale w) then obey a_n = c N_n - sum_(k >= 1) Q_k a_(n-k), a
+    recurrence in integers alone, with no division.
+    """
     den0 = r.den.coefficient(0)
     if den0 == 0:
         raise PoleError(Fraction(0))
-    num, den = r.num, r.den
-    out: list[Fraction] = []
-    for n in range(order):
-        s = num.coefficient(n)
-        for k in range(1, min(n, den.degree) + 1):
-            s -= den.coefficient(k) * out[n - k]
-        out.append(s / den0)
-    return PowerSeries(out, order)
+    q = [c / den0 * scale**k for k, c in enumerate(r.den.coeffs)]
+    if any(x.denominator != 1 for x in q):
+        raise ArithmeticError(f"the denominator is not integral in z/{scale}")
+    num, c = clear_denominators(
+        [x / den0 * scale**k for k, x in enumerate(r.num.coeffs)]
+    )
+    # Coefficients -Q_deg .. -Q_1, against a_(n-deg) .. a_(n-1).
+    back = [-x.numerator for x in reversed(q[1:])]
+    deg = len(back)
+    out: list[int] = []
+    for n in range(count):
+        lo = max(n - deg, 0)
+        s = sum(map(mul, back[deg - n + lo :], out[lo:n]))
+        out.append(s + num[n] if n < len(num) else s)
+    return out, c
 
+
+def series_from_ratfunc(r: RatFunc, order: int) -> PowerSeries:
+    """Expand a rational function with den(0) != 0 to ``order`` coefficients.
+
+    The scale is the lcm of the denominators of den(z) / den(0), so that
+    ``expand_scaled`` finds its denominator integral.
+    """
+    den0 = r.den.coefficient(0)
+    if den0 == 0:
+        raise PoleError(Fraction(0))
+    scale = math.lcm(*[(c / den0).denominator for c in r.den.coeffs])
+    return PowerSeries.from_scaled(*expand_scaled(r, scale, order), scale)

@@ -13,6 +13,7 @@ steps).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -61,9 +62,10 @@ ENV_EDGE_BUDGET = "CELLGREEN_EDGE_BUDGET"
 # the largest enumeration the test sweep and the benchmark run.
 MAX_ENUMERATE_VERTICES = 8
 
-# --order and --series-order.  Diamond at order 800 takes about 13 CPU s,
-# sierpinski at 600 about 29 s, theta4 at 800 about 82 s (2-core x86-64,
-# Python 3.11, under 35 MB).  Tests and the benchmark stay at order <= 400.
+# --order and --series-order.  `green` on diamond at order 800 takes about
+# 3.4 CPU s, sierpinski at 600 about 12 s, theta4 at 800 about 29 s (2-core
+# x86-64, Python 3.11, under 40 MB).  Tests and the benchmark stay at
+# order <= 400.
 MAX_ORDER = 1000
 
 # simulate walker steps, max(--trials, 4096 x --workers) x max(--steps, 1):
@@ -371,7 +373,14 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process.
+
+    parse_args leaves a parser as it was, so every ``main`` call of one
+    process (tests, the benchmark worker, a program that embeds the CLI)
+    shares it; a one-shot run of the command builds it once either way.
+    """
     parser = argparse.ArgumentParser(
         prog="cellgreen",
         description=(

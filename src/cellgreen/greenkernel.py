@@ -168,6 +168,9 @@ def cell_functions(g: CellGraph, report: CellReport | None = None) -> CellFuncti
     entries (0, j), 0 < j < theta, of I - zP_d over det_d, normalised once;
     CellFunctions checks d's double zero at 0.  When f and d keep one
     denominator after cancellation, its pole is isolated once, for f.
+    f = 1 / (1 - r) holds by construction: with f = N / D in lowest terms,
+    r = (N - D) / N, so 1 - r = D / N, and RatFunc's normal form makes
+    1 / (1 - r) the same N / D as f.
     ``report`` is ``validate_cell(g)``; a caller that has validated the
     cell passes it in, so that validation runs once.
     """
@@ -186,8 +189,6 @@ def cell_functions(g: CellGraph, report: CellReport | None = None) -> CellFuncti
         raise KernelError("return function must start at 1")
     if d(1) != 1:
         raise KernelError("transition function must reach 1 at z = 1")
-    if 1 / (1 - r) != f:
-        raise KernelError("first-return identity f = 1/(1 - r) failed")
 
     sf = radius(f)
     sd = radius(d, sf.rho if sf and d.den == f.den else None)

@@ -21,8 +21,8 @@ from .algebra import (
     PowerSeries,
     RatFunc,
     log_ratio,
-    series_from_ratfunc,
 )
+from .algebra.series import expand_scaled, int_product, pack_slots, unpack_slots
 from .cells import CellGraph
 from .greenkernel import (
     CellFunctions,
@@ -79,20 +79,102 @@ def green_series(cf: CellFunctions, order: int) -> GreenSeries:
     built.  The number of levels with m > 1, the nesting depth, equals the
     number of factors f(d_k(z)) of the product G = prod_k f(d_k(z)) that
     reach z^order.  CellFunctions ensures v >= 2, so it is logarithmic.
+
+    Every level runs in nonnegative integers, in the variable w = z / L
+    with L the lcm of the cell's vertex degrees:
+
+    * f(L w) = F(w) and d(L w) = D(w) have integer coefficients.  L P is
+      an integer matrix for P = P_f or P_d, so det(I - w L P) lies in Z[w]
+      with constant term 1.  The reduced denominator of f or d, divided
+      by its value at 0, divides it in Q[w]; by Gauss's lemma it is then a
+      scalar multiple of an integer factor whose constant term divides 1,
+      so it lies in Z[w] with constant term 1, and ``expand_scaled``
+      expands F and D without a division.
+    * b_n = L^n g_n is an integer.  g_n is the probability that the walk
+      on the limit graph is back at the origin after n steps, a sum over
+      closed walks of products of 1 / deg.  ``validate_cell`` holds every
+      boundary vertex at degree theta - 1, so a vertex keeps its cell
+      degree when copies are glued at it, and every degree of the limit
+      graph is a cell degree, which divides L.
+
+    With K = m' - 1, L^K G(d) = sum_(k <= K) b_k L^(K-k) D^k, and Horner
+    steps acc = acc D + b_k L^(K-k), each only mod w^(m - k v), give it
+    mod w^m; then b_n is coefficient n of F acc divided, exactly (checked),
+    by L^K.  The accumulator is one big integer of slots (Kronecker
+    substitution), never unpacked between steps.  Every coefficient is
+    nonnegative, so no slot borrows, and none overflows a slot holding
+    (K + 1) L^(K+m): g_k <= 1, and coefficient j of d^k is at most
+    d(1)^k = 1, so coefficient j of any accumulator is at most
+    (K + 1) L^(K+j), and of F acc at most L^(K+j).  A bipartite cell
+    whose f and d have no odd terms through z^order has none in G either;
+    it is solved by the same levels in u = w^2, from the even terms of F
+    and the square of the even terms of D, with L^2 for L.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     count = order + 1
-    f_ser = series_from_ratfunc(cf.f, count)
-    d_ser = series_from_ratfunc(cf.d, count)
+    scale = math.lcm(*cf.cell.degrees())
+    f_ints, f_den = expand_scaled(cf.f, scale, count)
+    d_ints, d_den = expand_scaled(cf.d, scale, count)
+    if f_den != 1 or d_den != 1:
+        raise ArithmeticError(f"f and d are not integer series in z/{scale}")
     v = cf.d.num.valuation()
+    if any(f_ints[1::2]) or any(d_ints[1::2]):
+        b = _solve_levels(f_ints, d_ints, scale, v)
+    else:
+        evens = d_ints[::2]
+        squared = int_product(evens, evens, len(evens))
+        b = [0] * count
+        b[::2] = _solve_levels(f_ints[::2], squared, scale * scale, v)
+    return GreenSeries(
+        PowerSeries.from_scaled(b, 1, scale),
+        max(len(_level_sizes(count, v)) - 1, 1),
+        order,
+        PowerSeries.from_scaled(f_ints, 1, scale),
+        PowerSeries.from_scaled(d_ints, 1, scale),
+    )
+
+
+def _level_sizes(count: int, v: int) -> list[int]:
+    """count, then each level's m' = (m - 1) // v + 1, down to 1."""
     sizes = [count]
     while sizes[-1] > 1:
         sizes.append((sizes[-1] - 1) // v + 1)
-    g = PowerSeries.one(1)
-    for m in reversed(sizes[:-1]):
-        g = f_ser.truncate(m) * g.compose(d_ser.truncate(m))
-    return GreenSeries(g, max(len(sizes) - 1, 1), order, f_ser, d_ser)
+    return sizes
+
+
+def _solve_levels(f: list[int], d: list[int], scale: int, v: int) -> list[int]:
+    """b_n = scale^n g_n for n < len(f), given f and d in w (green_series)."""
+    b = [1]
+    for m in reversed(_level_sizes(len(f), v)[:-1]):
+        b = _level(f, d, scale, v, b, m)
+    return b
+
+
+def _level(
+    f: list[int], d: list[int], scale: int, v: int, b: list[int], m: int
+) -> list[int]:
+    """b_0 .. b_(m-1) from b_0 .. b_K, K = (m - 1) // v (green_series)."""
+    k_top = len(b) - 1
+    size = (((k_top + 1) * scale ** (k_top + m)).bit_length() + 7) // 8
+    bits = 8 * size
+    powers = [1]
+    for _ in range(k_top):
+        powers.append(powers[-1] * scale)
+    # D / w^v: acc D mod w^n is (acc (D / w^v) mod w^(n-v)) shifted by v slots.
+    inner = pack_slots(d[v:m], size)
+    acc = b[k_top]
+    for k in range(k_top - 1, -1, -1):
+        mask = (1 << bits * (m - (k + 1) * v)) - 1
+        acc = (acc * (inner & mask) & mask) << bits * v
+        acc += b[k] * powers[k_top - k]
+    out = []
+    for x in unpack_slots(pack_slots(f[:m], size) * acc, size, m):
+        q, rem = divmod(x, powers[k_top])
+        if rem:
+            raise ArithmeticError("a coefficient of L^n G is not an integer")
+        out.append(q)
+    return out
 
 
 def functional_residual(gs: GreenSeries) -> PowerSeries:

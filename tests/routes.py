@@ -13,6 +13,9 @@ monte_carlo's fused step replaced.  green_series_recursion solves
 G = f (G over d) one coefficient at a time, a reference for the nested
 expansion of green_series; verify no longer runs it, because its
 functional_residual item with G(0) = 1 implies the same coefficients.
+nested_green_series is the nesting that green_series ran before it moved
+to integers in z / L: the same levels, each a Fraction composition and
+product of PowerSeries.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from cellgreen.algebra import (
 from cellgreen.algebra.matrix import _exact_div, interpolate
 from cellgreen.algebra.poly import integer_content
 from cellgreen.greenkernel import CellFunctions, Matrix
+from cellgreen.iteration import GreenSeries
 
 
 def minor(rows: Sequence[Sequence], drop_row: int, drop_col: int) -> list[list]:
@@ -140,6 +144,26 @@ def green_entry(t: Matrix, i: int, j: int, denom: Poly | None = None) -> RatFunc
     if denom is None:
         denom = det_linear(m)
     return RatFunc(_cofactor(m, i, j), denom)
+
+
+def nested_green_series(cf: CellFunctions, order: int) -> GreenSeries:
+    """green_series by the same levels, in rational arithmetic.
+
+    With v the valuation of d, each level G mod z^m = f (G mod z^m')(d)
+    mod z^m, m' = (m - 1) // v + 1, is one PowerSeries compose and one
+    product, from the Fraction expansions of f and d.
+    """
+    count = order + 1
+    f_ser = series_from_ratfunc(cf.f, count)
+    d_ser = series_from_ratfunc(cf.d, count)
+    v = cf.d.num.valuation()
+    sizes = [count]
+    while sizes[-1] > 1:
+        sizes.append((sizes[-1] - 1) // v + 1)
+    g = PowerSeries.one(1)
+    for m in reversed(sizes[:-1]):
+        g = f_ser.truncate(m) * g.compose(d_ser.truncate(m))
+    return GreenSeries(g, max(len(sizes) - 1, 1), order, f_ser, d_ser)
 
 
 def green_series_recursion(cf: CellFunctions, order: int) -> PowerSeries:

@@ -39,6 +39,7 @@ from cellgreen.algebra.roots import (
     _nonroot_near,
     cauchy_bound,
 )
+from cellgreen.algebra.series import expand_scaled
 from cellgreen.greenkernel import cell_functions
 from cellgreen.iteration import green_series
 from cellgreen.registry import builtin_cell
@@ -211,6 +212,31 @@ class TestPowerSeries:
         assert info.value.point == 0
         assert isinstance(info.value.point, Fraction)
 
+    @given(small_polys, nonzero_polys.filter(lambda p: p.coefficient(0) != 0),
+           st.integers(min_value=0, max_value=14))
+    @example(P(1, 2), P(3, 0, -1, 1), 12)
+    @example(P(), P(Fraction(-2, 3)), 5)
+    @example(P(0, 0, Fraction(1, 9)), P(1, 0, Fraction(-1, 36), 0, Fraction(1, 54)), 14)
+    def test_matches_the_fraction_recurrence(self, num, den, order):
+        r = RatFunc(num, den)
+        expected = fraction_series(r, order)
+        assert series_from_ratfunc(r, order) == expected
+        # Any scale that makes the denominator integral gives the same series.
+        den0 = r.den.coefficient(0)
+        scale = 2 * math.lcm(*[(c / den0).denominator for c in r.den.coeffs])
+        ints, c = expand_scaled(r, scale, order)
+        coeffs = [Fraction(a, c * scale**n) for n, a in enumerate(ints)]
+        assert coeffs == list(expected.coeffs)
+
+    def test_expand_scaled_needs_an_integral_denominator(self):
+        r = RatFunc(P(1), P(1, Fraction(-1, 4)))
+        assert expand_scaled(r, 4, 5) == ([1, 1, 1, 1, 1], 1)
+        assert expand_scaled(r, 8, 3) == ([1, 2, 4], 1)
+        assert expand_scaled(r / 3, 4, 2) == ([1, 1], 3)
+        for scale in (2, 3):
+            with pytest.raises(ArithmeticError):
+                expand_scaled(r, scale, 5)
+
     def test_compose_simple(self):
         outer = series_from_poly(P(1, 1), 4)
         inner = series_from_poly(P(0, 0, 1), 4)
@@ -257,6 +283,18 @@ class TestPowerSeries:
         assert (a + b).order == 2
         assert (a * b).order == 2
         assert (a * b).coeffs == (1, 3)
+
+
+def fraction_series(r: RatFunc, order: int) -> PowerSeries:
+    """Reference expansion: the recurrence of r's coefficients in Fractions."""
+    den0 = r.den.coefficient(0)
+    out: list[Fraction] = []
+    for n in range(order):
+        s = r.num.coefficient(n)
+        for k in range(1, min(n, r.den.degree) + 1):
+            s -= r.den.coefficient(k) * out[n - k]
+        out.append(s / den0)
+    return PowerSeries(out, order)
 
 
 # -- series product against the schoolbook reference ------------------------

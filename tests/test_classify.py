@@ -172,7 +172,7 @@ class TestFullVerification:
                 ("cellgreen.iteration", "invariants"),
                 ("cellgreen.harmonic", "harmonic_function"),
                 ("cellgreen.iteration", "green_series"),
-                ("cellgreen.algebra.series", "series_from_ratfunc"),
+                ("cellgreen.iteration", "expand_scaled"),
                 ("cellgreen.algebra.matrix", "resolvent_row"),
                 ("cellgreen.algebra.roots", "smallest_positive_root"),
             ]
@@ -188,7 +188,7 @@ class TestFullVerification:
         assert len(calls["harmonic_function"]) == (1 if g.theta == 2 else 0)
         assert len(calls["green_series"]) <= (2 if g.is_path() else 1)
         # f and d are expanded once for G, which carries them to the residual.
-        assert len(calls["series_from_ratfunc"]) == (4 if g.is_path() else 2)
+        assert len(calls["expand_scaled"]) == (4 if g.is_path() else 2)
         # I - zP_f and I - zP_d, each eliminated once by cell_functions.
         assert len(calls["resolvent_row"]) == 2
         # The poles of f and r; d's too where its denominator, after

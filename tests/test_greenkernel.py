@@ -307,6 +307,15 @@ class TestCellFunctions:
             assert cf.d == d and repr(cf.d) == repr(d)
             assert cf.r == r and repr(cf.r) == repr(r)
 
+    def test_first_return_identity_on_every_cell(self, sweep, builtin_functions):
+        # cell_functions builds r over f's coprime numerator and denominator,
+        # so f = 1/(1 - r) holds by construction; it is asserted here, not
+        # checked on every call.
+        cfs = [rec.cf for rec in sweep.records] + list(builtin_functions.values())
+        assert len(cfs) == 741
+        for cf in cfs:
+            assert 1 / (1 - cf.r) == cf.f
+
     def test_transition_function_needs_a_double_zero(self, diamond_cf):
         with pytest.raises(KernelError, match="second order"):
             dataclasses.replace(diamond_cf, d=RatFunc(Poly([0, 1])))

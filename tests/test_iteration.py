@@ -3,12 +3,15 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cellgreen import (
     KernelError,
+    blowup,
     builtin_cell,
+    builtin_names,
     cell_functions,
     enumerate_cells,
     green_series,
@@ -21,7 +24,7 @@ from cellgreen.iteration import (
 )
 from cellgreen.algebra import Poly, PowerSeries, RatFunc, log_ratio, series_from_ratfunc
 from cellgreen.classify import star_series
-from routes import green_series_recursion
+from routes import green_series_recursion, nested_green_series
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +105,57 @@ class TestGreenSeries:
         assert nested.series == product
         assert nested.factors_used == factors
         assert green_series_recursion(cf, order) == product
+
+    @settings(deadline=None)
+    @given(st.sampled_from(SMALL_CELLS), st.integers(min_value=0, max_value=60))
+    @example(SMALL_CELLS[0], 60)
+    @example(SMALL_CELLS[-1], 60)
+    def test_integer_route_matches_the_rational_route(self, g, order):
+        cf = cell_functions(g)
+        gs = green_series(cf, order)
+        assert gs == nested_green_series(cf, order)
+        assert gs.series == green_series_recursion(cf, order)
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_integer_route_matches_the_rational_route_on_builtins(self, name):
+        cf = cell_functions(builtin_cell(name))
+        ref = nested_green_series(cf, 140)
+        for order in range(141):
+            gs, short = green_series(cf, order), ref.truncate(order)
+            assert gs.series == short.series
+            assert gs.f_series == short.f_series
+            assert gs.d_series == short.d_series
+        for order in (0, 1, 2, 3, 7, 8, 64, 139):
+            assert green_series(cf, order) == nested_green_series(cf, order)
+
+    def test_fold_needs_f_and_d_even(self):
+        # diamond's f and d have no odd terms, so G is solved in w^2;
+        # path3 is bipartite too, but its d has odd terms only, which the
+        # fold would drop.  Both must match the rational route.
+        evens = {}
+        for name in ("diamond", "path3"):
+            cf = cell_functions(builtin_cell(name))
+            gs = green_series(cf, 60)
+            evens[name] = not any(gs.d_series.coeffs[1::2])
+            assert not any(gs.f_series.coeffs[1::2])
+            assert not any(gs.coefficients()[1::2])
+            assert gs == nested_green_series(cf, 60)
+        assert evens == {"diamond": True, "path3": False}
+
+    def test_scaled_coefficients_are_integers(self, enumerated_cells):
+        # L^n g_n is an integer for L the lcm of the cell degrees, since
+        # every vertex of the limit graph has a cell degree.
+        cells = [builtin_cell(name) for name in builtin_names()]
+        for g in cells + list(enumerated_cells[::7]):
+            scale = math.lcm(*g.degrees())
+            gs = green_series(cell_functions(g), 64)
+            for n, c in enumerate(gs.coefficients()):
+                assert (c * scale**n).denominator == 1
+        for g in cells:
+            degrees = set(g.degrees())
+            for level in (1, 2, 3):
+                a = blowup(g, level)
+                assert {int(x) for x in np.diff(a.indptr)} <= degrees
 
     # factors_used as counted by the product route before the nested engine
     FACTORS_USED = {
