@@ -43,7 +43,7 @@ from .cells import (
     validate_cell,
 )
 from .classify import classify, verify_cell
-from .greenkernel import cell_functions
+from .greenkernel import cell_functions, radius, residue_scale
 from .harmonic import alpha_from_harmonic, harmonic_function, verify_alpha_mu
 from .iteration import (
     green_series,
@@ -128,6 +128,20 @@ def _ratfunc_json(r, series_count: int) -> dict:
     }
 
 
+def _pole_json(func, rho) -> dict | None:
+    """The pole rho of func (None: no pole), refined for its residue scale."""
+    if rho is None:
+        return None
+    rho, kappa = residue_scale(func, rho)
+    return {
+        "rho_low": str(rho.low),
+        "rho_high": str(rho.high),
+        "rho_approx": float(rho),
+        "pole_order": rho.multiplicity,
+        "residue_scale": None if kappa is None else kappa.to_json(),
+    }
+
+
 # -- subcommands ------------------------------------------------------------
 # Each checks its flags, loads the cell and returns (input meta, cell or None,
 # body keys, exit code) for main to report; probe prints CSV, returns the code.
@@ -148,9 +162,9 @@ def cmd_functions(args):
         "f": _ratfunc_json(cf.f, count),
         "d": _ratfunc_json(cf.d, count),
         "r": _ratfunc_json(cf.r, count),
-        "spectral_f": cf.spectral_f.to_json(),
-        "spectral_d": cf.spectral_d.to_json(),
-        "spectral_r": None if cf.spectral_r is None else cf.spectral_r.to_json(),
+        "spectral_f": _pole_json(cf.f, cf.rho_f),
+        "spectral_d": _pole_json(cf.d, cf.rho_d),
+        "spectral_r": _pole_json(cf.r, radius(cf.r)),
     }
     return meta, g, {"functions": functions}, 0
 
@@ -339,6 +353,8 @@ def _parse_points(raw: str) -> list[Fraction]:
                 raise ValueError(
                     f"probe point {tok!r} is not a rational number"
                 ) from None
+    if not pts:
+        raise ValueError("--points must name at least one point")
     return pts
 
 

@@ -60,28 +60,7 @@ def build_pd(g: CellGraph) -> Matrix:
     return t
 
 
-# -- spectral data -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Smallest positive pole of a walk generating function."""
-
-    rho: IsolatedRoot
-    pole_order: int
-    residue_scale: Bracket | None
-
-    def to_json(self) -> dict:
-        r = self.rho
-        return {
-            "rho_low": str(r.low),
-            "rho_high": str(r.high),
-            "rho_approx": float(r),
-            "pole_order": self.pole_order,
-            "residue_scale": (
-                None if self.residue_scale is None else self.residue_scale.to_json()
-            ),
-        }
+# -- poles -------------------------------------------------------------------
 
 
 def poly_on_bracket(p: Poly, b: Bracket) -> Bracket:
@@ -92,36 +71,36 @@ def poly_on_bracket(p: Poly, b: Bracket) -> Bracket:
     return acc
 
 
-def radius(func: RatFunc, rho: IsolatedRoot | None = None) -> SpectralData | None:
-    """Smallest positive pole with order and leading expansion scale.
+def radius(func: RatFunc) -> IsolatedRoot | None:
+    """Smallest positive pole of a rational function, with its order.
 
     None when the function has no positive pole (polynomials included),
-    which callers report as an infinite radius.  The scale is None for a
-    pole that is not simple.  A given ``rho``, the pole ``radius`` found
-    for another function with this denominator, is reused, not isolated.
+    which callers report as an infinite radius.
     """
-    den = func.den
-    if den(Fraction(0)) == 0:
+    if func.den(Fraction(0)) == 0:
         raise ValueError("denominator vanishes at 0")
-    if rho is None:
-        try:
-            rho = smallest_positive_root(den)
-        except NoPositiveRootError:
-            return None
-    # The scale kappa with func ~ kappa (1 - z/rho)^{-order} near the pole.
-    # For a simple pole kappa = -num(rho) / (rho den'(rho)); evaluate the
-    # formula over a bracket tight enough that den' stays away from zero.
-    # The refinement ends because den'(rho) != 0 at a simple root.
-    kappa = None
-    if rho.multiplicity == 1:
-        dprime = den.derivative()
-        while True:
-            dpb = poly_on_bracket(dprime, rho)
-            if not dpb.contains_zero():
-                break
-            rho = rho.refine(rho.width / 1024)
-        kappa = -poly_on_bracket(func.num, rho) / (rho * dpb)
-    return SpectralData(rho=rho, pole_order=rho.multiplicity, residue_scale=kappa)
+    try:
+        return smallest_positive_root(func.den)
+    except NoPositiveRootError:
+        return None
+
+
+def residue_scale(func: RatFunc, rho: IsolatedRoot) -> tuple[IsolatedRoot, Bracket | None]:
+    """func's pole rho, refined, and kappa with func ~ kappa (1 - z/rho)^-order.
+
+    kappa is None for a pole that is not simple, and otherwise
+    -num(rho) / (rho den'(rho)), evaluated over a bracket of rho refined
+    until den' stays away from zero, which ends as den'(rho) != 0.
+    """
+    if rho.multiplicity != 1:
+        return rho, None
+    dprime = func.den.derivative()
+    while True:
+        dpb = poly_on_bracket(dprime, rho)
+        if not dpb.contains_zero():
+            break
+        rho = rho.refine(rho.width / 1024)
+    return rho, -poly_on_bracket(func.num, rho) / (rho * dpb)
 
 
 # -- cell walk functions -----------------------------------------------------
@@ -131,6 +110,7 @@ def radius(func: RatFunc, rho: IsolatedRoot | None = None) -> SpectralData | Non
 class CellFunctions:
     """Return function f, transition function d, first-return function r.
 
+    ``rho_f`` and ``rho_d`` are the smallest positive poles of f and d.
     ``det_f`` and ``det_d`` are det(I - zP_f) and det(I - zP_d), the
     denominators that f and d were built over.  ``report`` is the cell's
     validation report, which carries mu, bipartiteness, the path test and
@@ -144,9 +124,8 @@ class CellFunctions:
     f: RatFunc
     d: RatFunc
     r: RatFunc
-    spectral_f: SpectralData
-    spectral_d: SpectralData
-    spectral_r: SpectralData | None
+    rho_f: IsolatedRoot
+    rho_d: IsolatedRoot
     det_f: Poly
     det_d: Poly
 
@@ -190,20 +169,18 @@ def cell_functions(g: CellGraph, report: CellReport | None = None) -> CellFuncti
     if d(1) != 1:
         raise KernelError("transition function must reach 1 at z = 1")
 
-    sf = radius(f)
-    sd = radius(d, sf.rho if sf and d.den == f.den else None)
-    if sf is None or sd is None:
+    rho_f = radius(f)
+    rho_d = rho_f if d.den == f.den else radius(d)
+    if rho_f is None or rho_d is None:
         raise KernelError("f and d must have a positive pole")
-    sr = radius(r)
     return CellFunctions(
         cell=g,
         report=report,
         f=f,
         d=d,
         r=r,
-        spectral_f=sf,
-        spectral_d=sd,
-        spectral_r=sr,
+        rho_f=rho_f,
+        rho_d=rho_d,
         det_f=det_f,
         det_d=det_d,
     )
@@ -237,7 +214,7 @@ class PropertyReport:
         }
 
 
-def _expands(d: RatFunc, sd: SpectralData) -> bool:
+def _expands(d: RatFunc, rho: IsolatedRoot) -> bool:
     """Whether d(z) > z, d'(z) > 1 and d''(z) > 0 on (1, rho), exactly.
 
     Write d = N/D and W = N'D - ND', so d' = W/D^2 and
@@ -255,7 +232,7 @@ def _expands(d: RatFunc, sd: SpectralData) -> bool:
     -ND' and 2ND'^2 at rho, and none is 0.  A pole that is not simple and
     a q_i that vanishes at 1 fail the item.
     """
-    if sd.pole_order != 1:
+    if rho.multiplicity != 1:
         return False
     n, den = d.num, d.den
     z = Poly([0, 1])
@@ -268,7 +245,6 @@ def _expands(d: RatFunc, sd: SpectralData) -> bool:
     qs = ((q1, s), (q2, 1), (q3, s))
     if any(q.sign_at(1) == 0 for q, _ in qs):
         return False
-    rho = sd.rho
     while rho.low <= 1 or any(
         q.sign_at(rho.low) == 0
         or q.sign_at(rho.high) == 0
@@ -297,30 +273,31 @@ def spectral_property_report(cf: CellFunctions) -> PropertyReport:
         shown = failure if failure and not passed else detail
         items.append(CheckItem(name, passed, shown))
 
-    sf, sd, sr = cf.spectral_f, cf.spectral_d, cf.spectral_r
+    rho_f, rho_d = cf.rho_f, cf.rho_d
     check(
         "shared_radius",
-        roots_equal(sf.rho, sd.rho),
+        roots_equal(rho_f, rho_d),
         "smallest positive poles of f and d coincide",
         "f and d have different smallest positive poles",
     )
-    orders = f"pole orders f:{sf.pole_order} d:{sd.pole_order}"
-    check("simple_poles", sf.pole_order == 1 and sd.pole_order == 1, orders)
-    if sr is None:
+    orders = f"pole orders f:{rho_f.multiplicity} d:{rho_d.multiplicity}"
+    check("simple_poles", rho_f.multiplicity == 1 and rho_d.multiplicity == 1, orders)
+    rho_r = radius(cf.r)
+    if rho_r is None:
         automatic = "r is a polynomial (infinite radius), gap is automatic"
         check("radius_gap", True, automatic)
     else:
-        gap = root_compare(sf.rho, sr.rho) < 0
+        gap = root_compare(rho_f, rho_r) < 0
         check("radius_gap", gap, "rho_f < rho_r", "rho_f is not below rho_r")
     check(
         "expansion_between_fixed_points",
-        _expands(cf.d, sd),
+        _expands(cf.d, rho_d),
         "d(z)>z, d'(z)>1, d''(z)>0 on (1, rho_d), certified by Sturm counts",
         "expansion inequality not certified on (1, rho_d)",
     )
     check(
         "first_pole",
-        count_roots(cf.f.den, Fraction(0), sf.rho.low) == 0,
+        count_roots(cf.f.den, Fraction(0), rho_f.low) == 0,
         "Sturm count confirms no denominator root of f in (0, rho_f)",
         "f has a pole below rho_f",
     )

@@ -20,7 +20,7 @@ from .algebra import (
     Poly,
     PowerSeries,
     RatFunc,
-    log_ratio,
+    ln_bracket,
 )
 from .algebra.series import expand_scaled, int_product, pack_slots, unpack_slots
 from .cells import CellGraph
@@ -105,10 +105,13 @@ def green_series(cf: CellFunctions, order: int) -> GreenSeries:
     nonnegative, so no slot borrows, and none overflows a slot holding
     (K + 1) L^(K+m): g_k <= 1, and coefficient j of d^k is at most
     d(1)^k = 1, so coefficient j of any accumulator is at most
-    (K + 1) L^(K+j), and of F acc at most L^(K+j).  A bipartite cell
-    whose f and d have no odd terms through z^order has none in G either;
-    it is solved by the same levels in u = w^2, from the even terms of F
-    and the square of the even terms of D, with L^2 for L.
+    (K + 1) L^(K+j), and of F acc at most L^(K+j).  A cell whose F and
+    D^2 have no odd terms through w^order (a bipartite cell: D is even or
+    odd) has an even G: if g_k = 0 for odd k < n, then G(D) mod w^(n+1),
+    a sum of g_k (D^2)^(k/2), is even, and so is F G(D), whose coefficient
+    n is g_n.  With G(w) = H(w^2) and D^2 = S(w^2), H(u) = F_even(u)
+    H(S(u)) is solved by the same levels in u = w^2 with L^2 for L; S has
+    valuation v in u, and the bound above holds for it, as d^2(1) = 1.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -119,13 +122,12 @@ def green_series(cf: CellFunctions, order: int) -> GreenSeries:
     if f_den != 1 or d_den != 1:
         raise ArithmeticError(f"f and d are not integer series in z/{scale}")
     v = cf.d.num.valuation()
-    if any(f_ints[1::2]) or any(d_ints[1::2]):
+    square = None if any(f_ints[1::2]) else int_product(d_ints, d_ints, count)
+    if square is None or any(square[1::2]):
         b = _solve_levels(f_ints, d_ints, scale, v)
     else:
-        evens = d_ints[::2]
-        squared = int_product(evens, evens, len(evens))
         b = [0] * count
-        b[::2] = _solve_levels(f_ints[::2], squared, scale * scale, v)
+        b[::2] = _solve_levels(f_ints[::2], square[::2], scale * scale, v)
     return GreenSeries(
         PowerSeries.from_scaled(b, 1, scale),
         max(len(_level_sizes(count, v)) - 1, 1),
@@ -243,8 +245,9 @@ def invariants(g: CellGraph, cf: CellFunctions | None = None) -> CellInvariants:
         raise KernelError(
             f"scaling identity tau = mu*alpha failed: {tau} != {mu}*{alpha}"
         )
-    eta = log_ratio(mu, tau) - 1
-    eta_alt = -log_ratio(alpha, tau)
+    ln_tau = ln_bracket(tau)
+    eta = ln_bracket(mu) / ln_tau - 1
+    eta_alt = -ln_bracket(alpha) / ln_tau
     if not eta.overlaps(eta_alt):
         raise KernelError("the two eta brackets are disjoint (internal error)")
     return CellInvariants(
@@ -254,8 +257,8 @@ def invariants(g: CellGraph, cf: CellFunctions | None = None) -> CellInvariants:
         alpha=alpha,
         eta=eta,
         eta_alt=eta_alt,
-        rho_f=cf.spectral_f.rho,
-        rho_d=cf.spectral_d.rho,
+        rho_f=cf.rho_f,
+        rho_d=cf.rho_d,
         bipartite=cf.report.bipartite,
     )
 

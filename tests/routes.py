@@ -195,7 +195,7 @@ def grid_expansion(cf: CellFunctions, points: int = 32) -> bool:
     """d(z) > z, d'(z) > 1 and d''(z) > 0 at ``points`` evenly spaced
     rationals in (1, rho_d): the sampled check that the Sturm certificate
     of spectral_property_report replaced, kept as its reference."""
-    rho_d = cf.spectral_d.rho
+    rho_d = cf.rho_d
     while rho_d.low <= 1:
         rho_d = rho_d.refine(rho_d.width / 16)
     dp = _derivative(cf.d)

@@ -183,9 +183,7 @@ def test_ac08_spectral_lemma(record_acceptance, sweep, builtin_functions):
         cf = builtin_functions[name]
         report = spectral_property_report(cf)
         named_ok = named_ok and report.all_passed
-        named_ok = named_ok and roots_equal(
-            cf.spectral_f.rho, cf.spectral_d.rho
-        )
+        named_ok = named_ok and roots_equal(cf.rho_f, cf.rho_d)
     ok = not bad and not off_reference and named_ok
     record_acceptance(
         "AC8",

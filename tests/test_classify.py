@@ -175,6 +175,7 @@ class TestFullVerification:
                 ("cellgreen.iteration", "expand_scaled"),
                 ("cellgreen.algebra.matrix", "resolvent_row"),
                 ("cellgreen.algebra.roots", "smallest_positive_root"),
+                ("cellgreen.greenkernel", "residue_scale"),
             ]
         }
         g = builtin_cell(name)
@@ -195,6 +196,8 @@ class TestFullVerification:
         # cancellation, is not f's (sierpinski and theta4).
         shared = name in ("diamond", "path2")
         assert len(calls["smallest_positive_root"]) == (2 if shared else 3)
+        # Only the functions subcommand reads the residue scales.
+        assert calls["residue_scale"] == []
 
     def test_residual_item_pins_the_constant_term(self, monkeypatch):
         # 2G solves the linear equation G = f*(G over d) as well as G does,

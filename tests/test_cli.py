@@ -13,6 +13,7 @@ import pytest
 import cellgreen
 import cellgreen.cli
 from cellgreen.blowup import WalkStats
+from cellgreen.cells import cell_to_text
 
 DIAMOND_TEXT = """\
 vertices 6
@@ -121,6 +122,22 @@ class TestComputations:
         assert cellgreen.cli.main(["invariants", "--builtin", "diamond"]) == 0
         assert json.loads(capsys.readouterr().out)["alpha_from_harmonic"] == "3"
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "name, poles",
+        [("diamond", 1), ("path2", 1), ("sierpinski", 2), ("theta4", 2)],
+    )
+    def test_green_isolates_only_the_poles_of_f_and_d(
+        self, name, poles, count_calls, capsys
+    ):
+        # d's pole is f's where the two keep one denominator (diamond,
+        # path2); r's pole and the residue scales are never needed.
+        isolated = count_calls("cellgreen.algebra.roots", "smallest_positive_root")
+        scaled = count_calls("cellgreen.greenkernel", "residue_scale")
+        assert cellgreen.cli.main(["green", "--builtin", name, "--order", "8"]) == 0
+        capsys.readouterr()
+        assert len(isolated) == poles
+        assert scaled == []
 
     def test_output_is_deterministic(self, cli):
         first = payload(cli("invariants", "--builtin", "sierpinski"))
@@ -271,6 +288,14 @@ class TestProbe:
         assert result.stderr.startswith("error: probe point ")
         assert "is not a rational number" in result.stderr
         assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("points", ["", " , "])
+    def test_no_points_exit_two_before_the_cell_loads(self, cli, points):
+        # The cell file does not exist: the error shows it was never read.
+        result = cli("probe", "no-such.cell", "--points", points)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: --points must name at least one point\n"
 
     def test_version_flag(self, cli):
         result = cli("--version")
@@ -468,6 +493,32 @@ class TestOutputGolden:
         del doc["elapsed_seconds"]
         text = json.dumps(doc, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[command][source]
+
+    # sha256 over every 7th cell of enumerate_cells(2, 8) of the same
+    # per-report text, each cell read from one file, recorded while
+    # CellFunctions still carried a spectral record of f, d and r.
+    ENUMERATED = {
+        "functions": ["functions", "--order", "12"],
+        "invariants": ["invariants"],
+    }
+    ENUMERATED_GOLDEN = {
+        "functions": "834fbd6a2f22fec2818dce5b0e81769210d801c037e51ca761032d808a07b54c",
+        "invariants": "7dd19c23fc29e677aa8d5bb51177a358aa02ac564c86d7b6603c1db4e655aa4f",
+    }
+
+    @pytest.mark.parametrize("command", sorted(ENUMERATED))
+    def test_enumerated_digest(
+        self, command, enumerated_cells, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        digest = hashlib.sha256()
+        for g in enumerated_cells[::7]:
+            (tmp_path / "cell.txt").write_text(cell_to_text(g))
+            assert cellgreen.cli.main(self.ENUMERATED[command] + ["cell.txt"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            del doc["elapsed_seconds"]
+            digest.update(json.dumps(doc, sort_keys=True).encode())
+        assert digest.hexdigest() == self.ENUMERATED_GOLDEN[command]
 
     ENVELOPE = ["schema", "tool", "version", "command", "input", "cell"]
 

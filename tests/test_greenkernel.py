@@ -23,11 +23,13 @@ from cellgreen.algebra import (
     solve_linear,
 )
 from cellgreen.cells import transition_matrix
+from cellgreen.cli import _pole_json
 from cellgreen.greenkernel import (
     Matrix,
     build_pd,
     build_pf,
     radius,
+    residue_scale,
     spectral_property_report,
 )
 from routes import (
@@ -343,38 +345,39 @@ def _pole_sum(p: Poly, e: int) -> RatFunc:
 
 class TestSpectralData:
     def test_diamond_shared_radius(self, diamond_cf):
-        rho_f = diamond_cf.spectral_f.rho
-        rho_d = diamond_cf.spectral_d.rho
+        rho_f = diamond_cf.rho_f
+        rho_d = diamond_cf.rho_d
         # least positive root of z^4 - 9 z^2 + 9; approx 2*sqrt(3)/(1+sqrt(5))
         assert float(rho_f) == pytest.approx(1.07046626931927, abs=1e-9)
         assert float(rho_d) == pytest.approx(float(rho_f), abs=1e-9)
-        assert diamond_cf.spectral_f.pole_order == 1
+        assert diamond_cf.rho_f.multiplicity == 1
 
     def test_shared_denominator_is_isolated_once(self, count_calls):
         calls = count_calls("cellgreen.algebra.roots", "smallest_positive_root")
         cf = cell_functions(builtin_cell("diamond"))
         assert cf.f.den == cf.d.den
-        assert cf.spectral_d.rho is cf.spectral_f.rho
-        # f, then r (whose denominator is f's numerator); d reuses f's pole.
-        assert [args[0] for args in calls] == [cf.f.den, cf.r.den]
+        assert cf.rho_d is cf.rho_f
+        # f only: d reuses f's pole, and r's is isolated by its readers.
+        assert [args[0] for args in calls] == [cf.f.den]
 
     def test_distinct_denominators_are_isolated_apart(self, count_calls):
         calls = count_calls("cellgreen.algebra.roots", "smallest_positive_root")
         cf = cell_functions(builtin_cell("sierpinski"))
         assert cf.f.den != cf.d.den
-        assert [args[0] for args in calls] == [cf.f.den, cf.d.den, cf.r.den]
-        assert cf.spectral_d.rho.defining == cf.d.den
+        assert [args[0] for args in calls] == [cf.f.den, cf.d.den]
+        assert cf.rho_d.defining == cf.d.den
         items = spectral_property_report(cf).items
         assert items[0].name == "shared_radius" and items[0].passed
+        # The report isolates r's pole itself, for the radius gap.
+        assert [args[0] for args in calls] == [cf.f.den, cf.d.den, cf.r.den]
 
     def test_shared_radius_fails_on_a_different_pole(self, diamond_cf, count_calls):
         # A rational pole inside f's bracket: the brackets overlap, so only
         # the exact comparison tells the two poles apart.
-        rho = diamond_cf.spectral_f.rho
+        rho = diamond_cf.rho_f
         other = smallest_positive_root(P(-rho.midpoint(), 1))
         assert max(rho.low, other.low) < min(rho.high, other.high)
-        sd = dataclasses.replace(diamond_cf.spectral_d, rho=other)
-        cf = dataclasses.replace(diamond_cf, spectral_d=sd)
+        cf = dataclasses.replace(diamond_cf, rho_d=other)
         calls = count_calls("cellgreen.algebra.roots", "roots_equal")
         item = spectral_property_report(cf).items[0]
         assert item.name == "shared_radius"
@@ -383,8 +386,8 @@ class TestSpectralData:
         assert calls
 
     def test_path2_radius(self, path2_cf):
-        assert float(path2_cf.spectral_f.rho) == pytest.approx(2 ** 0.5, abs=1e-9)
-        assert path2_cf.spectral_r is None
+        assert float(path2_cf.rho_f) == pytest.approx(2 ** 0.5, abs=1e-9)
+        assert radius(path2_cf.r) is None
 
     def test_property_report_passes_on_named_cells(self):
         for name in ("diamond", "path2", "path3", "sierpinski", "theta4"):
@@ -413,29 +416,33 @@ class TestSpectralData:
     def test_expansion_certificate_rejects(self, name, diamond_cf):
         d = self.NOT_EXPANDING[name]
         assert d(1) == 1
-        sd = radius(d)
-        assert sd.pole_order == (2 if name == "double_pole" else 1)
-        cf = dataclasses.replace(diamond_cf, d=d, spectral_d=sd)
+        rho = radius(d)
+        assert rho.multiplicity == (2 if name == "double_pole" else 1)
+        cf = dataclasses.replace(diamond_cf, d=d, rho_d=rho)
         item = spectral_property_report(cf).items[3]
         assert item.name == "expansion_between_fixed_points"
         assert not item.passed
         assert item.detail == "expansion inequality not certified on (1, rho_d)"
         if name == "sliver_below_pole":
-            assert sd.rho.low < 2 and grid_expansion(cf)
+            assert rho.low < 2 and grid_expansion(cf)
 
     def test_double_pole_has_no_residue_scale(self):
-        sd = radius(RatFunc(P(1), P(1, -2) * P(1, -2)))
-        assert sd.pole_order == 2
-        assert Fraction(1, 2) in sd.rho
-        assert sd.residue_scale is None
-        assert sd.to_json()["residue_scale"] is None
+        func = RatFunc(P(1), P(1, -2) * P(1, -2))
+        rho = radius(func)
+        assert rho.multiplicity == 2
+        assert Fraction(1, 2) in rho
+        assert residue_scale(func, rho) == (rho, None)
+        assert _pole_json(func, rho)["residue_scale"] is None
 
     def test_simple_pole_scale_brackets_the_residue(self):
         # 1/((1-2z)(1-3z)) behaves like 3/(1 - 3z) near its pole 1/3.
-        sd = radius(RatFunc(P(1), P(1, -2) * P(1, -3)))
-        assert sd.pole_order == 1
-        assert 3 in sd.residue_scale
-        assert not sd.residue_scale.contains_zero()
+        func = RatFunc(P(1), P(1, -2) * P(1, -3))
+        rho = radius(func)
+        assert rho.multiplicity == 1
+        rho, kappa = residue_scale(func, rho)
+        assert Fraction(1, 3) in rho
+        assert 3 in kappa
+        assert not kappa.contains_zero()
 
     def test_report_items_exact_names(self, diamond_cf):
         report = spectral_property_report(diamond_cf)

@@ -128,19 +128,23 @@ class TestGreenSeries:
         for order in (0, 1, 2, 3, 7, 8, 64, 139):
             assert green_series(cf, order) == nested_green_series(cf, order)
 
-    def test_fold_needs_f_and_d_even(self):
-        # diamond's f and d have no odd terms, so G is solved in w^2;
-        # path3 is bipartite too, but its d has odd terms only, which the
-        # fold would drop.  Both must match the rational route.
-        evens = {}
-        for name in ("diamond", "path3"):
+    def test_fold_covers_every_bipartite_cell(self, count_calls):
+        # diamond's d has only even terms and path3's only odd ones; in
+        # both, f and d^2 have no odd terms, so G is solved in w^2 from
+        # 31 of its 61 coefficients.  sierpinski's f has odd terms.
+        levels = count_calls("cellgreen.iteration", "_solve_levels")
+        solved, d_even = {}, {}
+        for name in ("diamond", "path3", "sierpinski"):
             cf = cell_functions(builtin_cell(name))
             gs = green_series(cf, 60)
-            evens[name] = not any(gs.d_series.coeffs[1::2])
-            assert not any(gs.f_series.coeffs[1::2])
-            assert not any(gs.coefficients()[1::2])
+            solved[name] = len(levels[-1][0])
+            d_even[name] = not any(gs.d_series.coeffs[1::2])
             assert gs == nested_green_series(cf, 60)
-        assert evens == {"diamond": True, "path3": False}
+            if name != "sierpinski":
+                assert not any(gs.f_series.coeffs[1::2])
+                assert not any(gs.coefficients()[1::2])
+        assert solved == {"diamond": 31, "path3": 31, "sierpinski": 61}
+        assert d_even == {"diamond": True, "path3": False, "sierpinski": False}
 
     def test_scaled_coefficients_are_integers(self, enumerated_cells):
         # L^n g_n is an integer for L the lcm of the cell degrees, since
