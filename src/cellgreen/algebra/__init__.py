@@ -1,7 +1,7 @@
 """Exact arithmetic layer: polynomials, rational functions, truncated
 power series, root isolation, linear algebra, and interval enclosures."""
 
-from .brackets import Bracket, ln_bracket, log_ratio
+from .brackets import Bracket, ln_bracket
 from .matrix import (
     SingularMatrixError,
     resolvent_row,

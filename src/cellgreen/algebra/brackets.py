@@ -153,11 +153,3 @@ def ln_bracket(q: Fraction | int, abs_err: Fraction = DEFAULT_LOG_ERR) -> Bracke
     scale_err = half / (2 * abs(k))
     return series + _ln2(scale_err) * k
 
-
-def log_ratio(
-    a: Fraction | int, b: Fraction | int, abs_err: Fraction = DEFAULT_LOG_ERR
-) -> Bracket:
-    """Enclosure of ln(a)/ln(b) for positive rationals with b != 1."""
-    num = ln_bracket(a, abs_err)
-    den = ln_bracket(b, abs_err)
-    return num / den

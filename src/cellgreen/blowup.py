@@ -9,7 +9,8 @@ apart, the vertices whose degree would still grow lie at distance D^k from
 the origin of the level-k approximant (see blowup), so every n up to the
 safe horizon 2 D^k - 1 sees no difference between the approximant and the
 infinite graph.  That is what makes the two oracles here exact for small n:
-integer matrix-vector powering and seeded Monte Carlo simulation.
+integer walk counts, one pull per step over a CSR of the ball that the
+closed walks reach, and seeded Monte Carlo simulation.
 """
 
 from __future__ import annotations
@@ -292,15 +293,38 @@ def exact_return_probs(a: Approximant, n_max: int) -> ReturnProbs:
 
     A closed walk of length n stays within distance n // 2 of the origin,
     so the computation is restricted to that ball; probability mass that
-    steps outside can never return in time and is dropped.  The same
-    argument prunes every step: mass at distance r after n - 1 steps can
-    be back by step n_max only if r <= n_max - n + 1, and it cannot be
-    farther out than n - 1.  So step n reads only the prefix of the ball
-    (in BFS order, hence by distance) within min(n - 1, n_max - n + 1).
-    This holds on any graph, so also past the safe horizon.  Scaling by
-    the lcm of the ball degrees keeps the iteration in integers.  The ball
-    is found by a BFS over the approximant's CSR arrays, which stops at
-    the radius, so only the ball is ever held as Python lists.
+    steps outside can never return in time and is dropped.  The ball is
+    found by a BFS over the approximant's CSR arrays, which stops at the
+    radius, and held as a CSR of its own in BFS order, hence by distance:
+    ptr, and src, the ball position of each neighbour, where a neighbour
+    outside the ball maps to position len(ball), one past it, whose
+    product is 0.  Scaling by the lcm of the ball degrees keeps the
+    iteration in integers.  One step is a pull over object arrays: each
+    source's count times scale // deg, then one sum over each target's
+    neighbour list.
+
+    The same argument prunes every step: mass at distance r after n - 1
+    steps can be back by step n_max only if r <= n_max - n + 1, and it
+    cannot be farther out than n - 1.  So step n need only carry the mass
+    within reach = min(n - 1, n_max - n + 1).  It writes the targets
+    within reach + 1 and reads the sources within reach + 2, which are
+    all their neighbours.  A pull thus also admits mass from sources at
+    distance reach + 1 and reach + 2, which a push from the sources within
+    reach would drop.  While reach = n - 1 those sources lie at distance n
+    or more, which n - 1 steps cannot reach, and they hold 0.  Once
+    reach = n_max - n + 1, the mass lands at distance reach or more,
+    farther from the origin than the n_max - n steps left, so it cannot
+    return by step n_max.  Either way every probs[n] is unchanged.  This
+    holds on any graph, so also past the safe horizon.
+
+    No entry read at a step is stale.  Step m writes only within
+    reach_m + 1 <= m, so no entry at distance n or more was written before
+    step n; it holds its initial 0.  The entries that step n reads at a
+    smaller distance lie within min(n - 1, reach_n + 2)
+    = min(n - 1, n_max - n + 3) = reach_(n-1) + 1, which step n - 1 wrote.
+    So the counts that a step leaves past its targets are never read
+    again, and nothing is cleared between steps.  The products are written at every source read, and position len(ball)
+    lies past every prefix, so its 0 is never overwritten.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
@@ -312,30 +336,33 @@ def exact_return_probs(a: Approximant, n_max: int) -> ReturnProbs:
             break
         order.append(v)
         depth.append(d)
-    index = {v: i for i, v in enumerate(order)}
-    ptr = memoryview(a.indptr)
-    nbr = memoryview(a.indices)
-    degs = [ptr[v + 1] - ptr[v] for v in order]
-    scale = math.lcm(*degs) if degs else 1
-    weight = [scale // d for d in degs]
-    targets = [
-        [index[u] for u in nbr[ptr[v]:ptr[v + 1]] if u in index] for v in order
-    ]
+    ball = len(order)
+    order = np.array(order, dtype=np.intp)
+    start = a.indptr[order]
+    deg = a.indptr[order + 1] - start
+    ptr = np.zeros(ball + 1, dtype=np.intp)
+    np.cumsum(deg, out=ptr[1:])
+    pos = np.full(a.num_vertices, ball, dtype=np.intp)
+    pos[order] = np.arange(ball)
+    src = pos[a.indices[np.repeat(start - ptr[:-1], deg) + np.arange(ptr[-1])]]
+    degs = deg.tolist()
+    scale = math.lcm(*degs)
+    weight = np.array([scale // d for d in degs], dtype=object)
 
-    vec = [1]
+    vec = np.zeros(ball, dtype=object)
+    vec[0] = 1
+    vw = np.empty(ball + 1, dtype=object)
+    vw[ball] = 0
     probs = [Fraction(1)]
+    denom = 1
     for n in range(1, n_max + 1):
         reach = min(n - 1, n_max - n + 1)
-        nxt = [0] * bisect.bisect_right(depth, reach + 1)
-        for i in range(bisect.bisect_right(depth, reach)):
-            val = vec[i]
-            if not val:
-                continue
-            w = val * weight[i]
-            for j in targets[i]:
-                nxt[j] += w
-        vec = nxt
-        probs.append(Fraction(vec[0], scale**n))
+        m_j = bisect.bisect_right(depth, reach + 1)
+        m_s = bisect.bisect_right(depth, reach + 2)
+        np.multiply(vec[:m_s], weight[:m_s], out=vw[:m_s])
+        vec[:m_j] = np.add.reduceat(vw.take(src[: ptr[m_j]]), ptr[:m_j])
+        denom *= scale
+        probs.append(Fraction(vec[0], denom))
     return ReturnProbs(probs=tuple(probs), safe_horizon=a.safe_horizon)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import (
     Bracket,
@@ -41,15 +42,26 @@ class GreenSeries:
     the nesting depth of green_series (at least 1), which equals the number
     of factors f(d_k(z)) of G = prod_k f(d_k(z)) that reach z^order, where
     d_k is the k-th iterate of d and k runs from 0 to factors_used - 1.
-    f_series and d_series are the expansions of f and d through z^order
-    that G was solved from, kept for functional_residual.
+    f_ints and d_ints are the integer coefficients of f(scale w) and
+    d(scale w) through w^order that G was solved from.  f_series and
+    d_series, the same expansions in z that functional_residual reads,
+    are built from them on first access.
     """
 
     series: PowerSeries
     factors_used: int
     order: int
-    f_series: PowerSeries
-    d_series: PowerSeries
+    f_ints: tuple[int, ...]
+    d_ints: tuple[int, ...]
+    scale: int
+
+    @cached_property
+    def f_series(self) -> PowerSeries:
+        return PowerSeries.from_scaled(self.f_ints, 1, self.scale)
+
+    @cached_property
+    def d_series(self) -> PowerSeries:
+        return PowerSeries.from_scaled(self.d_ints, 1, self.scale)
 
     def coefficient(self, k: int) -> Fraction:
         return self.series.coefficient(k)
@@ -62,7 +74,7 @@ class GreenSeries:
         n = order + 1
         return GreenSeries(
             self.series.truncate(n), self.factors_used, order,
-            self.f_series.truncate(n), self.d_series.truncate(n),
+            self.f_ints[:n], self.d_ints[:n], self.scale,
         )
 
 
@@ -132,8 +144,9 @@ def green_series(cf: CellFunctions, order: int) -> GreenSeries:
         PowerSeries.from_scaled(b, 1, scale),
         max(len(_level_sizes(count, v)) - 1, 1),
         order,
-        PowerSeries.from_scaled(f_ints, 1, scale),
-        PowerSeries.from_scaled(d_ints, 1, scale),
+        tuple(f_ints),
+        tuple(d_ints),
+        scale,
     )
 
 

@@ -15,22 +15,27 @@ expansion of green_series; verify no longer runs it, because its
 functional_residual item with G(0) = 1 implies the same coefficients.
 nested_green_series is the nesting that green_series ran before it moved
 to integers in z / L: the same levels, each a Fraction composition and
-product of PowerSeries.
+product of PowerSeries.  log_ratio encloses ln(a)/ln(b), the quotient
+that invariants builds from its ln brackets.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from cellgreen.algebra import (
+    Bracket,
     Poly,
     PowerSeries,
     RatFunc,
+    ln_bracket,
     series_from_ratfunc,
 )
+from cellgreen.algebra.brackets import DEFAULT_LOG_ERR
 from cellgreen.algebra.matrix import _exact_div, interpolate
 from cellgreen.algebra.poly import integer_content
 from cellgreen.greenkernel import CellFunctions, Matrix
@@ -151,7 +156,9 @@ def nested_green_series(cf: CellFunctions, order: int) -> GreenSeries:
 
     With v the valuation of d, each level G mod z^m = f (G mod z^m')(d)
     mod z^m, m' = (m - 1) // v + 1, is one PowerSeries compose and one
-    product, from the Fraction expansions of f and d.
+    product, from the Fraction expansions of f and d.  The expansions are
+    carried as green_series carries them, as integers in w = z / L, L the
+    lcm of the cell degrees.
     """
     count = order + 1
     f_ser = series_from_ratfunc(cf.f, count)
@@ -163,7 +170,12 @@ def nested_green_series(cf: CellFunctions, order: int) -> GreenSeries:
     g = PowerSeries.one(1)
     for m in reversed(sizes[:-1]):
         g = f_ser.truncate(m) * g.compose(d_ser.truncate(m))
-    return GreenSeries(g, max(len(sizes) - 1, 1), order, f_ser, d_ser)
+    scale = math.lcm(*cf.cell.degrees())
+    f_ints, d_ints = (
+        tuple(int(c * scale**n) for n, c in enumerate(s.coeffs))
+        for s in (f_ser, d_ser)
+    )
+    return GreenSeries(g, max(len(sizes) - 1, 1), order, f_ints, d_ints, scale)
 
 
 def green_series_recursion(cf: CellFunctions, order: int) -> PowerSeries:
@@ -261,3 +273,12 @@ def reference_monte_carlo(a, n, trials, seed, workers=1, chunk=1 << 18) -> int:
                 at = a.indices[a.indptr[at] + rng.integers(0, deg[at])]
             hits += int(np.count_nonzero(at == a.origin))
     return hits
+
+
+def log_ratio(
+    a: Fraction | int, b: Fraction | int, abs_err: Fraction = DEFAULT_LOG_ERR
+) -> Bracket:
+    """Enclosure of ln(a)/ln(b) for positive rationals with b != 1."""
+    num = ln_bracket(a, abs_err)
+    den = ln_bracket(b, abs_err)
+    return num / den

@@ -20,13 +20,13 @@ from cellgreen import (
     monte_carlo,
     sufficient_approximant,
 )
-from cellgreen.algebra import Poly, RatFunc, log_ratio
+from cellgreen.algebra import Poly, RatFunc
 from cellgreen.algebra.roots import roots_equal
 from cellgreen.cells import cell_to_text
 from cellgreen.classify import star_series
 from cellgreen.greenkernel import spectral_property_report
 from cellgreen.iteration import functional_residual
-from routes import grid_expansion
+from routes import grid_expansion, log_ratio
 
 
 def P(*coeffs):

@@ -18,7 +18,6 @@ from cellgreen.algebra import (
     count_roots,
     format_poly,
     ln_bracket,
-    log_ratio,
     poly_gcd,
     roots_equal,
     series_from_ratfunc,
@@ -43,7 +42,7 @@ from cellgreen.algebra.series import expand_scaled
 from cellgreen.greenkernel import cell_functions
 from cellgreen.iteration import green_series
 from cellgreen.registry import builtin_cell
-from routes import det_bareiss, det_linear, minor
+from routes import det_bareiss, det_linear, log_ratio, minor
 
 X = Poly([0, 1])
 

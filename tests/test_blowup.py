@@ -430,6 +430,27 @@ class TestExactOracle:
             sufficient_approximant(builtin_cell("path2"), 200, edge_budget=100)
 
 
+class TestExactOracleGolden:
+    # sha256 of the probs, one str(Fraction) a line, recorded with the
+    # push loop that the pull replaced: the three large balls that the
+    # benchmark's walk_oracle workload counts on.
+    GOLDEN = [
+        ("diamond", 6, 800,
+         "b1c88cdbe8ee565b7be831b94b807340122f9f0ae3b9d6473748b91574217164"),
+        ("sierpinski", 8, 300,
+         "be652f178879a9d6a9644fd8951e2b56798f747688bc8cdde7a9501f06c702a3"),
+        ("theta4", 5, 340,
+         "ed316310101f0ed70261e389488b8594a67b51db9586a96122afd83120340dbc"),
+    ]
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
+    def test_probs_unchanged(self, case):
+        name, level, n_max, digest = case
+        probs = exact_return_probs(blowup(builtin_cell(name), level), n_max).probs
+        text = "\n".join(map(str, probs))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestMonteCarlo:
     def test_bit_for_bit_reproducible(self):
         a = blowup(builtin_cell("diamond"), 2)
@@ -486,6 +507,24 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert stats.hits == 37582
         assert peak < 1.75 * 8 * (1 << 18)
+
+
+SMALL_CELLS = tuple(enumerate_cells(2, 7))
+
+
+@st.composite
+def small_balls(draw):
+    """An approximant of a small cell, shuffled and with one or two origin
+    copies, and an n_max of either parity from 0 to twice its safe horizon
+    plus one, drawn as an offset from the horizon."""
+    a = blowup(
+        draw(st.sampled_from(SMALL_CELLS)),
+        draw(st.integers(1, 3)),
+        origin_copies=draw(st.integers(1, 2)),
+        randomize_identification=draw(st.integers(0, 2**32 - 1)),
+    )
+    h = a.safe_horizon
+    return a, h + draw(st.integers(-h, h + 1))
 
 
 class TestAgainstReferences:
@@ -552,6 +591,15 @@ class TestAgainstReferences:
                     assert exact_return_probs(a, n_max).probs == (
                         reference_return_probs(a, n_max)
                     )
+
+    @settings(deadline=None)
+    @given(small_balls())
+    @example((blowup(builtin_cell("diamond"), 1), 2))
+    @example((blowup(builtin_cell("path2"), 2, origin_copies=2), 3))
+    @example((blowup(builtin_cell("diamond"), 2, randomize_identification=3), 15))
+    def test_pull_matches_reference_past_the_horizon(self, ball):
+        a, n_max = ball
+        assert exact_return_probs(a, n_max).probs == reference_return_probs(a, n_max)
 
 
 bounds_lists = st.lists(

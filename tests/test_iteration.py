@@ -22,9 +22,9 @@ from cellgreen.iteration import (
     iteration_hypotheses,
     singular_prefactor_probe,
 )
-from cellgreen.algebra import Poly, PowerSeries, RatFunc, log_ratio, series_from_ratfunc
+from cellgreen.algebra import Poly, PowerSeries, RatFunc, series_from_ratfunc
 from cellgreen.classify import star_series
-from routes import green_series_recursion, nested_green_series
+from routes import green_series_recursion, log_ratio, nested_green_series
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +183,9 @@ class TestGreenSeries:
 
     def test_series_carries_the_expansions_it_was_solved_from(self, diamond_cf):
         gs = green_series(diamond_cf, 40)
+        # The Fraction expansions are built on first access only.
+        assert "f_series" not in vars(gs) and "d_series" not in vars(gs)
+        assert gs.scale == 6 and len(gs.f_ints) == len(gs.d_ints) == 41
         assert gs.f_series == series_from_ratfunc(diamond_cf.f, 41)
         assert gs.d_series == series_from_ratfunc(diamond_cf.d, 41)
         short = gs.truncate(10)
