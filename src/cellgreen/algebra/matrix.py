@@ -1,7 +1,7 @@
 """Exact linear algebra: resolvent rows in integers and rational solves.
 
 ``resolvent_row`` runs Bareiss elimination (Math. Comp. 22, 1968) on
-plain ints; ``solve_linear`` eliminates over ``Fraction`` or ``RatFunc``.
+plain ints; ``solve_linear`` eliminates over ``Fraction``.
 """
 
 from __future__ import annotations
@@ -146,8 +146,8 @@ def resolvent_row(
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> list:
     """Solve A x = b by Gaussian elimination over an exact field.
 
-    Entries may be Fraction or RatFunc (anything with field arithmetic and a
-    zero test).  Raises SingularMatrixError when A is not invertible.
+    Entries are Fractions, or anything else with field arithmetic and a
+    zero test.  Raises SingularMatrixError when A is not invertible.
     """
     n = len(rows)
     if any(len(r) != n for r in rows) or len(rhs) != n:

@@ -7,11 +7,8 @@ denominator, so two equal functions always have identical representations.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from .poly import Poly, poly_gcd
-
-Operand = Union["RatFunc", Poly, Fraction, int]
 
 
 class ZeroDenominatorError(ZeroDivisionError):
@@ -68,45 +65,11 @@ class RatFunc:
             raise PoleError(Fraction(x))
         return self.num(x) / dx
 
-    # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other: Operand) -> RatFunc:
-        other = _coerce(other)
-        return RatFunc(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> RatFunc:
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other: Operand) -> RatFunc:
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other: Operand) -> RatFunc:
-        return _coerce(other) - self
-
-    def __mul__(self, other: Operand) -> RatFunc:
-        other = _coerce(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Operand) -> RatFunc:
-        other = _coerce(other)
-        if other.num.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other: Operand) -> RatFunc:
-        return _coerce(other) / self
-
     # -- plumbing ---------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (Poly, Fraction, int)):
-            other = _coerce(other)
+            other = RatFunc(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -130,8 +93,3 @@ def _as_poly(x: Poly | Fraction | int) -> Poly:
         return Poly([x])
     raise TypeError(f"cannot interpret {type(x).__name__} as a polynomial")
 
-
-def _coerce(x: Operand) -> RatFunc:
-    if isinstance(x, RatFunc):
-        return x
-    return RatFunc(_as_poly(x))

@@ -27,7 +27,6 @@ import numpy as np
 from .cells import CellError, CellGraph, require_valid
 
 DEFAULT_EDGE_BUDGET = 10**6
-SLICE = 1 << 15  # walkers per Monte Carlo draw: the buffers stay in the warm heap
 
 
 class BudgetError(CellError):
@@ -323,8 +322,9 @@ def exact_return_probs(a: Approximant, n_max: int) -> ReturnProbs:
     smaller distance lie within min(n - 1, reach_n + 2)
     = min(n - 1, n_max - n + 3) = reach_(n-1) + 1, which step n - 1 wrote.
     So the counts that a step leaves past its targets are never read
-    again, and nothing is cleared between steps.  The products are written at every source read, and position len(ball)
-    lies past every prefix, so its 0 is never overwritten.
+    again, and nothing is cleared between steps.  The products are written
+    at every source read, and position len(ball) lies past every prefix,
+    so its 0 is never overwritten.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
@@ -392,67 +392,36 @@ class WalkStats:
         }
 
 
-def _draw_below(rng, d, words, out, carry):
-    """Set out to rng.integers(0, d) for uint32 bounds d >= 1, drawn as
-    monte_carlo says, and return the new carry, PCG64's buffered half-word
-    (has_uint32, uinteger); words is a uint32 buffer at least as long as d."""
-    bitgen = rng.bit_generator
-    snapshot = bitgen.state
-    has0, half0 = has, half = carry
-    many = d > 1
-    need = int(np.count_nonzero(many))
-    if has and need:
-        first = many.argmax()
-        words[first], many[first] = half, False
-        need, has = need - 1, 0
-    raw = bitgen.random_raw((need + 1) // 2).view(np.uint32)
-    words = words[: len(d)]
-    words[many] = raw[:need]
-    if need % 2:
-        has, half = 1, int(raw[-1])
-    np.multiply(words, d, out=out, dtype=np.uint64)
-    low = np.multiply(words, d, out=words)  # u * d mod 2^32
-    if np.less(low, d, out=many).any():
-        bound = d[many]  # in uint32, (-d) % d is (2^32 - d) % d
-        if (low[many] < (-bound) % bound).any():
-            bitgen.state = {**snapshot, "has_uint32": has0, "uinteger": half0}
-            out[:] = rng.integers(0, d.astype(np.int64))
-            return bitgen.state["has_uint32"], bitgen.state["uinteger"]
-    out >>= 32
-    return has, half
-
-
 def monte_carlo(
-    a: Approximant,
-    n: int,
-    trials: int,
-    seed: int,
-    workers: int = 1,
-    chunk: int = 1 << 18,
+    a: Approximant, n: int, trials: int, seed: int, workers: int = 1
 ) -> WalkStats:
-    """Estimate p^(n)(origin, origin) by seeded vectorized simulation.
+    """Estimate p^(n)(origin, origin) by a seeded walk of occupation counts.
 
     The trial count is split evenly over `workers` PCG64 streams spawned
     from the master seed (remainder to the first streams).  The streams
     run one after another in this process: `workers` fixes the split, not
-    a degree of parallelism.  Each stream moves batches of at most `chunk`
-    walkers, held in one buffer for the whole call.  Results are
-    bit-for-bit reproducible for a fixed (seed, workers, chunk).
+    a degree of parallelism.  Results are bit-for-bit reproducible for a
+    fixed (seed, workers).
 
-    The walk reads the approximant's CSR arrays directly.  A walker is
-    held as the offset where its vertex's neighbour list starts (its
-    indptr entry), so one step is two lookups: the degree at that offset,
-    and the start offset of the chosen neighbour.  A step runs over the
-    batch in slices of SLICE walkers, in order, in buffers made once.
-    numpy draws below d by Lemire's method (ACM TOMACS 29, 2019): a word u
-    gives (u * d) >> 32, or is rejected if the low word of u * d is below
-    (2^32 - d) % d.  PCG64 (O'Neill, 2014) gives out each 64-bit output as
-    two words, low half first, and buffers the high half; _draw_below
-    reads the words from random_raw and carries that half from slice to
-    slice itself.  A bound of 1 maps any word to 0 and never rejects, so
-    a leaf's slot may keep a stale word.  On a rejection (chance below
-    d / 2^32) the slice is rewound, carry included, and rng.integers
-    draws it.  So the draws are exactly those of rng.integers(0, degrees).
+    The walkers are independent and exchangeable, so a stream keeps only
+    the occupied vertices, in increasing order, and the number of walkers
+    at each.  One step sends the c walkers at a vertex of degree d to its d
+    neighbours in counts drawn Multinomial(c; 1/d, ..., 1/d), independently
+    across vertices.  The count vector is thus a Markov chain, and the
+    origin's count after n steps, the hits, is Binomial(trials, p_n).  Each
+    step makes one rng.multinomial call per distinct degree among the
+    occupied vertices, by increasing degree, each over the vertices of that
+    degree in increasing order, and adds column j of vertex v's counts onto
+    indices[indptr[v] + j].  So a step costs the number of occupied
+    vertices times their degree, whatever the trial count.
+
+    numpy splits a multinomial by successive binomials (Devroye, 1986;
+    each binomial by inversion or by the BTPE method of Kachitvichyanukul
+    and Schmeiser, CACM 31, 1988): category j takes Binomial(remaining, p)
+    with p = 1/(d - j) computed in double precision, and the last category
+    takes the rest.  So the law equals the per-walker law only up to that
+    rounding, where a draw of rng.integers(0, d) per walker would be
+    exactly uniform.
     """
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
@@ -460,14 +429,7 @@ def monte_carlo(
         raise ValueError("need at least one trial")
     if workers < 1:
         raise ValueError("need at least one worker")
-    start = a.indptr[:-1]
-    deg_at = np.zeros(len(a.indices), dtype=np.uint32)
-    deg_at[start] = np.diff(a.indptr)
-    nbr_start = start[a.indices]
-    home = start[a.origin]
-    degs, words = np.empty((2, SLICE), dtype=np.uint32)
-    draws = np.empty(SLICE, dtype=np.int64)
-    walkers = np.empty(min(chunk, trials), dtype=np.int64)
+    deg = np.diff(a.indptr)
 
     # spawn(1) per worker gives the streams of spawn(workers) without
     # holding all of them at once.
@@ -475,33 +437,30 @@ def monte_carlo(
     base, rem = divmod(trials, workers)
     hits = 0
     for w in range(workers):
-        todo = base + (1 if w < rem else 0)
         rng = np.random.Generator(np.random.PCG64(root.spawn(1)[0]))
-        carry = (0, 0)  # a fresh PCG64 buffers no half-word
-        while todo > 0:
-            batch = min(todo, chunk)
-            todo -= batch
-            at = walkers[:batch]
-            at.fill(home)
-            for _ in range(n):
-                for s in range(0, batch, SLICE):
-                    here = at[s : s + SLICE]
-                    step = draws[: len(here)]
-                    d = np.take(deg_at, here, out=degs[: len(here)], mode="clip")
-                    carry = _draw_below(rng, d, words, step.view(np.uint64), carry)
-                    step += here
-                    np.take(nbr_start, step, out=here, mode="clip")
-            hits += int(np.count_nonzero(at == home))
+        todo = base + (1 if w < rem else 0)
+        if not todo:
+            continue
+        occupied = np.array([a.origin])
+        counts = np.array([todo], dtype=np.int64)
+        for _ in range(n):
+            d_at = deg[occupied]
+            to, moved = [], []
+            for d in np.unique(d_at).tolist():
+                group = d_at == d
+                moved.append(rng.multinomial(counts[group], [1 / d] * d).ravel())
+                cols = a.indptr[occupied[group], None] + np.arange(d)
+                to.append(a.indices[cols].ravel())
+            to, moved = np.concatenate(to), np.concatenate(moved)
+            some = moved > 0
+            occupied, slot = np.unique(to[some], return_inverse=True)
+            counts = np.zeros(len(occupied), dtype=np.int64)
+            np.add.at(counts, slot, moved[some])
+        hits += int(counts[occupied == a.origin].sum())
     p = hits / trials
-    std_err = math.sqrt(p * (1 - p) / trials)
     return WalkStats(
-        n=n,
-        trials=trials,
-        hits=hits,
-        estimate=Fraction(hits, trials),
-        std_err=std_err,
-        seed=seed,
-        workers=workers,
+        n=n, trials=trials, hits=hits, estimate=Fraction(hits, trials),
+        std_err=math.sqrt(p * (1 - p) / trials), seed=seed, workers=workers,
     )
 
 

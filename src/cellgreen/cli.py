@@ -68,11 +68,14 @@ MAX_ENUMERATE_VERTICES = 8
 # order <= 400.
 MAX_ORDER = 1000
 
-# simulate walker steps, max(--trials, 4096 x --workers) x max(--steps, 1):
-# a step of one worker's stream costs 15-40 us however few walkers move, and
-# a walk of no steps still sets every trial up.  About 80 CPU s at 1.2e8
-# walker steps a second (2-core x86-64, numpy 2.4).  The benchmark's largest
-# is 2.56e7.
+# simulate walker steps, max(--trials, 4096 x --workers) x max(--steps, 1).
+# A step of one worker's stream costs its occupied vertices, at most the
+# trials, times their degree: about 20 us with one walker, and 0.05-0.4 ms
+# with 4096 to 10^6 walkers spread out.  A stream costs about 30 us more,
+# even for a walk of no steps.  The dearest walk within the budget is about
+# 2.4e6 steps of 4096 walkers spread over a whole approximant: 0.33 ms a
+# step on sierpinski level 8, so about 14 CPU minutes (2-core x86-64,
+# numpy 2.4).  The benchmark's largest is 2.56e7.
 MAX_WALK_STEPS = 10**10
 
 
@@ -471,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="split the trials over this many seeded streams, run one "
-        "after another in this process",
+        help="split the trials over this many seeded streams, each a walk "
+        "of walker counts per vertex, run one after another in this process",
     )
     p.add_argument("--edge-budget", type=int)
     p.set_defaults(func=cmd_simulate)

@@ -7,16 +7,19 @@ point z = 0..n, where resolvent_row needs one elimination per node for
 the determinant and a whole adjugate row.  resolvent_det and green_entry
 give any entry of (I - zT)^{-1} for the cross-checks, even where I - zT
 is not diagonally dominant.  grid_expansion samples the expansion
-inequalities that spectral_property_report certifies.  bounded_draws
-and reference_monte_carlo are the batch draw and the walk that
-monte_carlo's fused step replaced.  green_series_recursion solves
-G = f (G over d) one coefficient at a time, a reference for the nested
-expansion of green_series; verify no longer runs it, because its
-functional_residual item with G(0) = 1 implies the same coefficients.
-nested_green_series is the nesting that green_series ran before it moved
-to integers in z / L: the same levels, each a Fraction composition and
-product of PowerSeries.  log_ratio encloses ln(a)/ln(b), the quotient
-that invariants builds from its ln brackets.
+inequalities that spectral_property_report certifies.
+reference_monte_carlo is the per-walker walk that monte_carlo's count
+walk replaced, kept as a reference in law; reference_count_walk is the
+count walk one vertex at a time, which must give monte_carlo's hits
+exactly.  green_series_recursion solves G = f (G over d) one coefficient
+at a time, a reference for the nested expansion of green_series; verify
+no longer runs it, because its functional_residual item with G(0) = 1
+implies the same coefficients.  nested_green_series is the nesting that
+green_series ran before it moved to integers in z / L: the same levels,
+each a Fraction composition and product of PowerSeries.  log_ratio
+encloses ln(a)/ln(b), the quotient that invariants builds from its ln
+brackets.  rf_add, rf_neg, rf_sub, rf_mul and rf_div are the RatFunc
+field arithmetic, which only tests use.
 """
 
 from __future__ import annotations
@@ -217,62 +220,80 @@ def grid_expansion(cf: CellFunctions, points: int = 32) -> bool:
     return all(cf.d(x) > x and dp(x) > 1 and dpp(x) > 0 for x in grid)
 
 
-def bounded_draws(rng: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
-    """rng.integers(0, bounds) for uint32 bounds >= 1, drawn the same way.
-
-    numpy draws a value below d with Lemire's multiply-shift method
-    (D. Lemire, ACM TOMACS 29, 2019): a 32-bit word u gives m = u * d,
-    the value is m >> 32, and u is rejected, and another word drawn, when
-    the low word of m is below (2^32 - d) % d; a bound of 1 draws nothing.
-    Here every bound above 1 takes its word, in order, from one batch of
-    32-bit draws, which is what the one-by-one loop draws unless it
-    rejects.  A rejection is rare for small d (probability below
-    d / 2^32); from the first rejected bound on, the generator is rewound
-    and numpy draws the rest itself.  Values and generator state thus
-    match rng.integers(0, bounds) exactly.  Returns int64 values.
-    """
-    many = bounds > 1
-    words = np.zeros(len(bounds), dtype=np.uint32)
-    state = rng.bit_generator.state
-    words[many] = rng.integers(
-        0, 1 << 32, size=np.count_nonzero(many), dtype=np.uint32
-    )
-    m = np.multiply(words, bounds, dtype=np.uint64)
-    out = (m >> 32).view(np.int64)
-    low = m.astype(np.uint32)
-    near = np.flatnonzero(many & (low < bounds))
-    if len(near):
-        d = bounds[near]  # in uint32, (-d) % d is (2^32 - d) % d
-        bad = near[low[near] < (-d) % d]
-        if len(bad):
-            first = bad[0]
-            rng.bit_generator.state = state
-            rng.integers(
-                0, 1 << 32, size=np.count_nonzero(many[:first]), dtype=np.uint32
-            )
-            out[first:] = rng.integers(0, bounds[first:].astype(np.int64))
-    return out
-
-
-def reference_monte_carlo(a, n, trials, seed, workers=1, chunk=1 << 18) -> int:
-    """The hits of monte_carlo's walk, stepped with one rng.integers(0,
-    degrees) call per step over each batch of vertex ids: the same streams,
-    trial split and batches, none of the slicing or raw words."""
+def reference_monte_carlo(a, n, trials, seed, workers=1) -> int:
+    """The hits of the per-walker walk that the count walk replaced: the
+    same streams and trial split, each stream one batch of vertex ids
+    stepped with one rng.integers(0, degrees) call per step."""
     deg = np.diff(a.indptr)
     streams = np.random.SeedSequence(seed).spawn(workers)
     base, rem = divmod(trials, workers)
     hits = 0
     for w in range(workers):
-        todo = base + (1 if w < rem else 0)
         rng = np.random.Generator(np.random.PCG64(streams[w]))
-        while todo > 0:
-            batch = min(todo, chunk)
-            todo -= batch
-            at = np.full(batch, a.origin, dtype=np.int64)
-            for _ in range(n):
-                at = a.indices[a.indptr[at] + rng.integers(0, deg[at])]
-            hits += int(np.count_nonzero(at == a.origin))
+        at = np.full(base + (1 if w < rem else 0), a.origin, dtype=np.int64)
+        for _ in range(n):
+            at = a.indices[a.indptr[at] + rng.integers(0, deg[at])]
+        hits += int(np.count_nonzero(at == a.origin))
     return hits
+
+
+def reference_count_walk(a, n, trials, seed, workers=1) -> int:
+    """The hits of monte_carlo's count walk, one occupied vertex at a time.
+
+    The same streams and trial split; each stream keeps a dict of vertex
+    counts, and every step visits its occupied vertices by degree, then by
+    vertex, with one scalar rng.multinomial call each, which is the order
+    of monte_carlo's vectorised calls.
+    """
+    deg = np.diff(a.indptr).tolist()
+    ptr = a.indptr.tolist()
+    nbr = a.indices.tolist()
+    streams = np.random.SeedSequence(seed).spawn(workers)
+    base, rem = divmod(trials, workers)
+    hits = 0
+    for w in range(workers):
+        rng = np.random.Generator(np.random.PCG64(streams[w]))
+        counts = {a.origin: base + (1 if w < rem else 0)}
+        for _ in range(n):
+            moved = {}
+            for v in sorted(counts, key=lambda v: (deg[v], v)):
+                if counts[v]:
+                    split = rng.multinomial(counts[v], [1 / deg[v]] * deg[v])
+                    for u, c in zip(nbr[ptr[v] : ptr[v + 1]], split.tolist()):
+                        moved[u] = moved.get(u, 0) + c
+            counts = moved
+        hits += counts.get(a.origin, 0)
+    return hits
+
+
+def _field(x) -> RatFunc:
+    return x if isinstance(x, RatFunc) else RatFunc(x)
+
+
+def rf_add(x, y) -> RatFunc:
+    x, y = _field(x), _field(y)
+    return RatFunc(x.num * y.den + y.num * x.den, x.den * y.den)
+
+
+def rf_neg(x) -> RatFunc:
+    x = _field(x)
+    return RatFunc(-x.num, x.den)
+
+
+def rf_sub(x, y) -> RatFunc:
+    return rf_add(x, rf_neg(y))
+
+
+def rf_mul(x, y) -> RatFunc:
+    x, y = _field(x), _field(y)
+    return RatFunc(x.num * y.num, x.den * y.den)
+
+
+def rf_div(x, y) -> RatFunc:
+    x, y = _field(x), _field(y)
+    if y.is_zero:
+        raise ZeroDivisionError("division by the zero rational function")
+    return RatFunc(x.num * y.den, x.den * y.num)
 
 
 def log_ratio(

@@ -29,9 +29,9 @@ from cellgreen import (
     parse_cell,
     sufficient_approximant,
 )
-from cellgreen.blowup import SLICE, _draw_below, write_approximant
+from cellgreen.blowup import write_approximant
 from cellgreen.cells import clique_partition
-from routes import bounded_draws, reference_monte_carlo
+from routes import reference_count_walk, reference_monte_carlo
 
 
 def emitted_text(a: Approximant) -> str:
@@ -491,22 +491,23 @@ class TestMonteCarlo:
         assert stats.estimate == Fraction(stats.hits, stats.trials)
         assert abs(float(stats.estimate) - 0.5) < 0.02
 
-    def test_walk_memory_stays_near_one_batch(self):
-        # The slices and the batches work in buffers made once, so the walk
-        # holds little beyond the offsets of one batch (2 MiB for the
-        # default chunk): the traced peak was 3.21 MiB here, 4.68 MiB when
-        # each batch made its own offsets, and 9.71 MiB when every step
-        # made batch-sized temporaries.
+    def test_walk_memory_stays_near_the_approximant(self):
+        # A stream holds its occupied vertices and their counts, so the walk
+        # needs memory of the order of the approximant, whatever the trial
+        # count.  Here the traced peak was 0.61 of the CSR arrays' bytes at
+        # both trial counts; the per-walker walk held 8 bytes a walker.
         a = blowup(builtin_cell("diamond"), 5)
+        csr = a.indptr.nbytes + a.indices.nbytes
         monte_carlo(a, 2, 10, seed=0)
-        tracemalloc.start()
-        try:
-            stats = monte_carlo(a, 40, 600_000, seed=12345)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert stats.hits == 37582
-        assert peak < 1.75 * 8 * (1 << 18)
+        for trials, hits in ((600_000, 38102), (10**9, 62692240)):
+            tracemalloc.start()
+            try:
+                stats = monte_carlo(a, 40, trials, seed=12345)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert stats.hits == hits
+            assert peak < csr
 
 
 SMALL_CELLS = tuple(enumerate_cells(2, 7))
@@ -602,152 +603,94 @@ class TestAgainstReferences:
         assert exact_return_probs(a, n_max).probs == reference_return_probs(a, n_max)
 
 
-bounds_lists = st.lists(
-    st.one_of(
-        st.just(1),
-        st.integers(2, 6),
-        st.integers(2**31, 2**32 - 1),
-    ),
-    max_size=41,
-)
-
-
-class TestBoundedDraws:
-    @given(st.integers(0, 2**64 - 1), bounds_lists)
-    @example(0, [])
-    @example(1, [1])
-    @example(2, [1, 1, 1])
-    @example(3, [2, 3, 4, 5, 6])
-    @example(4, [3, 1, 2**31, 2**32 - 1, 1, 2**31 + 1, 6])
-    def test_same_values_and_state_as_numpy(self, seed, bounds):
-        mine = np.random.Generator(np.random.PCG64(seed))
-        ref = np.random.Generator(np.random.PCG64(seed))
-        got = bounded_draws(mine, np.array(bounds, dtype=np.uint32))
-        want = ref.integers(0, np.array(bounds, dtype=np.int64))
-        assert got.dtype == np.int64
-        assert got.tolist() == want.tolist()
-        assert mine.bit_generator.state == ref.bit_generator.state
-        assert mine.integers(0, 2**32) == ref.integers(0, 2**32)
-
-    def test_rejections_take_the_sequential_route(self):
-        # (2^32 - d) % d is about 2^31 for d = 2^31 + 1, so about half the
-        # words are rejected; more words are drawn than there are bounds.
-        # Both the batch draw and the fused draw rewind and let numpy draw.
-        bounds = np.full(64, 2**31 + 1, dtype=np.uint32)
-        plain = np.random.Generator(np.random.PCG64(5))
-        plain.integers(0, 2**32, size=64, dtype=np.uint32)
-        ref = np.random.Generator(np.random.PCG64(5))
-        want = ref.integers(0, bounds.astype(np.int64)).tolist()
-        mine = np.random.Generator(np.random.PCG64(5))
-        got = bounded_draws(mine, bounds)
-        assert mine.bit_generator.state != plain.bit_generator.state
-        assert got.tolist() == want
-        assert mine.bit_generator.state == ref.bit_generator.state
-        fused = np.random.Generator(np.random.PCG64(5))
-        out = np.empty(64, dtype=np.uint64)
-        carry = _draw_below(fused, bounds, np.empty(64, np.uint32), out, (0, 0))
-        assert fused.bit_generator.state["state"] != plain.bit_generator.state["state"]
-        assert out.tolist() == want
-        assert_same_live_state(fused, carry, ref)
-
-
-def assert_same_live_state(mine, carry, ref):
-    """mine, holding its buffered half-word as carry, is where ref is.
-
-    numpy leaves a stale uinteger behind once the half-word is used, so
-    uinteger is compared only while has_uint32 is 1.
-    """
-    want = ref.bit_generator.state
-    assert mine.bit_generator.state["state"] == want["state"]
-    assert carry[0] == want["has_uint32"]
-    if carry[0]:
-        assert carry[1] == want["uinteger"]
-
-
-class TestFusedDraws:
-    # Successive calls share one words buffer, so slots of bound 1 keep
-    # the words of earlier calls; odd word counts leave a half-word to
-    # carry into the next call; bounds from 2^31 up reject often enough
-    # to reach the rewind, also with a half-word carried in.
-    @given(
-        st.integers(0, 2**64 - 1),
-        st.lists(bounds_lists, min_size=1, max_size=6),
-    )
-    @example(0, [[]])
-    @example(1, [[1], [1, 1, 1], []])
-    @example(2, [[2, 3, 4], [5], [6, 1, 2], [3, 1, 1]])
-    @example(3, [[3], [2**31 + 1] * 8, [2], [2**31 + 1] * 7])
-    @example(4, [[3, 1, 2**31, 2**32 - 1, 1, 2**31 + 1, 6], [1], [2, 2]])
-    def test_same_values_and_state_as_numpy(self, seed, calls):
-        mine = np.random.Generator(np.random.PCG64(seed))
-        ref = np.random.Generator(np.random.PCG64(seed))
-        words = np.zeros(max(map(len, calls)), dtype=np.uint32)
-        carry = (0, 0)
-        for bounds in calls:
-            d = np.array(bounds, dtype=np.uint32)
-            out = np.empty(len(d), dtype=np.uint64)
-            carry = _draw_below(mine, d, words, out, carry)
-            want = ref.integers(0, d.astype(np.int64))
-            assert out.tolist() == want.tolist()
-            assert_same_live_state(mine, carry, ref)
-
-
 class TestMonteCarloGolden:
-    # Hits recorded with the one-call-per-step rng.integers(0, degrees)
-    # walk that bounded_draws replaced.  path2 at level 1 has only the
-    # middle vertex of degree above 1; theta4 and path3 split the trials
-    # over several streams; the last five use chunks that do not divide
-    # the trial count.  The last two were recorded with the bounded_draws
-    # walk, before the fused step: diamond's batches of 40,000 straddle a
-    # slice, and theta4 has no vertex of degree 1 and two streams of
-    # 35,000 trials.
+    # Hits recorded when the count walk replaced the per-walker walk.
+    # path2 at level 1 has only the middle vertex of degree above 1;
+    # theta4, path3 and sierpinski split the trials over several streams,
+    # and theta4 has no vertex of degree 1.
     GOLDEN = [
-        ("diamond", 5, 40, 30000, 17, 1, 1 << 18, 1823),
-        ("path2", 1, 11, 20001, 3, 1, 1 << 18, 0),
-        ("path2", 1, 12, 20001, 3, 1, 1 << 18, 10019),
-        ("path2", 3, 12, 20001, 3, 2, 1 << 18, 4445),
-        ("theta4", 2, 24, 30000, 8, 3, 1 << 18, 1349),
-        ("sierpinski", 3, 16, 25000, 2, 2, 4096, 991),
-        ("diamond", 2, 10, 10000, 4, 1, 999, 1521),
-        ("path3", 3, 30, 9999, 2**32 - 1, 4, 1000, 1384),
-        ("diamond", 4, 24, 90001, 21, 1, 40000, 8291),
-        ("theta4", 3, 18, 70001, 5, 2, 1 << 18, 3899),
+        ("diamond", 5, 40, 30000, 17, 1, 1870),
+        ("path2", 1, 11, 20001, 3, 1, 0),
+        ("path2", 1, 12, 20001, 3, 1, 10109),
+        ("path2", 3, 12, 20001, 3, 2, 4503),
+        ("theta4", 2, 24, 30000, 8, 3, 1372),
+        ("sierpinski", 3, 16, 25000, 2, 2, 981),
+        ("diamond", 2, 10, 10000, 4, 1, 1521),
+        ("path3", 3, 30, 9999, 2**32 - 1, 4, 1457),
+        ("diamond", 4, 24, 90001, 21, 1, 8050),
+        ("theta4", 3, 18, 70001, 5, 2, 3824),
     ]
 
     @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
     def test_hits_unchanged(self, case):
-        name, level, n, trials, seed, workers, chunk, hits = case
+        name, level, n, trials, seed, workers, hits = case
         a = blowup(builtin_cell(name), level)
-        stats = monte_carlo(a, n, trials, seed, workers=workers, chunk=chunk)
+        stats = monte_carlo(a, n, trials, seed, workers=workers)
         assert stats.hits == hits
 
 
 MC_CELLS = [builtin_cell(name) for name in builtin_names()] + list(
     enumerate_cells(2, 6)
 )
-CHUNKS = [1, 999, SLICE - 1, SLICE + 1, 40_000, 1 << 18]
 
 
-class TestAgainstReferenceWalk:
-    """monte_carlo against the walk that draws each step with one
-    rng.integers(0, degrees) call."""
+class TestAgainstReferenceCountWalk:
+    """monte_carlo against the count walk that visits one occupied vertex
+    at a time with scalar rng.multinomial calls."""
 
     @settings(deadline=None, max_examples=40)
     @given(
         st.sampled_from(range(len(MC_CELLS))),
         st.integers(1, 3),
-        st.sampled_from(CHUNKS),
         st.integers(1, 3),
         st.integers(0, 10),
-        st.one_of(st.integers(1, 99), st.integers(SLICE - 2, 4 * SLICE)),
+        st.one_of(st.integers(1, 99), st.integers(100, 4 * 10**5)),
         st.integers(0, 2**32 - 1),
     )
-    @example(0, 2, 1 << 18, 1, 8, 3 * SLICE + 7, 7)  # diamond: a leaf origin
-    @example(4, 3, 40_000, 3, 6, 3 * SLICE + 7, 11)  # theta4: no leaf
-    @example(1, 1, 1, 1, 9, 40, 3)
-    def test_same_hits(self, index, level, chunk, workers, n, trials, seed):
-        if chunk == 1:
-            trials = 1 + trials % 40  # one walker a batch: a Python loop each
+    @example(0, 2, 1, 8, 4 * 10**5, 7)  # diamond: a leaf origin
+    @example(4, 3, 3, 10, 4 * 10**5, 11)  # theta4: no leaf
+    @example(1, 1, 3, 9, 2, 3)  # path2: a stream with no trial
+    @example(3, 2, 2, 0, 1, 5)  # no step
+    def test_same_hits(self, index, level, workers, n, trials, seed):
         a = blowup(MC_CELLS[index], level, edge_budget=20_000)
-        stats = monte_carlo(a, n, trials, seed, workers=workers, chunk=chunk)
-        assert stats.hits == reference_monte_carlo(a, n, trials, seed, workers, chunk)
+        stats = monte_carlo(a, n, trials, seed, workers=workers)
+        assert stats.hits == reference_count_walk(a, n, trials, seed, workers)
+
+
+class TestCountWalkLaw:
+    """The hits are Binomial(trials, p_n): their mean and variance over 400
+    seeds against exact_return_probs, and against the per-walker walk.
+    Each bound is four standard errors: of a sample mean, sqrt(var / k),
+    and of a sample variance, about var * sqrt(2 / (k - 1)), for k seeds;
+    a difference of two independent samples has sqrt(2) times either."""
+
+    SEEDS = range(400)
+    TRIALS = 2000
+    N = 12
+
+    @pytest.fixture(scope="class")
+    def walk(self):
+        a = blowup(builtin_cell("diamond"), 4)
+        p = float(exact_return_probs(a, self.N).probs[self.N])
+        hits = [monte_carlo(a, self.N, self.TRIALS, s).hits for s in self.SEEDS]
+        return a, p, np.array(hits, dtype=float)
+
+    def test_mean_and_variance_match_the_binomial(self, walk):
+        _, p, hits = walk
+        k = len(hits)
+        mean, var = self.TRIALS * p, self.TRIALS * p * (1 - p)
+        assert abs(hits.mean() - mean) < 4 * math.sqrt(var / k)
+        assert abs(hits.var(ddof=1) - var) < 4 * var * math.sqrt(2 / (k - 1))
+
+    def test_same_law_as_the_per_walker_walk(self, walk):
+        a, p, hits = walk
+        walkers = np.array(
+            [reference_monte_carlo(a, self.N, self.TRIALS, s) for s in self.SEEDS],
+            dtype=float,
+        )
+        k = len(hits)
+        var = self.TRIALS * p * (1 - p)
+        assert abs(hits.mean() - walkers.mean()) < 4 * math.sqrt(2 * var / k)
+        assert abs(hits.var(ddof=1) - walkers.var(ddof=1)) < (
+            4 * var * math.sqrt(4 / (k - 1))
+        )

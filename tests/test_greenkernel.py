@@ -39,6 +39,10 @@ from routes import (
     green_entry,
     grid_expansion,
     resolvent_det,
+    rf_add,
+    rf_div,
+    rf_mul,
+    rf_sub,
 )
 
 
@@ -146,9 +150,9 @@ def arithmetic_route(g) -> tuple[RatFunc, RatFunc]:
     det_d = resolvent_det(pd)
     d = RatFunc(Poly([0]))
     for j in range(1, g.theta):
-        d = d + green_entry(pd, 0, j, det_d)
+        d = rf_add(d, green_entry(pd, 0, j, det_d))
     f = green_entry(build_pf(g), 0, 0)
-    return d, 1 - 1 / f
+    return d, rf_sub(1, rf_div(1, f))
 
 
 @pytest.fixture(scope="module")
@@ -254,7 +258,7 @@ class TestGreenEntry:
         g01 = green_entry(t, 0, 1)
         g21 = green_entry(t, 2, 1)
         z = RatFunc(P(0, 1), P(1))
-        assert g01 == z * g21
+        assert g01 == rf_mul(z, g21)
 
 
 class TestCellFunctions:
@@ -267,7 +271,7 @@ class TestCellFunctions:
     def test_diamond_r(self, diamond_cf):
         assert diamond_cf.r == RatFunc(P(0, 0, 3, 0, -1), P(9, 0, -6))
         one = RatFunc(P(1), P(1))
-        assert diamond_cf.f == one / (one - diamond_cf.r)
+        assert diamond_cf.f == rf_div(one, rf_sub(one, diamond_cf.r))
 
     def test_path2_functions(self, path2_cf):
         assert path2_cf.f == RatFunc(P(2), P(2, 0, -1))
@@ -316,7 +320,7 @@ class TestCellFunctions:
         cfs = [rec.cf for rec in sweep.records] + list(builtin_functions.values())
         assert len(cfs) == 741
         for cf in cfs:
-            assert 1 / (1 - cf.r) == cf.f
+            assert rf_div(1, rf_sub(1, cf.r)) == cf.f
 
     def test_transition_function_needs_a_double_zero(self, diamond_cf):
         with pytest.raises(KernelError, match="second order"):
@@ -339,8 +343,8 @@ SLIVER = 2 + Fraction(1, 2**120)
 
 def _pole_sum(p: Poly, e: int) -> RatFunc:
     """z^2 p(z) + e z^2/(3 - z), scaled so that it maps 1 to 1."""
-    d = RatFunc(P(0, 0, 1) * p) + RatFunc(P(0, 0, e), P(3, -1))
-    return d * (1 / d(1))
+    d = rf_add(RatFunc(P(0, 0, 1) * p), RatFunc(P(0, 0, e), P(3, -1)))
+    return rf_mul(d, 1 / d(1))
 
 
 class TestSpectralData:
