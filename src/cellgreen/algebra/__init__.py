@@ -1,5 +1,6 @@
-"""Exact arithmetic layer: polynomials, rational functions, truncated
-power series, root isolation, linear algebra, and interval enclosures."""
+"""Exact arithmetic layer: polynomials, rational functions, power series
+expansions as integers in a scaled variable, root isolation, linear
+algebra, and interval enclosures."""
 
 from .brackets import Bracket, ln_bracket
 from .matrix import (
@@ -23,4 +24,4 @@ from .roots import (
     smallest_positive_root,
     sturm_chain,
 )
-from .series import PowerSeries, series_from_ratfunc
+from .series import series_from_ratfunc

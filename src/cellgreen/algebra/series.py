@@ -1,11 +1,12 @@
-"""Truncated power series with explicit knowledge tracking.
+"""Power series as integer coefficient lists in a scaled variable.
 
-A ``PowerSeries`` stores exactly ``order`` known coefficients (indices
-0..order-1); everything from z**order on is unknown.  Arithmetic propagates
-the number of known coefficients conservatively so a result never claims
-more knowledge than its inputs justify.  ``expand_scaled`` expands a
-rational function by an integer recurrence in a scaled variable, for
-``series_from_ratfunc`` and for the integer levels of ``green_series``.
+``expand_scaled`` expands a rational function by an integer recurrence in
+w = z / scale, for ``series_from_ratfunc`` and for ``green_series``;
+``scaled_fractions`` turns such integers back into the ``Fraction``
+coefficients in z.  ``int_product``, ``pack_slots`` and ``unpack_slots``
+are the Kronecker substitution that the nonnegative integer levels of
+``green_series`` run on; ``schoolbook`` is the plain double loop that the
+checks of that series use instead, so that they share no packing with it.
 """
 
 from __future__ import annotations
@@ -13,209 +14,26 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Union
+from typing import Sequence
 
 from .poly import clear_denominators
 from .ratfunc import PoleError, RatFunc
 
-Scalar = Union[Fraction, int]
-
-
-class PowerSeries:
-    """Immutable truncated series: ``coeffs`` has length exactly ``order``.
-
-    The product of two series is one big-integer product (Kronecker
-    substitution).  Each operand's first ``n = min(orders)`` coefficients
-    are written as integer numerators ``a_i`` over the lcm ``den_a`` of their
-    denominators, and packed into the integer ``A = sum a_i 2**(w*i)``;
-    likewise ``B`` from ``b_j`` over ``den_b``.  Then ``A*B = sum c_k
-    2**(w*k)`` with ``c_k = sum_{i+j=k} a_i b_j``, the numerators of the
-    product over ``den_a*den_b``.
-
-    The slot width ``w`` is ``bits(max|a|) + bits(max|b|) + bits(n) + 2``,
-    rounded up to whole bytes.  A slot sums at most ``n`` products, so
-    ``|c_k| < 2**(w-2)``: no slot overflows into its neighbour.  The slots
-    are signed, so a negative ``c_k`` borrows from the slot above.  Adding
-    ``2**(w-1)`` to each of the low ``n`` slots settles every borrow in one
-    big-integer addition: slot ``k`` then holds ``c_k + 2**(w-1)``, which lies
-    in ``[0, 2**w)``, so the low ``n*w`` bits split into exactly these digits
-    and the higher slots only add multiples of ``2**(n*w)``.  Subtracting
-    ``2**(w-1)`` from each digit gives ``c_k`` exactly, and ``Fraction``
-    reduces ``c_k / (den_a*den_b)`` to the canonical coefficient that the
-    schoolbook sum would give.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs: Iterable[Scalar], order: int | None = None):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        if order is None:
-            order = len(cs)
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        if len(cs) > order:
-            raise ValueError("more coefficients than the stated order")
-        cs.extend(Fraction(0) for _ in range(order - len(cs)))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PowerSeries is immutable")
-
-    @classmethod
-    def one(cls, order: int) -> PowerSeries:
-        return cls([1] if order > 0 else [], order)
-
-    @classmethod
-    def from_scaled(cls, ints: list[int], den: int, scale: int) -> PowerSeries:
-        """The series with coefficient n equal to ints[n] / (den scale^n)."""
-        coeffs = []
-        for x in ints:
-            coeffs.append(Fraction(x, den))
-            den *= scale
-        return cls(coeffs)
-
-    # -- queries ---------------------------------------------------------
-
-    def coefficient(self, k: int) -> Fraction:
-        if not 0 <= k < self.order:
-            raise IndexError(f"coefficient {k} is beyond the known order {self.order}")
-        return self.coeffs[k]
-
-    def valuation(self) -> int:
-        """Index of the first nonzero known coefficient, or ``order`` if none."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return self.order
-
-    @property
-    def is_zero(self) -> bool:
-        """True when every known coefficient vanishes."""
-        return all(c == 0 for c in self.coeffs)
-
-    def truncate(self, order: int) -> PowerSeries:
-        if order > self.order:
-            raise ValueError("cannot extend knowledge by truncation")
-        return PowerSeries(self.coeffs[:order], order)
-
-    # -- arithmetic: result order = min of operand orders -----------------
-
-    def __add__(self, other: PowerSeries) -> PowerSeries:
-        n = min(self.order, other.order)
-        return PowerSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(n)], n
-        )
-
-    def __neg__(self) -> PowerSeries:
-        return PowerSeries([-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other: PowerSeries) -> PowerSeries:
-        return self + (-other)
-
-    def __mul__(self, other: PowerSeries | Scalar) -> PowerSeries:
-        if isinstance(other, (Fraction, int)):
-            return PowerSeries([c * other for c in self.coeffs], self.order)
-        n = min(self.order, other.order)
-        if n == 0:
-            return PowerSeries([], 0)
-        a, den_a = clear_denominators(self.coeffs[:n])
-        b, den_b = clear_denominators(other.coeffs[:n])
-        den = den_a * den_b
-        return PowerSeries([Fraction(c, den) for c in int_product(a, b, n)], n)
-
-    __rmul__ = __mul__
-
-    def compose(self, inner: PowerSeries) -> PowerSeries:
-        """Substitute ``inner`` for the variable.
-
-        Requires valuation(inner) >= 1 (a nonzero constant term would feed the
-        unknown tail of the outer series into every coefficient).  The result
-        carries order
-
-            n = min(inner.order, outer.order * max(valuation(inner), 1))
-
-        because the unknown tail of the outer series contributes only from
-        z**(outer.order * valuation) on, while the unknown tail of the inner
-        series perturbs the result from z**inner.order on.  In particular a
-        valuation >= 2 inner with outer.order * valuation >= inner.order
-        preserves the inner order, and composing with z of sufficient order
-        is the identity.
-
-        Horner's rule runs over outer coefficients k = k_max .. 0 with
-        k_max = (n - 1) // val, val = max(valuation(inner), 1): higher
-        powers of ``inner`` vanish mod z**n.  The step for coefficient k is
-        computed only mod z**(n - k*val), since the accumulator is then
-        multiplied by ``inner`` k more times and each product raises its
-        valuation by val.  The accumulator is one list of integer numerators
-        over a common denominator, reduced by one gcd per step; the
-        ``Fraction`` coefficients are built once, at the end.
-        """
-        if inner.order == 0:
-            return PowerSeries([], 0)
-        if inner.coeffs[0] != 0:
-            raise ValueError("inner series must have zero constant term")
-        val = max(inner.valuation(), 1)
-        n = min(inner.order, self.order * val)
-        if n == 0 or self.order == 0:
-            return PowerSeries([], n)
-        k_max = min(self.order - 1, (n - 1) // val)
-        b, den_b = clear_denominators(inner.coeffs[:n])
-        top = self.coeffs[k_max]
-        acc, den = [top.numerator], top.denominator
-        for k in range(k_max - 1, -1, -1):
-            m = n - k * val
-            acc = int_product(acc, b[:m], m)
-            den *= den_b
-            c = self.coeffs[k]
-            scale = c.denominator // math.gcd(den, c.denominator)
-            if scale > 1:
-                acc = [x * scale for x in acc]
-                den *= scale
-            acc[0] += c.numerator * (den // c.denominator)
-            g = math.gcd(den, *acc)
-            if g > 1:
-                acc = [x // g for x in acc]
-                den //= g
-        return PowerSeries([Fraction(x, den) for x in acc], n)
-
-    # -- plumbing ---------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("PowerSeries", self.order, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"PowerSeries({list(self.coeffs)!r}, order={self.order})"
-
 
 def int_product(a: list[int], b: list[int], n: int) -> list[int]:
-    """First ``n`` coefficients of the product of integer coefficient lists.
+    """First ``n`` coefficients of the product of nonnegative integer lists.
 
-    One big-integer product by Kronecker substitution; the class docstring
-    gives the slot width and the borrow settling.  Slot ``k < n`` sums at
-    most ``n`` products, whatever the lengths of ``a`` and ``b``.
+    One big-integer product by Kronecker substitution: ``a`` and ``b`` are
+    packed into slots of ``size`` bytes, and the slots of the product are
+    its coefficients.  A slot has ``bits(max a) + bits(max b) + bits(n)``
+    bits or more, so it holds each input, and slot ``k < n``, which sums at
+    most ``n`` products whatever the lengths of ``a`` and ``b``, holds
+    ``c_k <= n max(a) max(b)`` and carries nothing into the slot above.
     """
     a, b = a[:n], b[:n]
-    width = _bits_of_max(a) + _bits_of_max(b) + n.bit_length() + 2
+    width = max(a).bit_length() + max(b).bit_length() + n.bit_length()
     size = (width + 7) // 8
-    half = 1 << (8 * size - 1)
-    low = _pack(a, size) * _pack(b, size) + pack_slots([half] * n, size)
-    return [x - half for x in unpack_slots(low, size, n)]
-
-
-def _bits_of_max(nums: list[int]) -> int:
-    return max(max(nums), -min(nums)).bit_length()
-
-
-def _pack(nums: list[int], size: int) -> int:
-    """``sum nums[i] * 256**(size*i)`` for signed ``|nums[i]| < 256**size``."""
-    pos = pack_slots([x if x > 0 else 0 for x in nums], size)
-    return pos - pack_slots([-x if x < 0 else 0 for x in nums], size)
+    return unpack_slots(pack_slots(a, size) * pack_slots(b, size), size, n)
 
 
 def pack_slots(nums: list[int], size: int) -> int:
@@ -232,6 +50,27 @@ def unpack_slots(packed: int, size: int, n: int) -> list[int]:
         int.from_bytes(digits[k : k + size], "little")
         for k in range(0, size * n, size)
     ]
+
+
+def schoolbook(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """First ``n`` coefficients of the product of integer lists, term by term."""
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[: n - i]):
+                out[i + j] += x * y
+    return out
+
+
+def scaled_fractions(
+    ints: Sequence[int], den: int, scale: int
+) -> tuple[Fraction, ...]:
+    """The coefficients ``ints[n] / (den scale^n)``, one per integer."""
+    out = []
+    for x in ints:
+        out.append(Fraction(x, den))
+        den *= scale
+    return tuple(out)
 
 
 def expand_scaled(r: RatFunc, scale: int, count: int) -> tuple[list[int], int]:
@@ -264,8 +103,8 @@ def expand_scaled(r: RatFunc, scale: int, count: int) -> tuple[list[int], int]:
     return out, c
 
 
-def series_from_ratfunc(r: RatFunc, order: int) -> PowerSeries:
-    """Expand a rational function with den(0) != 0 to ``order`` coefficients.
+def series_from_ratfunc(r: RatFunc, order: int) -> tuple[Fraction, ...]:
+    """The first ``order`` coefficients of a rational function with den(0) != 0.
 
     The scale is the lcm of the denominators of den(z) / den(0), so that
     ``expand_scaled`` finds its denominator integral.
@@ -274,4 +113,4 @@ def series_from_ratfunc(r: RatFunc, order: int) -> PowerSeries:
     if den0 == 0:
         raise PoleError(Fraction(0))
     scale = math.lcm(*[(c / den0).denominator for c in r.den.coeffs])
-    return PowerSeries.from_scaled(*expand_scaled(r, scale, order), scale)
+    return scaled_fractions(*expand_scaled(r, scale, order), scale)

@@ -310,21 +310,48 @@ def transition_matrix(g: CellGraph) -> list[list[Fraction]]:
 def _extend_automorphism(
     g: CellGraph, mapping: dict[int, int], used: set[int]
 ) -> bool:
-    if len(mapping) == g.n:
-        return True
+    """Depth-first search for the images of the unmapped vertices.
+
+    The search keeps one frame per vertex it has mapped on an explicit
+    stack, not the call stack, so a cell of any size fits: each frame holds
+    the vertex and the images it has yet to try.
+    """
+    frames: list[tuple[int, Iterator[int]]] = []
+    while len(mapping) < g.n:
+        v = _next_unmapped(g, mapping)
+        frames.append((v, _images(g, mapping, used, v)))
+        while (w := next(frames[-1][1], None)) is None:
+            frames.pop()
+            if not frames:
+                return False
+            used.remove(mapping.pop(frames[-1][0]))
+        v = frames[-1][0]
+        mapping[v] = w
+        used.add(w)
+    return True
+
+
+def _next_unmapped(g: CellGraph, mapping: dict[int, int]) -> int:
     # Prefer an unmapped vertex adjacent to the mapped region.
-    cand = None
-    for v in range(g.n):
-        if v in mapping:
-            continue
+    unmapped = [v for v in range(g.n) if v not in mapping]
+    for v in unmapped:
         if any(u in mapping for u in g.neighbors(v)):
-            cand = v
-            break
-    if cand is None:
-        cand = next(v for v in range(g.n) if v not in mapping)
+            return v
+    return unmapped[0]
+
+
+def _images(
+    g: CellGraph, mapping: dict[int, int], used: set[int], cand: int
+) -> Iterator[int]:
+    """The unused vertices that ``cand`` may map to, given ``mapping``.
+
+    Lazy: each is tested against ``mapping`` and ``used`` as they stand
+    when it is asked for, which is as they stood when the frame was made.
+    """
     deg = g.degree(cand)
     boundary_side = cand < g.theta
-    mapped_nbrs = {mapping[u] for u in g.neighbors(cand) if u in mapping}
+    nbrs = g.neighbors(cand)
+    mapped_nbrs = {mapping[u] for u in nbrs if u in mapping}
     for w in range(g.n):
         if w in used or g.degree(w) != deg:
             continue
@@ -333,20 +360,9 @@ def _extend_automorphism(
         if not mapped_nbrs <= g.neighbors(w):
             continue
         # Edges to mapped vertices must be mirrored exactly.
-        ok = True
-        for u, mu in mapping.items():
-            if (u in g.neighbors(cand)) != (mu in g.neighbors(w)):
-                ok = False
-                break
-        if not ok:
-            continue
-        mapping[cand] = w
-        used.add(w)
-        if _extend_automorphism(g, mapping, used):
-            return True
-        del mapping[cand]
-        used.remove(w)
-    return False
+        w_nbrs = g.neighbors(w)
+        if all((u in nbrs) == (mu in w_nbrs) for u, mu in mapping.items()):
+            yield w
 
 
 def has_automorphism(g: CellGraph, forced: dict[int, int]) -> bool:
@@ -374,15 +390,17 @@ def boundary_doubly_transitive(g: CellGraph) -> bool:
 
 
 def _cliques_through(g: CellGraph, size: int) -> list[frozenset[int]]:
+    """Every clique on ``size`` vertices, in lexicographic order."""
     out = []
 
     def grow(base: list[int], candidates: list[int]):
+        # candidates: the vertices above base's last, adjacent to all of it.
         if len(base) == size:
             out.append(frozenset(base))
             return
-        for i, v in enumerate(candidates):
-            if all(v in g.neighbors(u) for u in base):
-                grow(base + [v], candidates[i + 1 :])
+        allowed = set(candidates)
+        for v in candidates:
+            grow(base + [v], sorted(u for u in g.neighbors(v) & allowed if u > v))
 
     grow([], list(range(g.n)))
     return out
@@ -398,37 +416,33 @@ def clique_partition(g: CellGraph) -> list[frozenset[int]] | None:
     if g.theta == 2:
         return [frozenset(e) for e in sorted(g.edges)]
     cliques = _cliques_through(g, g.theta)
+    clique_edges = [list(itertools.combinations(sorted(c), 2)) for c in cliques]
     edge_in = {}
-    for idx, c in enumerate(cliques):
-        for e in itertools.combinations(sorted(c), 2):
-            edge_in.setdefault(_norm_edge(*e), []).append(idx)
+    for idx, edges in enumerate(clique_edges):
+        for e in edges:
+            edge_in.setdefault(e, []).append(idx)
     all_edges = sorted(g.edges)
     if any(e not in edge_in for e in all_edges):
         return None
+    # An exact cover by depth-first search over an explicit stack, one
+    # frame per chosen clique, so a cell of any size fits: each frame holds
+    # the cliques through its target edge that it has yet to try.
     chosen: list[int] = []
     covered: set[tuple[int, int]] = set()
 
-    def cover() -> bool:
-        target = next((e for e in all_edges if e not in covered), None)
-        if target is None:
-            return True
-        for idx in edge_in[target]:
-            c_edges = [
-                _norm_edge(*e)
-                for e in itertools.combinations(sorted(cliques[idx]), 2)
-            ]
-            if any(e in covered for e in c_edges):
-                continue
-            chosen.append(idx)
-            covered.update(c_edges)
-            if cover():
-                return True
-            chosen.pop()
-            covered.difference_update(c_edges)
-        return False
+    def next_disjoint(frame: Iterator[int]) -> int | None:
+        return next((i for i in frame if covered.isdisjoint(clique_edges[i])), None)
 
-    if not cover():
-        return None
+    frames: list[Iterator[int]] = []
+    while (target := next((e for e in all_edges if e not in covered), None)) is not None:
+        frames.append(iter(edge_in[target]))
+        while (idx := next_disjoint(frames[-1])) is None:
+            frames.pop()
+            if not frames:
+                return None
+            covered.difference_update(clique_edges[chosen.pop()])
+        chosen.append(idx)
+        covered.update(clique_edges[idx])
     return [cliques[i] for i in chosen]
 
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import PowerSeries
+from .algebra.series import schoolbook
 from .blowup import DEFAULT_EDGE_BUDGET, exact_return_probs, sufficient_approximant
 from .cells import CellGraph, CellReport, validate_cell
 from .greenkernel import (
@@ -91,25 +91,23 @@ class Verdict:
         }
 
 
-def star_series(count: int) -> PowerSeries:
-    """Expansion of 1/sqrt(1 - z^2): central binomials over powers of four."""
-    coeffs = []
-    for k in range(count):
-        if k % 2:
-            coeffs.append(Fraction(0))
-        else:
-            m = k // 2
-            coeffs.append(Fraction(math.comb(2 * m, m), 4**m))
-    return PowerSeries(coeffs, count)
-
-
 def _verify_star_form(gs: GreenSeries) -> None:
-    count = gs.order + 1
-    if gs.series != star_series(count):
+    """Check G = 1/sqrt(1 - z^2) through z^order, in w = z / 2.
+
+    A path cell's degrees are 1 and 2, so the series is G(2 w) = B(w) =
+    1/sqrt(1 - 4 w^2), whose coefficient 2m is C(2m, m) and whose odd
+    coefficients vanish.
+    """
+    b = gs.ints
+    closed = gs.scale == 2 and all(
+        x == (0 if n % 2 else math.comb(n, n // 2)) for n, x in enumerate(b)
+    )
+    if not closed:
         raise KernelError("path cell series deviates from 1/sqrt(1-z^2)")
-    # Independent algebraicity witness: (1 - z^2) G^2 = 1 as truncated series.
-    one_minus_z2 = PowerSeries([1, 0, -1][:count], count)
-    if one_minus_z2 * gs.series * gs.series != PowerSeries.one(count):
+    # Independent algebraicity witness: (1 - 4 w^2) B^2 = 1 as truncated series.
+    sq = schoolbook(b, b, len(b))
+    one = [x - 4 * sq[n - 2] if n >= 2 else x for n, x in enumerate(sq)]
+    if one != [1] + [0] * gs.order:
         raise KernelError("algebraic identity (1-z^2) G^2 = 1 failed")
 
 
@@ -269,9 +267,8 @@ def verify_cell(
     )
 
     # G(0) = 1 with a zero residual fixes G (see functional_residual).
-    residual_ok = (
-        gs.coefficient(0) == 1
-        and functional_residual(gs.truncate(RESIDUAL_ORDER)).is_zero
+    residual_ok = gs.ints[0] == 1 and not any(
+        functional_residual(gs.truncate(RESIDUAL_ORDER))
     )
     items.append(
         CheckItem(

@@ -90,6 +90,22 @@ def _default_budget() -> int:
     return int(raw)
 
 
+def _one_input(args) -> None:
+    """Reject two inputs at once: the run would have to ignore one."""
+    given = [
+        label
+        for label, value in (
+            ("a cell file", args.cell),
+            ("--builtin", args.builtin),
+            ("--from-report", getattr(args, "from_report", None)),
+            ("--enumerate", getattr(args, "enumerate", False)),
+        )
+        if value
+    ]
+    if len(given) > 1:
+        raise CellError(f"{' and '.join(given)} exclude each other: give one input")
+
+
 def _load_cell(args) -> tuple[CellGraph, dict]:
     if args.builtin:
         g = builtin_cell(args.builtin)
@@ -127,7 +143,7 @@ def _ratfunc_json(r, series_count: int) -> dict:
     return {
         "num": format_poly(r.num),
         "den": format_poly(r.den),
-        "series": [str(c) for c in series_from_ratfunc(r, series_count).coeffs],
+        "series": [str(c) for c in series_from_ratfunc(r, series_count)],
     }
 
 
@@ -494,6 +510,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
+        _one_input(args)
         # Read here, inside the error handling: a bad value is an input error.
         budget = _default_budget()
         if "edge_budget" in vars(args):

@@ -13,17 +13,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
-from .algebra import (
-    Bracket,
-    IsolatedRoot,
-    Poly,
-    PowerSeries,
-    RatFunc,
-    ln_bracket,
+from .algebra import Bracket, IsolatedRoot, Poly, RatFunc, ln_bracket
+from .algebra.series import (
+    expand_scaled,
+    int_product,
+    pack_slots,
+    scaled_fractions,
+    schoolbook,
+    unpack_slots,
 )
-from .algebra.series import expand_scaled, int_product, pack_slots, unpack_slots
 from .cells import CellGraph
 from .greenkernel import (
     CellFunctions,
@@ -36,44 +35,40 @@ from .greenkernel import (
 
 @dataclass(frozen=True)
 class GreenSeries:
-    """Truncated return series of the limit graph.
+    """Truncated return series of the limit graph, in integers.
 
-    series holds coefficients of z^0 .. z^order inclusive; factors_used is
-    the nesting depth of green_series (at least 1), which equals the number
-    of factors f(d_k(z)) of G = prod_k f(d_k(z)) that reach z^order, where
-    d_k is the k-th iterate of d and k runs from 0 to factors_used - 1.
-    f_ints and d_ints are the integer coefficients of f(scale w) and
-    d(scale w) through w^order that G was solved from.  f_series and
-    d_series, the same expansions in z that functional_residual reads,
-    are built from them on first access.
+    ints holds b_n = scale^n g_n for n = 0 .. order, the coefficients of
+    G(scale w) in w = z / scale, scale the lcm of the cell's degrees;
+    f_ints and d_ints are those of f(scale w) and d(scale w), which G was
+    solved from.  factors_used is the nesting depth of green_series (at
+    least 1), which equals the number of factors f(d_k(z)) of
+    G = prod_k f(d_k(z)) that reach z^order, where d_k is the k-th iterate
+    of d and k runs from 0 to factors_used - 1.  The coefficients g_n in z
+    are made as Fractions only where they are read.
     """
 
-    series: PowerSeries
+    ints: tuple[int, ...]
     factors_used: int
     order: int
     f_ints: tuple[int, ...]
     d_ints: tuple[int, ...]
     scale: int
 
-    @cached_property
-    def f_series(self) -> PowerSeries:
-        return PowerSeries.from_scaled(self.f_ints, 1, self.scale)
-
-    @cached_property
-    def d_series(self) -> PowerSeries:
-        return PowerSeries.from_scaled(self.d_ints, 1, self.scale)
-
     def coefficient(self, k: int) -> Fraction:
-        return self.series.coefficient(k)
+        if not 0 <= k <= self.order:
+            raise IndexError(f"coefficient {k} is beyond the order {self.order}")
+        return Fraction(self.ints[k], self.scale**k)
 
     def coefficients(self) -> tuple[Fraction, ...]:
-        return self.series.coeffs[: self.order + 1]
+        return scaled_fractions(self.ints, 1, self.scale)
 
     def truncate(self, order: int) -> GreenSeries:
         """The same expansion known only through z^order."""
+        if order > self.order:
+            raise ValueError("cannot extend knowledge by truncation")
         n = order + 1
         return GreenSeries(
-            self.series.truncate(n), self.factors_used, order,
+            self.ints[:n], self.factors_used, order,
             self.f_ints[:n], self.d_ints[:n], self.scale,
         )
 
@@ -141,7 +136,7 @@ def green_series(cf: CellFunctions, order: int) -> GreenSeries:
         b = [0] * count
         b[::2] = _solve_levels(f_ints[::2], square[::2], scale * scale, v)
     return GreenSeries(
-        PowerSeries.from_scaled(b, 1, scale),
+        tuple(b),
         max(len(_level_sizes(count, v)) - 1, 1),
         order,
         tuple(f_ints),
@@ -192,8 +187,20 @@ def _level(
     return out
 
 
-def functional_residual(gs: GreenSeries) -> PowerSeries:
-    """G - f (G over d) from the series gs carries; zero when G is right.
+def functional_residual(gs: GreenSeries) -> list[int]:
+    """The integers L^K B - F sum_(k <= K) b_k L^(K-k) D^k mod w^(order+1).
+
+    Here B, F and D are gs.ints, gs.f_ints and gs.d_ints, the series
+    G(L w), f(L w) and d(L w) in w = z / L for L = gs.scale, and K is
+    order // v, v the valuation of D.  The list is zero exactly when
+    G - f (G over d) vanishes through z^order.  That residual at z = L w
+    is B - F G(D), and z = L w is invertible, so its coefficients in z
+    vanish through z^order when those in w do through w^order; they do
+    when L^K times them do, as L^K != 0; and L^K G(D) is
+    sum_k b_k L^(K-k) D^k, whose terms with k > K vanish mod w^(order+1),
+    since D^k starts at w^(k v) and (K + 1) v > order.  The products are
+    schoolbook, over the forward powers D^0, D^1, .. D^K, and share no
+    code with the levels of green_series.
 
     A zero residual through z^order with G(0) = 1 fixes G through z^order:
     d vanishes to order at least 2, so coefficient n of f (G over d)
@@ -201,7 +208,20 @@ def functional_residual(gs: GreenSeries) -> PowerSeries:
     earlier ones.  G(0) must be pinned apart, since the equation is linear:
     2 G has a zero residual too.
     """
-    return gs.series - gs.f_series * gs.series.compose(gs.d_series)
+    b, d, scale = gs.ints, gs.d_ints, gs.scale
+    count = gs.order + 1
+    v = next((i for i, x in enumerate(d) if x), count)
+    top = gs.order // v
+    inner = [0] * count
+    power = [1] + [0] * gs.order
+    for k in range(top + 1):
+        c = b[k] * scale ** (top - k)
+        for j in range(k * v, count):
+            inner[j] += c * power[j]
+        if k < top:
+            power = schoolbook(power, d, count)
+    lead = scale**top
+    return [lead * x - y for x, y in zip(b, schoolbook(gs.f_ints, inner, count))]
 
 
 # -- invariants ----------------------------------------------------------------

@@ -37,11 +37,11 @@ from cellgreen import (
     sufficient_approximant,
     validate_cell,
 )
-from cellgreen.algebra import PowerSeries, series_from_ratfunc
+from cellgreen.algebra import series_from_ratfunc
 from cellgreen.cells import transition_matrix
 from cellgreen.greenkernel import spectral_property_report
 from cellgreen.harmonic import alpha_from_harmonic
-from routes import green_entry
+from routes import PowerSeries, green_entry
 
 ORACLE_STEP_CAP = 20
 
@@ -149,11 +149,43 @@ def chained_triangles_text() -> str:
 
 
 @pytest.fixture(scope="session")
+def long_path_text() -> str:
+    """A path cell of 1,200 edges: the automorphism search maps its 1,201
+    vertices one by one, more than the interpreter's default recursion
+    limit of 1,000 frames."""
+    chain = [0, *range(2, 1201), 1]
+    lines = ["vertices 1201", "boundary 0 1"]
+    lines += [f"edge {a} {b}" for a, b in zip(chain, chain[1:])]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="session")
+def triangle_strip_text() -> str:
+    """1,100 triangles {x_i, y_i, x_(i+1)} in a chain, theta = 3, with the
+    boundary at y_0, y_550 and y_1099: its clique partition chooses 1,100
+    cliques one by one.  No automorphism moves y_550 to an end, so it is
+    invalid."""
+    ids: dict[tuple[str, int], int] = {}
+    for key in (("y", 0), ("y", 550), ("y", 1099)):
+        ids[key] = len(ids)
+    edges = []
+    for i in range(1100):
+        keys = (("x", i), ("y", i), ("x", i + 1))
+        x0, y, x1 = (ids.setdefault(k, len(ids)) for k in keys)
+        edges += [(x0, y), (y, x1), (x0, x1)]
+    lines = [f"vertices {len(ids)}", "boundary 0 1 2"]
+    lines += [f"edge {a} {b}" for a, b in edges]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="session")
 def cell_green_series():
     """Return-walk series of a finite cell at its origin, `count` coefficients."""
 
     def series(g: CellGraph, count: int) -> PowerSeries:
-        return series_from_ratfunc(green_entry(transition_matrix(g), 0, 0), count)
+        return PowerSeries(
+            series_from_ratfunc(green_entry(transition_matrix(g), 0, 0), count)
+        )
 
     return series
 

@@ -23,10 +23,9 @@ from cellgreen import (
 from cellgreen.algebra import Poly, RatFunc
 from cellgreen.algebra.roots import roots_equal
 from cellgreen.cells import cell_to_text
-from cellgreen.classify import star_series
 from cellgreen.greenkernel import spectral_property_report
 from cellgreen.iteration import functional_residual
-from routes import grid_expansion, log_ratio
+from routes import PowerSeries, grid_expansion, log_ratio, star_series
 
 
 def P(*coeffs):
@@ -101,12 +100,12 @@ def test_ac04_path_star_closed_form(record_acceptance):
     gs = green_series(cf, 100)
     closed = star_series(101)
     residual = functional_residual(gs)
-    ok = gs.series == closed and residual.is_zero
+    ok = PowerSeries(gs.coefficients()) == closed and not any(residual)
     record_acceptance(
         "AC4", ok, "two-edge path series equals 1/sqrt(1-z^2) through z^100"
     )
-    assert gs.series == closed
-    assert residual.is_zero
+    assert PowerSeries(gs.coefficients()) == closed
+    assert residual == [0] * 101
 
 
 def test_ac05_oracle_agreement(record_acceptance, sweep):

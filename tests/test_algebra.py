@@ -12,7 +12,6 @@ from cellgreen.algebra import (
     NoPositiveRootError,
     PoleError,
     Poly,
-    PowerSeries,
     RatFunc,
     ZeroDenominatorError,
     count_roots,
@@ -38,11 +37,12 @@ from cellgreen.algebra.roots import (
     _nonroot_near,
     cauchy_bound,
 )
-from cellgreen.algebra.series import expand_scaled
+from cellgreen.algebra.series import expand_scaled, int_product, schoolbook
 from cellgreen.greenkernel import cell_functions
 from cellgreen.iteration import green_series
 from cellgreen.registry import builtin_cell
 from routes import (
+    PowerSeries,
     det_bareiss,
     det_linear,
     log_ratio,
@@ -51,6 +51,7 @@ from routes import (
     rf_div,
     rf_mul,
     rf_sub,
+    signed_product,
 )
 
 X = Poly([0, 1])
@@ -210,7 +211,7 @@ class TestRatFunc:
 class TestPowerSeries:
     def test_geometric_series(self):
         s = series_from_ratfunc(RatFunc(P(1), P(1, -1)), 6)
-        assert s.coeffs == (1, 1, 1, 1, 1, 1)
+        assert s == (1, 1, 1, 1, 1, 1)
 
     def test_pole_at_zero_rejected(self):
         with pytest.raises(PoleError):
@@ -230,7 +231,7 @@ class TestPowerSeries:
     def test_matches_the_fraction_recurrence(self, num, den, order):
         r = RatFunc(num, den)
         expected = fraction_series(r, order)
-        assert series_from_ratfunc(r, order) == expected
+        assert series_from_ratfunc(r, order) == expected.coeffs
         # Any scale that makes the denominator integral gives the same series.
         den0 = r.den.coefficient(0)
         scale = 2 * math.lcm(*[(c / den0).denominator for c in r.den.coeffs])
@@ -260,7 +261,7 @@ class TestPowerSeries:
 
     def test_compose_order_propagation(self):
         # valuation 2 inner keeps the inner order
-        outer = series_from_ratfunc(RatFunc(P(1), P(1, -1)), 5)
+        outer = PowerSeries(series_from_ratfunc(RatFunc(P(1), P(1, -1)), 5))
         inner = series_from_poly(P(0, 0, 1), 9)
         assert outer.compose(inner).order == 9
 
@@ -268,7 +269,7 @@ class TestPowerSeries:
         r = RatFunc(P(1, 2), P(3, 0, -1, 1))
         long = series_from_ratfunc(r, 12)
         short = series_from_ratfunc(r, 5)
-        assert long.truncate(5) == short
+        assert long[:5] == short
 
     @given(st.lists(rationals, min_size=2, max_size=7),
            st.lists(rationals, min_size=1, max_size=6))
@@ -351,6 +352,27 @@ class TestSeriesProduct:
         assert a * b == expected
         assert b * a == expected
         assert (a * b).coeffs == expected.coeffs
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=2**70), min_size=1, max_size=24),
+        st.lists(st.integers(min_value=0, max_value=2**70), min_size=1, max_size=24),
+        st.integers(min_value=1, max_value=30),
+    )
+    @example([0], [0], 1)
+    @example([1], [1], 30)
+    # n * 255 * 255 needs 3 bytes where each factor needs one.
+    @example([255] * 24, [255] * 24, 24)
+    def test_nonnegative_product_matches_schoolbook(self, a, b, n):
+        assert int_product(a, b, n) == schoolbook(a, b, n)
+
+    @given(
+        st.lists(st.integers(min_value=-(2**70), max_value=2**70), min_size=1, max_size=24),
+        st.lists(st.integers(min_value=-(2**70), max_value=2**70), min_size=1, max_size=24),
+        st.integers(min_value=1, max_value=30),
+    )
+    @example([-1] * 9, [-1] * 9, 9)
+    def test_signed_product_matches_schoolbook(self, a, b, n):
+        assert signed_product(a, b, n) == schoolbook(a, b, n)
 
     def test_unknown_tail_shortens_product(self):
         a = PowerSeries([Fraction(1, 2), -3], 5)

@@ -19,6 +19,7 @@ from cellgreen import (
 )
 from cellgreen.cells import (
     CellParseError,
+    _cliques_through,
     _norm_edge,
     _reachable,
     boundary_doubly_transitive,
@@ -318,6 +319,38 @@ class TestValidation:
         rep = validate_cell(builtin_cell("diamond"), check_automorphisms=False)
         assert rep.doubly_transitive == "skipped"
         assert rep.valid
+
+    def test_long_path_validates(self, long_path_text):
+        rep = validate_cell(parse_cell(long_path_text))
+        assert rep.valid and rep.is_path
+        assert rep.mu == 1200
+        assert rep.doubly_transitive is True
+
+    def test_long_triangle_strip_gets_a_report(self, triangle_strip_text):
+        g = parse_cell(triangle_strip_text)
+        assert (g.n, g.theta, g.num_edges) == (2201, 3, 3300)
+        rep = validate_cell(g, check_automorphisms=False)
+        assert rep.valid and rep.mu == 1100
+        assert len(rep.clique_partition) == 1100
+        assert set().union(*rep.clique_partition) == set(range(g.n))
+        rep = validate_cell(g)
+        assert rep.doubly_transitive is False
+        assert not rep.valid
+
+    def test_cliques_in_lexicographic_order(self, chained_triangles_text):
+        cells = [builtin_cell("sierpinski"), builtin_cell("theta4")]
+        cells.append(parse_cell(chained_triangles_text))
+        for g in cells:
+            for size in (2, 3, 4):
+                expected = [
+                    frozenset(c)
+                    for c in itertools.combinations(range(g.n), size)
+                    if all(
+                        _norm_edge(a, b) in g.edges
+                        for a, b in itertools.combinations(c, 2)
+                    )
+                ]
+                assert _cliques_through(g, size) == expected
 
     def test_report_isomorphism_invariant(self):
         g = builtin_cell("diamond")

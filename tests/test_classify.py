@@ -7,8 +7,17 @@ from fractions import Fraction
 
 import pytest
 
-from cellgreen import CellGraph, builtin_cell, classify, verify_cell
-from cellgreen.classify import OUTCOMES, Verdict, star_series
+from cellgreen import (
+    CellGraph,
+    KernelError,
+    builtin_cell,
+    cell_functions,
+    classify,
+    green_series,
+    verify_cell,
+)
+from cellgreen.classify import OUTCOMES, Verdict, _verify_star_form
+from routes import star_series
 
 
 def four_cycle() -> CellGraph:
@@ -37,6 +46,21 @@ class TestStarCase:
             1, 0, Fraction(1, 2), 0, Fraction(3, 8),
             0, Fraction(5, 16), 0, Fraction(35, 128),
         )
+
+    @pytest.mark.parametrize("name", ["path2", "path3"])
+    def test_star_check_rejects_a_deviating_series(self, name):
+        gs = green_series(cell_functions(builtin_cell(name)), 30)
+        _verify_star_form(gs)
+        assert gs.scale == 2 and gs.ints[:7] == (1, 0, 2, 0, 6, 0, 20)
+        deviations = [
+            dataclasses.replace(gs, scale=4),
+            dataclasses.replace(gs, ints=gs.ints[:4] + (7,) + gs.ints[5:]),
+            dataclasses.replace(gs, ints=gs.ints[:29] + (1,) + gs.ints[30:]),
+            dataclasses.replace(gs, ints=gs.ints[:30] + (gs.ints[30] + 1,)),
+        ]
+        for bad in deviations:
+            with pytest.raises(KernelError, match="deviates"):
+                _verify_star_form(bad)
 
     def test_star_series_squares_to_geometric(self):
         s = star_series(40)
@@ -207,7 +231,7 @@ class TestFullVerification:
 
         def doubled(cf, order):
             gs = real(cf, order)
-            return dataclasses.replace(gs, series=gs.series * 2)
+            return dataclasses.replace(gs, ints=tuple(2 * b for b in gs.ints))
 
         monkeypatch.setattr(module, "green_series", doubled)
         report = verify_cell(builtin_cell("diamond"), max_steps=8)

@@ -52,6 +52,24 @@ class TestValidate:
         assert doc["input"]["source"] == str(path)
         assert len(doc["input"]["sha256"]) == 64
 
+    def test_long_path_exits_zero(self, cli, tmp_path, long_path_text):
+        path = tmp_path / "path1200.cell"
+        path.write_text(long_path_text)
+        doc = payload(cli("validate", str(path)))
+        assert doc["report"]["valid"] is True
+        assert doc["report"]["doubly_transitive"] is True
+
+    @pytest.mark.parametrize("flags", [[], ["--skip-automorphisms"]])
+    def test_long_triangle_strip_gets_a_report(
+        self, cli, tmp_path, triangle_strip_text, flags
+    ):
+        path = tmp_path / "strip1100.cell"
+        path.write_text(triangle_strip_text)
+        result = cli("validate", str(path), *flags)
+        assert result.returncode == (0 if flags else 2), result.stderr
+        report = json.loads(result.stdout)["report"]
+        assert len(report["clique_partition"]) == 1100
+
     def test_invalid_cell_exits_two(self, cli, tmp_path):
         path = tmp_path / "c4.cell"
         path.write_text(
@@ -362,6 +380,48 @@ class TestInputErrors:
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == f"error: {flag} must be nonnegative, got {value}\n"
+
+    # Each pair would leave one input unread.  The files do not exist and
+    # --max-vertices is over its budget, so the one-line error shows that
+    # nothing was read or run first.
+    @pytest.mark.parametrize(
+        "args, given",
+        [
+            (
+                ["green", "--builtin", "diamond", "missing.cell"],
+                "a cell file and --builtin",
+            ),
+            (
+                ["validate", "missing.cell", "--builtin", "path2"],
+                "a cell file and --builtin",
+            ),
+            (
+                ["verify", "--from-report", "missing.json", "--enumerate"],
+                "--from-report and --enumerate",
+            ),
+            (
+                ["verify", "--from-report", "missing.json", "--builtin", "path2"],
+                "--builtin and --from-report",
+            ),
+            (
+                ["verify", "--from-report", "missing.json", "missing.cell"],
+                "a cell file and --from-report",
+            ),
+            (
+                ["verify", "--enumerate", "--max-vertices", "40", "missing.cell"],
+                "a cell file and --enumerate",
+            ),
+            (
+                ["verify", "--enumerate", "--builtin", "diamond"],
+                "--builtin and --enumerate",
+            ),
+        ],
+    )
+    def test_conflicting_inputs_exit_two(self, args, given, capsys):
+        assert cellgreen.cli.main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {given} exclude each other: give one input\n"
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_trials_below_one_exit_two(self, cli, trials):

@@ -1,5 +1,6 @@
 """Infinite-graph series via the product of rescaled return functions."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -22,9 +23,16 @@ from cellgreen.iteration import (
     iteration_hypotheses,
     singular_prefactor_probe,
 )
-from cellgreen.algebra import Poly, PowerSeries, RatFunc, series_from_ratfunc
-from cellgreen.classify import star_series
-from routes import green_series_recursion, log_ratio, nested_green_series
+from cellgreen.algebra import Poly, RatFunc, series_from_ratfunc
+from cellgreen.algebra.series import scaled_fractions
+from routes import (
+    PowerSeries,
+    fraction_residual,
+    green_series_recursion,
+    log_ratio,
+    nested_green_series,
+    star_series,
+)
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +53,8 @@ def product_green_series(cf, order: int) -> tuple[PowerSeries, int]:
     series and the number of factors multiplied.
     """
     count = order + 1
-    f_ser = series_from_ratfunc(cf.f, count)
-    d_ser = series_from_ratfunc(cf.d, count)
+    f_ser = PowerSeries(series_from_ratfunc(cf.f, count))
+    d_ser = PowerSeries(series_from_ratfunc(cf.d, count))
     product = f_ser
     factors = 1
     inner = d_ser
@@ -88,21 +96,22 @@ class TestGreenSeries:
     def test_prefix_stable_under_order_growth(self, diamond_cf):
         long = green_series(diamond_cf, 24)
         short = green_series(diamond_cf, 9)
-        assert long.series.truncate(10) == short.series
+        assert long.coefficients()[:10] == short.coefficients()
+        assert long.ints[:10] == short.ints
 
     def test_recursion_route_agrees(self):
         for name in ("diamond", "path2", "path3", "sierpinski", "theta4"):
             cf = cell_functions(builtin_cell(name))
             product = green_series(cf, 20)
             direct = green_series_recursion(cf, 20)
-            assert product.series == direct
+            assert PowerSeries(product.coefficients()) == direct
 
     @given(st.sampled_from(SMALL_CELLS), st.integers(min_value=0, max_value=24))
     def test_nested_product_and_recursion_routes_agree(self, g, order):
         cf = cell_functions(g)
         nested = green_series(cf, order)
         product, factors = product_green_series(cf, order)
-        assert nested.series == product
+        assert PowerSeries(nested.coefficients()) == product
         assert nested.factors_used == factors
         assert green_series_recursion(cf, order) == product
 
@@ -114,7 +123,7 @@ class TestGreenSeries:
         cf = cell_functions(g)
         gs = green_series(cf, order)
         assert gs == nested_green_series(cf, order)
-        assert gs.series == green_series_recursion(cf, order)
+        assert PowerSeries(gs.coefficients()) == green_series_recursion(cf, order)
 
     @pytest.mark.parametrize("name", builtin_names())
     def test_integer_route_matches_the_rational_route_on_builtins(self, name):
@@ -122,9 +131,9 @@ class TestGreenSeries:
         ref = nested_green_series(cf, 140)
         for order in range(141):
             gs, short = green_series(cf, order), ref.truncate(order)
-            assert gs.series == short.series
-            assert gs.f_series == short.f_series
-            assert gs.d_series == short.d_series
+            assert gs.ints == short.ints
+            assert gs.f_ints == short.f_ints
+            assert gs.d_ints == short.d_ints
         for order in (0, 1, 2, 3, 7, 8, 64, 139):
             assert green_series(cf, order) == nested_green_series(cf, order)
 
@@ -138,10 +147,10 @@ class TestGreenSeries:
             cf = cell_functions(builtin_cell(name))
             gs = green_series(cf, 60)
             solved[name] = len(levels[-1][0])
-            d_even[name] = not any(gs.d_series.coeffs[1::2])
+            d_even[name] = not any(gs.d_ints[1::2])
             assert gs == nested_green_series(cf, 60)
             if name != "sierpinski":
-                assert not any(gs.f_series.coeffs[1::2])
+                assert not any(gs.f_ints[1::2])
                 assert not any(gs.coefficients()[1::2])
         assert solved == {"diamond": 31, "path3": 31, "sierpinski": 61}
         assert d_even == {"diamond": True, "path3": False, "sierpinski": False}
@@ -153,8 +162,9 @@ class TestGreenSeries:
         for g in cells + list(enumerated_cells[::7]):
             scale = math.lcm(*g.degrees())
             gs = green_series(cell_functions(g), 64)
+            assert gs.scale == scale
             for n, c in enumerate(gs.coefficients()):
-                assert (c * scale**n).denominator == 1
+                assert c * scale**n == gs.ints[n]
         for g in cells:
             degrees = set(g.degrees())
             for level in (1, 2, 3):
@@ -179,29 +189,93 @@ class TestGreenSeries:
         for name in ("diamond", "path2", "sierpinski"):
             cf = cell_functions(builtin_cell(name))
             gs = green_series(cf, 40)
-            assert functional_residual(gs).is_zero
+            assert functional_residual(gs) == [0] * 41
+            assert fraction_residual(gs).is_zero
 
     def test_series_carries_the_expansions_it_was_solved_from(self, diamond_cf):
         gs = green_series(diamond_cf, 40)
-        # The Fraction expansions are built on first access only.
-        assert "f_series" not in vars(gs) and "d_series" not in vars(gs)
-        assert gs.scale == 6 and len(gs.f_ints) == len(gs.d_ints) == 41
-        assert gs.f_series == series_from_ratfunc(diamond_cf.f, 41)
-        assert gs.d_series == series_from_ratfunc(diamond_cf.d, 41)
+        # Only integers: the Fractions are made where they are read.
+        assert set(vars(gs)) == {
+            "ints", "factors_used", "order", "f_ints", "d_ints", "scale"
+        }
+        assert all(type(x) is int for x in gs.ints + gs.f_ints + gs.d_ints)
+        assert gs.scale == 6 and len(gs.ints) == len(gs.f_ints) == len(gs.d_ints) == 41
+        f, d = diamond_cf.f, diamond_cf.d
+        assert scaled_fractions(gs.f_ints, 1, 6) == series_from_ratfunc(f, 41)
+        assert scaled_fractions(gs.d_ints, 1, 6) == series_from_ratfunc(d, 41)
         short = gs.truncate(10)
-        assert short.series == gs.series.truncate(11)
-        assert short.f_series == series_from_ratfunc(diamond_cf.f, 11)
-        assert short.d_series == series_from_ratfunc(diamond_cf.d, 11)
-        assert functional_residual(short).is_zero
+        assert short.ints == gs.ints[:11]
+        assert short.coefficients() == gs.coefficients()[:11]
+        assert scaled_fractions(short.f_ints, 1, 6) == series_from_ratfunc(f, 11)
+        assert scaled_fractions(short.d_ints, 1, 6) == series_from_ratfunc(d, 11)
+        assert functional_residual(short) == [0] * 11
+        with pytest.raises(ValueError):
+            gs.truncate(41)
+        with pytest.raises(IndexError):
+            gs.coefficient(41)
+        with pytest.raises(IndexError):
+            gs.coefficient(-1)
 
     def test_star_closed_form(self, path2_cf):
         gs = green_series(path2_cf, 100)
-        assert gs.series == star_series(101)
+        assert PowerSeries(gs.coefficients()) == star_series(101)
         for m in (0, 1, 2, 6, 50):
             assert gs.coefficient(2 * m) == Fraction(
                 math.comb(2 * m, m), 4**m
             )
         assert gs.coefficient(12) == Fraction(231, 1024)
+
+
+@st.composite
+def perturbed_cases(draw):
+    """A small cell, an order, and a change to one b_n with 1 <= n <= order."""
+    g = draw(st.sampled_from(SMALL_CELLS))
+    order = draw(st.integers(min_value=1, max_value=60))
+    n = draw(st.integers(min_value=1, max_value=order))
+    delta = draw(st.sampled_from((-2, -1, 1, 3)))
+    return g, order, n, delta
+
+
+class TestFunctionalResidual:
+    @settings(deadline=None, max_examples=60)
+    @given(perturbed_cases())
+    @example((SMALL_CELLS[0], 60, 60, 1))
+    @example((SMALL_CELLS[-1], 60, 1, -1))
+    @example((SMALL_CELLS[-1], 1, 1, 1))
+    def test_zero_on_the_series_and_not_on_a_perturbed_one(self, case):
+        g, order, n, delta = case
+        cf = cell_functions(g)
+        gs = green_series(cf, order)
+        assert functional_residual(gs) == [0] * (order + 1)
+        ints = list(gs.ints)
+        ints[n] += delta
+        bad = dataclasses.replace(gs, ints=tuple(ints))
+        residual = functional_residual(bad)
+        # b_n enters f*(G over d) only from w^(2n) on, and L^K B at w^n.
+        top = order // cf.d.num.valuation()
+        assert residual[:n] == [0] * n
+        assert residual[n] == gs.scale**top * delta
+        # Coefficient j in w is L^(K+j) times that of the Fraction route in z.
+        expected = fraction_residual(bad).coeffs
+        assert residual == [gs.scale ** (top + j) * c for j, c in enumerate(expected)]
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_matches_the_fraction_route_on_builtins(self, name):
+        # At orders 17 and 48, g_K != 0 on sierpinski, theta4 and path2, so
+        # there the last term b_K D^K of the sum is not zero.
+        cf = cell_functions(builtin_cell(name))
+        gs = green_series(cf, 48)
+        top = 48 // cf.d.num.valuation()
+        for order in (0, 1, 2, 5, 17, 48):
+            short = gs.truncate(order)
+            assert functional_residual(short) == [0] * (order + 1)
+        ints = list(gs.ints)
+        ints[-1] += 1
+        bad = dataclasses.replace(gs, ints=tuple(ints))
+        expected = fraction_residual(bad).coeffs
+        assert functional_residual(bad) == [
+            gs.scale ** (top + j) * c for j, c in enumerate(expected)
+        ]
 
 
 class TestInvariants:
