@@ -11,19 +11,11 @@ from math import prod
 from operator import mul
 from typing import Sequence
 
-from .poly import Poly, integer_content
+from .poly import Poly, _exact_div, clear_denominators
 
 
 class SingularMatrixError(ArithmeticError):
     pass
-
-
-def _exact_div(a: int, b: int) -> int:
-    """a // b for ints where b divides a; raises if it does not."""
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError("inexact division in fraction-free elimination")
-    return q
 
 
 def interpolate(values: Sequence[int]) -> list[int]:
@@ -118,7 +110,7 @@ def resolvent_row(
         raise ValueError("matrix must be square")
     diag, b_cols = [], [[0] * n for _ in range(n)]  # b_cols[j][i] is B[i][j]
     for i, row in enumerate(t):
-        ints, _ = integer_content([1, *(-x for x in row)])
+        ints, _ = clear_denominators([1, *(-x for x in row)])
         if sum(map(abs, ints[1:])) > ints[0]:
             raise ValueError("resolvent_row needs row absolute sums at most 1")
         diag.append(ints[0])
@@ -134,7 +126,9 @@ def resolvent_row(
 
     def rescaled(values: Sequence[int], top: int, scale: Fraction) -> Poly:
         coeffs = interpolate(values[: top + 1])
-        return Poly(_exact_div(c, s ** (top - m)) * scale for m, c in enumerate(coeffs))
+        return Poly.from_ints(
+            (_exact_div(c, s ** (top - m)) for m, c in enumerate(coeffs)), scale
+        )
 
     dets, ys = zip(*map(node, range(s)))
     total = prod(diag)

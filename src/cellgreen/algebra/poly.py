@@ -1,31 +1,28 @@
-"""Dense univariate polynomials over exact rationals, with an integer kernel.
+"""Dense univariate polynomials over the rationals, stored as integers.
 
-Coefficients are ``fractions.Fraction`` stored lowest degree first with
-trailing zeros stripped, so the representation of each polynomial is unique
-and equality is structural.  The zero polynomial has an empty coefficient
-tuple and degree -1.
+A ``Poly`` is ``content * sum(ints[i] z^i)``: ``ints`` is a tuple of
+coprime integers, lowest degree first, with trailing zeros stripped, and
+``content`` is a positive ``Fraction``.  The zero polynomial has ``ints``
+``()``, content 1 and degree -1.  So each polynomial has exactly one
+representation, and equality is structural.  ``coeffs`` gives the
+``Fraction`` coefficients, for printing and interval evaluation.
 
-The hot routines run on plain ints: ``integer_content`` splits a Poly into
-a positive content times primitive integers, evaluation is one homogenized
-integer Horner, and ``poly_gcd`` and the Sturm chains in ``roots`` step a
-primitive pseudo-remainder sequence (Collins, J. ACM 14, 1967).
+Arithmetic runs on the integers.  A product multiplies the primitive parts
+and the contents; a sum works over the lcm of the two content denominators
+and takes one gcd; ``//`` is exact division only.  Evaluation is one
+homogenized integer Horner, and ``poly_gcd`` and the Sturm chains in
+``roots`` step a primitive pseudo-remainder sequence (Collins, J. ACM 14,
+1967) on ``ints``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[Fraction, int]
-
-
-def _as_fraction(x: Scalar) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected a rational scalar, got {type(x).__name__}")
 
 
 def clear_denominators(coeffs: Sequence[Scalar]) -> tuple[list[int], int]:
@@ -34,14 +31,25 @@ def clear_denominators(coeffs: Sequence[Scalar]) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def integer_content(coeffs: Sequence[Scalar]) -> tuple[list[int], Fraction]:
-    """``(ints, c)``: coprime integers and a rational ``c > 0``, coeffs == c * ints."""
-    ints, den = clear_denominators(coeffs)
-    g = gcd(*ints) or 1
-    return [v // g for v in ints], Fraction(g, den)
+def _exact_div(a: int, b: int) -> int:
+    """a // b for ints where b divides a; raises if it does not."""
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("inexact integer division")
+    return q
 
 
-def _homogeneous_horner(ints: Sequence[int], x: Fraction) -> int:
+def schoolbook(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """First ``n`` coefficients of the product of integer lists, term by term."""
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[: n - i]):
+                out[i + j] += x * y
+    return out
+
+
+def _homogeneous_horner(ints: Sequence[int], x: Scalar) -> int:
     """``b**n`` times the polynomial ``ints`` (degree n) at ``x = a/b``, b > 0."""
     a, b = x.numerator, x.denominator
     acc, bp = 0, 1
@@ -52,16 +60,34 @@ def _homogeneous_horner(ints: Sequence[int], x: Fraction) -> int:
 
 
 class Poly:
-    """Immutable polynomial with exact rational coefficients."""
+    """Immutable polynomial ``content * sum(ints[i] z^i)``."""
 
-    __slots__ = ("coeffs", "_integer")
+    __slots__ = ("ints", "content")
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_integer", None)
+    def __new__(cls, coeffs: Iterable[Scalar] = ()):
+        ints, den = clear_denominators(list(coeffs))
+        return cls.from_ints(ints, Fraction(1, den))
+
+    @classmethod
+    def from_ints(
+        cls, ints: Iterable[int], content: Fraction = Fraction(1)
+    ) -> Poly:
+        """``content * sum(ints[i] z^i)`` for integers ``ints`` and a
+        ``Fraction`` ``content > 0``: trailing zeros stripped, one gcd taken."""
+        ints = list(ints)
+        while ints and ints[-1] == 0:
+            ints.pop()
+        g = gcd(*ints) or 1
+        content = content * g if ints else Fraction(1)
+        return cls._of(tuple(v // g for v in ints), content)
+
+    @classmethod
+    def _of(cls, ints: tuple[int, ...], content: Fraction) -> Poly:
+        """The Poly of coprime, stripped ``ints`` and ``content > 0``, unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "ints", ints)
+        object.__setattr__(p, "content", content)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -69,51 +95,47 @@ class Poly:
     # -- basic queries ----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest degree first."""
+        return tuple(self.content * v for v in self.ints)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self.coefficient(self.degree)
 
     def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.ints):
+            return self.content * self.ints[k]
         return Fraction(0)
-
-    def integer_form(self) -> tuple[list[int], Fraction]:
-        """``integer_content`` of the coefficients, computed once per Poly."""
-        form = self._integer
-        if form is None:
-            form = integer_content(self.coeffs)
-            object.__setattr__(self, "_integer", form)
-        return form
 
     def valuation(self) -> int:
         """Index of the lowest nonzero coefficient; -1 for the zero polynomial."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return -1
+        return next((i for i, v in enumerate(self.ints) if v), -1)
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: Poly | Scalar) -> Poly:
+        """The sum over the lcm of the two content denominators, made
+        primitive by one gcd."""
         other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            self.coefficient(i) + other.coefficient(i) for i in range(n)
-        )
+        a, b = self.content, other.content
+        den = lcm(a.denominator, b.denominator)
+        ka = a.numerator * (den // a.denominator)
+        kb = b.numerator * (den // b.denominator)
+        pairs = zip_longest(self.ints, other.ints, fillvalue=0)
+        return Poly.from_ints((ka * u + kb * v for u, v in pairs), Fraction(1, den))
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly(-c for c in self.coeffs)
+        return Poly._of(tuple(-v for v in self.ints), self.content)
 
     def __sub__(self, other: Poly | Scalar) -> Poly:
         return self + (-_coerce(other))
@@ -122,79 +144,68 @@ class Poly:
         return _coerce(other) - self
 
     def __mul__(self, other: Poly | Scalar) -> Poly:
-        if isinstance(other, (Fraction, int)):
-            q = _as_fraction(other)
-            return Poly(c * q for c in self.coeffs)
+        """The product of the primitive parts times that of the contents.
+
+        By Gauss's lemma a product of primitive integer polynomials is
+        primitive, so the product takes no gcd.  A scalar is the constant
+        polynomial of its sign times its absolute value.
+        """
         other = _coerce(other)
-        if self.is_zero or other.is_zero:
+        x, y = self.ints, other.ints
+        if not x or not y:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] += a * b
-        return Poly(out)
+        ints = schoolbook(x, y, len(x) + len(y) - 1)
+        return Poly._of(tuple(ints), self.content * other.content)
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
-        """Exact euclidean division; remainder degree < divisor degree."""
+    def __floordiv__(self, other: Poly | Scalar) -> Poly:
+        """The exact quotient; ``ArithmeticError`` when ``other`` does not divide.
+
+        Let primitive B divide primitive A, with quotient c Q0, Q0
+        primitive.  Then A = c (B Q0), and B Q0 is primitive by Gauss's
+        lemma, so c = +-1: the quotient has integer coefficients, and each
+        step of the long division of ``ints`` by ``other.ints`` divides
+        exactly.
+        """
         other = _coerce(other)
-        if other.is_zero:
+        b = other.ints
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(), self
-        quo = [Fraction(0)] * (dq + 1)
-        lead = other.leading_coefficient()
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
-            quo[k] = c
-            if c != 0:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return Poly(quo), Poly(rem[: other.degree if other.degree > 0 else 0])
-
-    def __floordiv__(self, other: Poly) -> Poly:
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: Poly) -> Poly:
-        return divmod(self, other)[1]
-
-    def __pow__(self, n: int) -> Poly:
-        if n < 0:
-            raise ValueError("negative power")
-        result = Poly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if not self.ints:
+            return self
+        rem, top = list(self.ints), len(b) - 1
+        quo = [0] * max(len(rem) - top, 0)
+        for k in reversed(range(len(quo))):
+            q = quo[k] = _exact_div(rem[k + top], b[-1])
+            for j, v in enumerate(b, k):
+                rem[j] -= q * v
+        if any(rem):
+            raise ArithmeticError("polynomial division leaves a remainder")
+        return Poly._of(tuple(quo), self.content / other.content)
 
     def __call__(self, x: Scalar) -> Fraction:
         """Exact value at x: an integer Horner, then one Fraction."""
-        x = _as_fraction(x)
-        ints, c = self.integer_form()
-        v = _homogeneous_horner(ints, x) * c.numerator
+        c = self.content
+        v = _homogeneous_horner(self.ints, x) * c.numerator
         return Fraction(v, c.denominator * x.denominator ** max(self.degree, 0))
 
     def sign_at(self, x: Scalar) -> int:
         """-1, 0 or 1 as p(x) is negative, zero or positive; builds no Fraction."""
-        v = _homogeneous_horner(self.integer_form()[0], _as_fraction(x))
+        v = _homogeneous_horner(self.ints, x)
         return (v > 0) - (v < 0)
 
     def derivative(self) -> Poly:
-        return Poly(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        return Poly.from_ints(
+            (i * v for i, v in enumerate(self.ints[1:], 1)), self.content
+        )
 
     def monic(self) -> Poly:
-        if self.is_zero:
+        if not self.ints:
             return self
-        return self * (1 / self.leading_coefficient())
+        lead = self.ints[-1]
+        ints = self.ints if lead > 0 else tuple(-v for v in self.ints)
+        return Poly._of(ints, Fraction(1, abs(lead)))
 
     # -- dunder plumbing ----------------------------------------------------
 
@@ -203,10 +214,10 @@ class Poly:
             other = Poly([other])
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.ints == other.ints and self.content == other.content
 
     def __hash__(self) -> int:
-        return hash(("Poly", self.coeffs))
+        return hash(("Poly", self.ints, self.content))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -221,10 +232,12 @@ class Poly:
 def _coerce(x: Poly | Scalar) -> Poly:
     if isinstance(x, Poly):
         return x
-    return Poly([_as_fraction(x)])
+    if isinstance(x, (Fraction, int)):
+        return Poly([x])
+    raise TypeError(f"cannot interpret {type(x).__name__} as a polynomial")
 
 
-def prs_step(a: list[int], b: list[int]) -> list[int]:
+def prs_step(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The primitive part of ``a mod b``, with its sign, on integer lists.
 
     Pseudo-division by the nonzero ``b`` multiplies by ``|lc(b)| > 0`` at
@@ -241,23 +254,22 @@ def prs_step(a: list[int], b: list[int]) -> list[int]:
             r[j] -= q * c
     while r and r[-1] == 0:
         r.pop()
-    return integer_content(r)[0]
+    g = gcd(*r)
+    return [c // g for c in r] if g > 1 else r
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor by a primitive remainder sequence."""
-    u, v = a.integer_form()[0], b.integer_form()[0]
+    u, v = a.ints, b.ints
     while v:
         u, v = v, prs_step(u, v)
-    if not u:
-        return Poly()
-    return Poly(Fraction(c, u[-1]) for c in u)
+    return Poly._of(tuple(u), Fraction(1)).monic()
 
 
 def squarefree_part(p: Poly) -> Poly:
     """p with all repeated factors reduced to multiplicity one (monic)."""
     if p.degree <= 0:
-        return p.monic() if not p.is_zero else p
+        return p.monic()
     g = poly_gcd(p, p.derivative())
     return (p // g).monic()
 

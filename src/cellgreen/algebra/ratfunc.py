@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Poly, poly_gcd
+from .poly import Poly, _coerce, poly_gcd
 
 
 class ZeroDenominatorError(ZeroDivisionError):
@@ -29,20 +29,13 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly | Fraction | int, den: Poly | Fraction | int = 1):
-        num = _as_poly(num)
-        den = _as_poly(den)
+        num, den = _coerce(num), _coerce(den)
         if den.is_zero:
             raise ZeroDenominatorError("denominator is zero")
-        if num.is_zero:
-            den = Poly([1])
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            lead = den.leading_coefficient()
-            if lead != 1:
-                inv = 1 / lead
-                num, den = num * inv, den * inv
+        # With num = 0 the gcd is den made monic, and den becomes 1.
+        g = poly_gcd(num, den)
+        num, den = num // g, den // g
+        num, den = num * (1 / den.leading_coefficient()), den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -84,12 +77,4 @@ class RatFunc:
         if self.is_polynomial:
             return str(self.num * self.den.coefficient(0) ** -1)
         return f"({self.num}) / ({self.den})"
-
-
-def _as_poly(x: Poly | Fraction | int) -> Poly:
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, (Fraction, int)):
-        return Poly([x])
-    raise TypeError(f"cannot interpret {type(x).__name__} as a polynomial")
 

@@ -7,7 +7,8 @@ decisions (counting, comparison, equality) are made exactly with Sturm
 sequences and polynomial gcds; floating point appears only in diagnostics.
 
 Sign tests read ``Poly.sign_at``, the sign of an integer Horner, and build
-no ``Fraction``; Sturm chains are primitive integer polynomials.
+no ``Fraction``; Sturm chains are built on ``Poly.ints`` and are primitive
+integer polynomials.
 """
 
 from __future__ import annotations
@@ -30,19 +31,19 @@ class NoPositiveRootError(ValueError):
 def sturm_chain(p: Poly) -> tuple[Poly, ...]:
     """Sturm sequence of p: p, p', then minus each remainder (``prs_step``).
 
-    Each member is divided by a positive rational to coprime integer
-    coefficients, which changes no sign.
+    Each member is its primitive part ``ints``, a positive rational
+    multiple, which changes no sign.
     """
-    chain = [p.integer_form()[0]]
-    d = p.derivative()
-    if not d.is_zero:
-        chain.append(d.integer_form()[0])
+    chain = [p.ints]
+    d = p.derivative().ints
+    if d:
+        chain.append(d)
         while True:
             rem = prs_step(chain[-2], chain[-1])
             if not rem:
                 break
             chain.append([-c for c in rem])
-    return tuple(Poly(c) for c in chain)
+    return tuple(map(Poly.from_ints, chain))
 
 
 def _sign_variations(chain: tuple[Poly, ...], x: Fraction) -> int:
@@ -70,9 +71,8 @@ def cauchy_bound(p: Poly) -> Fraction:
     """Strict upper bound on the absolute value of every root."""
     if p.degree < 0:
         raise ValueError("zero polynomial")
-    lead = abs(p.leading_coefficient())
-    m = max((abs(c) for c in p.coeffs[:-1]), default=Fraction(0))
-    return 1 + m / lead
+    # The content cancels from the ratio.
+    return 1 + Fraction(max(map(abs, p.ints[:-1]), default=0), abs(p.ints[-1]))
 
 
 def _nonroot_near(p: Poly, x: Fraction, step: Fraction) -> Fraction:
@@ -149,7 +149,7 @@ def smallest_positive_root(
     # Positive roots are unaffected by stripping a power of z.
     val = p.valuation()
     if val > 0:
-        p = Poly(p.coeffs[val:])
+        p = Poly.from_ints(p.ints[val:], p.content)
         if p.degree < 1:
             raise NoPositiveRootError("no positive root (pure power of z)")
     sf = squarefree_part(p)
@@ -165,9 +165,8 @@ def smallest_positive_root(
     # hi are non-roots.  So sf has on [0, lo] the sign it has at 0.
     positive_at_0 = sf.sign_at(lo) > 0
     while inside > 1 or hi - lo > width:
+        # Within (hi - lo) / 64 of the midpoint, so inside (lo, hi).
         m = _nonroot_near(sf, (lo + hi) / 2, (hi - lo) / 64)
-        if not lo < m < hi:
-            m = _nonroot_near(sf, (lo + hi) / 2, (hi - lo) / 1024)
         if inside > 1:
             below = count_roots(sf, lo, m)
             if below:

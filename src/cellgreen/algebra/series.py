@@ -5,8 +5,8 @@ w = z / scale, for ``series_from_ratfunc`` and for ``green_series``;
 ``scaled_fractions`` turns such integers back into the ``Fraction``
 coefficients in z.  ``int_product``, ``pack_slots`` and ``unpack_slots``
 are the Kronecker substitution that the nonnegative integer levels of
-``green_series`` run on; ``schoolbook`` is the plain double loop that the
-checks of that series use instead, so that they share no packing with it.
+``green_series`` run on; the checks of that series multiply with
+``poly.schoolbook`` instead, so that they share no packing with it.
 """
 
 from __future__ import annotations
@@ -50,16 +50,6 @@ def unpack_slots(packed: int, size: int, n: int) -> list[int]:
         int.from_bytes(digits[k : k + size], "little")
         for k in range(0, size * n, size)
     ]
-
-
-def schoolbook(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    """First ``n`` coefficients of the product of integer lists, term by term."""
-    out = [0] * n
-    for i, x in enumerate(a[:n]):
-        if x:
-            for j, y in enumerate(b[: n - i]):
-                out[i + j] += x * y
-    return out
 
 
 def scaled_fractions(

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra.series import schoolbook
+from .algebra.poly import schoolbook
 from .blowup import DEFAULT_EDGE_BUDGET, exact_return_probs, sufficient_approximant
 from .cells import CellGraph, CellReport, validate_cell
 from .greenkernel import (

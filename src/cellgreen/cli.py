@@ -297,10 +297,20 @@ def _verify_one(args):
 
 
 def cmd_verify(args):
-    _nonnegative("--max-steps", args.max_steps)
+    # Both flags default to None, so that a flag the run would ignore is
+    # refused rather than dropped: a saved report sets its own max_steps.
+    if args.max_vertices is not None and not args.enumerate:
+        raise ValueError("--max-vertices applies only with --enumerate")
     if args.from_report:
+        if args.max_steps is not None:
+            raise ValueError("--max-steps does not apply with --from-report")
         return _verify_from_report(args)
+    if args.max_steps is None:
+        args.max_steps = 12
+    _nonnegative("--max-steps", args.max_steps)
     if args.enumerate:
+        if args.max_vertices is None:
+            args.max_vertices = 6
         return _verify_enumerate(args)
     return _verify_one(args)
 
@@ -458,9 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="full property suite")
     _add_input_args(p)
-    p.add_argument("--max-steps", type=int, default=12, help="oracle walk-length cap")
+    p.add_argument("--max-steps", type=int, help="oracle walk-length cap (default 12)")
     p.add_argument("--enumerate", action="store_true", help="run over all small cells")
-    p.add_argument("--max-vertices", type=int, default=6, help="cap for --enumerate")
+    p.add_argument("--max-vertices", type=int, help="cap for --enumerate (default 6)")
     p.add_argument("--from-report", help="re-run a saved report and compare")
     p.add_argument("--edge-budget", type=int)
     p.set_defaults(func=cmd_verify)

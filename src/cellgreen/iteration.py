@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Bracket, IsolatedRoot, Poly, RatFunc, ln_bracket
+from .algebra.poly import schoolbook
 from .algebra.series import (
     expand_scaled,
     int_product,
     pack_slots,
     scaled_fractions,
-    schoolbook,
     unpack_slots,
 )
 from .cells import CellGraph
@@ -388,11 +388,12 @@ def singular_prefactor_probe(
     this is a boundedness probe, not a verified quantity.
     """
     tails = probe_tail_bounds(points, gs.order)
-    partial_sum = Poly(gs.coefficients())
+    # sum g_n z^n = sum b_n (z / scale)^n, one integer Horner per point.
+    partial_sum = Poly.from_ints(gs.ints)
     rows = []
     eta_mid = inv.eta.midpoint()
     for z, tail in zip(points, tails):
-        partial = partial_sum(z)
+        partial = partial_sum(z / gs.scale)
         scaled = float(partial) * math.exp(
             -float(eta_mid) * math.log(1 - float(z))
         )

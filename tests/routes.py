@@ -25,7 +25,9 @@ walk replaced, kept as a reference in law; reference_count_walk is the
 count walk one vertex at a time, which must give monte_carlo's hits
 exactly.  log_ratio encloses ln(a)/ln(b), the quotient that invariants
 builds from its ln brackets.  rf_add, rf_neg, rf_sub, rf_mul and rf_div
-are the RatFunc field arithmetic, which only tests use.
+are the RatFunc field arithmetic, which only tests use.  poly_divmod is
+the euclidean division of Polys over Fractions, the reference for the
+exact ``//`` that Poly keeps, and poly_pow is a Poly power by squaring.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from cellgreen.algebra import (
 )
 from cellgreen.algebra.brackets import DEFAULT_LOG_ERR
 from cellgreen.algebra.matrix import _exact_div, interpolate
-from cellgreen.algebra.poly import clear_denominators, integer_content
+from cellgreen.algebra.poly import clear_denominators
 from cellgreen.algebra.series import pack_slots, scaled_fractions, unpack_slots
 from cellgreen.greenkernel import CellFunctions, Matrix
 from cellgreen.iteration import GreenSeries
@@ -299,6 +301,13 @@ def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def integer_content(coeffs: Sequence[Scalar]) -> tuple[list[int], Fraction]:
+    """``(ints, c)``: coprime integers and a rational ``c > 0``, coeffs == c * ints."""
+    ints, den = clear_denominators(coeffs)
+    g = math.gcd(*ints) or 1
+    return [v // g for v in ints], Fraction(g, den)
+
+
 def det_linear(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Determinant of a square matrix of Poly entries of degree at most 1.
 
@@ -536,3 +545,33 @@ def log_ratio(
     num = ln_bracket(a, abs_err)
     den = ln_bracket(b, abs_err)
     return num / den
+
+
+def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Euclidean division over Fractions; remainder degree < divisor degree."""
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem, div = list(a.coeffs), b.coeffs
+    dq = len(rem) - len(div)
+    if dq < 0:
+        return Poly(), a
+    quo = [Fraction(0)] * (dq + 1)
+    for k in range(dq, -1, -1):
+        c = quo[k] = rem[k + b.degree] / div[-1]
+        if c:
+            for j, x in enumerate(div, k):
+                rem[j] -= c * x
+    return Poly(quo), Poly(rem[: b.degree])
+
+
+def poly_pow(p: Poly, n: int) -> Poly:
+    """p**n for n >= 0 by repeated squaring."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = Poly([1])
+    while n:
+        if n & 1:
+            result = result * p
+        p = p * p
+        n >>= 1
+    return result

@@ -37,7 +37,8 @@ from cellgreen.algebra.roots import (
     _nonroot_near,
     cauchy_bound,
 )
-from cellgreen.algebra.series import expand_scaled, int_product, schoolbook
+from cellgreen.algebra.poly import schoolbook
+from cellgreen.algebra.series import expand_scaled, int_product
 from cellgreen.greenkernel import cell_functions
 from cellgreen.iteration import green_series
 from cellgreen.registry import builtin_cell
@@ -47,6 +48,8 @@ from routes import (
     det_linear,
     log_ratio,
     minor,
+    poly_divmod,
+    poly_pow,
     rf_add,
     rf_div,
     rf_mul,
@@ -90,7 +93,7 @@ def fraction_horner(p: Poly, x: Fraction) -> Fraction:
 def euclid_gcd(a: Poly, b: Poly) -> Poly:
     """Reference gcd: the euclidean algorithm over Fractions, made monic."""
     while not b.is_zero:
-        a, b = b, a % b
+        a, b = b, poly_divmod(a, b)[1]
     return a.monic()
 
 
@@ -105,10 +108,9 @@ class TestPoly:
         # (z^4 - 9 z^2 + 9) = (z^2 - 6)(z^2 - 3) - 9
         p = P(9, 0, -9, 0, 1)
         m = P(-3, 0, 1)
-        q, r = divmod(p, m)
+        q, r = poly_divmod(p, m)
         assert q == P(-6, 0, 1)
         assert r == P(-9)
-        assert p % m == P(-9)
         assert q * m + r == p
 
     def test_gcd_common_factor(self):
@@ -161,9 +163,132 @@ class TestPoly:
 
     @given(small_polys, nonzero_polys)
     def test_divmod_reconstructs(self, a, b):
-        q, r = divmod(a, b)
+        q, r = poly_divmod(a, b)
         assert q * b + r == a
         assert r.is_zero or r.degree < b.degree
+
+
+# -- integer Poly against plain Fraction lists ------------------------------
+
+
+def strip(cs) -> list:
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def list_add(a: list, b: list) -> list:
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return strip(x + y for x, y in zip(a, b))
+
+
+def list_mul(a: list, b: list) -> list:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return strip(out)
+
+
+def assert_poly(p: Poly, ref: list) -> None:
+    """p is the polynomial ``ref`` in its one form, and hashes like it."""
+    ref = strip(ref)
+    assert list(p.coeffs) == ref
+    assert p == Poly(ref) and hash(p) == hash(Poly(ref))
+    assert p.content > 0 and (not p.ints or p.ints[-1] != 0)
+    assert math.gcd(*p.ints) == (1 if p.ints else 0)
+
+
+# Nonzero multipliers up to 10^40 over up to 10^40: large contents.
+contents = st.builds(
+    Fraction, st.integers(-(10**40), 10**40).filter(bool), st.integers(1, 10**40)
+)
+rational_lists = st.builds(
+    lambda cs, c: [x * c for x in cs],
+    st.lists(rationals, max_size=7),
+    st.one_of(st.just(Fraction(1)), contents),
+)
+list_examples = [
+    [],
+    [Fraction(0)],
+    [Fraction(-5, 3)],
+    [Fraction(2), Fraction(0), Fraction(-6)],
+    [Fraction(10**40, 3), Fraction(-(10**40), 7), Fraction(0), Fraction(0)],
+]
+
+
+class TestIntegerPoly:
+    @given(rational_lists)
+    @example(list_examples[4])
+    @example([3, Fraction(6), 0])
+    def test_one_form(self, c):
+        p = Poly(c)
+        assert_poly(p, c)
+        assert Poly([*c, 0, 0]) == p
+        assert hash(Poly(Fraction(x) for x in c)) == hash(p)
+        assert Poly.from_ints(p.ints, p.content) == p
+
+    @given(rational_lists, rational_lists, contents)
+    @example([], list_examples[3], Fraction(-1))
+    @example(list_examples[2], [], Fraction(3))
+    @example(list_examples[3], list_examples[4], Fraction(-(10**40), 9))
+    @example([Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)], Fraction(-2))
+    def test_ring_operations_match_fraction_lists(self, a, b, q):
+        pa, pb = Poly(a), Poly(b)
+        assert_poly(pa + pb, list_add(a, b))
+        assert_poly(pa - pb, list_add(a, [-x for x in b]))
+        assert_poly(-pa, [-x for x in a])
+        assert_poly(pa * pb, list_mul(a, b))
+        assert_poly(pa * q, [x * q for x in a])
+        assert_poly(q * pa, [x * q for x in a])
+        assert_poly(pa * 0, [])
+        assert_poly(pa + q, list_add(a, [q]))
+        assert_poly(pa.derivative(), [i * x for i, x in enumerate(a)][1:])
+        lead = strip(a)[-1] if strip(a) else 1
+        assert_poly(pa.monic(), [x / lead for x in a])
+
+    @given(rational_lists, rational_lists)
+    @example(list_examples[3], [Fraction(-1, 2), Fraction(1)])
+    @example(list_examples[2], list_examples[4])
+    @example([1, 0, 1], [0, 1])
+    @example([1, 1], [1, 0, 1])
+    @example([1, 1], [])
+    def test_exact_division_matches_fraction_division(self, a, b):
+        pa, pb = Poly(a), Poly(b)
+        if pb.is_zero:
+            with pytest.raises(ZeroDivisionError):
+                pa // pb
+            return
+        assert_poly((pa * pb) // pb, a)
+        q, r = poly_divmod(pa, pb)
+        if r.is_zero:
+            assert_poly(pa // pb, list(q.coeffs))
+        else:
+            with pytest.raises(ArithmeticError):
+                pa // pb
+
+    @given(rational_lists, rational_lists, rational_lists)
+    @example([], [], list_examples[2])
+    @example(list_examples[3], list_examples[4], [Fraction(-2), Fraction(3)])
+    def test_gcd_matches_euclid(self, a, b, c):
+        pa, pb, pc = Poly(a), Poly(b), Poly(c)
+        for x, y in ((pa, pb), (pa * pc, pb * pc)):
+            want = euclid_gcd(x, y)
+            assert_poly(poly_gcd(x, y), list(want.coeffs))
+
+    @given(rational_lists, st.fractions(max_denominator=10**12))
+    @example([], Fraction(3, 7))
+    @example(list_examples[4], Fraction(-7, 2))
+    @example(list_examples[3], 2)
+    def test_value_and_sign_match_fraction_horner(self, a, x):
+        want = Fraction(0)
+        for c in reversed(a):
+            want = want * x + c
+        p = Poly(a)
+        assert p(x) == want and type(p(x)) is Fraction
+        assert p.sign_at(x) == sign(want)
 
 
 # -- rational functions -----------------------------------------------------
@@ -543,7 +668,7 @@ def fraction_sturm_chain(p: Poly) -> tuple[Poly, ...]:
     if not d.is_zero:
         chain.append(scaled(d))
         while True:
-            rem = chain[-2] % chain[-1]
+            rem = poly_divmod(chain[-2], chain[-1])[1]
             if rem.is_zero:
                 break
             chain.append(scaled(-rem))
@@ -598,7 +723,7 @@ ROOT_TEST_POLYS = [
     P(-2, 0, 1) * P(-5, 1),
     P(-3, 0, 1),
     *(P(-k, 0, k - 1, 1) for k in range(2, 41)),
-    P(-2, 0, 1) ** 2 * P(-3, 1),
+    poly_pow(P(-2, 0, 1), 2) * P(-3, 1),
     P(0, 0, -1, 2),
     P(-1, 1) * P(-2, 1) * P(-3, 1) * P(-4, 1),
 ]
@@ -637,7 +762,7 @@ class TestRoots:
     @given(nonzero_polys)
     @example(P(3))
     @example(P(0, 0, 1))
-    @example(P(-2, 0, 1) ** 2 * P(-3, 1))
+    @example(poly_pow(P(-2, 0, 1), 2) * P(-3, 1))
     @example(P(Fraction(-1, 3), 0, 0, -2))
     @example(P(9, 0, -9, 0, 1))
     # Remainders two degrees below a divisor with a negative leading
@@ -651,10 +776,10 @@ class TestRoots:
         "p, mult",
         [
             (P(-2, 0, 1), 1),
-            (P(-2, 0, 1) ** 2 * P(-3, 1), 2),
-            (P(-1, 1) ** 3 * P(-2, 1) ** 2, 3),
-            (P(-3, 1) * P(-1, 2) ** 2 * P(1, 1) ** 4, 2),
-            (P(0, 0, 1) * P(-5, 1) ** 4, 4),
+            (poly_pow(P(-2, 0, 1), 2) * P(-3, 1), 2),
+            (poly_pow(P(-1, 1), 3) * poly_pow(P(-2, 1), 2), 3),
+            (P(-3, 1) * poly_pow(P(-1, 2), 2) * poly_pow(P(1, 1), 4), 2),
+            (P(0, 0, 1) * poly_pow(P(-5, 1), 4), 4),
         ],
         ids=str,
     )
@@ -771,7 +896,7 @@ def generic_bareiss(rows):
                 if prev is None:
                     m[i][j] = num
                 elif isinstance(num, Poly):
-                    m[i][j], rem = divmod(num, prev)
+                    m[i][j], rem = poly_divmod(num, prev)
                     assert rem.is_zero
                 else:
                     m[i][j] = num / prev

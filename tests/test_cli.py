@@ -423,6 +423,45 @@ class TestInputErrors:
         assert out == ""
         assert err == f"error: {given} exclude each other: give one input\n"
 
+    # A flag that the run would ignore is refused.  The files do not exist,
+    # so the one-line error shows that nothing was read first.
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (
+                ["verify", "--from-report", "missing.json", "--max-steps", "3"],
+                "--max-steps does not apply with --from-report",
+            ),
+            (
+                ["verify", "--from-report", "missing.json", "--max-steps", "12"],
+                "--max-steps does not apply with --from-report",
+            ),
+            (
+                ["verify", "--builtin", "path2", "--max-vertices", "99"],
+                "--max-vertices applies only with --enumerate",
+            ),
+            (
+                ["verify", "missing.cell", "--max-vertices", "6"],
+                "--max-vertices applies only with --enumerate",
+            ),
+            (
+                ["verify", "--from-report", "missing.json", "--max-vertices", "5"],
+                "--max-vertices applies only with --enumerate",
+            ),
+        ],
+    )
+    def test_ignored_verify_flags_exit_two(self, args, message, capsys):
+        assert cellgreen.cli.main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_verify_defaults_reach_the_settings(self, capsys, monkeypatch):
+        monkeypatch.setattr(cellgreen.cli, "enumerate_cells", lambda lo, hi: iter(()))
+        assert cellgreen.cli.main(["verify", "--enumerate"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verify"]["settings"] == {"max_steps": 12, "max_vertices": 6}
+
     @pytest.mark.parametrize("trials", [0, -1])
     def test_trials_below_one_exit_two(self, cli, trials):
         result = cli(
