@@ -3,11 +3,7 @@ expansions as integers in a scaled variable, root isolation, linear
 algebra, and interval enclosures."""
 
 from .brackets import Bracket, ln_bracket
-from .matrix import (
-    SingularMatrixError,
-    resolvent_row,
-    solve_linear,
-)
+from .matrix import resolvent_row
 from .poly import (
     Poly,
     format_poly,

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 DEFAULT_LOG_ERR = Fraction(1, 10**30)
 
@@ -63,7 +64,10 @@ class Bracket:
         return _coerce(other) - self
 
     def __mul__(self, other: Bracket | Fraction | int) -> Bracket:
-        other = _coerce(other)
+        if not isinstance(other, Bracket):
+            # A point: the four endpoint products are two, in known order.
+            low, high = self.low * other, self.high * other
+            return Bracket(low, high) if other >= 0 else Bracket(high, low)
         products = [
             self.low * other.low,
             self.low * other.high,
@@ -104,23 +108,34 @@ def _coerce(x: Bracket | Fraction | int) -> Bracket:
 def _atanh_bracket(t: Fraction, abs_err: Fraction) -> Bracket:
     """Enclosure of atanh(t) for |t| < 1 via the odd power series.
 
-    Tail after the x**(2n+1) term is bounded by |t|**(2n+3) / ((2n+3)(1-t*t)).
+    The K terms t^(2j+1) / (2j+1), j < K, leave a tail below
+    e_K = |t|^(2K+1) / ((2K+1)(1 - t^2)), and K is the least K >= 1 with
+    e_K < abs_err.  With t = a / b, e_K = |a|^(2K+1) / (b^(2K-1) (2K+1)
+    (b^2 - a^2)), so that test is one integer comparison, and the sum is
+    sum_(j<K) a^(2j+1) b^(2(K-1-j)) (L / (2j+1)) over b^(2K-1) L, with
+    L = lcm(1, 3, ..., 2K-1): one Fraction.
     """
     if not abs(t) < 1:
         raise ValueError("atanh needs |t| < 1")
     if t == 0:
         return Bracket.point(0)
-    t2 = t * t
-    term = t
-    total = Fraction(0)
-    k = 0
-    while True:
-        total += term / (2 * k + 1)
+    a, b = t.numerator, t.denominator
+    a2, b2 = a * a, b * b
+    gap = b2 - a2
+    # e_k = top / (bottom (2k + 1) gap).
+    top, bottom, k = abs(a) * a2, b, 1
+    while top * abs_err.denominator >= abs_err.numerator * bottom * (2 * k + 1) * gap:
+        top *= a2
+        bottom *= b2
         k += 1
-        term *= t2
-        tail = abs(term) / ((2 * k + 1) * (1 - t2))
-        if tail < abs_err:
-            return Bracket(total - tail, total + tail)
+    odd = lcm(*range(1, 2 * k, 2))
+    acc, power = 0, a
+    for j in range(k):
+        acc = acc * b2 + odd // (2 * j + 1) * power
+        power *= a2
+    total = Fraction(acc, bottom * odd)
+    tail = Fraction(top, bottom * (2 * k + 1) * gap)
+    return Bracket(total - tail, total + tail)
 
 
 @lru_cache(maxsize=None)
@@ -132,20 +147,21 @@ def ln_bracket(q: Fraction | int, abs_err: Fraction = DEFAULT_LOG_ERR) -> Bracke
     """Certified enclosure of ln(q) for a positive rational q.
 
     Reduces q into [3/4, 3/2) by powers of two, then sums
-    ln(m) = 2 atanh((m-1)/(m+1)) with an explicit tail bound.
+    ln(m) = 2 atanh((m-1)/(m+1)) with an explicit tail bound.  m = q / 2^k
+    is kept as the integers n / d: halving doubles d, doubling doubles n.
     """
     q = Fraction(q)
     if q <= 0:
         raise ValueError("logarithm of a non-positive rational")
     k = 0
-    m = q
-    while m >= Fraction(3, 2):
-        m /= 2
+    n, d = q.numerator, q.denominator
+    while 2 * n >= 3 * d:
+        d *= 2
         k += 1
-    while m < Fraction(3, 4):
-        m *= 2
+    while 4 * n < 3 * d:
+        n *= 2
         k -= 1
-    t = (m - 1) / (m + 1)
+    t = Fraction(n - d, n + d)
     half = abs_err / 2
     series = _atanh_bracket(t, half / 2) * 2
     if k == 0:

@@ -1,7 +1,9 @@
-"""Exact linear algebra: resolvent rows in integers and rational solves.
+"""Exact linear algebra in integers.
 
-``resolvent_row`` runs Bareiss elimination (Math. Comp. 22, 1968) on
-plain ints; ``solve_linear`` eliminates over ``Fraction``.
+``bareiss_solve`` is the one fraction-free elimination: it gives a
+determinant and the Cramer numerators of one right-hand column.
+``resolvent_row`` runs it at the nodes of an interpolation, and
+``harmonic.harmonic_function`` on the cell's mean-value system.
 """
 
 from __future__ import annotations
@@ -12,10 +14,6 @@ from operator import mul
 from typing import Sequence
 
 from .poly import Poly, _exact_div, clear_denominators
-
-
-class SingularMatrixError(ArithmeticError):
-    pass
 
 
 def interpolate(values: Sequence[int]) -> list[int]:
@@ -44,15 +42,15 @@ def interpolate(values: Sequence[int]) -> list[int]:
     return coeffs
 
 
-def _adjugate_row(m: list[list[int]]) -> tuple[int, list[int]]:
-    """``(det M, row 0 of adj M)`` from the rows of ``[M^T | e_0]``, for an
-    int matrix M whose leading principal minors, the pivots, are nonzero.
+def bareiss_solve(m: list[list[int]]) -> tuple[int, list[int]]:
+    """``(det A, det(A) A^{-1} b)`` from the rows of ``[A | b]``, for an int
+    matrix A whose leading principal minors, the pivots, are nonzero.
 
-    Bareiss elimination runs without a row swap, and a zero pivot raises
-    ``ArithmeticError``; each division by the previous pivot is exact by
-    the Bareiss identity.  The last pivot is det M, and back substitution
-    on y = det(M) M^{-T} e_0, an integer vector by Cramer's rule whose
-    entry j is adj(M)[0][j], divides exactly.
+    Bareiss elimination (Math. Comp. 22, 1968) runs in place without a row
+    swap, and a zero pivot raises ``ArithmeticError``; each division by the
+    previous pivot is exact by the Bareiss identity.  The last pivot is
+    det A, and back substitution on y = det(A) A^{-1} b, an integer vector
+    by Cramer's rule, divides exactly.
     """
     n = len(m)
     prev = 1
@@ -60,7 +58,7 @@ def _adjugate_row(m: list[list[int]]) -> tuple[int, list[int]]:
         top = m[k]
         pivot = top[k]
         if not pivot:
-            raise ArithmeticError("zero pivot in resolvent elimination")
+            raise ArithmeticError("zero pivot in fraction-free elimination")
         rest = top[k + 1 :]
         for row in m[k + 1 :]:
             lead = row[k]
@@ -102,8 +100,9 @@ def resolvent_row(
     |z| sum_j |t_ij| < 1, and so is each leading principal block I - zT'.
     They are nonsingular (Levy-Desplanques), also after positive row
     scaling and transposition.  Every node has 0 <= z < 1, so each pivot
-    of ``_adjugate_row`` on N_k^T is nonzero.  Integer nodes would not do:
-    I - zT is singular at z = 2 on some cells.
+    of ``bareiss_solve`` on N_k^T is nonzero.  With b = e_0 it gives
+    det(N_k) N_k^{-T} e_0, whose entry j is adj(N_k)[0][j].  Integer
+    nodes would not do: I - zT is singular at z = 2 on some cells.
     """
     n = len(t)
     if any(len(r) != n for r in t):
@@ -122,7 +121,7 @@ def resolvent_row(
         mt = [[k * b for b in col] + [int(j == 0)] for j, col in enumerate(b_cols)]
         for j, a in enumerate(diag):
             mt[j][j] += s * a
-        return _adjugate_row(mt)
+        return bareiss_solve(mt)
 
     def rescaled(values: Sequence[int], top: int, scale: Fraction) -> Poly:
         coeffs = interpolate(values[: top + 1])
@@ -135,34 +134,3 @@ def resolvent_row(
     return rescaled(dets, n, Fraction(1, total)), [
         rescaled([y[j] for y in ys], n - 1, Fraction(diag[j], total)) for j in cols
     ]
-
-
-def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> list:
-    """Solve A x = b by Gaussian elimination over an exact field.
-
-    Entries are Fractions, or anything else with field arithmetic and a
-    zero test.  Raises SingularMatrixError when A is not invertible.
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows) or len(rhs) != n:
-        raise ValueError("shape mismatch")
-    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        pivot = a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            factor = a[r][col] / pivot
-            for c in range(col, n + 1):
-                a[r][c] = a[r][c] - factor * a[col][c]
-    out = [None] * n
-    for col in range(n - 1, -1, -1):
-        acc = a[col][n]
-        for c in range(col + 1, n):
-            acc = acc - a[col][c] * out[c]
-        out[col] = acc / a[col][col]
-    return out

@@ -49,9 +49,8 @@ def schoolbook(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     return out
 
 
-def _homogeneous_horner(ints: Sequence[int], x: Scalar) -> int:
-    """``b**n`` times the polynomial ``ints`` (degree n) at ``x = a/b``, b > 0."""
-    a, b = x.numerator, x.denominator
+def _homogeneous_horner(ints: Sequence[int], a: int, b: int) -> int:
+    """``b**n`` times the polynomial ``ints`` (degree n) at ``a/b``, b > 0."""
     acc, bp = 0, 1
     for c in reversed(ints):
         acc = acc * a + c * bp
@@ -187,12 +186,12 @@ class Poly:
     def __call__(self, x: Scalar) -> Fraction:
         """Exact value at x: an integer Horner, then one Fraction."""
         c = self.content
-        v = _homogeneous_horner(self.ints, x) * c.numerator
+        v = _homogeneous_horner(self.ints, x.numerator, x.denominator) * c.numerator
         return Fraction(v, c.denominator * x.denominator ** max(self.degree, 0))
 
     def sign_at(self, x: Scalar) -> int:
         """-1, 0 or 1 as p(x) is negative, zero or positive; builds no Fraction."""
-        v = _homogeneous_horner(self.ints, x)
+        v = _homogeneous_horner(self.ints, x.numerator, x.denominator)
         return (v > 0) - (v < 0)
 
     def derivative(self) -> Poly:

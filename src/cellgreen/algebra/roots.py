@@ -3,12 +3,17 @@
 Roots are carried as ``IsolatedRoot`` brackets: a rational interval
 [low, high] whose interior contains exactly one distinct real root of the
 defining polynomial, with endpoints that are never roots themselves.  All
-decisions (counting, comparison, equality) are made exactly with Sturm
-sequences and polynomial gcds; floating point appears only in diagnostics.
+decisions (counting, comparison, equality) are made exactly, by root
+counts and polynomial gcds; floating point appears only in diagnostics.
 
-Sign tests read ``Poly.sign_at``, the sign of an integer Horner, and build
-no ``Fraction``; Sturm chains are built on ``Poly.ints`` and are primitive
-integer polynomials.
+Root counts are Descartes first, Sturm as the fallback.  The sign
+variations V of ``(1 + t)^n p((lo + hi t) / (1 + t))`` bound the roots of
+p in (lo, hi), counted with multiplicity, from above and share their
+parity (Descartes' rule on an interval; Collins and Akritas, SYMSAC 1976).
+So V = 0 proves that there is no root and V = 1 that there is exactly one,
+a simple one; only V >= 2 builds a Sturm chain.  Sign tests and the
+variation count run on integers, and Sturm chains are built on
+``Poly.ints`` and are primitive integer polynomials.
 """
 
 from __future__ import annotations
@@ -16,9 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from math import lcm
+from operator import ne
 
 from .brackets import Bracket
-from .poly import Poly, poly_gcd, prs_step, squarefree_part
+from .poly import Poly, _homogeneous_horner, poly_gcd, prs_step, squarefree_part
 
 DEFAULT_WIDTH = Fraction(1, 2**30)
 
@@ -51,18 +59,54 @@ def _sign_variations(chain: tuple[Poly, ...], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def descartes_bound(p: Poly, lo: Fraction, hi: Fraction) -> int:
+    """Sign variations V of ``(1 + t)^n p((lo + hi t) / (1 + t))``, lo < hi.
+
+    t > 0 maps onto x in (lo, hi), so V bounds the roots of p in (lo, hi),
+    counted with multiplicity, and has their parity.  With lo = a / D,
+    hi = c / D and w = c - a, ``r(s) = D^n p(lo + (hi - lo) s)`` is the
+    integer Horner ``r = r (a + w s) + p_i D^(n - i)``, and the polynomial
+    above is ``sum r_j t^j (1 + t)^(n - j) / D^n``.  Its reversal, which
+    has the same variations, is R(1 + t) for R(u) = sum r_j u^(n - j),
+    whose coefficients from the top are r_0, ..., r_n: one Taylor shift
+    of the list r.  ``r(0)`` and ``r(1)`` are D^n p(lo) and D^n p(hi);
+    ``ValueError`` when either is 0.
+    """
+    den = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    w = hi.numerator * (den // hi.denominator) - a
+    r = [p.ints[-1]]
+    scale = 1
+    for c in reversed(p.ints[:-1]):
+        scale *= den
+        r = [a * x + w * y for x, y in zip(r + [0], [0, *r])]
+        r[0] += c * scale
+    if not r[0] or not sum(r):
+        raise ValueError("interval endpoint is a root")
+    # Each pass of the Taylor shift by 1 is a running sum over the list,
+    # read from the top, that fixes one more coefficient at its end.
+    for k in range(len(r), 1, -1):
+        r[:k] = accumulate(r[:k])
+    signs = [c > 0 for c in r if c]
+    return sum(map(ne, signs, signs[1:]))
+
+
 def count_roots(p: Poly, lo: Fraction, hi: Fraction) -> int:
     """Distinct real roots of p in the open interval (lo, hi).
 
-    Endpoints must not be roots; with that precondition the half-open Sturm
-    count over (lo, hi] equals the open count.
+    Endpoints must not be roots.  ``descartes_bound`` decides V <= 1: the
+    root count with multiplicity is at most V and has V's parity, so it is
+    V, and a single root is simple.  For V >= 2 the Sturm count decides;
+    with non-root endpoints its half-open count over (lo, hi] equals the
+    open count.
     """
     if p.is_zero:
         raise ValueError("cannot count roots of the zero polynomial")
     if lo >= hi:
         return 0
-    if p.sign_at(lo) == 0 or p.sign_at(hi) == 0:
-        raise ValueError("interval endpoint is a root")
+    v = descartes_bound(p, lo, hi)
+    if v <= 1:
+        return v
     chain = sturm_chain(p)
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
@@ -75,18 +119,6 @@ def cauchy_bound(p: Poly) -> Fraction:
     return 1 + Fraction(max(map(abs, p.ints[:-1]), default=0), abs(p.ints[-1]))
 
 
-def _nonroot_near(p: Poly, x: Fraction, step: Fraction) -> Fraction:
-    """A point close to x (within |step|) where p does not vanish."""
-    if p.sign_at(x):
-        return x
-    delta = step
-    while True:
-        for cand in (x - delta, x + delta):
-            if p.sign_at(cand):
-                return cand
-        delta = delta / 2
-
-
 @dataclass(frozen=True)
 class IsolatedRoot(Bracket):
     """One real algebraic number: the unique root of ``defining`` in (low, high)."""
@@ -95,17 +127,26 @@ class IsolatedRoot(Bracket):
     multiplicity: int = 1
 
     def refine(self, width: Fraction = DEFAULT_WIDTH) -> IsolatedRoot:
-        """Shrink the bracket below the requested width by exact bisection."""
+        """Shrink the bracket below the requested width by exact bisection.
+
+        When p has opposite signs at the endpoints, the bracket's one root
+        has odd multiplicity, and the half over which p changes sign holds
+        it; the sign of p at the midpoint picks that half, whatever the
+        ``multiplicity`` field says.  Otherwise a root count picks it.
+        """
         p = self.defining
         lo, hi = self.low, self.high
+        sign_lo = p.sign_at(lo)
+        odd = sign_lo != p.sign_at(hi)
         while hi - lo > width:
             m = (lo + hi) / 2
-            if p.sign_at(m) == 0:
+            sign_m = p.sign_at(m)
+            if sign_m == 0:
                 # The bracket's unique root is exactly m; any strict
                 # sub-interval around m has non-root endpoints.
                 delta = min(hi - m, m - lo, width) / 4
                 return IsolatedRoot(m - delta, m + delta, p, self.multiplicity)
-            if count_roots(p, lo, m) >= 1:
+            if (sign_m != sign_lo) if odd else count_roots(p, lo, m):
                 hi = m
             else:
                 lo = m
@@ -126,6 +167,34 @@ def _multiplicity_in_bracket(p: Poly, lo: Fraction, hi: Fraction) -> int:
     return max(mult, 1)
 
 
+def _lattice_sign(cs: list[int], j: int, k: int) -> int:
+    """The sign of ``sum cs[i] (j / 2^k)^i``."""
+    v = _homogeneous_horner(cs, j, 1 << k)
+    return (v > 0) - (v < 0)
+
+
+def _lattice_midpoint(cs: list[int], a: int, b: int, k: int) -> tuple[int, int, int]:
+    """``(j, e, s)``: the point j / 2^e near the midpoint of (a, b) / 2^k
+    where the polynomial ``cs`` does not vanish, and its sign s there.
+
+    The midpoint (a + b) / 2^(k+1) when it is no root; else the first
+    non-root of x -+ delta, delta = (b - a) / 2^(k+6), (b - a) / 2^(k+7),
+    ..., tried in that order.  Each is within (b - a) / 2^(k+6) of x, so
+    strictly inside (a, b) / 2^k.
+    """
+    s = _lattice_sign(cs, a + b, k + 1)
+    if s:
+        return a + b, k + 1, s
+    shift = 5
+    while True:
+        mid, e = (a + b) << shift, k + 1 + shift
+        for j in (mid - (b - a), mid + (b - a)):
+            s = _lattice_sign(cs, j, e)
+            if s:
+                return j, e, s
+        shift += 1
+
+
 def smallest_positive_root(
     p: Poly, width: Fraction = DEFAULT_WIDTH
 ) -> IsolatedRoot:
@@ -137,12 +206,18 @@ def smallest_positive_root(
 
     Bisection keeps the lower half of (lo, hi) whenever it holds a root of
     the squarefree part ``sf``.  While (lo, hi) holds more than one root, a
-    Sturm count decides that.  Once it holds exactly one, the sign of ``sf``
+    root count decides that.  Once it holds exactly one, the sign of ``sf``
     at the midpoint m decides it: ``sf`` has only simple roots, so it
     changes sign at each one, and (lo, m) holds the root exactly when sf(m)
     differs in sign from sf(lo), which is the sign of sf(0) since no root
     lies in (0, lo].  Each step keeps the half that a Sturm count would
     keep, so the brackets are those of Sturm-only bisection.
+
+    Every point is H j / 2^k on the lattice of the Cauchy bound H = h / g:
+    an endpoint is the pair (j, k), a midpoint a sum and the width test one
+    integer comparison.  sf(H j / 2^k) g^n has the sign of the homogeneous
+    ``sum cs[i] j^i 2^(k (n - i))``, cs[i] = sf_i h^i g^(n - i), and the
+    non-root search near a root midpoint stays on the lattice.
     """
     if p.degree < 1:
         raise NoPositiveRootError("constant polynomial has no roots")
@@ -154,29 +229,38 @@ def smallest_positive_root(
             raise NoPositiveRootError("no positive root (pure power of z)")
     sf = squarefree_part(p)
     # The Cauchy bound strictly dominates every root, so it is non-root.
-    hi = cauchy_bound(sf)
-    while sf.sign_at(hi) == 0:
-        hi += 1
-    lo = Fraction(0)
-    inside = count_roots(sf, lo, hi)
+    bound = cauchy_bound(sf)
+    inside = count_roots(sf, Fraction(0), bound)
     if inside == 0:
         raise NoPositiveRootError(f"no positive real root: {p}")
-    # Invariant: no root in (0, lo] and `inside` roots in (lo, hi); lo and
-    # hi are non-roots.  So sf has on [0, lo] the sign it has at 0.
-    positive_at_0 = sf.sign_at(lo) > 0
-    while inside > 1 or hi - lo > width:
-        # Within (hi - lo) / 64 of the midpoint, so inside (lo, hi).
-        m = _nonroot_near(sf, (lo + hi) / 2, (hi - lo) / 64)
+    h, g = bound.numerator, bound.denominator
+    n = sf.degree
+    cs = [c * h**i * g ** (n - i) for i, c in enumerate(sf.ints)]
+    # hi - lo > width as one comparison of (b - a) over_w against under_w << k.
+    over_w, under_w = h * width.denominator, g * width.numerator
+
+    def point(j: int, k: int) -> Fraction:
+        return Fraction(h * j, g << k)
+
+    # Invariant: lo = H a / 2^k and hi = H b / 2^k are non-roots, no root
+    # lies in (0, lo] and `inside` roots lie in (lo, hi).  So sf has on
+    # [0, lo] the sign it has at 0.
+    a, b, k = 0, 1, 0
+    positive_at_0 = cs[0] > 0
+    while inside > 1 or (b - a) * over_w > under_w << k:
+        j, e, s = _lattice_midpoint(cs, a, b, k)
+        a, b, k = a << (e - k), b << (e - k), e
         if inside > 1:
-            below = count_roots(sf, lo, m)
+            below = count_roots(sf, point(a, k), point(j, k))
             if below:
                 inside = below
         else:
-            below = (sf.sign_at(m) > 0) != positive_at_0
+            below = (s > 0) != positive_at_0
         if below:
-            hi = m
+            b = j
         else:
-            lo = m
+            a = j
+    lo, hi = point(a, k), point(b, k)
     mult = _multiplicity_in_bracket(p, lo, hi)
     return IsolatedRoot(lo, hi, p, mult)
 

@@ -16,7 +16,6 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .poly import clear_denominators
 from .ratfunc import PoleError, RatFunc
 
 
@@ -72,18 +71,31 @@ def expand_scaled(r: RatFunc, scale: int, count: int) -> tuple[list[int], int]:
     the denominators of N's coefficients.  The coefficients of
     c r(scale w) then obey a_n = c N_n - sum_(k >= 1) Q_k a_(n-k), a
     recurrence in integers alone, with no division.
+
+    All of it runs on ``Poly.ints``: Q_k = den_k scale^k / den_0, where
+    the content cancels, and N_k = u n_k scale^k / (v den_0) with
+    u / v = num.content / den.content.  Over the common denominator
+    v |den_0|, the lcm of the reduced denominators is that denominator
+    divided by its gcd with every numerator.
     """
-    den0 = r.den.coefficient(0)
-    if den0 == 0:
+    den = r.den.ints
+    d0 = den[0]
+    if d0 == 0:
         raise PoleError(Fraction(0))
-    q = [c / den0 * scale**k for k, c in enumerate(r.den.coeffs)]
-    if any(x.denominator != 1 for x in q):
-        raise ArithmeticError(f"the denominator is not integral in z/{scale}")
-    num, c = clear_denominators(
-        [x / den0 * scale**k for k, x in enumerate(r.num.coeffs)]
-    )
     # Coefficients -Q_deg .. -Q_1, against a_(n-deg) .. a_(n-1).
-    back = [-x.numerator for x in reversed(q[1:])]
+    back = []
+    for k in range(len(den) - 1, 0, -1):
+        q, rem = divmod(den[k] * scale**k, d0)
+        if rem:
+            raise ArithmeticError(f"the denominator is not integral in z/{scale}")
+        back.append(-q)
+    ratio = r.num.content / r.den.content
+    top = ratio.numerator if d0 > 0 else -ratio.numerator
+    bottom = ratio.denominator * abs(d0)
+    num = [top * x * scale**k for k, x in enumerate(r.num.ints)]
+    g = math.gcd(bottom, *num)
+    num = [x // g for x in num]
+    c = bottom // g
     deg = len(back)
     out: list[int] = []
     for n in range(count):
@@ -99,8 +111,9 @@ def series_from_ratfunc(r: RatFunc, order: int) -> tuple[Fraction, ...]:
     The scale is the lcm of the denominators of den(z) / den(0), so that
     ``expand_scaled`` finds its denominator integral.
     """
-    den0 = r.den.coefficient(0)
-    if den0 == 0:
+    den = r.den.ints
+    d0 = abs(den[0])
+    if d0 == 0:
         raise PoleError(Fraction(0))
-    scale = math.lcm(*[(c / den0).denominator for c in r.den.coeffs])
+    scale = math.lcm(*[d0 // math.gcd(c, d0) for c in den])
     return scaled_fractions(*expand_scaled(r, scale, order), scale)

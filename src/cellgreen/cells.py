@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 
 class CellError(ValueError):
     pass
@@ -542,37 +544,53 @@ def require_valid(g: CellGraph, check_automorphisms: bool = True) -> CellReport:
 def connected_graph_classes(m: int) -> tuple[tuple[frozenset, tuple], ...]:
     """Connected simple graphs on m labeled vertices, one per isomorphism class.
 
-    Edge masks are scanned in increasing order; each connected mask not yet
-    seen is emitted, and the masks of all its relabelings are marked seen
-    (Read's orderly rejection), so every class comes out as its least mask.
-    Each class comes with its automorphism group: the relabelings whose
-    image is the class's own mask.
+    Edge masks are scanned in increasing order; each mask not yet seen
+    starts a new class, and the masks of all its relabelings are marked
+    seen (Read's orderly rejection), so every class comes out as its least
+    mask and is tested for connectivity once.  Each connected class comes
+    with its automorphism group: the relabelings whose image is the
+    class's own mask.
+
+    A relabeling maps a mask byte by byte: ``table[q, v, p]`` is the image
+    under relabeling p of byte value v at byte q of the mask, so the images
+    of a mask under all relabelings are one row gather and OR per byte.
     """
     pairs = list(itertools.combinations(range(m), 2))
     perms = list(itertools.permutations(range(m)))
-    # bits[p][i]: the mask bit of pair i's image under permutation p
-    bits = [
-        [1 << pairs.index(_norm_edge(p[a], p[b])) for a, b in pairs]
-        for p in perms
-    ]
-    seen: set[int] = set()
+    nbytes = max(1, (len(pairs) + 7) // 8)
+    # bit[i, p]: the mask bit of pair i's image under relabeling p.
+    bit = np.zeros((8 * nbytes, len(perms)), dtype=np.uint32)
+    if pairs:
+        rel = np.array(perms).T
+        a, b = rel[[p[0] for p in pairs]], rel[[p[1] for p in pairs]]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        bit[: len(pairs)] = np.left_shift(1, lo * (2 * m - lo - 1) // 2 + hi - lo - 1)
+    table = np.zeros((nbytes, 256, len(perms)), dtype=np.uint32)
+    for q in range(nbytes):
+        for j in range(8):
+            # Byte values with top bit j: those below 2^j, plus bit j.
+            table[q, 1 << j : 2 << j] = table[q, : 1 << j] | bit[8 * q + j]
+    unseen = np.ones(1 << len(pairs), dtype=bool)
     out = []
-    for mask in range(1 << len(pairs)):
-        if mask in seen:
-            continue
+    mask = 0
+    while True:
+        images = table[0, mask & 255].copy()
+        for q in range(1, nbytes):
+            images |= table[q, mask >> (8 * q) & 255]
+        unseen[images] = False
         on = [i for i in range(len(pairs)) if mask >> i & 1]
         adj = [set() for _ in range(m)]
         for i in on:
             a, b = pairs[i]
             adj[a].add(b)
             adj[b].add(a)
-        if len(_reachable(adj, 0)) != m:
-            continue
-        images = [sum(pb[i] for i in on) for pb in bits]
-        seen.update(images)
-        group = tuple(p for p, image in zip(perms, images) if image == mask)
-        out.append((frozenset(pairs[i] for i in on), group))
-    return tuple(out)
+        if len(_reachable(adj, 0)) == m:
+            group = tuple(perms[p] for p in np.flatnonzero(images == mask))
+            out.append((frozenset(pairs[i] for i in on), group))
+        # argmax on bools stops at the first unseen mask.
+        mask += int(np.argmax(unseen[mask:]))
+        if not unseen[mask]:
+            return tuple(out)
 
 
 def enumerate_cells(theta: int = 2, max_vertices: int = 8) -> Iterator[CellGraph]:

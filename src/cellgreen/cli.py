@@ -55,11 +55,12 @@ from .registry import builtin_cell, builtin_names
 
 ENV_EDGE_BUDGET = "CELLGREEN_EDGE_BUDGET"
 
-# Cells of n vertices have m = n - 2 interior vertices, and
-# connected_graph_classes(m) scans 2^(m(m-1)/2) edge masks plus m!
-# relabelings per class.  Its seen set holds every connected labeled graph:
-# 26,704 masks at m = 6, but 1,866,256 at m = 7 (9 vertices).  8 vertices is
-# the largest enumeration the test sweep and the benchmark run.
+# Cells of n vertices have m = n - 2 interior vertices.
+# connected_graph_classes(m) keeps an unseen flag for each of the
+# 2^(m(m-1)/2) edge masks and a table of ceil(m(m-1)/16) x 256 x m! image
+# words: 32 KB and 1.5 MB at m = 6, 2 MB and 15 MB at m = 7 (9 vertices),
+# 268 MB and 165 MB at m = 8.  8 vertices is the largest enumeration the
+# test sweep and the benchmark run.
 MAX_ENUMERATE_VERTICES = 8
 
 # --order and --series-order.  `green` on diamond at order 800 takes about

@@ -3,8 +3,11 @@
 Everything here is exact: entries of (I - zT)^{-1} are rational functions
 over Fraction coefficients, poles are isolated as root brackets, and the
 analytic facts needed downstream (simple poles, pole ordering, expansion
-of the transition function between its fixed points) are checked by Sturm
-counts rather than floating point.
+of the transition function between its fixed points) are checked by root
+counts rather than floating point: Descartes first, Sturm as the fallback.
+A Descartes count of V <= 1 sign variations on an interval is exact,
+since the roots there, with multiplicity, are at most V and of V's
+parity; only V >= 2 builds a Sturm chain.
 """
 
 from __future__ import annotations
@@ -214,8 +217,9 @@ class PropertyReport:
         }
 
 
-def _expands(d: RatFunc, rho: IsolatedRoot) -> bool:
-    """Whether d(z) > z, d'(z) > 1 and d''(z) > 0 on (1, rho), exactly.
+def expansion_polys(d: RatFunc) -> tuple[tuple[Poly, int], ...]:
+    """``(q1, s), (q2, 1), (q3, s)``: d expands on (1, rho) exactly when no
+    q_i has a root there and each has its sign on that interval.
 
     Write d = N/D and W = N'D - ND', so d' = W/D^2 and
     d'' = ((N''D - ND'')D - 2D'W)/D^3.  The pole rho is the least positive
@@ -223,17 +227,7 @@ def _expands(d: RatFunc, rho: IsolatedRoot) -> bool:
       d - z   = (z - 1) q1 / D, q1 = (N - zD) / (z - 1), exact as d(1) = 1;
       d' - 1  = q2 / D^2,       q2 = W - D^2;
       d''     = q3 / D^3,       q3 = (N''D - ND'')D - 2D'W.
-    So the three inequalities say that q1, q2, q3 have the signs s, 1, s
-    on (1, rho), that is, no root there and that sign at one point.  The
-    bracket (low, high) of rho is refined until low > 1 and no q_i
-    vanishes at low or high or has a root between them; then a Sturm
-    count on (1, low) and the sign at low decide each q_i on (1, rho).
-    The refinement ends at a simple pole: q1, q2, q3 equal N/(rho - 1),
-    -ND' and 2ND'^2 at rho, and none is 0.  A pole that is not simple and
-    a q_i that vanishes at 1 fail the item.
     """
-    if rho.multiplicity != 1:
-        return False
     n, den = d.num, d.den
     z = Poly([0, 1])
     q1 = (n - z * den) // Poly([-1, 1])
@@ -242,7 +236,27 @@ def _expands(d: RatFunc, rho: IsolatedRoot) -> bool:
     q2 = w - den * den
     q3 = (dn.derivative() * den - n * dd.derivative()) * den - dd * w * 2
     s = den.sign_at(1)
-    qs = ((q1, s), (q2, 1), (q3, s))
+    return (q1, s), (q2, 1), (q3, s)
+
+
+def _expands(d: RatFunc, rho: IsolatedRoot) -> bool:
+    """Whether d(z) > z, d'(z) > 1 and d''(z) > 0 on (1, rho), exactly.
+
+    The three inequalities say that the ``expansion_polys`` q1, q2, q3
+    have the signs s, 1, s on (1, rho), that is, no root there and that
+    sign at one point.  The bracket (low, high) of rho is refined until
+    low > 1 and no q_i vanishes at low or high or has a root between them;
+    then a root count on (1, low) and the sign at low decide each q_i on
+    (1, rho).  The counts are Descartes first, Sturm as the fallback: zero
+    sign variations prove that there is no root, and one proves exactly
+    one, so only two or more build a Sturm chain.  The refinement ends at
+    a simple pole: q1, q2, q3 equal N/(rho - 1), -ND' and 2ND'^2 at rho,
+    and none is 0.  A pole that is not simple and a q_i that vanishes at 1
+    fail the item.
+    """
+    if rho.multiplicity != 1:
+        return False
+    qs = expansion_polys(d)
     if any(q.sign_at(1) == 0 for q, _ in qs):
         return False
     while rho.low <= 1 or any(
@@ -265,7 +279,7 @@ def spectral_property_report(cf: CellFunctions) -> PropertyReport:
     for both; (3) it lies strictly below the first positive pole of r;
     (4) between its fixed points 1 and rho, d expands: d(z) > z, d'(z) > 1,
     d''(z) > 0 on (1, rho_d); (5) f has no pole in (0, rho_f).  Each item
-    is decided by root brackets and Sturm counts on polynomials.
+    is decided by root brackets and root counts on polynomials.
     """
     items = []
 

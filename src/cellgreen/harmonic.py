@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import solve_linear
+from .algebra.matrix import bareiss_solve
 from .cells import CellError, CellGraph, CellReport, require_valid
 
 
@@ -36,37 +36,37 @@ class HarmonicSolution:
 
 
 def harmonic_function(g: CellGraph, validate: bool = True) -> HarmonicSolution:
-    """Solve the interior mean-value system exactly.
+    """Solve the interior mean-value system exactly, in integers.
 
-    Boundary conditions: 1 at vertex 0, 0 at vertices 1..theta-1.  The
-    system is strictly diagonally dominant after elimination and connected
-    cells make it nonsingular, so the exact solver cannot fail on valid
-    input.
+    Boundary conditions: 1 at vertex 0, 0 at vertices 1..theta-1.  Over
+    the interior vertices the system is M x = b, with M = diag(degree)
+    minus the interior adjacency and b_v the number of edges from v to the
+    origin.  M is a symmetric Z-matrix, diagonally dominant, and strictly
+    so on the rows next to the boundary; a connected cell joins every
+    interior vertex to such a row, so M is nonsingular.  A nonsingular,
+    symmetric, diagonally dominant matrix with a positive diagonal is
+    positive definite, so every leading principal minor is positive, and
+    ``bareiss_solve`` needs no pivoting: H(v) = y_v / det M.
     """
     if validate:
         require_valid(g, check_automorphisms=False)
     interior = list(g.interior)
     index = {v: k for k, v in enumerate(interior)}
     rows = []
-    rhs = []
     for v in interior:
-        row = [Fraction(0)] * len(interior)
-        row[index[v]] = Fraction(g.degree(v))
-        b = Fraction(0)
+        row = [0] * (len(interior) + 1)
+        row[index[v]] = g.degree(v)
         for u in g.neighbors(v):
             if u == 0:
-                b += 1
-            elif u < g.theta:
-                pass
-            else:
+                row[-1] += 1
+            elif u >= g.theta:
                 row[index[u]] -= 1
         rows.append(row)
-        rhs.append(b)
-    sol = solve_linear(rows, rhs)
+    det, ys = bareiss_solve(rows)
     values = [Fraction(0)] * g.n
     values[0] = Fraction(1)
-    for v, x in zip(interior, sol):
-        values[v] = x
+    for v, y in zip(interior, ys):
+        values[v] = Fraction(y, det)
     w = None
     if g.theta == 2 and g.degree(0) == 1:
         (w,) = g.neighbors(0)

@@ -28,10 +28,17 @@ builds from its ln brackets.  rf_add, rf_neg, rf_sub, rf_mul and rf_div
 are the RatFunc field arithmetic, which only tests use.  poly_divmod is
 the euclidean division of Polys over Fractions, the reference for the
 exact ``//`` that Poly keeps, and poly_pow is a Poly power by squaring.
+solve_linear is Gaussian elimination over Fractions, with row swaps, the
+route harmonic_function took before its fraction-free solve in integers.
+scan_graph_classes is the orderly scan of edge masks one relabeling at a
+time, the route connected_graph_classes took before its byte tables.
+fraction_atanh_bracket and fraction_ln_bracket sum the atanh series one
+Fraction term at a time, the route of ln_bracket before its integer sums.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -575,3 +582,111 @@ def poly_pow(p: Poly, n: int) -> Poly:
         p = p * p
         n >>= 1
     return result
+
+
+class SingularMatrixError(ArithmeticError):
+    pass
+
+
+def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> list:
+    """Solve A x = b by Gaussian elimination over an exact field.
+
+    Entries are Fractions, or anything else with field arithmetic and a
+    zero test.  Raises SingularMatrixError when A is not invertible.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows) or len(rhs) != n:
+        raise ValueError("shape mismatch")
+    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot_row is None:
+            raise SingularMatrixError("matrix is singular")
+        a[col], a[pivot_row] = a[pivot_row], a[col]
+        pivot = a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col] == 0:
+                continue
+            factor = a[r][col] / pivot
+            for c in range(col, n + 1):
+                a[r][c] = a[r][c] - factor * a[col][c]
+    out = [None] * n
+    for col in range(n - 1, -1, -1):
+        acc = a[col][n]
+        for c in range(col + 1, n):
+            acc = acc - a[col][c] * out[c]
+        out[col] = acc / a[col][col]
+    return out
+
+
+def scan_graph_classes(m: int) -> tuple[tuple[frozenset, tuple], ...]:
+    """Connected graphs on m labeled vertices, one per class, with their
+    automorphism groups: each connected mask not yet seen, scanned in
+    increasing order, is emitted, and its images under every relabeling
+    are marked seen."""
+    pairs = list(itertools.combinations(range(m), 2))
+    perms = list(itertools.permutations(range(m)))
+    bits = [
+        [1 << pairs.index(tuple(sorted((p[a], p[b])))) for a, b in pairs]
+        for p in perms
+    ]
+    seen: set[int] = set()
+    out = []
+    for mask in range(1 << len(pairs)):
+        if mask in seen:
+            continue
+        on = [i for i in range(len(pairs)) if mask >> i & 1]
+        reach, stack = {0}, [0]
+        while stack:
+            v = stack.pop()
+            for i in on:
+                if v in pairs[i]:
+                    u = pairs[i][0] + pairs[i][1] - v
+                    if u not in reach:
+                        reach.add(u)
+                        stack.append(u)
+        if len(reach) != m:
+            continue
+        images = [sum(pb[i] for i in on) for pb in bits]
+        seen.update(images)
+        group = tuple(p for p, image in zip(perms, images) if image == mask)
+        out.append((frozenset(pairs[i] for i in on), group))
+    return tuple(out)
+
+
+def fraction_atanh_bracket(t: Fraction, abs_err: Fraction) -> Bracket:
+    """atanh(t) for |t| < 1 by the odd series, one Fraction term at a time,
+    stopping at the first tail bound |t|^(2k+1) / ((2k+1)(1 - t^2)) below
+    abs_err."""
+    if t == 0:
+        return Bracket.point(0)
+    t2 = t * t
+    term = t
+    total = Fraction(0)
+    k = 0
+    while True:
+        total += term / (2 * k + 1)
+        k += 1
+        term *= t2
+        tail = abs(term) / ((2 * k + 1) * (1 - t2))
+        if tail < abs_err:
+            return Bracket(total - tail, total + tail)
+
+
+def fraction_ln_bracket(q: Fraction, abs_err: Fraction = DEFAULT_LOG_ERR) -> Bracket:
+    """ln(q) = 2 atanh((m - 1)/(m + 1)) + k ln 2, m = q / 2^k in [3/4, 3/2),
+    with Fraction halvings and the Fraction series."""
+    k = 0
+    m = Fraction(q)
+    while m >= Fraction(3, 2):
+        m /= 2
+        k += 1
+    while m < Fraction(3, 4):
+        m *= 2
+        k -= 1
+    half = abs_err / 2
+    series = fraction_atanh_bracket((m - 1) / (m + 1), half / 2) * Bracket.point(2)
+    if k == 0:
+        return series
+    ln2 = fraction_atanh_bracket(Fraction(1, 3), half / (2 * abs(k)) / 2)
+    return series + ln2 * Bracket.point(2) * Bracket.point(k)

@@ -3,6 +3,7 @@
 from fractions import Fraction
 import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -24,22 +25,21 @@ from cellgreen.algebra import (
     squarefree_part,
     sturm_chain,
 )
+from cellgreen.algebra.brackets import DEFAULT_LOG_ERR, _atanh_bracket
 from cellgreen.algebra.matrix import (
-    _adjugate_row,
     _exact_div,
+    bareiss_solve,
     resolvent_row,
-    solve_linear,
 )
 from cellgreen.algebra.roots import (
     DEFAULT_WIDTH,
     IsolatedRoot,
-    _multiplicity_in_bracket,
-    _nonroot_near,
     cauchy_bound,
+    descartes_bound,
 )
 from cellgreen.algebra.poly import schoolbook
 from cellgreen.algebra.series import expand_scaled, int_product
-from cellgreen.greenkernel import cell_functions
+from cellgreen.greenkernel import cell_functions, expansion_polys
 from cellgreen.iteration import green_series
 from cellgreen.registry import builtin_cell
 from routes import (
@@ -54,7 +54,10 @@ from routes import (
     rf_div,
     rf_mul,
     rf_sub,
+    fraction_atanh_bracket,
+    fraction_ln_bracket,
     signed_product,
+    solve_linear,
 )
 
 X = Poly([0, 1])
@@ -675,10 +678,58 @@ def fraction_sturm_chain(p: Poly) -> tuple[Poly, ...]:
     return tuple(chain)
 
 
+def sturm_count(p: Poly, lo: Fraction, hi: Fraction) -> int:
+    """Distinct roots of p in (lo, hi) by the Sturm chain alone, for
+    non-root endpoints: the reference for ``count_roots``."""
+    if lo >= hi:
+        return 0
+
+    def variations(x):
+        signs = [sign(q(x)) for q in sturm_chain(p)]
+        signs = [v for v in signs if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(lo) - variations(hi)
+
+
+def fraction_descartes(p: Poly, lo: Fraction, hi: Fraction) -> int:
+    """Sign variations of (1 + t)^n p((lo + hi t)/(1 + t)), expanded as a
+    sum of Poly products over Fractions: the reference for
+    ``descartes_bound``."""
+    n = p.degree
+    q = Poly()
+    for i, c in enumerate(p.coeffs):
+        q = q + c * poly_pow(P(lo, hi), i) * poly_pow(P(1, 1), n - i)
+    signs = [c > 0 for c in q.coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def nonroot_near(p: Poly, x: Fraction, step: Fraction) -> Fraction:
+    """A point close to x (within |step|) where p does not vanish."""
+    if p(x):
+        return x
+    delta = step
+    while True:
+        for cand in (x - delta, x + delta):
+            if p(cand):
+                return cand
+        delta = delta / 2
+
+
+def sturm_multiplicity(p: Poly, lo: Fraction, hi: Fraction) -> int:
+    """Multiplicity of p's one distinct root in (lo, hi), by Sturm counts."""
+    mult = 0
+    while p.degree > 0 and sturm_count(p, lo, hi):
+        mult += 1
+        p = poly_gcd(p, p.derivative())
+    return max(mult, 1)
+
+
 def sturm_smallest_positive_root(
     p: Poly, width: Fraction = DEFAULT_WIDTH
 ) -> IsolatedRoot:
-    """Reference isolation: every bisection step decided by a Sturm count."""
+    """Reference isolation: every bisection step decided by a Sturm count,
+    on Fraction midpoints."""
     if p.degree < 1:
         raise NoPositiveRootError("constant polynomial has no roots")
     val = p.valuation()
@@ -691,19 +742,34 @@ def sturm_smallest_positive_root(
     while sf(hi) == 0:
         hi += 1
     lo = Fraction(0)
-    inside = count_roots(sf, lo, hi)
+    inside = sturm_count(sf, lo, hi)
     if inside == 0:
         raise NoPositiveRootError(f"no positive real root: {p}")
     while inside > 1 or hi - lo > width:
-        m = _nonroot_near(sf, (lo + hi) / 2, (hi - lo) / 64)
+        m = nonroot_near(sf, (lo + hi) / 2, (hi - lo) / 64)
         if not lo < m < hi:
-            m = _nonroot_near(sf, (lo + hi) / 2, (hi - lo) / 1024)
-        below = count_roots(sf, lo, m)
+            m = nonroot_near(sf, (lo + hi) / 2, (hi - lo) / 1024)
+        below = sturm_count(sf, lo, m)
         if below:
             hi, inside = m, below
         else:
             lo = m
-    return IsolatedRoot(lo, hi, p, _multiplicity_in_bracket(p, lo, hi))
+    return IsolatedRoot(lo, hi, p, sturm_multiplicity(p, lo, hi))
+
+
+def sturm_refine(root: IsolatedRoot, width: Fraction) -> IsolatedRoot:
+    """Reference refinement: every halving decided by a Sturm count."""
+    p, lo, hi = root.defining, root.low, root.high
+    while hi - lo > width:
+        m = (lo + hi) / 2
+        if p(m) == 0:
+            delta = min(hi - m, m - lo, width) / 4
+            return IsolatedRoot(m - delta, m + delta, p, root.multiplicity)
+        if sturm_count(p, lo, m):
+            hi = m
+        else:
+            lo = m
+    return IsolatedRoot(lo, hi, p, root.multiplicity)
 
 
 def isolation_outcome(isolate, p: Poly):
@@ -715,6 +781,19 @@ def isolation_outcome(isolate, p: Poly):
 
 # The polynomials that the root tests below isolate, plus a repeated root,
 # a rational root behind a power of z, and four rational roots.
+# Roots on the bisection lattice H j / 2^k, H the Cauchy bound of the
+# squarefree part, so that a midpoint lands on a root: (z - 1)^3 at H/2;
+# z (z - 3) at 3H/4; (z - 1/6)(z - 7/6) at H/2 while two roots are inside;
+# (z - 1/5)(z - 2/5) at H/4 and then H/8; (z - 1/4)(z - 3/4) at H/8.
+LATTICE_ROOT_POLYS = [
+    (poly_pow(P(-1, 1), 3), Fraction(1, 2)),
+    (P(0, -3, 1), Fraction(3, 4)),
+    (P(-1, 6) * P(-7, 6), Fraction(1, 2)),
+    (P(-1, 5) * P(-2, 5), Fraction(1, 4)),
+    (P(-1, 5) * P(-2, 5), Fraction(1, 8)),
+    (P(-1, 4) * P(-3, 4), Fraction(1, 8)),
+]
+
 ROOT_TEST_POLYS = [
     P(-2, 0, 1),
     P(9, 0, -9, 0, 1),
@@ -726,6 +805,7 @@ ROOT_TEST_POLYS = [
     poly_pow(P(-2, 0, 1), 2) * P(-3, 1),
     P(0, 0, -1, 2),
     P(-1, 1) * P(-2, 1) * P(-3, 1) * P(-4, 1),
+    *(p for p, _ in LATTICE_ROOT_POLYS),
 ]
 
 
@@ -827,6 +907,104 @@ class TestRoots:
         refined = root.refine(Fraction(1, 10**9))
         assert root.low <= refined.low <= refined.high <= root.high
         assert p(refined.low) * p(refined.high) <= 0
+
+
+    @pytest.mark.parametrize("p, at", LATTICE_ROOT_POLYS, ids=str)
+    def test_root_on_a_lattice_midpoint(self, p, at):
+        sf = squarefree_part(Poly.from_ints(p.ints[p.valuation():]))
+        assert p(at * cauchy_bound(sf)) == 0
+        root = smallest_positive_root(p)
+        assert root == sturm_smallest_positive_root(p)
+        width = Fraction(1, 2**40)
+        assert root.refine(width) == sturm_refine(root, width)
+
+    @pytest.mark.parametrize(
+        "root",
+        [
+            # Equal signs at the endpoints: a double root, Sturm halving.
+            smallest_positive_root(poly_pow(P(-2, 0, 1), 2) * P(-3, 1)),
+            smallest_positive_root(P(0, 0, 1) * poly_pow(P(-5, 1), 4)),
+            # A root on the first midpoint, of even and of odd multiplicity;
+            # the last with a multiplicity field that does not say so.
+            IsolatedRoot(Fraction(0), Fraction(2), poly_pow(P(-1, 1), 2), 2),
+            IsolatedRoot(Fraction(1, 3), Fraction(5, 3), P(-1, 1)),
+            IsolatedRoot(Fraction(0), Fraction(3), poly_pow(P(-1, 1), 3), 1),
+            IsolatedRoot(Fraction(1, 2), Fraction(3), poly_pow(P(-1, 1), 3), 1),
+        ],
+        ids=str,
+    )
+    def test_refine_matches_sturm_halving(self, root):
+        for width in (Fraction(1, 3), Fraction(1, 2**20), Fraction(1, 10**15)):
+            assert root.refine(width) == sturm_refine(root, width)
+
+    @pytest.mark.parametrize(
+        "p, lo, hi, v, count",
+        [
+            # Two complex roots near 1: V = 2 and no root.
+            (P(Fraction(101, 100), -2, 1), Fraction(0), Fraction(2), 2, 0),
+            # Two real roots: V = 2 and two roots.
+            (P(-1, 2) * P(-3, 2), Fraction(0), Fraction(2), 2, 2),
+            # Both, and a double root at 1: V = 4, one distinct root.
+            (P(-1, 2) * P(-3, 2) * poly_pow(P(-1, 1), 2), Fraction(0), Fraction(2), 4, 3),
+            (poly_pow(P(-1, 1), 2), Fraction(0), Fraction(2), 2, 1),
+            (P(-1, 1), Fraction(0), Fraction(2), 1, 1),
+            (P(-1, 1), Fraction(2), Fraction(3), 0, 0),
+            # The transform is 2t^2 + 2: a zero between two positives.
+            (P(1, 0, 1), Fraction(-1), Fraction(1), 0, 0),
+        ],
+    )
+    def test_sturm_fallback_above_one_variation(self, p, lo, hi, v, count):
+        assert descartes_bound(p, lo, hi) == v
+        assert count_roots(p, lo, hi) == sturm_count(p, lo, hi) == count
+
+    @given(
+        nonzero_polys,
+        st.fractions(min_value=-5, max_value=5, max_denominator=12),
+        st.fractions(min_value=Fraction(1, 12), max_value=6, max_denominator=12),
+    )
+    # Zero coefficients before and after the transform, and a root at an
+    # endpoint.
+    @example(P(-1, 0, 1), Fraction(-2), Fraction(4))
+    @example(P(0, 1), Fraction(-1), Fraction(2))
+    @example(P(1, 0, 0, 1), Fraction(-3), Fraction(5))
+    @example(P(-1, 1), Fraction(1), Fraction(1))
+    def test_descartes_bounds_the_sturm_count(self, p, lo, width):
+        hi = lo + width
+        if p(lo) == 0 or p(hi) == 0:
+            with pytest.raises(ValueError, match="endpoint is a root"):
+                count_roots(p, lo, hi)
+            return
+        v = descartes_bound(p, lo, hi)
+        assert v == fraction_descartes(p, lo, hi)
+        want = sturm_count(p, lo, hi)
+        assert want <= v
+        if v <= 1:
+            assert v == want
+        assert count_roots(p, lo, hi) == want
+
+    def test_descartes_matches_sturm_on_cell_polynomials(self, sweep):
+        rng = random.Random(24)
+        cases = conclusive = 0
+        for rec in sweep.records:
+            cf = rec.cf
+            rho = cf.rho_d
+            polys = [cf.f.den, cf.d.den, cf.r.den]
+            polys += [q for q, _ in expansion_polys(cf.d)]
+            for p in polys:
+                a = Fraction(rng.randrange(0, 64), rng.randrange(1, 32))
+                b = a + Fraction(rng.randrange(1, 64), rng.randrange(1, 32))
+                for lo, hi in ((Fraction(1), rho.low), (rho.low, rho.high), (a, b)):
+                    if lo >= hi or p(lo) == 0 or p(hi) == 0:
+                        continue
+                    v = descartes_bound(p, lo, hi)
+                    want = sturm_count(p, lo, hi)
+                    assert want <= v, (p, lo, hi)
+                    if v <= 1:
+                        assert v == want, (p, lo, hi)
+                        conclusive += 1
+                    assert count_roots(p, lo, hi) == want
+                    cases += 1
+        assert cases > 10_000 and conclusive > cases // 2
 
 
 # -- determinants -----------------------------------------------------------
@@ -1036,7 +1214,7 @@ class TestResolventRow:
     def test_zero_pivot_raises_without_a_swap(self):
         # [[0, 1], [1, 0]] is invertible, but its first leading minor is 0.
         with pytest.raises(ArithmeticError, match="zero pivot"):
-            _adjugate_row([[0, 1, 1], [1, 0, 0]])
+            bareiss_solve([[0, 1, 1], [1, 0, 0]])
 
 
 # -- brackets ---------------------------------------------------------------
@@ -1062,6 +1240,29 @@ class TestBrackets:
         assert (b / a).low == Fraction(3, 2)
         assert not (a - a).low > 0
         assert (a - a).contains_zero()
+
+    @pytest.mark.parametrize(
+        "abs_err",
+        [Fraction(1, 2), Fraction(1, 10**6), Fraction(1, 10**30), Fraction(3, 2**101)],
+        ids=["1/2", "1e-6", "1e-30", "3/2^101"],
+    )
+    def test_atanh_matches_the_fraction_series(self, abs_err):
+        # Every t that ln_bracket passes lies in [-1/7, 1/5).
+        ts = {Fraction(a, b) for b in range(1, 14) for a in range(-b + 1, b)}
+        ts |= {Fraction(a, 10**9 + 7) for a in (-1, 10**8, -(10**8), 2 * 10**8)}
+        for t in sorted(ts):
+            assert _atanh_bracket(t, abs_err) == fraction_atanh_bracket(t, abs_err), t
+
+    @pytest.mark.parametrize(
+        "abs_err",
+        [Fraction(1, 10**6), DEFAULT_LOG_ERR, Fraction(1, 2**200)],
+        ids=["1e-6", "default", "2^-200"],
+    )
+    def test_ln_matches_the_fraction_route(self, abs_err):
+        qs = {Fraction(a, b) for a in range(1, 30) for b in range(1, 12)}
+        qs |= {Fraction(3, 2), Fraction(3, 4), Fraction(2**70 + 1, 3), Fraction(1, 10**25)}
+        for q in sorted(qs):
+            assert ln_bracket(q, abs_err) == fraction_ln_bracket(q, abs_err), q
 
     def test_ln_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -29,6 +29,7 @@ from cellgreen.cells import (
     has_automorphism,
     transition_matrix,
 )
+from routes import scan_graph_classes
 
 
 # sha256 over cell_to_text(g) + g.name of enumerate_cells(2, 8), in order,
@@ -405,6 +406,10 @@ class TestEnumeration:
     def test_classes_match_canonical_form_scan(self, m):
         classes = tuple(edges for edges, _ in connected_graph_classes(m))
         assert classes == canon_edges_graph_classes(m)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_classes_and_groups_match_the_mask_scan(self, m):
+        assert connected_graph_classes(m) == scan_graph_classes(m)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_automorphisms_match_degree_bucket_search(self, m):

@@ -20,7 +20,6 @@ from cellgreen.algebra import (
     resolvent_row,
     series_from_ratfunc,
     smallest_positive_root,
-    solve_linear,
 )
 from cellgreen.cells import transition_matrix
 from cellgreen.cli import _pole_json
@@ -44,6 +43,7 @@ from routes import (
     rf_div,
     rf_mul,
     rf_sub,
+    solve_linear,
 )
 
 

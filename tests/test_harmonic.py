@@ -15,6 +15,7 @@ from cellgreen import (
     validate_cell,
 )
 from cellgreen.harmonic import verify_alpha_mu
+from routes import solve_linear
 
 
 def alpha_of(g: CellGraph):
@@ -47,7 +48,32 @@ def delete_vertex(g: CellGraph, v: int) -> CellGraph | None:
         return None
 
 
+def fraction_harmonic_values(g: CellGraph) -> tuple[Fraction, ...]:
+    """H by Gaussian elimination over Fractions: the reference route."""
+    interior = list(g.interior)
+    index = {v: k for k, v in enumerate(interior)}
+    rows, rhs = [], []
+    for v in interior:
+        row = [Fraction(0)] * len(interior)
+        row[index[v]] = Fraction(g.degree(v))
+        for u in g.neighbors(v):
+            if u >= g.theta:
+                row[index[u]] -= 1
+        rows.append(row)
+        rhs.append(Fraction(sum(u == 0 for u in g.neighbors(v))))
+    values = [Fraction(0)] * g.n
+    values[0] = Fraction(1)
+    for v, x in zip(interior, solve_linear(rows, rhs)):
+        values[v] = x
+    return tuple(values)
+
+
 class TestHarmonicSolve:
+    def test_matches_fraction_elimination(self, enumerated_cells):
+        cells = [*enumerated_cells, *map(builtin_cell, ("sierpinski", "theta4"))]
+        for g in cells:
+            assert harmonic_function(g).values == fraction_harmonic_values(g), g
+
     def test_diamond_values(self):
         sol = harmonic_function(builtin_cell("diamond"))
         assert sol.values == (
