@@ -206,12 +206,16 @@ def smallest_positive_root(
 
     Bisection keeps the lower half of (lo, hi) whenever it holds a root of
     the squarefree part ``sf``.  While (lo, hi) holds more than one root, a
-    root count decides that.  Once it holds exactly one, the sign of ``sf``
-    at the midpoint m decides it: ``sf`` has only simple roots, so it
-    changes sign at each one, and (lo, m) holds the root exactly when sf(m)
-    differs in sign from sf(lo), which is the sign of sf(0) since no root
-    lies in (0, lo].  Each step keeps the half that a Sturm count would
-    keep, so the brackets are those of Sturm-only bisection.
+    root count on (lo, m) decides that, as in ``count_roots``: Descartes'
+    bound, and the Sturm count var(lo) - var(m) when the bound is 2 or
+    more.  No root lies in (0, lo], so var(lo) = var(0), which is counted
+    once: each fallback evaluates the chain at m alone.  Once (lo, hi)
+    holds exactly one, the sign of ``sf`` at the midpoint m decides it:
+    ``sf`` has only simple roots, so it changes sign at each one, and
+    (lo, m) holds the root exactly when sf(m) differs in sign from sf(lo),
+    which is the sign of sf(0) since no root lies in (0, lo].  Each step
+    keeps the half that a Sturm count would keep, so the brackets are
+    those of Sturm-only bisection.
 
     Every point is H j / 2^k on the lattice of the Cauchy bound H = h / g:
     an endpoint is the pair (j, k), a midpoint a sum and the width test one
@@ -247,11 +251,20 @@ def smallest_positive_root(
     # [0, lo] the sign it has at 0.
     a, b, k = 0, 1, 0
     positive_at_0 = cs[0] > 0
+    # The Sturm variations at lo, which are those at 0, once a fallback
+    # has counted them.
+    var_lo = None
     while inside > 1 or (b - a) * over_w > under_w << k:
         j, e, s = _lattice_midpoint(cs, a, b, k)
         a, b, k = a << (e - k), b << (e - k), e
         if inside > 1:
-            below = count_roots(sf, point(a, k), point(j, k))
+            mid = point(j, k)
+            below = descartes_bound(sf, point(a, k), mid)
+            if below > 1:
+                chain = sturm_chain(sf)
+                if var_lo is None:
+                    var_lo = _sign_variations(chain, Fraction(0))
+                below = var_lo - _sign_variations(chain, mid)
             if below:
                 inside = below
         else:

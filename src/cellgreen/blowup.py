@@ -9,8 +9,9 @@ apart, the vertices whose degree would still grow lie at distance D^k from
 the origin of the level-k approximant (see blowup), so every n up to the
 safe horizon 2 D^k - 1 sees no difference between the approximant and the
 infinite graph.  That is what makes the two oracles here exact for small n:
-integer walk counts, one pull per step over a CSR of the ball that the
-closed walks reach, and seeded Monte Carlo simulation.
+integer walk counts, one pull per step over the cells of an equitable
+partition of the ball that the closed walks reach, and seeded Monte Carlo
+simulation.
 """
 
 from __future__ import annotations
@@ -281,26 +282,127 @@ def write_approximant(a: Approximant, out: TextIO) -> None:
 # -- exact oracle ---------------------------------------------------------------
 
 
+# Ball CSR entries times steps below which the exact walk counts keep one
+# cell per vertex: refinement costs a few dozen numpy calls a round, more
+# than a pull this short (a few hundred microseconds) could save.
+LUMP_MIN_WORK = 1 << 15
+
+
 @dataclass(frozen=True)
 class ReturnProbs:
     probs: tuple[Fraction, ...]
     safe_horizon: int
 
 
+def _ball(a: Approximant, radius: int):
+    """The ball of the given radius about the origin, as a CSR of its own.
+
+    Returns (order, depth, ptr, src): the ball's vertices in BFS order,
+    hence by distance, their distances, and for each the ball positions
+    of its neighbours, src[ptr[i]:ptr[i + 1]], where a neighbour outside
+    the ball maps to position len(order), one past it.  So every row has
+    the vertex's full degree.  The BFS over the approximant stops at the
+    radius.
+    """
+    order = []
+    depth = []
+    for v, d in _bfs(a.indptr, a.indices, a.origin):
+        if d > radius:
+            break
+        order.append(v)
+        depth.append(d)
+    ball = len(order)
+    order = np.array(order, dtype=np.intp)
+    start = a.indptr[order]
+    deg = a.indptr[order + 1] - start
+    ptr = np.zeros(ball + 1, dtype=np.intp)
+    np.cumsum(deg, out=ptr[1:])
+    pos = np.full(a.num_vertices, ball, dtype=np.intp)
+    pos[order] = np.arange(ball)
+    src = pos[a.indices[np.repeat(start - ptr[:-1], deg) + np.arange(ptr[-1])]]
+    return order, np.array(depth, dtype=np.intp), ptr, src
+
+
+def _mix(colour: np.ndarray) -> np.ndarray:
+    """A fixed integer mix of colours: splitmix64's output from state colour."""
+    z = colour.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _equitable_cells(
+    ptr: np.ndarray, src: np.ndarray, depth: np.ndarray
+) -> np.ndarray:
+    """The cell of each ball vertex in an equitable partition of the ball.
+
+    In the ball CSR of ``_ball``, every vertex of a cell has the same
+    sorted list of neighbour cells, with outside the ball as one more
+    cell; so all of them have the same degree and the same number of
+    neighbours in each cell.  Each cell lies in one depth layer, the
+    origin is alone in cell 0, and cells are numbered by their first
+    vertex, hence by depth.
+
+    Colour refinement (Cardon and Crochemore, TCS 19, 1982) finds it.
+    The first colouring is (depth, degree).  Each round sums ``_mix`` of
+    the neighbours' colours over each row in uint64, outside neighbours
+    adding 0, and splits every colour by that sum: the new colours number
+    the distinct keys colour * 2^(64 - b) + sum // 2^b, b the bit length
+    of the ball's size, which exceeds every colour.  So each round refines
+    the last, and refinement stops when the number of colours stops
+    growing.  Sums can collide, so the result is checked exactly: every
+    vertex's sorted list of neighbour cells must equal that of its cell's
+    first vertex.  If it does not, the discrete partition, one cell per
+    vertex, is returned.  Hashing thus decides only how coarse the
+    partition is, never whether it is equitable.
+    """
+    ball = len(depth)
+    deg = np.diff(ptr)
+    keys, colour = np.unique(depth * (deg.max() + 1) + deg, return_inverse=True)
+    count = len(keys)
+    shift = np.uint64(ball.bit_length())
+    mixed = _mix(np.arange(ball))
+    hashed = np.zeros(ball + 1, dtype=np.uint64)
+    while True:
+        hashed[:ball] = mixed[colour]
+        sums = np.add.reduceat(hashed[src], ptr[:-1])
+        keys, finer = np.unique(
+            (colour.astype(np.uint64) << (np.uint64(64) - shift)) | (sums >> shift),
+            return_inverse=True,
+        )
+        if len(keys) == count:
+            break
+        colour, count = finer, len(keys)
+    first = np.unique(colour, return_index=True)[1]
+    rank = np.empty(count, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(count)
+    cell = rank[colour]
+    # Sort each row's neighbour cells (outside is cell `count`) by one
+    # sort of row-major keys, and compare entry by entry with the row of
+    # the cell's first vertex, which has the same length.
+    row = np.repeat(np.arange(ball), deg)
+    rows = np.sort(row * (count + 1) + np.append(cell, count)[src])
+    rep = np.sort(first)[cell]
+    at_rep = np.repeat(ptr[rep] - ptr[:-1], deg) + np.arange(len(src))
+    if np.array_equal(rows[at_rep] - (rep[row] - row) * (count + 1), rows):
+        return cell
+    return np.arange(ball)
+
+
 def exact_return_probs(a: Approximant, n_max: int) -> ReturnProbs:
     """p^(n)(origin, origin) for n = 0..n_max, exactly.
 
     A closed walk of length n stays within distance n // 2 of the origin,
-    so the computation is restricted to that ball; probability mass that
-    steps outside can never return in time and is dropped.  The ball is
-    found by a BFS over the approximant's CSR arrays, which stops at the
-    radius, and held as a CSR of its own in BFS order, hence by distance:
-    ptr, and src, the ball position of each neighbour, where a neighbour
-    outside the ball maps to position len(ball), one past it, whose
-    product is 0.  Scaling by the lcm of the ball degrees keeps the
-    iteration in integers.  One step is a pull over object arrays: each
-    source's count times scale // deg, then one sum over each target's
-    neighbour list.
+    so the computation is restricted to that ball (``_ball``); probability
+    mass that steps outside can never return in time and is dropped.
+    Scaling by the lcm of the ball degrees keeps the iteration in
+    integers: with w(u) = scale // deg(u), the vertex counts are
+    vec_0 = e_origin and vec_n[v] = sum of w(u) vec_(n-1)[u] over the
+    neighbours u of v in the ball, and probs[n] = vec_n[origin] / scale^n.
+    A neighbour outside the ball reads a zero slot past the last count.
 
     The same argument prunes every step: mass at distance r after n - 1
     steps can be back by step n_max only if r <= n_max - n + 1, and it
@@ -323,44 +425,66 @@ def exact_return_probs(a: Approximant, n_max: int) -> ReturnProbs:
     = min(n - 1, n_max - n + 3) = reach_(n-1) + 1, which step n - 1 wrote.
     So the counts that a step leaves past its targets are never read
     again, and nothing is cleared between steps.  The products are written
-    at every source read, and position len(ball) lies past every prefix,
-    so its 0 is never overwritten.
+    at every source read, and the zero slot lies past every prefix, so its
+    0 is never overwritten.
+
+    The counts are kept per cell of ``_equitable_cells``, not per vertex.
+    Every vertex of a cell C has the degree deg(C) and the same number
+    B[C, C'] of neighbours in each cell C'.  So one pull maps a vector x
+    that is constant on cells to one that is too: every v in C gets
+    sum over cells C' of B[C, C'] w(C') x[C'].  vec_0 = e_origin is
+    constant on cells, the origin being alone in cell 0, so every vec_n
+    is, and the walk from the origin is lumpable (Kemeny and Snell,
+    Finite Markov Chains, 1960, section 6.3): one count per cell carries
+    it.  A cell's first vertex pulls that count from its own neighbours,
+    each read through its cell, so one step is a pull over object arrays
+    on the first vertices: each cell's count times its w into a product
+    buffer, then one sum over each first vertex's row.  Below
+    ``LUMP_MIN_WORK`` entries times steps the ball keeps one cell per
+    vertex, which is the vertex pull itself.
+
+    The pruned vertex pull keeps vec_n constant on cells, stale entries
+    included.  By induction on n: each window is a union of depth layers,
+    and each cell lies in one layer, so a step writes whole cells, each
+    vertex from its neighbours within reach + 2, whose values are
+    constant on cells by the induction hypothesis; a cell it does not
+    write keeps its values.  So the pull on first vertices reads and
+    writes the vertex pull's values, and probs[n] does not depend on the
+    partition.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    radius = n_max // 2
-    order = []
-    depth = []
-    for v, d in _bfs(a.indptr, a.indices, a.origin):
-        if d > radius:
-            break
-        order.append(v)
-        depth.append(d)
-    ball = len(order)
-    order = np.array(order, dtype=np.intp)
-    start = a.indptr[order]
-    deg = a.indptr[order + 1] - start
-    ptr = np.zeros(ball + 1, dtype=np.intp)
-    np.cumsum(deg, out=ptr[1:])
-    pos = np.full(a.num_vertices, ball, dtype=np.intp)
-    pos[order] = np.arange(ball)
-    src = pos[a.indices[np.repeat(start - ptr[:-1], deg) + np.arange(ptr[-1])]]
+    _, depth, ptr, src = _ball(a, n_max // 2)
+    if n_max * len(src) < LUMP_MIN_WORK:
+        cell = rep = np.arange(len(depth))
+    else:
+        cell = _equitable_cells(ptr, src, depth)
+        rep = np.unique(cell, return_index=True)[1]
+    cells = len(rep)
+    # The rows of the cells' first vertices, each neighbour read through
+    # its cell, and a neighbour outside the ball through the zero slot.
+    deg = ptr[rep + 1] - ptr[rep]
+    qptr = np.zeros(cells + 1, dtype=np.intp)
+    np.cumsum(deg, out=qptr[1:])
+    rows = np.repeat(ptr[rep] - qptr[:-1], deg) + np.arange(qptr[-1])
+    qsrc = np.append(cell, cells)[src[rows]]
+    cell_depth = depth[rep].tolist()
     degs = deg.tolist()
     scale = math.lcm(*degs)
     weight = np.array([scale // d for d in degs], dtype=object)
 
-    vec = np.zeros(ball, dtype=object)
+    vec = np.zeros(cells, dtype=object)
     vec[0] = 1
-    vw = np.empty(ball + 1, dtype=object)
-    vw[ball] = 0
+    vw = np.empty(cells + 1, dtype=object)
+    vw[cells] = 0
     probs = [Fraction(1)]
     denom = 1
     for n in range(1, n_max + 1):
         reach = min(n - 1, n_max - n + 1)
-        m_j = bisect.bisect_right(depth, reach + 1)
-        m_s = bisect.bisect_right(depth, reach + 2)
+        m_j = bisect.bisect_right(cell_depth, reach + 1)
+        m_s = bisect.bisect_right(cell_depth, reach + 2)
         np.multiply(vec[:m_s], weight[:m_s], out=vw[:m_s])
-        vec[:m_j] = np.add.reduceat(vw.take(src[: ptr[m_j]]), ptr[:m_j])
+        vec[:m_j] = np.add.reduceat(vw.take(qsrc[: qptr[m_j]]), qptr[:m_j])
         denom *= scale
         probs.append(Fraction(vec[0], denom))
     return ReturnProbs(probs=tuple(probs), safe_horizon=a.safe_horizon)

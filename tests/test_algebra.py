@@ -4,6 +4,7 @@ from fractions import Fraction
 import hashlib
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -38,7 +39,12 @@ from cellgreen.algebra.roots import (
     descartes_bound,
 )
 from cellgreen.algebra.poly import schoolbook
-from cellgreen.algebra.series import expand_scaled, int_product
+from cellgreen.algebra.series import (
+    expand_scaled,
+    int_product,
+    least_scale,
+    scaled_fractions,
+)
 from cellgreen.greenkernel import cell_functions, expansion_polys
 from cellgreen.iteration import green_series
 from cellgreen.registry import builtin_cell
@@ -366,6 +372,37 @@ class TestPowerSeries:
         ints, c = expand_scaled(r, scale, order)
         coeffs = [Fraction(a, c * scale**n) for n, a in enumerate(ints)]
         assert coeffs == list(expected.coeffs)
+
+    @given(st.lists(st.integers(-60, 60), min_size=1, max_size=5),
+           st.integers(1, 720))
+    @example([144, -21, -21, 2], 108)
+    @example([0, 0, 5], 64)
+    def test_least_scale_is_the_least(self, tail, den0):
+        den = [den0, *tail]
+
+        def integral(s):
+            return all(c * s**k % den0 == 0 for k, c in enumerate(den))
+
+        s = least_scale(den)
+        assert integral(s)
+        assert not any(integral(t) for t in range(1, s))
+
+    def test_least_scale_series_match_the_lcm_scale(self, sweep):
+        # The scale that series_from_ratfunc used before: the lcm of the
+        # denominators of den(z) / den(0).  theta4's f needs 6, not 108.
+        def lcm_scale(den):
+            d0 = abs(den[0])
+            return math.lcm(*[d0 // math.gcd(c, d0) for c in den])
+
+        theta4_f = cell_functions(builtin_cell("theta4")).f.den.ints
+        assert (least_scale(theta4_f), lcm_scale(theta4_f)) == (6, 108)
+        for rec in sweep.records:
+            for r in (rec.cf.f, rec.cf.d, rec.cf.r):
+                scale = lcm_scale(r.den.ints)
+                assert scale % least_scale(r.den.ints) == 0
+                assert series_from_ratfunc(r, 16) == scaled_fractions(
+                    *expand_scaled(r, scale, 16), scale
+                )
 
     def test_expand_scaled_needs_an_integral_denominator(self):
         r = RatFunc(P(1), P(1, Fraction(-1, 4)))
@@ -956,6 +993,36 @@ class TestRoots:
     def test_sturm_fallback_above_one_variation(self, p, lo, hi, v, count):
         assert descartes_bound(p, lo, hi) == v
         assert count_roots(p, lo, hi) == sturm_count(p, lo, hi) == count
+
+    def test_each_sturm_fallback_evaluates_the_chain_once(self, monkeypatch):
+        # Six roots 1, 1.1, ..., 1.5: the first count over (0, H) and the
+        # first five bisection steps get Descartes bounds of 3 or more.
+        p = P(1)
+        for r in range(10, 16):
+            p = p * P(-r, 10)
+        roots = sys.modules["cellgreen.algebra.roots"]
+        real_bound, real_variations = roots.descartes_bound, roots._sign_variations
+        bounds, points = [], []
+
+        def bound(*args):
+            bounds.append(real_bound(*args))
+            return bounds[-1]
+
+        def variations(chain, x):
+            points.append(x)
+            return real_variations(chain, x)
+
+        monkeypatch.setattr(roots, "descartes_bound", bound)
+        monkeypatch.setattr(roots, "_sign_variations", variations)
+        root = smallest_positive_root(p)
+        assert root == sturm_smallest_positive_root(p)
+        fallbacks = sum(v > 1 for v in bounds)
+        assert fallbacks == 6
+        # count_roots evaluates 0 and H, the bisection 0 once and then
+        # each fallback's midpoint; evaluating both ends of every fallback
+        # would make 12.
+        assert len(points) == fallbacks + 2
+        assert points[:3] == [Fraction(0), cauchy_bound(p), Fraction(0)]
 
     @given(
         nonzero_polys,

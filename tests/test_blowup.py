@@ -8,6 +8,7 @@ import random
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,7 @@ from cellgreen import (
     parse_cell,
     sufficient_approximant,
 )
-from cellgreen.blowup import write_approximant
+from cellgreen.blowup import _ball, _equitable_cells, write_approximant
 from cellgreen.cells import clique_partition
 from routes import reference_count_walk, reference_monte_carlo
 
@@ -163,6 +164,38 @@ def reference_return_probs(a, n_max):
         vec = nxt
         probs.append(Fraction(vec[0], scale**n))
     return tuple(probs)
+
+
+def check_equitable(a, radius, order, cell):
+    """Check, in plain Python, that ``cell`` (one entry per ball position)
+    is an equitable partition of the radius ball in BFS order: the origin
+    alone in cell 0, cells numbered by their first vertex, each inside one
+    depth layer, and every vertex with the neighbour cells, outside the
+    ball counted as one more, of its cell's first vertex."""
+    adjacency = a.adjacency()
+    dist = {a.origin: 0}
+    ball = [a.origin]
+    for v in ball:
+        if dist[v] < radius:
+            for u in adjacency[v]:
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    ball.append(u)
+    assert list(order) == ball
+    cell_of = dict(zip(ball, cell.tolist()))
+    first = {}
+    for v in ball:
+        first.setdefault(cell_of[v], v)
+    assert list(first) == list(range(len(first)))
+    assert [v for v in ball if cell_of[v] == 0] == [a.origin]
+
+    def neighbour_cells(v):
+        return Counter(cell_of.get(u, "outside") for u in adjacency[v])
+
+    for v in ball:
+        rep = first[cell_of[v]]
+        assert dist[v] == dist[rep]
+        assert neighbour_cells(v) == neighbour_cells(rep)
 
 
 class TestBlowup:
@@ -450,6 +483,20 @@ class TestExactOracleGolden:
         text = "\n".join(map(str, probs))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    # Ball vertices and equitable cells of the same balls.  A certificate
+    # that always failed would fall back to one cell per vertex, which
+    # keeps every count right and loses the speed.
+    CELLS = {"diamond": (2192, 401), "sierpinski": (3622, 1719), "theta4": (3895, 643)}
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
+    def test_cell_counts_unchanged(self, case):
+        name, level, n_max, _ = case
+        a = blowup(builtin_cell(name), level)
+        order, depth, ptr, src = _ball(a, n_max // 2)
+        cell = _equitable_cells(ptr, src, depth)
+        assert (len(order), int(cell.max()) + 1) == self.CELLS[name]
+        check_equitable(a, n_max // 2, order, cell)
+
 
 class TestMonteCarlo:
     def test_bit_for_bit_reproducible(self):
@@ -601,6 +648,78 @@ class TestAgainstReferences:
     def test_pull_matches_reference_past_the_horizon(self, ball):
         a, n_max = ball
         assert exact_return_probs(a, n_max).probs == reference_return_probs(a, n_max)
+
+
+@pytest.fixture
+def always_lump(monkeypatch):
+    """Lump every ball, however short its pull."""
+    monkeypatch.setattr(sys.modules["cellgreen.blowup"], "LUMP_MIN_WORK", 0)
+
+
+class TestEquitableCells:
+    """The cells of the ball that the exact walk counts run on."""
+
+    @settings(deadline=None)
+    @given(small_balls())
+    @example((blowup(builtin_cell("sierpinski"), 2, origin_copies=2), 11))
+    @example((blowup(builtin_cell("theta4"), 2, randomize_identification=5), 30))
+    def test_cells_are_equitable(self, ball):
+        a, n_max = ball
+        order, depth, ptr, src = _ball(a, n_max // 2)
+        check_equitable(a, n_max // 2, order, _equitable_cells(ptr, src, depth))
+
+    @settings(deadline=None)
+    @given(small_balls())
+    @example((blowup(builtin_cell("path2"), 2, origin_copies=2), 3))
+    @example((blowup(builtin_cell("diamond"), 2, randomize_identification=3), 15))
+    def test_lumped_pull_matches_reference_past_the_horizon(self, ball):
+        a, n_max = ball
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sys.modules["cellgreen.blowup"], "LUMP_MIN_WORK", 0)
+            probs = exact_return_probs(a, n_max).probs
+        assert probs == reference_return_probs(a, n_max)
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_lumped_pull_matches_reference_on_builtins(self, name, always_lump):
+        g = builtin_cell(name)
+        for k in (1, 2, 3):
+            a = blowup(g, k, origin_copies=1 + k % 2, randomize_identification=k)
+            h = a.safe_horizon
+            for n_max in (2, 7, 8, h, h + 1, h + 6):
+                assert exact_return_probs(a, n_max).probs == reference_return_probs(a, n_max)
+
+    def test_only_long_pulls_are_lumped(self, count_calls):
+        # 28,000 and 47,000 ball entries times steps.
+        calls = count_calls("cellgreen.blowup", "_equitable_cells")
+        a = blowup(builtin_cell("theta4"), 3)
+        exact_return_probs(a, 40)
+        assert not calls
+        exact_return_probs(a, 48)
+        assert len(calls) == 1
+
+    def test_colliding_mix_falls_back_to_one_cell_per_vertex(
+        self, monkeypatch, always_lump
+    ):
+        # A constant mix splits colours by the number of neighbours in the
+        # ball only, which is not equitable on this ball (23 cells are).
+        monkeypatch.setattr(
+            sys.modules["cellgreen.blowup"],
+            "_mix",
+            lambda colour: np.ones(len(colour), dtype=np.uint64),
+        )
+        a = blowup(builtin_cell("sierpinski"), 3)
+        order, depth, ptr, src = _ball(a, 12)
+        assert _equitable_cells(ptr, src, depth).tolist() == list(range(len(order)))
+        assert exact_return_probs(a, 24).probs == reference_return_probs(a, 24)
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_ball_of_the_origin_alone(self, name, always_lump):
+        # n_max <= 1: radius 0, and every neighbour of the origin reads
+        # the zero slot.
+        for copies in (1, 2):
+            a = blowup(builtin_cell(name), 2, origin_copies=copies)
+            assert exact_return_probs(a, 0).probs == (1,)
+            assert exact_return_probs(a, 1).probs == (1, 0)
 
 
 class TestMonteCarloGolden:
