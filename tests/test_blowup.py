@@ -686,7 +686,9 @@ class TestEquitableCells:
             a = blowup(g, k, origin_copies=1 + k % 2, randomize_identification=k)
             h = a.safe_horizon
             for n_max in (2, 7, 8, h, h + 1, h + 6):
-                assert exact_return_probs(a, n_max).probs == reference_return_probs(a, n_max)
+                assert exact_return_probs(a, n_max).probs == (
+                    reference_return_probs(a, n_max)
+                )
 
     def test_only_long_pulls_are_lumped(self, count_calls):
         # 28,000 and 47,000 ball entries times steps.
