@@ -18,6 +18,5 @@ from .roots import (
     root_compare,
     roots_equal,
     smallest_positive_root,
-    sturm_chain,
 )
 from .series import series_from_ratfunc

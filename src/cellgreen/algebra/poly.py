@@ -10,9 +10,8 @@ representation, and equality is structural.  ``coeffs`` gives the
 Arithmetic runs on the integers.  A product multiplies the primitive parts
 and the contents; a sum works over the lcm of the two content denominators
 and takes one gcd; ``//`` is exact division only.  Evaluation is one
-homogenized integer Horner, and ``poly_gcd`` and the Sturm chains in
-``roots`` step a primitive pseudo-remainder sequence (Collins, J. ACM 14,
-1967) on ``ints``.
+homogenized integer Horner, and ``poly_gcd`` steps a primitive
+pseudo-remainder sequence (Collins, J. ACM 14, 1967) on ``ints``.
 """
 
 from __future__ import annotations
@@ -236,32 +235,24 @@ def _coerce(x: Poly | Scalar) -> Poly:
     raise TypeError(f"cannot interpret {type(x).__name__} as a polynomial")
 
 
-def prs_step(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The primitive part of ``a mod b``, with its sign, on integer lists.
-
-    Pseudo-division by the nonzero ``b`` multiplies by ``|lc(b)| > 0`` at
-    each step, which changes no sign.  Empty when ``b`` divides ``a``.
-    """
-    lb = b[-1]
-    if lb < 0:
-        b, lb = [-c for c in b], -lb
-    r = list(a)
-    for k in range(len(r) - len(b), -1, -1):
-        q = r.pop()
-        r = [lb * c for c in r]
-        for j, c in enumerate(b[:-1], k):
-            r[j] -= q * c
-    while r and r[-1] == 0:
-        r.pop()
-    g = gcd(*r)
-    return [c // g for c in r] if g > 1 else r
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor by a primitive remainder sequence."""
+    """Monic greatest common divisor by a primitive remainder sequence.
+
+    Each step replaces (u, v) by v and the primitive part of the pseudo-
+    remainder of u by v, which is ``lc(v)^(deg u - deg v + 1) u`` mod v.
+    """
     u, v = a.ints, b.ints
     while v:
-        u, v = v, prs_step(u, v)
+        r, lc = list(u), v[-1]
+        for k in range(len(r) - len(v), -1, -1):
+            q = r.pop()
+            r = [lc * c for c in r]
+            for j, c in enumerate(v[:-1], k):
+                r[j] -= q * c
+        while r and r[-1] == 0:
+            r.pop()
+        g = gcd(*r)
+        u, v = v, [c // g for c in r] if g > 1 else r
     return Poly._of(tuple(u), Fraction(1)).monic()
 
 

@@ -6,27 +6,27 @@ defining polynomial, with endpoints that are never roots themselves.  All
 decisions (counting, comparison, equality) are made exactly, by root
 counts and polynomial gcds; floating point appears only in diagnostics.
 
-Root counts are Descartes first, Sturm as the fallback.  The sign
-variations V of ``(1 + t)^n p((lo + hi t) / (1 + t))`` bound the roots of
-p in (lo, hi), counted with multiplicity, from above and share their
-parity (Descartes' rule on an interval; Collins and Akritas, SYMSAC 1976).
-So V = 0 proves that there is no root and V = 1 that there is exactly one,
-a simple one; only V >= 2 builds a Sturm chain.  Sign tests and the
-variation count run on integers, and Sturm chains are built on
-``Poly.ints`` and are primitive integer polynomials.
+Root counts are Descartes' rule of signs alone.  The sign variations V
+of ``(1 + t)^n p((lo + hi t) / (1 + t))`` bound the roots of p in
+(lo, hi), counted with multiplicity, from above and share their parity
+(Descartes' rule on an interval; Collins and Akritas, SYMSAC 1976).  So
+V = 0 proves that there is no root and V = 1 that there is exactly one,
+a simple one.  For V >= 2 the interval of the squarefree part is bisected
+until every piece has V <= 1, which Collins and Akritas show ends, and
+the pieces' bounds add up to the exact count.  Sign tests and the
+variation count run on integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from math import lcm
 from operator import ne
 
 from .brackets import Bracket
-from .poly import Poly, _homogeneous_horner, poly_gcd, prs_step, squarefree_part
+from .poly import Poly, _homogeneous_horner, poly_gcd, squarefree_part
 
 DEFAULT_WIDTH = Fraction(1, 2**30)
 
@@ -35,42 +35,13 @@ class NoPositiveRootError(ValueError):
     """The polynomial has no root in (0, infinity)."""
 
 
-@lru_cache(maxsize=256)
-def sturm_chain(p: Poly) -> tuple[Poly, ...]:
-    """Sturm sequence of p: p, p', then minus each remainder (``prs_step``).
+def _scaled_ints(p: Poly, lo: Fraction, hi: Fraction) -> list[int]:
+    """The integers r_j of ``D^n p(lo + (hi - lo) s) = sum r_j s^j``.
 
-    Each member is its primitive part ``ints``, a positive rational
-    multiple, which changes no sign.
-    """
-    chain = [p.ints]
-    d = p.derivative().ints
-    if d:
-        chain.append(d)
-        while True:
-            rem = prs_step(chain[-2], chain[-1])
-            if not rem:
-                break
-            chain.append([-c for c in rem])
-    return tuple(map(Poly.from_ints, chain))
-
-
-def _sign_variations(chain: tuple[Poly, ...], x: Fraction) -> int:
-    signs = [s for s in (q.sign_at(x) for q in chain) if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def descartes_bound(p: Poly, lo: Fraction, hi: Fraction) -> int:
-    """Sign variations V of ``(1 + t)^n p((lo + hi t) / (1 + t))``, lo < hi.
-
-    t > 0 maps onto x in (lo, hi), so V bounds the roots of p in (lo, hi),
-    counted with multiplicity, and has their parity.  With lo = a / D,
-    hi = c / D and w = c - a, ``r(s) = D^n p(lo + (hi - lo) s)`` is the
-    integer Horner ``r = r (a + w s) + p_i D^(n - i)``, and the polynomial
-    above is ``sum r_j t^j (1 + t)^(n - j) / D^n``.  Its reversal, which
-    has the same variations, is R(1 + t) for R(u) = sum r_j u^(n - j),
-    whose coefficients from the top are r_0, ..., r_n: one Taylor shift
-    of the list r.  ``r(0)`` and ``r(1)`` are D^n p(lo) and D^n p(hi);
-    ``ValueError`` when either is 0.
+    With lo = a / D, hi = c / D and w = c - a, this is the integer Horner
+    ``r = r (a + w s) + p_i D^(n - i)``.  r(0) and r(1) are D^n p(lo) and
+    D^n p(hi), and ``_lattice_sign(r, j, k)`` is the sign of p at
+    lo + (hi - lo) j / 2^k.
     """
     den = lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (den // lo.denominator)
@@ -81,6 +52,21 @@ def descartes_bound(p: Poly, lo: Fraction, hi: Fraction) -> int:
         scale *= den
         r = [a * x + w * y for x, y in zip(r + [0], [0, *r])]
         r[0] += c * scale
+    return r
+
+
+def descartes_bound(p: Poly, lo: Fraction, hi: Fraction) -> int:
+    """Sign variations V of ``(1 + t)^n p((lo + hi t) / (1 + t))``, lo < hi.
+
+    t > 0 maps onto x in (lo, hi), so V bounds the roots of p in (lo, hi),
+    counted with multiplicity, and has their parity.  With r the
+    ``_scaled_ints`` of p on (lo, hi), the polynomial above is
+    ``sum r_j t^j (1 + t)^(n - j) / D^n``.  Its reversal, which has the
+    same variations, is R(1 + t) for R(u) = sum r_j u^(n - j), whose
+    coefficients from the top are r_0, ..., r_n: one Taylor shift of the
+    list r.  ``ValueError`` when p(lo) or p(hi) is 0.
+    """
+    r = _scaled_ints(p, lo, hi)
     if not r[0] or not sum(r):
         raise ValueError("interval endpoint is a root")
     # Each pass of the Taylor shift by 1 is a running sum over the list,
@@ -96,9 +82,15 @@ def count_roots(p: Poly, lo: Fraction, hi: Fraction) -> int:
 
     Endpoints must not be roots.  ``descartes_bound`` decides V <= 1: the
     root count with multiplicity is at most V and has V's parity, so it is
-    V, and a single root is simple.  For V >= 2 the Sturm count decides;
-    with non-root endpoints its half-open count over (lo, hi] equals the
-    open count.
+    V, and a single root is simple.  For V >= 2, (lo, hi) is bisected as
+    the squarefree part sf, whose roots are those of p, each simple.  The
+    pieces are lo + (hi - lo) (a, b) / 2^k, each split at the non-root
+    ``_lattice_midpoint``, until every piece has V <= 1; then each V is
+    the piece's count and they add up to the count on (lo, hi).  This
+    ends (Collins and Akritas, SYMSAC 1976): the roots of sf are distinct,
+    and a piece has V = 0 when the disc on it as diameter holds no complex
+    root, and V = 1 when the circumdiscs of the two equilateral triangles
+    on it hold just one.
     """
     if p.is_zero:
         raise ValueError("cannot count roots of the zero polynomial")
@@ -107,8 +99,19 @@ def count_roots(p: Poly, lo: Fraction, hi: Fraction) -> int:
     v = descartes_bound(p, lo, hi)
     if v <= 1:
         return v
-    chain = sturm_chain(p)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+    sf = squarefree_part(p)
+    cs, span = _scaled_ints(sf, lo, hi), hi - lo
+    count, pieces = 0, [(0, 1, 0)]
+    while pieces:
+        a, b, k = pieces.pop()
+        step = span / (1 << k)
+        v = descartes_bound(sf, lo + a * step, lo + b * step)
+        if v <= 1:
+            count += v
+        else:
+            j, e, _ = _lattice_midpoint(cs, a, b, k)
+            pieces += [(a << (e - k), j, e), (j, b << (e - k), e)]
+    return count
 
 
 def cauchy_bound(p: Poly) -> Fraction:
@@ -195,33 +198,40 @@ def _lattice_midpoint(cs: list[int], a: int, b: int, k: int) -> tuple[int, int, 
         shift += 1
 
 
-def smallest_positive_root(
-    p: Poly, width: Fraction = DEFAULT_WIDTH
-) -> IsolatedRoot:
-    """Isolate the least root of p in (0, infinity).
+def smallest_positive_root(p: Poly) -> IsolatedRoot:
+    """Isolate the least root of p in (0, infinity) to ``DEFAULT_WIDTH``.
 
     Raises NoPositiveRootError when there is none.  The returned bracket has
     non-root rational endpoints, contains exactly one distinct root of p, and
     no root lies between 0 and its lower end.
 
-    Bisection keeps the lower half of (lo, hi) whenever it holds a root of
-    the squarefree part ``sf``.  While (lo, hi) holds more than one root, a
-    root count on (lo, m) decides that, as in ``count_roots``: Descartes'
-    bound, and the Sturm count var(lo) - var(m) when the bound is 2 or
-    more.  No root lies in (0, lo], so var(lo) = var(0), which is counted
-    once: each fallback evaluates the chain at m alone.  Once (lo, hi)
-    holds exactly one, the sign of ``sf`` at the midpoint m decides it:
-    ``sf`` has only simple roots, so it changes sign at each one, and
-    (lo, m) holds the root exactly when sf(m) differs in sign from sf(lo),
-    which is the sign of sf(0) since no root lies in (0, lo].  Each step
-    keeps the half that a Sturm count would keep, so the brackets are
-    those of Sturm-only bisection.
+    A depth-first search over the pieces of (0, H), H the Cauchy bound of
+    the squarefree part ``sf``, lower half first, finds the least root.  A
+    piece with Descartes bound V = 0 is dropped, and one with V >= 2 is
+    split at ``_lattice_midpoint``, unless it is no wider than the width:
+    then the exact ``count_roots`` stands in for V.  The first piece whose
+    count is 1 holds the least root.  While it is wider than the width,
+    the sign of ``sf`` at the split point m picks the half: ``sf`` has only
+    simple roots, so (lo, m) holds the root exactly when sf(m) differs in
+    sign from sf(lo), which is the sign of sf(0) since no root lies in
+    (0, lo].
 
-    Every point is H j / 2^k on the lattice of the Cauchy bound H = h / g:
-    an endpoint is the pair (j, k), a midpoint a sum and the width test one
-    integer comparison.  sf(H j / 2^k) g^n has the sign of the homogeneous
-    ``sum cs[i] j^i 2^(k (n - i))``, cs[i] = sf_i h^i g^(n - i), and the
-    non-root search near a root midpoint stays on the lattice.
+    The brackets are those of bisection by exact counts, which keeps the
+    lower half while it holds a root until one root is left in a piece no
+    wider than the width.  The search visits that bisection's intervals,
+    split at the same points, in order; every other piece it visits lies
+    to their left, holds no root and never counts 1.  On the chain, V = 1
+    means one root, and the sign steps keep the halves a count would.
+    V >= 2 leaves the count open, so a piece wider than the width is split
+    as the bisection splits it; no wider, the exact count stops the search
+    where the bisection stops.
+
+    Every point is H j / 2^k on the lattice of H = h / g: an endpoint is
+    the pair (j, k), a midpoint a sum and the width test one integer
+    comparison.  sf(H j / 2^k) g^n has the sign of the homogeneous
+    ``sum cs[i] j^i 2^(k (n - i))``, cs the ``_scaled_ints`` of sf on
+    (0, H), cs[i] = sf_i h^i g^(n - i), and the non-root search near a root
+    midpoint stays on the lattice.
     """
     if p.degree < 1:
         raise NoPositiveRootError("constant polynomial has no roots")
@@ -234,42 +244,35 @@ def smallest_positive_root(
     sf = squarefree_part(p)
     # The Cauchy bound strictly dominates every root, so it is non-root.
     bound = cauchy_bound(sf)
-    inside = count_roots(sf, Fraction(0), bound)
-    if inside == 0:
-        raise NoPositiveRootError(f"no positive real root: {p}")
     h, g = bound.numerator, bound.denominator
-    n = sf.degree
-    cs = [c * h**i * g ** (n - i) for i, c in enumerate(sf.ints)]
+    cs = _scaled_ints(sf, Fraction(0), bound)
     # hi - lo > width as one comparison of (b - a) over_w against under_w << k.
-    over_w, under_w = h * width.denominator, g * width.numerator
+    over_w = h * DEFAULT_WIDTH.denominator
+    under_w = g * DEFAULT_WIDTH.numerator
 
     def point(j: int, k: int) -> Fraction:
         return Fraction(h * j, g << k)
 
-    # Invariant: lo = H a / 2^k and hi = H b / 2^k are non-roots, no root
-    # lies in (0, lo] and `inside` roots lie in (lo, hi).  So sf has on
-    # [0, lo] the sign it has at 0.
-    a, b, k = 0, 1, 0
+    pieces = [(0, 1, 0)]
+    while pieces:
+        a, b, k = pieces.pop()
+        lo, hi = point(a, k), point(b, k)
+        v = descartes_bound(sf, lo, hi)
+        if v > 1 and (b - a) * over_w <= under_w << k:
+            v = count_roots(sf, lo, hi)
+        if v == 1:
+            break
+        if v:
+            j, e, _ = _lattice_midpoint(cs, a, b, k)
+            pieces += [(j, b << (e - k), e), (a << (e - k), j, e)]
+    else:
+        raise NoPositiveRootError(f"no positive real root: {p}")
+    # No root lies in (0, lo], so sf has on [0, lo] the sign it has at 0.
     positive_at_0 = cs[0] > 0
-    # The Sturm variations at lo, which are those at 0, once a fallback
-    # has counted them.
-    var_lo = None
-    while inside > 1 or (b - a) * over_w > under_w << k:
+    while (b - a) * over_w > under_w << k:
         j, e, s = _lattice_midpoint(cs, a, b, k)
         a, b, k = a << (e - k), b << (e - k), e
-        if inside > 1:
-            mid = point(j, k)
-            below = descartes_bound(sf, point(a, k), mid)
-            if below > 1:
-                chain = sturm_chain(sf)
-                if var_lo is None:
-                    var_lo = _sign_variations(chain, Fraction(0))
-                below = var_lo - _sign_variations(chain, mid)
-            if below:
-                inside = below
-        else:
-            below = (s > 0) != positive_at_0
-        if below:
+        if (s > 0) != positive_at_0:
             b = j
         else:
             a = j

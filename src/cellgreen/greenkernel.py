@@ -4,10 +4,10 @@ Everything here is exact: entries of (I - zT)^{-1} are rational functions
 over Fraction coefficients, poles are isolated as root brackets, and the
 analytic facts needed downstream (simple poles, pole ordering, expansion
 of the transition function between its fixed points) are checked by root
-counts rather than floating point: Descartes first, Sturm as the fallback.
-A Descartes count of V <= 1 sign variations on an interval is exact,
-since the roots there, with multiplicity, are at most V and of V's
-parity; only V >= 2 builds a Sturm chain.
+counts rather than floating point, by Descartes' rule of signs: V <= 1
+sign variations on an interval is an exact count, since the roots there,
+with multiplicity, are at most V and of V's parity, and V >= 2 bisects
+the interval until every piece has V <= 1.
 """
 
 from __future__ import annotations
@@ -247,12 +247,11 @@ def _expands(d: RatFunc, rho: IsolatedRoot) -> bool:
     sign at one point.  The bracket (low, high) of rho is refined until
     low > 1 and no q_i vanishes at low or high or has a root between them;
     then a root count on (1, low) and the sign at low decide each q_i on
-    (1, rho).  The counts are Descartes first, Sturm as the fallback: zero
-    sign variations prove that there is no root, and one proves exactly
-    one, so only two or more build a Sturm chain.  The refinement ends at
-    a simple pole: q1, q2, q3 equal N/(rho - 1), -ND' and 2ND'^2 at rho,
-    and none is 0.  A pole that is not simple and a q_i that vanishes at 1
-    fail the item.
+    (1, rho).  The counts are Descartes counts: zero sign variations prove
+    that there is no root, and one proves exactly one, so only two or more
+    bisect the interval.  The refinement ends at a simple pole: q1, q2, q3
+    equal N/(rho - 1), -ND' and 2ND'^2 at rho, and none is 0.  A pole that
+    is not simple and a q_i that vanishes at 1 fail the item.
     """
     if rho.multiplicity != 1:
         return False
@@ -306,13 +305,13 @@ def spectral_property_report(cf: CellFunctions) -> PropertyReport:
     check(
         "expansion_between_fixed_points",
         _expands(cf.d, rho_d),
-        "d(z)>z, d'(z)>1, d''(z)>0 on (1, rho_d), certified by Sturm counts",
+        "d(z)>z, d'(z)>1, d''(z)>0 on (1, rho_d), certified by Descartes counts",
         "expansion inequality not certified on (1, rho_d)",
     )
     check(
         "first_pole",
         count_roots(cf.f.den, Fraction(0), rho_f.low) == 0,
-        "Sturm count confirms no denominator root of f in (0, rho_f)",
+        "Descartes count confirms no denominator root of f in (0, rho_f)",
         "f has a pole below rho_f",
     )
     return PropertyReport(tuple(items))

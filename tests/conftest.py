@@ -15,6 +15,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -222,10 +223,16 @@ def count_calls(monkeypatch):
 
 
 _CLI_STUB = "from cellgreen.cli import main; raise SystemExit(main())"
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process that imports cellgreen from this
+    checkout's ``src``, ahead of any other ``PYTHONPATH`` entry."""
     env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [_SRC, env.get("PYTHONPATH")])
+    )
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

@@ -1,6 +1,7 @@
 """Exact algebra layer: polynomials, rational functions, series, roots."""
 
 from fractions import Fraction
+import functools
 import hashlib
 import math
 import random
@@ -24,7 +25,6 @@ from cellgreen.algebra import (
     series_from_ratfunc,
     smallest_positive_root,
     squarefree_part,
-    sturm_chain,
 )
 from cellgreen.algebra.brackets import DEFAULT_LOG_ERR, _atanh_bracket
 from cellgreen.algebra.matrix import (
@@ -688,6 +688,7 @@ class TestReinterpolation:
 # -- root isolation ---------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1024)
 def fraction_sturm_chain(p: Poly) -> tuple[Poly, ...]:
     """Reference Sturm chain: Fraction division, then a positive rescaling.
 
@@ -720,9 +721,10 @@ def sturm_count(p: Poly, lo: Fraction, hi: Fraction) -> int:
     non-root endpoints: the reference for ``count_roots``."""
     if lo >= hi:
         return 0
+    chain = fraction_sturm_chain(p)
 
     def variations(x):
-        signs = [sign(q(x)) for q in sturm_chain(p)]
+        signs = [sign(q(x)) for q in chain]
         signs = [v for v in signs if v]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
@@ -846,6 +848,33 @@ ROOT_TEST_POLYS = [
 ]
 
 
+@st.composite
+def clustered_roots(draw):
+    """``(p, lo, hi)`` with two or more roots of p, counted with
+    multiplicity, in (lo, hi), so that V >= 2: rational roots clustered
+    within 10^-1, 10^-3 or 10^-6 of each other, maybe one of them repeated
+    and maybe an almost real complex pair, on an interval around them that
+    may be centred on a root, so that the first split point is one."""
+    centre = draw(st.fractions(min_value=0, max_value=4, max_denominator=8))
+    scale = draw(st.sampled_from([10, 1000, 10**6]))
+    gaps = draw(st.lists(st.integers(1, 9), min_size=2, max_size=4, unique=True))
+    roots = [centre + Fraction(gap, scale) for gap in gaps]
+    p = P(1)
+    for r in roots + draw(st.lists(st.sampled_from(roots), max_size=1)):
+        p = p * P(-r, 1)
+    if draw(st.booleans()):
+        c = centre + Fraction(draw(st.integers(0, 20)), 2 * scale)
+        eps = Fraction(1, draw(st.sampled_from([10, 10**4, 10**9])))
+        p = p * P(c * c + eps * eps, -2 * c, 1)
+    if draw(st.booleans()):
+        r = draw(st.sampled_from(roots))
+        half = 1 + draw(st.fractions(min_value=0, max_value=2, max_denominator=16))
+        return p, r - half, r + half
+    below = draw(st.fractions(min_value=Fraction(1, 16), max_value=2, max_denominator=16))
+    above = draw(st.fractions(min_value=Fraction(1, 16), max_value=2, max_denominator=16))
+    return p, centre - below, centre + 1 + above
+
+
 class TestRoots:
     @pytest.mark.parametrize("p", ROOT_TEST_POLYS, ids=str)
     def test_brackets_match_sturm_bisection(self, p):
@@ -863,31 +892,6 @@ class TestRoots:
             assert isolation_outcome(smallest_positive_root, den) == (
                 isolation_outcome(sturm_smallest_positive_root, den)
             ), den
-
-    def test_sturm_chains_match_fraction_chains_on_cell_denominators(self, sweep):
-        dens = {
-            r.den
-            for rec in sweep.records
-            for r in (rec.cf.f, rec.cf.d, rec.cf.r)
-        }
-        assert len(dens) == 1359
-        for den in dens:
-            assert sturm_chain(den) == fraction_sturm_chain(den), den
-            sf = squarefree_part(den)
-            assert sturm_chain(sf) == fraction_sturm_chain(sf), den
-
-    @given(nonzero_polys)
-    @example(P(3))
-    @example(P(0, 0, 1))
-    @example(poly_pow(P(-2, 0, 1), 2) * P(-3, 1))
-    @example(P(Fraction(-1, 3), 0, 0, -2))
-    @example(P(9, 0, -9, 0, 1))
-    # Remainders two degrees below a divisor with a negative leading
-    # coefficient: an odd power of that coefficient would flip the sign.
-    @example(P(1, 1, 0, 0, 2))
-    @example(P(-2, 3, -3, -4, -2))
-    def test_sturm_chain_matches_fraction_chain(self, p):
-        assert sturm_chain(p) == fraction_sturm_chain(p)
 
     @pytest.mark.parametrize(
         "p, mult",
@@ -994,35 +998,77 @@ class TestRoots:
         assert descartes_bound(p, lo, hi) == v
         assert count_roots(p, lo, hi) == sturm_count(p, lo, hi) == count
 
-    def test_each_sturm_fallback_evaluates_the_chain_once(self, monkeypatch):
-        # Six roots 1, 1.1, ..., 1.5: the first count over (0, H) and the
-        # first five bisection steps get Descartes bounds of 3 or more.
+    def test_six_close_roots_pin_the_bracket_and_the_bounds(self, monkeypatch):
+        # Six roots 1, 1.1, ..., 1.5: (0, H) and four lower halves get
+        # Descartes bounds of 6, and the next lower half, with the roots
+        # 1, 1.1 and 1.2, gets 3.  Two root-free lower halves are dropped
+        # before the piece (0.93, 1.08) of the root 1 gets V = 1.  The
+        # last bound is the multiplicity's count on the final bracket.
         p = P(1)
         for r in range(10, 16):
             p = p * P(-r, 10)
         roots = sys.modules["cellgreen.algebra.roots"]
-        real_bound, real_variations = roots.descartes_bound, roots._sign_variations
-        bounds, points = [], []
+        real_bound = roots.descartes_bound
+        bounds = []
 
         def bound(*args):
             bounds.append(real_bound(*args))
             return bounds[-1]
 
-        def variations(chain, x):
-            points.append(x)
-            return real_variations(chain, x)
-
         monkeypatch.setattr(roots, "descartes_bound", bound)
-        monkeypatch.setattr(roots, "_sign_variations", variations)
+        root = smallest_positive_root(p)
+        assert (root.low, root.high) == (
+            Fraction(549755813673, 549755813888),
+            Fraction(274877906995, 274877906944),
+        )
+        assert bounds == [6, 6, 6, 6, 6, 3, 0, 3, 0, 3, 1, 1]
+        monkeypatch.undo()
+        assert root == sturm_smallest_positive_root(p)
+
+    @pytest.mark.parametrize(
+        "p, v, deeper",
+        [
+            # Two roots 10^-12 apart: V >= 2 and then a count of 2 go on
+            # splitting the least root's piece far below the width.
+            (
+                P(Fraction(-1, 3), 1) * P(-Fraction(1, 3) - Fraction(1, 10**12), 1),
+                1,
+                True,
+            ),
+            # A complex pair 10^-12 off the root 1/3: V = 3 on the final
+            # bracket, where the exact count of 1 stops the search.
+            (
+                P(Fraction(-1, 3), 1)
+                * (P(Fraction(-1, 3), 1) * P(Fraction(-1, 3), 1) + P(Fraction(1, 10**24))),
+                3,
+                False,
+            ),
+        ],
+        ids=["close roots", "complex pair"],
+    )
+    def test_bounds_above_one_below_the_width(self, p, v, deeper):
         root = smallest_positive_root(p)
         assert root == sturm_smallest_positive_root(p)
-        fallbacks = sum(v > 1 for v in bounds)
-        assert fallbacks == 6
-        # count_roots evaluates 0 and H, the bisection 0 once and then
-        # each fallback's midpoint; evaluating both ends of every fallback
-        # would make 12.
-        assert len(points) == fallbacks + 2
-        assert points[:3] == [Fraction(0), cauchy_bound(p), Fraction(0)]
+        assert descartes_bound(squarefree_part(p), root.low, root.high) == v
+        assert (root.width < DEFAULT_WIDTH / 2**10) == deeper
+
+    @given(clustered_roots())
+    # The first split point, the midpoint of (0, 2), is the root 1.
+    @example((P(-1, 1) * P(-1, 2) * P(-3, 2), Fraction(0), Fraction(2)))
+    # Two roots and a complex pair 10^-9 off the real axis between them.
+    @example(
+        (
+            P(-1, 1)
+            * P(-2, 1)
+            * (P(Fraction(-3, 2), 1) * P(Fraction(-3, 2), 1) + P(Fraction(1, 10**18))),
+            Fraction(1, 2),
+            Fraction(5, 2),
+        )
+    )
+    def test_bisected_counts_match_sturm(self, case):
+        p, lo, hi = case
+        assert descartes_bound(p, lo, hi) >= 2
+        assert count_roots(p, lo, hi) == sturm_count(p, lo, hi)
 
     @given(
         nonzero_polys,

@@ -475,16 +475,16 @@ class TestInputErrors:
 
 class TestVerifyGolden:
     # sha256 of each builtin's `verify` JSON (sorted keys, elapsed_seconds
-    # removed), re-recorded when the recursion_crosscheck item was dropped:
-    # the JSON before differs only in that item, which followed
-    # oracle_equivalence, and in the functional_residual detail, which read
-    # "G - f*(G over d) vanishes through z^40".
+    # removed), re-recorded when the root counts became Descartes counts
+    # alone: the JSON before differs only in two details, which read
+    # "d(z)>z, d'(z)>1, d''(z)>0 on (1, rho_d), certified by Sturm counts"
+    # and "Sturm count confirms no denominator root of f in (0, rho_f)".
     GOLDEN = {
-        "diamond": "884b5cfb60bfb2c94724c4a329643a0df800ef89cc357cfd0b2af357e2fe5cdf",
-        "path2": "c73d568f6569cf3637eb8e33224e948ee7b6f196df37663922a666611cccb0c3",
-        "path3": "5e0f35d013be17d373d6cbf3a8daf08d89c5cb4b5c13edaee9ba796e1bad2354",
-        "sierpinski": "e28520450dc7624dffb077761fa2dc566990fcc01e9a6e7032db875f343e5b61",
-        "theta4": "937645c9dae43f1e56d17acd89689dbd777a739b1e5a2def5b96236ebaec1a37",
+        "diamond": "48d2ca462194a43a32c7ab8f1bc800977406436f9cdc49b39d979b3a67aeb7a7",
+        "path2": "53d7504e3b3c8b36f44822717895f03ae8911249990181917d86e70a1cf58211",
+        "path3": "a898f86b6a2d35a7ea96e40e8ab1eaf4e319db1c724b0c5b14e332a8d5baea6e",
+        "sierpinski": "de2e830902076ac08afeef14b61cc80a0a0780c03fd54756413b4b8ae89a9ea7",
+        "theta4": "fadd675bcf34e6a985c3ef86f2ed813df23a5f4e94bad70a0a443fb5d39f5f9c",
     }
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
