@@ -6,6 +6,12 @@ functions exactly, expands the limit graph's Green's function through the
 functional equation G = f (G over d), extracts the growth invariants, and
 classifies G as algebraic or differentially transcendental, with
 independent blow-up and Monte Carlo oracles backing every coefficient.
+
+numpy is imported on the first call of the entry points that use it:
+blowup, exact_return_probs, monte_carlo, sufficient_approximant,
+verify_cell and enumerate_cells.  Importing the package does not load it,
+nor do the exact computations (cell_functions, green_series, invariants,
+classify).
 """
 
 from .blowup import (

@@ -12,6 +12,9 @@ infinite graph.  That is what makes the two oracles here exact for small n:
 integer walk counts, one pull per step over the cells of an equitable
 partition of the ball that the closed walks reach, and seeded Monte Carlo
 simulation.
+
+numpy is imported inside each function that uses it, so that importing
+cellgreen, which imports this module, does not pay for numpy's import.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ import random
 from dataclasses import dataclass
 from typing import TextIO
 from fractions import Fraction
-
-import numpy as np
 
 from .cells import CellError, CellGraph, require_valid
 
@@ -57,6 +58,7 @@ class Approximant:
         self.indices.flags.writeable = False
 
     def __eq__(self, other):
+        import numpy as np
         if not isinstance(other, Approximant):
             return NotImplemented
         scalars = ("level", "origin", "defect_set", "safe_horizon", "cell_name")
@@ -92,6 +94,7 @@ def _bfs(indptr: np.ndarray, indices: np.ndarray, origin: int):
     list of Python ints.  A level-by-level numpy BFS would pay per level,
     and a path cell's approximant has thousands of levels.
     """
+    import numpy as np
     ptr = memoryview(indptr)
     nbr = memoryview(indices)
     n = len(indptr) - 1
@@ -153,6 +156,7 @@ def blowup(
     So the defects, D from the origin at level 1, are D^k away at level k,
     in every origin copy and under any identification shuffle.
     """
+    import numpy as np
     if k < 1:
         raise CellError("level must be at least 1")
     if origin_copies < 1:
@@ -266,6 +270,7 @@ def write_approximant(a: Approximant, out: TextIO) -> None:
     The lines are made from slices of ``EMIT_CHUNK`` CSR entries, so the
     memory used stays bounded whatever the size of the approximant.
     """
+    import numpy as np
     out.write(f"vertices {a.num_vertices}\norigin {a.origin}\n")
     for s in range(0, len(a.indices), EMIT_CHUNK):
         cols = a.indices[s : s + EMIT_CHUNK]
@@ -304,6 +309,7 @@ def _ball(a: Approximant, radius: int):
     the vertex's full degree.  The BFS over the approximant stops at the
     radius.
     """
+    import numpy as np
     order = []
     depth = []
     for v, d in _bfs(a.indptr, a.indices, a.origin):
@@ -325,6 +331,7 @@ def _ball(a: Approximant, radius: int):
 
 def _mix(colour: np.ndarray) -> np.ndarray:
     """A fixed integer mix of colours: splitmix64's output from state colour."""
+    import numpy as np
     z = colour.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
@@ -359,6 +366,7 @@ def _equitable_cells(
     vertex, is returned.  Hashing thus decides only how coarse the
     partition is, never whether it is equitable.
     """
+    import numpy as np
     ball = len(depth)
     deg = np.diff(ptr)
     keys, colour = np.unique(depth * (deg.max() + 1) + deg, return_inverse=True)
@@ -452,6 +460,7 @@ def exact_return_probs(a: Approximant, n_max: int) -> ReturnProbs:
     writes the vertex pull's values, and probs[n] does not depend on the
     partition.
     """
+    import numpy as np
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     _, depth, ptr, src = _ball(a, n_max // 2)
@@ -547,6 +556,7 @@ def monte_carlo(
     rounding, where a draw of rng.integers(0, d) per walker would be
     exactly uniform.
     """
+    import numpy as np
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
     if trials < 1:

@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 
 class CellError(ValueError):
     pass
@@ -555,6 +553,7 @@ def connected_graph_classes(m: int) -> tuple[tuple[frozenset, tuple], ...]:
     under relabeling p of byte value v at byte q of the mask, so the images
     of a mask under all relabelings are one row gather and OR per byte.
     """
+    import numpy as np
     pairs = list(itertools.combinations(range(m), 2))
     perms = list(itertools.permutations(range(m)))
     nbytes = max(1, (len(pairs) + 7) // 8)

@@ -226,9 +226,13 @@ _CLI_STUB = "from cellgreen.cli import main; raise SystemExit(main())"
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
-    """Run the CLI in a child process that imports cellgreen from this
-    checkout's ``src``, ahead of any other ``PYTHONPATH`` entry."""
+def run_python(
+    source: str, *args: str, env_extra: dict | None = None
+) -> subprocess.CompletedProcess:
+    """Run ``python -c source *args`` in a child process that imports
+    cellgreen from this checkout's ``src``, ahead of any other
+    ``PYTHONPATH`` entry.  The child holds none of the modules that this
+    process has loaded, numpy among them."""
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [_SRC, env.get("PYTHONPATH")])
@@ -236,7 +240,7 @@ def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedPr
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-c", _CLI_STUB, *args],
+        [sys.executable, "-c", source, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -244,9 +248,19 @@ def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedPr
     )
 
 
+def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process (see ``run_python``)."""
+    return run_python(_CLI_STUB, *args, env_extra=env_extra)
+
+
 @pytest.fixture(scope="session")
 def cli():
     return run_cli
+
+
+@pytest.fixture(scope="session")
+def python_child():
+    return run_python
 
 
 # -- acceptance reporting ---------------------------------------------------

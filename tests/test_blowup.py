@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import io
+import json
 import math
 import random
 import sys
@@ -815,3 +816,53 @@ class TestCountWalkLaw:
         assert abs(hits.var(ddof=1) - walkers.var(ddof=1)) < (
             4 * var * math.sqrt(4 / (k - 1))
         )
+
+
+# Every numpy user in blowup.py and cells.py, first called in a child that
+# has not loaded numpy: each imports it in its own body.
+NUMPY_COLD_CHILD = """
+import hashlib, io, json, sys
+from cellgreen import (
+    blowup, builtin_cell, cell_functions, enumerate_cells, exact_return_probs,
+    green_series, monte_carlo, sufficient_approximant,
+)
+from cellgreen.blowup import write_approximant
+assert "numpy" not in sys.modules
+level, n, trials, seed, workers = (int(v) for v in sys.argv[1:])
+g = builtin_cell("diamond")
+a = blowup(g, level)
+assert a == blowup(g, level)
+buf = io.StringIO()
+write_approximant(a, buf)
+# diamond at 40 steps keeps one cell per vertex; sierpinski at 60 lumps.
+for name, n_max in (("diamond", 40), ("sierpinski", 60)):
+    cell = builtin_cell(name)
+    probs = exact_return_probs(sufficient_approximant(cell, n_max), n_max).probs
+    series = green_series(cell_functions(cell), n_max).coefficients()
+    assert len(probs) == len(series) == n_max + 1, name
+    for k, (p, c) in enumerate(zip(probs, series)):
+        assert p == c, (name, k, p, c)
+print(json.dumps({
+    "emit_sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest(),
+    "hits": monte_carlo(a, n, trials, seed, workers=workers).hits,
+    "cells": len(list(enumerate_cells(2, 5))),
+}))
+"""
+
+
+class TestFirstCallWithoutNumpy:
+    def test_first_calls_import_numpy(self, python_child):
+        name, level, n, trials, seed, workers, hits = next(
+            c for c in TestMonteCarloGolden.GOLDEN if c[:2] == ("diamond", 4)
+        )
+        result = python_child(
+            NUMPY_COLD_CHILD, *map(str, (level, n, trials, seed, workers))
+        )
+        assert result.returncode == 0, result.stderr
+        got = json.loads(result.stdout)
+        emitted = emitted_text(blowup(builtin_cell(name), level))
+        assert got == {
+            "emit_sha256": hashlib.sha256(emitted.encode()).hexdigest(),
+            "hits": hits,
+            "cells": len(list(enumerate_cells(2, 5))),
+        }

@@ -840,3 +840,54 @@ class TestPackage:
         assert len(names) == len(set(names))
         for name in names:
             assert hasattr(cellgreen, name)
+
+
+# The numpy-free subcommands, run one after another in one child.
+NUMPY_FREE_CHILD = """
+import contextlib, io, sys
+import cellgreen
+from cellgreen import *
+missing = [name for name in cellgreen.__all__ if name not in globals()]
+assert not missing, missing
+assert "numpy" not in sys.modules, "import cellgreen loaded numpy"
+import cellgreen.cli
+for args in (
+    ["validate", "--builtin", "sierpinski"],
+    ["functions", "--builtin", "diamond"],
+    ["green", "--builtin", "diamond", "--order", "30"],
+    ["invariants", "--builtin", "theta4"],
+    ["classify", "--builtin", "sierpinski"],
+    ["probe", "--builtin", "diamond", "--order", "30", "--points", "1/2"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cellgreen.cli.main(args)
+    assert code == 0, (args, code)
+    assert "numpy" not in sys.modules, f"{args[0]} loaded numpy"
+print("numpy not loaded")
+"""
+
+NUMPY_VERIFY_CHILD = """
+import contextlib, io, sys
+import cellgreen.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cellgreen.cli.main(["verify", "--builtin", "diamond"])
+assert code == 0, code
+assert "numpy" in sys.modules, "verify ran without numpy"
+print("numpy loaded")
+"""
+
+
+class TestNumpyLoadsOnlyWhereItRuns:
+    """The exact subcommands never import numpy, so they start without
+    paying for it.  Each check runs in a child process, since this one has
+    numpy loaded already."""
+
+    def test_exact_subcommands_leave_numpy_unloaded(self, python_child):
+        result = python_child(NUMPY_FREE_CHILD)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "numpy not loaded\n"
+
+    def test_verify_loads_numpy(self, python_child):
+        result = python_child(NUMPY_VERIFY_CHILD)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "numpy loaded\n"
