@@ -19,4 +19,3 @@ from .roots import (
     roots_equal,
     smallest_positive_root,
 )
-from .series import series_from_ratfunc

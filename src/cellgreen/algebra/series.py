@@ -1,12 +1,13 @@
 """Power series as integer coefficient lists in a scaled variable.
 
 ``expand_scaled`` expands a rational function by an integer recurrence in
-w = z / scale, for ``series_from_ratfunc`` and for ``green_series``;
-``scaled_fractions`` turns such integers back into the ``Fraction``
-coefficients in z.  ``int_product``, ``pack_slots`` and ``unpack_slots``
-are the Kronecker substitution that the nonnegative integer levels of
-``green_series`` run on; the checks of that series multiply with
-``poly.schoolbook`` instead, so that they share no packing with it.
+w = z / scale, at the scale ``CellFunctions.scale``, for ``green_series``
+and the ``functions`` subcommand; ``scaled_fractions`` turns such integers
+back into the ``Fraction`` coefficients in z.  ``int_product``,
+``pack_slots`` and ``unpack_slots`` are the Kronecker substitution that
+the nonnegative integer levels of ``green_series`` run on; the checks of
+that series multiply with ``poly.schoolbook`` instead, so that they share
+no packing with it.
 """
 
 from __future__ import annotations
@@ -103,48 +104,3 @@ def expand_scaled(r: RatFunc, scale: int, count: int) -> tuple[list[int], int]:
         s = sum(map(mul, back[deg - n + lo :], out[lo:n]))
         out.append(s + num[n] if n < len(num) else s)
     return out, c
-
-
-def least_scale(den: Sequence[int]) -> int:
-    """The least integer s > 0 with every den[k] s^k / den[0] an integer.
-
-    Each prime q of den[0], found by trial division, with q^e exactly
-    dividing den[0], needs q^x in s for the least x with
-    k x + v_q(den[k]) >= e for every k >= 1 with den[k] != 0; no other
-    prime is needed.  So s is the product of those q^x, and every scale
-    that works is a multiple of it.
-    """
-    rest = abs(den[0])
-    scale, q = 1, 2
-    while rest > 1:
-        if q * q > rest:
-            q = rest
-        e = 0
-        while rest % q == 0:
-            rest //= q
-            e += 1
-        if e:
-            x = 0
-            for k, c in enumerate(den[1:], 1):
-                v = 0
-                while c and v < e and c % q == 0:
-                    c //= q
-                    v += 1
-                if c:
-                    x = max(x, -((v - e) // k))
-            scale *= q**x
-        q += 1
-    return scale
-
-
-def series_from_ratfunc(r: RatFunc, order: int) -> tuple[Fraction, ...]:
-    """The first ``order`` coefficients of a rational function with den(0) != 0.
-
-    The scale is ``least_scale`` of the denominator, so that
-    ``expand_scaled`` finds its denominator integral.
-    """
-    den = r.den.ints
-    if den[0] == 0:
-        raise PoleError(Fraction(0))
-    scale = least_scale(den)
-    return scaled_fractions(*expand_scaled(r, scale, order), scale)

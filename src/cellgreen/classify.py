@@ -22,13 +22,13 @@ from .blowup import DEFAULT_EDGE_BUDGET, exact_return_probs, sufficient_approxim
 from .cells import CellGraph, CellReport, validate_cell
 from .greenkernel import (
     CellFunctions,
-    CheckItem,
     KernelError,
     PropertyReport,
     cell_functions,
+    check,
     spectral_property_report,
 )
-from .harmonic import alpha_from_harmonic, harmonic_function, verify_alpha_mu
+from .harmonic import AlphaMuReport, alpha_from_harmonic, harmonic_function
 from .iteration import (
     CellInvariants,
     GreenSeries,
@@ -183,15 +183,9 @@ def verify_cell(
     Exact, with the oracle item limited to walk lengths
     min(max_steps, safe horizon).
     """
-    items: list[CheckItem] = []
     report = validate_cell(g)
-    items.append(
-        CheckItem(
-            "valid_cell",
-            report.valid,
-            "; ".join(report.violations) if report.violations else "all axioms hold",
-        )
-    )
+    violations = "; ".join(report.violations)
+    items = [check("valid_cell", report.valid, "all axioms hold", violations)]
     if not report.valid:
         return PropertyReport(tuple(items))
 
@@ -199,35 +193,18 @@ def verify_cell(
     verdict = classify(g, cf=cf)
     inv = verdict.invariants
     items.extend(spectral_property_report(cf).items)
-
-    det_ok = cf.det_f == cf.det_d
-    items.append(
-        CheckItem(
-            "determinant_identity",
-            det_ok,
-            "det(I-zP_f) = det(I-zP_d)" if det_ok else "determinants differ",
-        )
-    )
+    items.append(check(
+        "determinant_identity", cf.det_f == cf.det_d,
+        "det(I-zP_f) = det(I-zP_d)", "determinants differ",
+    ))
 
     if g.theta == 2:
         ha = alpha_from_harmonic(harmonic_function(g, validate=False))
-        am = verify_alpha_mu(report, ha)
-        items.append(
-            CheckItem(
-                "alpha_mu",
-                am.consistent,
-                f"alpha={am.alpha} mu={am.mu} "
-                + ("equality on a path" if am.is_path else "strict"),
-            )
-        )
-        cross = ha == inv.alpha
-        items.append(
-            CheckItem(
-                "harmonic_alpha",
-                cross,
-                f"1/(1-H(w)) = {ha} vs f(1) = {inv.alpha}",
-            )
-        )
+        consistent = AlphaMuReport(ha, report.mu, report.is_path).consistent
+        kind = "equality on a path" if report.is_path else "strict"
+        items.append(check("alpha_mu", consistent, f"alpha={ha} mu={report.mu} {kind}"))
+        cross = f"1/(1-H(w)) = {ha} vs f(1) = {inv.alpha}"
+        items.append(check("harmonic_alpha", ha == inv.alpha, cross))
         if report.is_path:
             eta_ok = (
                 inv.alpha == inv.mu
@@ -237,46 +214,34 @@ def verify_cell(
         else:
             eta_ok = inv.eta.low > Fraction(-1, 2) and inv.eta.high < 0
             detail = f"-1/2 < eta < 0: {inv.eta.approx_str()}"
-        items.append(CheckItem("eta_range", eta_ok, detail))
+        items.append(check("eta_range", eta_ok, detail))
     else:
-        items.append(
-            CheckItem(
-                "alpha_mu",
-                True,
-                f"alpha={inv.alpha} mu={inv.mu} (recorded, not asserted, "
-                "for more than two boundary vertices)",
-            )
-        )
+        items.append(check(
+            "alpha_mu", True,
+            f"alpha={inv.alpha} mu={inv.mu} (recorded, not asserted, "
+            "for more than two boundary vertices)",
+        ))
 
     approx = sufficient_approximant(g, max_steps, edge_budget=edge_budget)
     n_cap = min(max_steps, approx.safe_horizon)
     # One expansion serves every series check; each reads its own prefix.
     gs = green_series(cf, max(n_cap, RESIDUAL_ORDER))
     probs = exact_return_probs(approx, n_cap).probs
-    oracle_ok = all(
-        gs.coefficient(n) == probs[n] for n in range(n_cap + 1)
-    )
-    items.append(
-        CheckItem(
-            "oracle_equivalence",
-            oracle_ok,
-            f"series = walk probabilities for n <= {n_cap} at level {approx.level}"
-            if oracle_ok
-            else "series and walk probabilities disagree",
-        )
-    )
+    items.append(check(
+        "oracle_equivalence",
+        all(gs.coefficient(n) == probs[n] for n in range(n_cap + 1)),
+        f"series = walk probabilities for n <= {n_cap} at level {approx.level}",
+        "series and walk probabilities disagree",
+    ))
 
     # G(0) = 1 with a zero residual fixes G (see functional_residual).
     residual_ok = gs.ints[0] == 1 and not any(
         functional_residual(gs.truncate(RESIDUAL_ORDER))
     )
-    items.append(
-        CheckItem(
-            "functional_residual",
-            residual_ok,
-            f"G(0) = 1 and G - f*(G over d) vanishes through z^{RESIDUAL_ORDER}",
-        )
-    )
+    items.append(check(
+        "functional_residual", residual_ok,
+        f"G(0) = 1 and G - f*(G over d) vanishes through z^{RESIDUAL_ORDER}",
+    ))
 
     expected = (
         "AlgebraicStar"
@@ -285,11 +250,6 @@ def verify_cell(
         if g.theta == 2
         else "ConjecturedTranscendental"
     )
-    items.append(
-        CheckItem(
-            "classification",
-            verdict.outcome == expected,
-            f"outcome {verdict.outcome}",
-        )
-    )
+    outcome = verdict.outcome
+    items.append(check("classification", outcome == expected, f"outcome {outcome}"))
     return PropertyReport(tuple(items))

@@ -22,7 +22,8 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .algebra import format_poly, series_from_ratfunc
+from .algebra import format_poly
+from .algebra.series import expand_scaled, scaled_fractions
 from .blowup import (
     DEFAULT_EDGE_BUDGET,
     BudgetError,
@@ -44,7 +45,7 @@ from .cells import (
 )
 from .classify import classify, verify_cell
 from .greenkernel import cell_functions, radius, residue_scale
-from .harmonic import alpha_from_harmonic, harmonic_function, verify_alpha_mu
+from .harmonic import AlphaMuReport, alpha_from_harmonic, harmonic_function
 from .iteration import (
     green_series,
     invariants,
@@ -140,26 +141,37 @@ def _series_order(flag: str, value: int) -> int:
     return _within(flag, _nonnegative(flag, value), MAX_ORDER, "series")
 
 
-def _ratfunc_json(r, series_count: int) -> dict:
+def _ratfunc_json(r, scale: int, series_count: int) -> dict:
+    ints, den = expand_scaled(r, scale, series_count)
     return {
         "num": format_poly(r.num),
         "den": format_poly(r.den),
-        "series": [str(c) for c in series_from_ratfunc(r, series_count)],
+        "series": [str(c) for c in scaled_fractions(ints, den, scale)],
     }
 
 
 def _pole_json(func, rho) -> dict | None:
-    """The pole rho of func (None: no pole), refined for its residue scale."""
+    """The pole rho of func (None: no pole), refined for its residue scale.
+
+    The exact brackets of a long cell pass the default limit of int-to-str
+    conversion (4300 digits, CVE-2020-10735), which guards the parsing of
+    untrusted text; it is lifted only while they are formatted.
+    """
     if rho is None:
         return None
     rho, kappa = residue_scale(func, rho)
-    return {
-        "rho_low": str(rho.low),
-        "rho_high": str(rho.high),
-        "rho_approx": float(rho),
-        "pole_order": rho.multiplicity,
-        "residue_scale": None if kappa is None else kappa.to_json(),
-    }
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return {
+            "rho_low": str(rho.low),
+            "rho_high": str(rho.high),
+            "rho_approx": float(rho),
+            "pole_order": rho.multiplicity,
+            "residue_scale": None if kappa is None else kappa.to_json(),
+        }
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # -- subcommands ------------------------------------------------------------
@@ -179,9 +191,9 @@ def cmd_functions(args):
     cf = cell_functions(g)
     functions = {
         "order": args.order,
-        "f": _ratfunc_json(cf.f, count),
-        "d": _ratfunc_json(cf.d, count),
-        "r": _ratfunc_json(cf.r, count),
+        "f": _ratfunc_json(cf.f, cf.scale, count),
+        "d": _ratfunc_json(cf.d, cf.scale, count),
+        "r": _ratfunc_json(cf.r, cf.scale, count),
         "spectral_f": _pole_json(cf.f, cf.rho_f),
         "spectral_d": _pole_json(cf.d, cf.rho_d),
         "spectral_r": _pole_json(cf.r, radius(cf.r)),
@@ -210,7 +222,8 @@ def cmd_invariants(args):
         alpha = alpha_from_harmonic(h)
         body["harmonic"] = h.to_json()
         body["alpha_from_harmonic"] = str(alpha)
-        body["alpha_mu"] = verify_alpha_mu(cf.report, alpha).to_json()
+        am = AlphaMuReport(alpha, cf.report.mu, cf.report.is_path)
+        body["alpha_mu"] = am.to_json()
     return meta, g, body, 0
 
 

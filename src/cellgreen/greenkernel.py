@@ -12,6 +12,7 @@ the interval until every piece has V <= 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -138,6 +139,23 @@ class CellFunctions:
                 "transition function must vanish to second order at 0"
             )
 
+    @property
+    def scale(self) -> int:
+        """L, the lcm of the cell's degrees: f, d and r expand in z = L w.
+
+        f(L w), d(L w) and r(L w) have integer denominators with constant
+        term 1, so ``expand_scaled`` expands them without a division.  L P
+        is an integer matrix for P = P_f, P_d or P_f', P_f without row and
+        column 0, so det(I - w L P) lies in Z[w] with constant term 1.  The
+        reduced denominator of f or d divides det(I - z P_f) or
+        det(I - z P_d); that of r = 1 - 1/f is f's reduced numerator, which
+        divides the origin's cofactor det(I - z P_f').  Divided by its value
+        at 0, such a factor divides the determinant in Q[w]; by Gauss's
+        lemma it is then a scalar multiple of an integer factor whose
+        constant term divides 1, so it lies in Z[w] with constant term 1.
+        """
+        return math.lcm(*self.cell.degrees())
+
 
 def cell_functions(g: CellGraph, report: CellReport | None = None) -> CellFunctions:
     """Compute f, d, r for a valid cell and verify their defining identities.
@@ -200,6 +218,11 @@ class CheckItem:
 
     def to_json(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
+
+
+def check(name: str, passed: bool, detail: str, failure: str = "") -> CheckItem:
+    """A check item; ``failure``, when given, is the detail of a failed one."""
+    return CheckItem(name, passed, failure if failure and not passed else detail)
 
 
 @dataclass(frozen=True)
@@ -280,38 +303,30 @@ def spectral_property_report(cf: CellFunctions) -> PropertyReport:
     d''(z) > 0 on (1, rho_d); (5) f has no pole in (0, rho_f).  Each item
     is decided by root brackets and root counts on polynomials.
     """
-    items = []
-
-    def check(name: str, passed: bool, detail: str, failure: str = "") -> None:
-        shown = failure if failure and not passed else detail
-        items.append(CheckItem(name, passed, shown))
-
     rho_f, rho_d = cf.rho_f, cf.rho_d
-    check(
-        "shared_radius",
-        roots_equal(rho_f, rho_d),
-        "smallest positive poles of f and d coincide",
-        "f and d have different smallest positive poles",
-    )
-    orders = f"pole orders f:{rho_f.multiplicity} d:{rho_d.multiplicity}"
-    check("simple_poles", rho_f.multiplicity == 1 and rho_d.multiplicity == 1, orders)
     rho_r = radius(cf.r)
     if rho_r is None:
-        automatic = "r is a polynomial (infinite radius), gap is automatic"
-        check("radius_gap", True, automatic)
+        gap, below = "r is a polynomial (infinite radius), gap is automatic", True
     else:
-        gap = root_compare(rho_f, rho_r) < 0
-        check("radius_gap", gap, "rho_f < rho_r", "rho_f is not below rho_r")
-    check(
-        "expansion_between_fixed_points",
-        _expands(cf.d, rho_d),
-        "d(z)>z, d'(z)>1, d''(z)>0 on (1, rho_d), certified by Descartes counts",
-        "expansion inequality not certified on (1, rho_d)",
-    )
-    check(
-        "first_pole",
-        count_roots(cf.f.den, Fraction(0), rho_f.low) == 0,
-        "Descartes count confirms no denominator root of f in (0, rho_f)",
-        "f has a pole below rho_f",
-    )
-    return PropertyReport(tuple(items))
+        gap, below = "rho_f < rho_r", root_compare(rho_f, rho_r) < 0
+    simple = rho_f.multiplicity == 1 and rho_d.multiplicity == 1
+    orders = f"pole orders f:{rho_f.multiplicity} d:{rho_d.multiplicity}"
+    return PropertyReport((
+        check(
+            "shared_radius", roots_equal(rho_f, rho_d),
+            "smallest positive poles of f and d coincide",
+            "f and d have different smallest positive poles",
+        ),
+        check("simple_poles", simple, orders),
+        check("radius_gap", below, gap, "rho_f is not below rho_r"),
+        check(
+            "expansion_between_fixed_points", _expands(cf.d, rho_d),
+            "d(z)>z, d'(z)>1, d''(z)>0 on (1, rho_d), certified by Descartes counts",
+            "expansion inequality not certified on (1, rho_d)",
+        ),
+        check(
+            "first_pole", count_roots(cf.f.den, Fraction(0), rho_f.low) == 0,
+            "Descartes count confirms no denominator root of f in (0, rho_f)",
+            "f has a pole below rho_f",
+        ),
+    ))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra.matrix import bareiss_solve
-from .cells import CellError, CellGraph, CellReport, require_valid
+from .cells import CellError, CellGraph, require_valid
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,15 @@ def alpha_from_harmonic(h: HarmonicSolution) -> Fraction:
 
 @dataclass(frozen=True)
 class AlphaMuReport:
+    """The return scale alpha (alpha_from_harmonic) against the clique count."""
+
     alpha: Fraction
     mu: int
     is_path: bool
-    strict: bool
+
+    @property
+    def strict(self) -> bool:
+        return self.alpha < self.mu
 
     @property
     def consistent(self) -> bool:
@@ -113,17 +118,3 @@ class AlphaMuReport:
             "strict": self.strict,
             "consistent": self.consistent,
         }
-
-
-def verify_alpha_mu(report: CellReport, alpha: Fraction) -> AlphaMuReport:
-    """Exact comparison of the return scale against the clique count.
-
-    ``report`` is the cell's validation report, and ``alpha`` its return
-    scale from alpha_from_harmonic.
-    """
-    return AlphaMuReport(
-        alpha=alpha,
-        mu=report.mu,
-        is_path=report.is_path,
-        strict=alpha < report.mu,
-    )

@@ -26,10 +26,10 @@ from .algebra.series import (
 from .cells import CellGraph
 from .greenkernel import (
     CellFunctions,
-    CheckItem,
     KernelError,
     PropertyReport,
     cell_functions,
+    check,
 )
 
 
@@ -88,15 +88,13 @@ def green_series(cf: CellFunctions, order: int) -> GreenSeries:
     reach z^order.  CellFunctions ensures v >= 2, so it is logarithmic.
 
     Every level runs in nonnegative integers, in the variable w = z / L
-    with L the lcm of the cell's vertex degrees:
+    with L = cf.scale, the lcm of the cell's vertex degrees:
 
-    * f(L w) = F(w) and d(L w) = D(w) have integer coefficients.  L P is
-      an integer matrix for P = P_f or P_d, so det(I - w L P) lies in Z[w]
-      with constant term 1.  The reduced denominator of f or d, divided
-      by its value at 0, divides it in Q[w]; by Gauss's lemma it is then a
-      scalar multiple of an integer factor whose constant term divides 1,
-      so it lies in Z[w] with constant term 1, and ``expand_scaled``
-      expands F and D without a division.
+    * f(L w) = F(w) and d(L w) = D(w) are integer series.  Their
+      denominators lie in Z[w] with constant term 1 (CellFunctions.scale),
+      so ``expand_scaled`` expands them without a division; coefficient n
+      of f or d sums, over walks of n steps, products of n factors 1 / deg,
+      so L^n times it is an integer.
     * b_n = L^n g_n is an integer.  g_n is the probability that the walk
       on the limit graph is back at the origin after n steps, a sum over
       closed walks of products of 1 / deg.  ``validate_cell`` holds every
@@ -123,7 +121,7 @@ def green_series(cf: CellFunctions, order: int) -> GreenSeries:
     if order < 0:
         raise ValueError("order must be nonnegative")
     count = order + 1
-    scale = math.lcm(*cf.cell.degrees())
+    scale = cf.scale
     f_ints, f_den = expand_scaled(cf.f, scale, count)
     d_ints, d_den = expand_scaled(cf.d, scale, count)
     if f_den != 1 or d_den != 1:
@@ -308,35 +306,21 @@ def iteration_hypotheses(b: RatFunc) -> PropertyReport:
     can equal z.  A candidate with b'(0) a root of unity (say b(z) = z)
     fails here and is rejected.
     """
-    items = []
     at0 = b.den(0) != 0 and b.num(0) == 0
-    items.append(
-        CheckItem(
-            "fixed_origin",
-            at0,
-            "b(0) = 0" if at0 else "b does not fix the origin",
-        )
-    )
     # With b(0) = 0 and den(0) != 0, b'(0) = num_1 / den(0).
     flat = at0 and b.num.coefficient(1) == 0
-    items.append(
-        CheckItem(
-            "zero_multiplier",
-            flat,
-            "b'(0) = 0" if flat else "b'(0) is nonzero",
-        )
-    )
     no_identity = at0 and b.num.valuation() >= 2
-    items.append(
-        CheckItem(
+    items = (
+        check("fixed_origin", at0, "b(0) = 0", "b does not fix the origin"),
+        check("zero_multiplier", flat, "b'(0) = 0", "b'(0) is nonzero"),
+        check(
             "no_iterate_is_identity",
             no_identity,
-            "vanishing order doubles under iteration, so no iterate is z"
-            if no_identity
-            else "cannot rule out an iterate equal to the identity",
-        )
+            "vanishing order doubles under iteration, so no iterate is z",
+            "cannot rule out an iterate equal to the identity",
+        ),
     )
-    return PropertyReport(tuple(items))
+    return PropertyReport(items)
 
 
 # -- singular prefactor probe ------------------------------------------------------

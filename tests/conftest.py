@@ -38,11 +38,10 @@ from cellgreen import (
     sufficient_approximant,
     validate_cell,
 )
-from cellgreen.algebra import series_from_ratfunc
 from cellgreen.cells import transition_matrix
 from cellgreen.greenkernel import spectral_property_report
 from cellgreen.harmonic import alpha_from_harmonic
-from routes import PowerSeries, green_entry
+from routes import PowerSeries, fraction_series, green_entry
 
 ORACLE_STEP_CAP = 20
 
@@ -184,9 +183,7 @@ def cell_green_series():
     """Return-walk series of a finite cell at its origin, `count` coefficients."""
 
     def series(g: CellGraph, count: int) -> PowerSeries:
-        return PowerSeries(
-            series_from_ratfunc(green_entry(transition_matrix(g), 0, 0), count)
-        )
+        return fraction_series(green_entry(transition_matrix(g), 0, 0), count)
 
     return series
 

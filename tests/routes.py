@@ -11,7 +11,9 @@ solves G = f (G over d) one coefficient at a time, a reference for the
 nesting; verify no longer runs it, because its functional_residual item
 with G(0) = 1 implies the same coefficients.  fraction_residual is
 G - f (G over d) in PowerSeries, the route functional_residual took before
-it moved to integers.
+it moved to integers.  fraction_series expands a rational function by its
+recurrence in Fractions, the reference for the integer expansion in
+w = z / L that cell series take.
 det_bareiss, det_linear and _cofactor are the determinant and cofactor
 routes that cell_functions used before resolvent_row: one Bareiss
 elimination, with row swaps, per determinant or cofactor at each integer
@@ -50,7 +52,6 @@ from cellgreen.algebra import (
     Poly,
     RatFunc,
     ln_bracket,
-    series_from_ratfunc,
 )
 from cellgreen.algebra.brackets import DEFAULT_LOG_ERR
 from cellgreen.algebra.matrix import _exact_div, interpolate
@@ -381,6 +382,18 @@ def green_entry(t: Matrix, i: int, j: int, denom: Poly | None = None) -> RatFunc
     return RatFunc(_cofactor(m, i, j), denom)
 
 
+def fraction_series(r: RatFunc, order: int) -> PowerSeries:
+    """Reference expansion: the recurrence of r's coefficients in Fractions."""
+    den0 = r.den.coefficient(0)
+    out: list[Fraction] = []
+    for n in range(order):
+        s = r.num.coefficient(n)
+        for k in range(1, min(n, r.den.degree) + 1):
+            s -= r.den.coefficient(k) * out[n - k]
+        out.append(s / den0)
+    return PowerSeries(out, order)
+
+
 def _scaled_ints(s: PowerSeries, scale: int) -> tuple[int, ...]:
     """scale^n times coefficient n of s, each an integer (checked)."""
     out = [c * scale**n for n, c in enumerate(s.coeffs)]
@@ -399,8 +412,8 @@ def nested_green_series(cf: CellFunctions, order: int) -> GreenSeries:
     lcm of the cell degrees.
     """
     count = order + 1
-    f_ser = PowerSeries(series_from_ratfunc(cf.f, count))
-    d_ser = PowerSeries(series_from_ratfunc(cf.d, count))
+    f_ser = fraction_series(cf.f, count)
+    d_ser = fraction_series(cf.d, count)
     v = cf.d.num.valuation()
     sizes = [count]
     while sizes[-1] > 1:
@@ -429,8 +442,8 @@ def green_series_recursion(cf: CellFunctions, order: int) -> PowerSeries:
     truncations.  It expands f and d itself, sharing nothing with G.
     """
     count = order + 1
-    f_ser = PowerSeries(series_from_ratfunc(cf.f, count))
-    d_ser = PowerSeries(series_from_ratfunc(cf.d, count))
+    f_ser = fraction_series(cf.f, count)
+    d_ser = fraction_series(cf.d, count)
     coeffs = [Fraction(1)] + [Fraction(0)] * order
     for n in range(1, order + 1):
         partial = PowerSeries(coeffs, count)

@@ -22,7 +22,6 @@ from cellgreen.algebra import (
     ln_bracket,
     poly_gcd,
     roots_equal,
-    series_from_ratfunc,
     smallest_positive_root,
     squarefree_part,
 )
@@ -42,7 +41,6 @@ from cellgreen.algebra.poly import schoolbook
 from cellgreen.algebra.series import (
     expand_scaled,
     int_product,
-    least_scale,
     scaled_fractions,
 )
 from cellgreen.greenkernel import cell_functions, expansion_polys
@@ -62,6 +60,7 @@ from routes import (
     rf_sub,
     fraction_atanh_bracket,
     fraction_ln_bracket,
+    fraction_series,
     signed_product,
     solve_linear,
 )
@@ -344,16 +343,15 @@ class TestRatFunc:
 
 class TestPowerSeries:
     def test_geometric_series(self):
-        s = series_from_ratfunc(RatFunc(P(1), P(1, -1)), 6)
-        assert s == (1, 1, 1, 1, 1, 1)
+        assert expand_scaled(RatFunc(P(1), P(1, -1)), 1, 6) == ([1] * 6, 1)
 
     def test_pole_at_zero_rejected(self):
         with pytest.raises(PoleError):
-            series_from_ratfunc(RatFunc(P(1), P(0, 1)), 4)
+            expand_scaled(RatFunc(P(1), P(0, 1)), 1, 4)
 
     def test_pole_error_names_the_point(self):
         with pytest.raises(PoleError) as info:
-            series_from_ratfunc(RatFunc(P(1), P(0, 1)), 4)
+            expand_scaled(RatFunc(P(1), P(0, 1)), 1, 4)
         assert info.value.point == 0
         assert isinstance(info.value.point, Fraction)
 
@@ -365,7 +363,6 @@ class TestPowerSeries:
     def test_matches_the_fraction_recurrence(self, num, den, order):
         r = RatFunc(num, den)
         expected = fraction_series(r, order)
-        assert series_from_ratfunc(r, order) == expected.coeffs
         # Any scale that makes the denominator integral gives the same series.
         den0 = r.den.coefficient(0)
         scale = 2 * math.lcm(*[(c / den0).denominator for c in r.den.coeffs])
@@ -373,35 +370,17 @@ class TestPowerSeries:
         coeffs = [Fraction(a, c * scale**n) for n, a in enumerate(ints)]
         assert coeffs == list(expected.coeffs)
 
-    @given(st.lists(st.integers(-60, 60), min_size=1, max_size=5),
-           st.integers(1, 720))
-    @example([144, -21, -21, 2], 108)
-    @example([0, 0, 5], 64)
-    def test_least_scale_is_the_least(self, tail, den0):
-        den = [den0, *tail]
-
-        def integral(s):
-            return all(c * s**k % den0 == 0 for k, c in enumerate(den))
-
-        s = least_scale(den)
-        assert integral(s)
-        assert not any(integral(t) for t in range(1, s))
-
-    def test_least_scale_series_match_the_lcm_scale(self, sweep):
-        # The scale that series_from_ratfunc used before: the lcm of the
-        # denominators of den(z) / den(0).  theta4's f needs 6, not 108.
-        def lcm_scale(den):
-            d0 = abs(den[0])
-            return math.lcm(*[d0 // math.gcd(c, d0) for c in den])
-
-        theta4_f = cell_functions(builtin_cell("theta4")).f.den.ints
-        assert (least_scale(theta4_f), lcm_scale(theta4_f)) == (6, 108)
-        for rec in sweep.records:
-            for r in (rec.cf.f, rec.cf.d, rec.cf.r):
-                scale = lcm_scale(r.den.ints)
-                assert scale % least_scale(r.den.ints) == 0
-                assert series_from_ratfunc(r, 16) == scaled_fractions(
-                    *expand_scaled(r, scale, 16), scale
+    def test_cell_scale_expands_f_d_and_r(self, sweep, builtin_functions):
+        # CellFunctions.scale, the lcm of the degrees, makes every
+        # denominator integral, and each series is an integer one in z/L.
+        cfs = [rec.cf for rec in sweep.records] + list(builtin_functions.values())
+        for cf in cfs:
+            assert cf.scale == math.lcm(*cf.cell.degrees())
+            for r in (cf.f, cf.d, cf.r):
+                ints, c = expand_scaled(r, cf.scale, 16)
+                assert c == 1
+                assert scaled_fractions(ints, c, cf.scale) == (
+                    fraction_series(r, 16).coeffs
                 )
 
     def test_expand_scaled_needs_an_integral_denominator(self):
@@ -426,15 +405,14 @@ class TestPowerSeries:
 
     def test_compose_order_propagation(self):
         # valuation 2 inner keeps the inner order
-        outer = PowerSeries(series_from_ratfunc(RatFunc(P(1), P(1, -1)), 5))
+        outer = fraction_series(RatFunc(P(1), P(1, -1)), 5)
         inner = series_from_poly(P(0, 0, 1), 9)
         assert outer.compose(inner).order == 9
 
     def test_truncation_is_prefix(self):
         r = RatFunc(P(1, 2), P(3, 0, -1, 1))
-        long = series_from_ratfunc(r, 12)
-        short = series_from_ratfunc(r, 5)
-        assert long[:5] == short
+        long, c = expand_scaled(r, 3, 12)
+        assert expand_scaled(r, 3, 5) == (long[:5], c)
 
     @given(st.lists(rationals, min_size=2, max_size=7),
            st.lists(rationals, min_size=1, max_size=6))
@@ -459,18 +437,6 @@ class TestPowerSeries:
         assert (a + b).order == 2
         assert (a * b).order == 2
         assert (a * b).coeffs == (1, 3)
-
-
-def fraction_series(r: RatFunc, order: int) -> PowerSeries:
-    """Reference expansion: the recurrence of r's coefficients in Fractions."""
-    den0 = r.den.coefficient(0)
-    out: list[Fraction] = []
-    for n in range(order):
-        s = r.num.coefficient(n)
-        for k in range(1, min(n, r.den.degree) + 1):
-            s -= r.den.coefficient(k) * out[n - k]
-        out.append(s / den0)
-    return PowerSeries(out, order)
 
 
 # -- series product against the schoolbook reference ------------------------

@@ -14,8 +14,10 @@ from cellgreen import (
     cell_functions,
     classify,
     green_series,
+    validate_cell,
     verify_cell,
 )
+from cellgreen.algebra import Poly
 from cellgreen.classify import OUTCOMES, Verdict, _verify_star_form
 from routes import star_series
 
@@ -248,3 +250,31 @@ class TestFullVerification:
     def test_invalid_cell_fails_verification(self):
         report = verify_cell(four_cycle(), max_steps=6)
         assert not report.all_passed
+        (item,) = report.items
+        violations = validate_cell(four_cycle()).violations
+        assert violations and item.detail == "; ".join(violations)
+
+    def test_failed_items_show_their_failure_detail(self, monkeypatch):
+        # det_d off by a factor and G doubled: three items fail, and the
+        # two that have a failure detail show it.
+        module = importlib.import_module("cellgreen.classify")
+        real_series, real_functions = module.green_series, module.cell_functions
+
+        def doubled(cf, order):
+            gs = real_series(cf, order)
+            return dataclasses.replace(gs, ints=tuple(2 * b for b in gs.ints))
+
+        def other_det_d(g, report=None):
+            cf = real_functions(g, report=report)
+            return dataclasses.replace(cf, det_d=cf.det_d * Poly([1, 1]))
+
+        monkeypatch.setattr(module, "green_series", doubled)
+        monkeypatch.setattr(module, "cell_functions", other_det_d)
+        report = verify_cell(builtin_cell("diamond"), max_steps=8)
+        assert {i.name: i.detail for i in report.items if not i.passed} == {
+            "determinant_identity": "determinants differ",
+            "oracle_equivalence": "series and walk probabilities disagree",
+            "functional_residual": (
+                "G(0) = 1 and G - f*(G over d) vanishes through z^40"
+            ),
+        }

@@ -4,6 +4,7 @@ where a test replaces a function that the CLI calls."""
 import hashlib
 import json
 import re
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +15,7 @@ import cellgreen
 import cellgreen.cli
 from cellgreen.blowup import WalkStats
 from cellgreen.cells import cell_to_text
+from cellgreen.registry import _path
 
 DIAMOND_TEXT = """\
 vertices 6
@@ -103,6 +105,38 @@ class TestComputations:
         assert fns["d"]["series"][4] == "1/9"
         assert len(fns["f"]["series"]) == 9
         assert fns["spectral_f"]["pole_order"] == 1
+
+    def test_long_endpoints_print_under_a_low_digit_limit(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # The 41-vertex path's residue scale endpoints print 2,353
+        # characters, a numerator and a denominator each over 640 digits,
+        # the least int-to-str limit, which only their formatting lifts.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "path40.cell").write_text(cell_to_text(_path(40)))
+
+        def functions_doc():
+            assert cellgreen.cli.main(["functions", "path40.cell"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            del doc["elapsed_seconds"]
+            return doc
+
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            unlimited = functions_doc()
+            kappa = unlimited["functions"]["spectral_f"]["residue_scale"]
+            assert len(kappa["low"]) == 2353
+            sys.set_int_max_str_digits(640)
+            assert functions_doc() == unlimited
+            assert sys.get_int_max_str_digits() == 640
+            # Input parsing keeps the limit: a point of 5,000 digits fails.
+            point = "1" * 5000 + "/1" + "0" * 5000
+            code = cellgreen.cli.main(["probe", "path40.cell", "--points", point])
+            assert code == 2
+            assert "is not a rational number" in capsys.readouterr().err
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_green_payload(self, cli):
         doc = payload(cli("green", "--builtin", "diamond", "--order", "8"))
@@ -599,12 +633,16 @@ class TestOutputGolden:
     # per-report text, each cell read from one file, recorded while
     # CellFunctions still carried a spectral record of f, d and r.
     ENUMERATED = {
+        "classify": ["classify"],
         "functions": ["functions", "--order", "12"],
         "invariants": ["invariants"],
+        "verify": ["verify"],
     }
     ENUMERATED_GOLDEN = {
+        "classify": "cde2c562c4cd337c1bb69130b1bac2415a23d1ccd3a68eb9b35aae4d00a5af9a",
         "functions": "834fbd6a2f22fec2818dce5b0e81769210d801c037e51ca761032d808a07b54c",
         "invariants": "7dd19c23fc29e677aa8d5bb51177a358aa02ac564c86d7b6603c1db4e655aa4f",
+        "verify": "358b90a493434127a89e2718b14d88bea86e28c300df32ff16ff0b607cf3ec5b",
     }
 
     @pytest.mark.parametrize("command", sorted(ENUMERATED))

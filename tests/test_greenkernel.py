@@ -18,7 +18,6 @@ from cellgreen.algebra import (
     Poly,
     RatFunc,
     resolvent_row,
-    series_from_ratfunc,
     smallest_positive_root,
 )
 from cellgreen.cells import transition_matrix
@@ -32,10 +31,10 @@ from cellgreen.greenkernel import (
     spectral_property_report,
 )
 from routes import (
-    PowerSeries,
     _cofactor,
     _resolvent_matrix,
     det_linear,
+    fraction_series,
     green_entry,
     grid_expansion,
     resolvent_det,
@@ -89,7 +88,7 @@ def asymptotic_check(t: Matrix, i: int, n_max: int) -> AsymptoticReport:
     for row in t:
         if sum(row, Fraction(0)) != 1:
             raise ValueError("rows must sum to 1")
-    coeffs = series_from_ratfunc(green_entry(t, i, i), n_max + 1)
+    coeffs = fraction_series(green_entry(t, i, i), n_max + 1).coeffs
 
     color = [-1] * n
     color[0] = 0
@@ -287,11 +286,11 @@ class TestCellFunctions:
             assert cf.d.num.coefficient(1) == 0
 
     def test_diamond_series_prefixes(self, diamond_cf):
-        f_ser = series_from_ratfunc(diamond_cf.f, 7)
+        f_ser = fraction_series(diamond_cf.f, 7).coeffs
         assert f_ser[:5] == (
             1, 0, Fraction(1, 3), 0, Fraction(2, 9)
         )
-        d_ser = series_from_ratfunc(diamond_cf.d, 9)
+        d_ser = fraction_series(diamond_cf.d, 9).coeffs
         assert d_ser == (
             0, 0, 0, 0, Fraction(1, 9), 0, Fraction(1, 9), 0, Fraction(8, 81)
         )
@@ -299,8 +298,8 @@ class TestCellFunctions:
     def test_compose_low_order(self, diamond_cf):
         # f is even and d has valuation 4, so the first correction enters
         # at z^8 through the squared term: f(d) = 1 + d^2/3 + ...
-        f_ser = PowerSeries(series_from_ratfunc(diamond_cf.f, 9))
-        d_ser = PowerSeries(series_from_ratfunc(diamond_cf.d, 9))
+        f_ser = fraction_series(diamond_cf.f, 9)
+        d_ser = fraction_series(diamond_cf.d, 9)
         composed = f_ser.compose(d_ser)
         assert composed.order == 9
         assert composed.coeffs == (
@@ -390,6 +389,23 @@ class TestSpectralData:
         assert item.detail == "f and d have different smallest positive poles"
         assert calls
 
+    def test_radius_gap_and_first_pole_fail_on_a_pole_at_one(self, diamond_cf):
+        # diamond's rho_f is about 1.07, and its first bracket lies above 1.
+        assert diamond_cf.rho_f.low > 1
+        pole_at_one = P(1, -1)
+        early_r = dataclasses.replace(diamond_cf, r=RatFunc(P(1), pole_at_one))
+        early_f = dataclasses.replace(
+            diamond_cf, f=RatFunc(diamond_cf.f.num, pole_at_one * diamond_cf.f.den)
+        )
+        gap = spectral_property_report(early_r).items[2]
+        first = spectral_property_report(early_f).items[4]
+        assert (gap.name, gap.passed, gap.detail) == (
+            "radius_gap", False, "rho_f is not below rho_r"
+        )
+        assert (first.name, first.passed, first.detail) == (
+            "first_pole", False, "f has a pole below rho_f"
+        )
+
     def test_path2_radius(self, path2_cf):
         assert float(path2_cf.rho_f) == pytest.approx(2 ** 0.5, abs=1e-9)
         assert radius(path2_cf.r) is None
@@ -464,8 +480,8 @@ class TestSeriesNonnegativity:
     def test_probability_coefficients_on_named_cells(self):
         for name in ("diamond", "path2", "path3", "sierpinski", "theta4"):
             cf = cell_functions(builtin_cell(name))
-            f_ser = series_from_ratfunc(cf.f, 61)
-            d_ser = series_from_ratfunc(cf.d, 61)
+            f_ser = fraction_series(cf.f, 61).coeffs
+            d_ser = fraction_series(cf.d, 61).coeffs
             assert all(c >= 0 for c in f_ser)
             assert all(c >= 0 for c in d_ser)
             assert sum(d_ser) <= 1

@@ -14,7 +14,7 @@ from cellgreen import (
     harmonic_function,
     validate_cell,
 )
-from cellgreen.harmonic import verify_alpha_mu
+from cellgreen.harmonic import AlphaMuReport
 from routes import solve_linear
 
 
@@ -23,7 +23,8 @@ def alpha_of(g: CellGraph):
 
 
 def alpha_mu_of(g: CellGraph):
-    return verify_alpha_mu(validate_cell(g), alpha_of(g))
+    report = validate_cell(g)
+    return AlphaMuReport(alpha_of(g), report.mu, report.is_path)
 
 
 def delete_vertex(g: CellGraph, v: int) -> CellGraph | None:
@@ -150,6 +151,7 @@ class TestAlphaMuComparison:
         rep = alpha_mu_of(builtin_cell("path3"))
         assert rep.alpha == rep.mu == 3
         assert rep.is_path
+        assert not rep.strict
         assert rep.consistent
 
 

@@ -23,11 +23,12 @@ from cellgreen.iteration import (
     iteration_hypotheses,
     singular_prefactor_probe,
 )
-from cellgreen.algebra import Poly, RatFunc, series_from_ratfunc
+from cellgreen.algebra import Poly, RatFunc
 from cellgreen.algebra.series import scaled_fractions
 from routes import (
     PowerSeries,
     fraction_residual,
+    fraction_series,
     green_series_recursion,
     log_ratio,
     nested_green_series,
@@ -53,8 +54,8 @@ def product_green_series(cf, order: int) -> tuple[PowerSeries, int]:
     series and the number of factors multiplied.
     """
     count = order + 1
-    f_ser = PowerSeries(series_from_ratfunc(cf.f, count))
-    d_ser = PowerSeries(series_from_ratfunc(cf.d, count))
+    f_ser = fraction_series(cf.f, count)
+    d_ser = fraction_series(cf.d, count)
     product = f_ser
     factors = 1
     inner = d_ser
@@ -201,13 +202,13 @@ class TestGreenSeries:
         assert all(type(x) is int for x in gs.ints + gs.f_ints + gs.d_ints)
         assert gs.scale == 6 and len(gs.ints) == len(gs.f_ints) == len(gs.d_ints) == 41
         f, d = diamond_cf.f, diamond_cf.d
-        assert scaled_fractions(gs.f_ints, 1, 6) == series_from_ratfunc(f, 41)
-        assert scaled_fractions(gs.d_ints, 1, 6) == series_from_ratfunc(d, 41)
+        assert scaled_fractions(gs.f_ints, 1, 6) == fraction_series(f, 41).coeffs
+        assert scaled_fractions(gs.d_ints, 1, 6) == fraction_series(d, 41).coeffs
         short = gs.truncate(10)
         assert short.ints == gs.ints[:11]
         assert short.coefficients() == gs.coefficients()[:11]
-        assert scaled_fractions(short.f_ints, 1, 6) == series_from_ratfunc(f, 11)
-        assert scaled_fractions(short.d_ints, 1, 6) == series_from_ratfunc(d, 11)
+        assert scaled_fractions(short.f_ints, 1, 6) == fraction_series(f, 11).coeffs
+        assert scaled_fractions(short.d_ints, 1, 6) == fraction_series(d, 11).coeffs
         assert functional_residual(short) == [0] * 11
         with pytest.raises(ValueError):
             gs.truncate(41)
@@ -338,6 +339,23 @@ class TestHypotheses:
         half_z = RatFunc(Poly([0, Fraction(1, 2)]), Poly([1]))
         rep = iteration_hypotheses(half_z)
         assert not rep.all_passed
+
+    def test_failed_items_say_what_failed(self):
+        shifted = RatFunc(Poly([1, 1]), Poly([1]))
+        half_z = RatFunc(Poly([0, Fraction(1, 2)]), Poly([1]))
+        assert [i.to_json() for i in iteration_hypotheses(shifted).items] == [
+            {"name": "fixed_origin", "passed": False,
+             "detail": "b does not fix the origin"},
+            {"name": "zero_multiplier", "passed": False,
+             "detail": "b'(0) is nonzero"},
+            {"name": "no_iterate_is_identity", "passed": False,
+             "detail": "cannot rule out an iterate equal to the identity"},
+        ]
+        assert [i.detail for i in iteration_hypotheses(half_z).items] == [
+            "b(0) = 0",
+            "b'(0) is nonzero",
+            "cannot rule out an iterate equal to the identity",
+        ]
 
     def test_quadratic_map_accepted(self):
         sq = RatFunc(Poly([0, 0, 1]), Poly([1]))
