@@ -14,7 +14,8 @@ import pytest
 import cellgreen
 import cellgreen.cli
 from cellgreen.blowup import WalkStats
-from cellgreen.cells import cell_to_text
+from cellgreen.cells import cell_to_json, cell_to_text
+from cellgreen.greenkernel import CheckItem, PropertyReport
 from cellgreen.registry import _path
 
 DIAMOND_TEXT = """\
@@ -32,6 +33,19 @@ edge 3 5
 def payload(result):
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout)
+
+
+def digests(doc) -> tuple[str, str]:
+    """sha256 of doc's JSON with sorted keys, and with its keys in order.
+
+    The sorted digest pins the values; the ordered one pins the order of
+    the keys of every nested object as well, which the report layout
+    fixes too.
+    """
+    return tuple(
+        hashlib.sha256(json.dumps(doc, sort_keys=s).encode()).hexdigest()
+        for s in (True, False)
+    )
 
 
 class TestValidate:
@@ -111,7 +125,7 @@ class TestComputations:
     ):
         # The 41-vertex path's residue scale endpoints print 2,353
         # characters, a numerator and a denominator each over 640 digits,
-        # the least int-to-str limit, which only their formatting lifts.
+        # the least int-to-str limit, which only the printing lifts.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "path40.cell").write_text(cell_to_text(_path(40)))
 
@@ -135,6 +149,14 @@ class TestComputations:
             code = cellgreen.cli.main(["probe", "path40.cell", "--points", point])
             assert code == 2
             assert "is not a rational number" in capsys.readouterr().err
+            # A report that fails to print leaves the limit as it was.
+            def broken(p):
+                raise RuntimeError("planted")
+
+            monkeypatch.setattr(cellgreen.cli, "format_poly", broken)
+            with pytest.raises(RuntimeError, match="planted"):
+                cellgreen.cli.main(["functions", "path40.cell"])
+            assert sys.get_int_max_str_digits() == 640
         finally:
             sys.set_int_max_str_digits(limit)
 
@@ -303,6 +325,51 @@ class TestVerify:
         assert body["cells_checked"] == 8
         assert body["all_passed"] is True
         assert body["failures"] == []
+
+    def test_verify_enumerate_lists_a_failed_item(self, monkeypatch, capsys):
+        # The second cell checked gets one failed item: the failures list
+        # names that cell and that item alone, with the item's keys in order.
+        checked = []
+        verify_cell = cellgreen.cli.verify_cell
+
+        def planted(g, **kwargs):
+            report = verify_cell(g, **kwargs)
+            checked.append(g)
+            if len(checked) != 2:
+                return report
+            first, *rest = report.items
+            failed = CheckItem(first.name, False, "planted failure")
+            return PropertyReport((failed, *rest))
+
+        monkeypatch.setattr(cellgreen.cli, "verify_cell", planted)
+        args = ["verify", "--enumerate", "--max-vertices", "4", "--max-steps", "6"]
+        assert cellgreen.cli.main(args) == 2
+        body = json.loads(capsys.readouterr().out)["verify"]
+        assert body["cells_checked"] == len(checked) == 3
+        assert body["all_passed"] is False
+        assert json.dumps(body["failures"]) == json.dumps([
+            {
+                "cell": cell_to_json(checked[1]),
+                "failed": [
+                    {"name": "valid_cell", "passed": False, "detail": "planted failure"}
+                ],
+            }
+        ])
+
+    def test_verify_round_trip_names_a_flipped_item(self, tmp_path, capsys):
+        argv = ["verify", "--builtin", "diamond", "--max-steps", "8"]
+        assert cellgreen.cli.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        item = doc["verify"]["report"]["items"][3]
+        assert item == {"name": "radius_gap", "passed": True, "detail": item["detail"]}
+        item["passed"] = False
+        saved = tmp_path / "report.json"
+        saved.write_text(json.dumps(doc))
+        assert cellgreen.cli.main(["verify", "--from-report", str(saved)]) == 2
+        again = json.loads(capsys.readouterr().out)
+        assert again["round_trip"]["match"] is False
+        assert set(again["round_trip"]["differences"]) == {"radius_gap"}
+        assert again["verify"]["report"]["all_passed"] is True
 
 
 class TestProbe:
@@ -520,14 +587,22 @@ class TestVerifyGolden:
         "sierpinski": "de2e830902076ac08afeef14b61cc80a0a0780c03fd54756413b4b8ae89a9ea7",
         "theta4": "fadd675bcf34e6a985c3ef86f2ed813df23a5f4e94bad70a0a443fb5d39f5f9c",
     }
+    # The same JSON with its keys in order, recorded before one renderer took
+    # over the layout that each report's to_json method wrote out by hand.
+    ORDERED = {
+        "diamond": "64dcb68a1f841e5f173b440de23514ef6bee8d0c462288ba990367cfc54c4ad8",
+        "path2": "bf67c8cc6664c243c1fc324eb42e988fe71a5a484e39b6d303a53100afbff4af",
+        "path3": "6f9c3b18005c8ccc8b1c5f199d4c9819353db6681cf8a8f8a443fc9be8b31e96",
+        "sierpinski": "082dfd91076b506bc35c20f3bf38996ba509c9a407dbac7542856657ea1e13e6",
+        "theta4": "751d6bba813c4bc882c4f597019b047556e10526ade344f8c42d679451cdb8c7",
+    }
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_verify_report_digest(self, name, capsys):
         assert cellgreen.cli.main(["verify", "--builtin", name]) == 0
         doc = json.loads(capsys.readouterr().out)
         del doc["elapsed_seconds"]
-        text = json.dumps(doc, sort_keys=True)
-        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[name]
+        assert digests(doc) == (self.GOLDEN[name], self.ORDERED[name])
 
 
 class TestOutputGolden:
@@ -611,6 +686,67 @@ class TestOutputGolden:
         },
     }
 
+    # The same JSON with its keys in order, recorded before one renderer took
+    # over the layout that each report's to_json method wrote out by hand.
+    ORDERED = {
+        "validate": {
+            "diamond": "56e77b086642f386548971139414cae7b2ee81d541e6b15f866a4abcad4efc7e",
+            "path2": "67fd76505c106236c217a622fae94cac5fcf8f081ea4fe627f0258dc5facc661",
+            "path3": "1533256f4530ff8806b8df63aa0b3a6a6ed2bbf1e4cb9bb72c1263b5b3742b98",
+            "sierpinski": "b558f836d3489f3f72a5454f5013fe8c2dbb767d59a405297eb2349dc95cf2a9",
+            "theta4": "18c313601c7238a75412fa2d8699ca31886e1c9fd78933c5018093de3fad2c4d",
+            "cell file": "0b4dc21beb4a30bf81b83c2519b1a228ddab0e08e4889e40ad9ae7d8b5aa8371",
+        },
+        "functions": {
+            "diamond": "fb573f3c5909409b4cddfb03ec1ec1cb3f30614986dd772f90192ae356477681",
+            "path2": "5e719e5e32e1e6e2e78835befe65bae92f8818780e604584af54eb444e85f638",
+            "path3": "477143f4b8f925a251238d1d0d2351f309ce128f6172e7ee87a0b26cfb516fc2",
+            "sierpinski": "278b57abf21ba384cf9e9f366094f75e74087959e8c00d973d7aa524ca894319",
+            "theta4": "e166e62c19330127566a377333f8708d2420dd2cee2dad49e22aeef0351eff73",
+            "cell file": "fb8c6cadd47217cef349abdbeef472a5e45a0e56658981feb276b57905b846c8",
+        },
+        "green": {
+            "diamond": "53760405ac19690c66c6abbbdc6d0e01fb7e04eb14d84c4c32e8120eb50c9e1b",
+            "path2": "406db0b3d66cfa38e6b3423cf49a1016d391c8170a24a573024b12eb04257785",
+            "path3": "36dfe9089c50aed07fce3b7f912e45221be45bc73d1c068d7f2d76f8785a9a8c",
+            "sierpinski": "48deb9b9aacc847a6c23d8b0703fdf625d5b26db982cfaa7865949eacba15666",
+            "theta4": "84f606cc9092de1f78c27f23b4f8e327ad17862f8b9c448f8f429caeb7903015",
+            "cell file": "cc9ab491bf53379a09b2adee59b482ecb20aeb7bf545fa22a4267c6588b6569c",
+        },
+        "invariants": {
+            "diamond": "32f0976f9a92c9a9eacb021e256f3066ecda748868404ee4a956ad13b124e913",
+            "path2": "e73c3f5f9d15cbf4510c83ddd052dd3caec5f3922ecdd503b4b278ccd5f741d9",
+            "path3": "0c57bf67cc45590a5f196a08e2abf4165332990be6532b947ef72c84b9eef053",
+            "sierpinski": "5b04b05407d1b9dfdf3e9e385cca5712df371586e3177eedbd7c0f9c52864494",
+            "theta4": "0c56df7fb7c349578d6882c4c929006edbdb32310a25ba9a1c7d66521341faa2",
+            "cell file": "7f9c7721e02a1f2730debfbb1728f936df623182e7e8382d57111a4e4e61ae26",
+        },
+        "classify": {
+            "diamond": "c492f7c4fca36d3092e5da79de6502389e8d3adebf8851a4c2310df4adc83317",
+            "path2": "76092a9724bc07d14278cfc978bcbb9e78b47c6a748d4a46dfe82f273ba8bc47",
+            "path3": "e1a23733e991631f2136fb38b9a98d5eb6fc7f5f6d0a361cccc851deeae5b90a",
+            "sierpinski": "1fee16d87e59d33783f7df7c4d1c2364e96d780c17cf4795570877218735711c",
+            "theta4": "fa1b0c53eac5cb108153b6eaf9e7791702bcf6b182d41cd977b2e01a0b5dfca4",
+            "cell file": "61fdbb0739a93f0582c0349ac720f9daf1739096777711728448a518beedf052",
+        },
+        "blowup": {
+            "diamond": "d63a60c6647200fc92aa6f31f014b8e3cefeb4345b785bfe1a2b4860aff03ce1",
+            "path2": "be720222e5f7b121b25963b1eac7faa948050bb414476d355491f1d280768079",
+            "path3": "a1ddff78cd442a00b3cf324ba6783887c0ac9800284a044973cc54d4827052ee",
+            "sierpinski": "cbc2d7e97e0b520e9874d92764a7a6fa6c33231d5e2b9fe4860dab3d6fd4090d",
+            "theta4": "1cbeaf563b948c7eb62f6b61c2e47f138938a5557faa8c4f17fd1d5eb0a5f9ee",
+            "cell file": "6c7a401189d880dee0a83fc5125fad4e5dd628ab6084d834c2fbed9fb27936ed",
+        },
+        "simulate": {
+            "diamond": "95295944e81cb8f0571c800259b1dea8cbe38db8e39fb61a70265ee85c679128",
+            "path2": "c17e28afc0eeddc81e7c09b3269a500322b5a7fc9ea246179d333e2200f6dc2b",
+            "path3": "92b436d08cd83f4039ca3e9ebb8b2d5dd46874fb7661d94aeb29486476889673",
+            "sierpinski": "154bcfcea82fc80fc831b44311446d534a6c2baefa8525826884c656becc3381",
+            "theta4": "59481009c810397c6bc6eafcabc1189e3ab87c7d50378c014eb93f3764272617",
+            "cell file": "463d2bf3abc55926c71f4287f2a3241f4032b7b5e0b9513ad0d00247d59c72d1",
+        },
+    }
+
     @pytest.mark.parametrize(
         "command, source",
         sorted((c, s) for c, by_source in GOLDEN.items() for s in by_source),
@@ -626,8 +762,9 @@ class TestOutputGolden:
         assert cellgreen.cli.main(self.ARGS[command] + given) == 0
         doc = json.loads(capsys.readouterr().out)
         del doc["elapsed_seconds"]
-        text = json.dumps(doc, sort_keys=True)
-        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[command][source]
+        assert digests(doc) == (
+            self.GOLDEN[command][source], self.ORDERED[command][source]
+        )
 
     # sha256 over every 7th cell of enumerate_cells(2, 8) of the same
     # per-report text, each cell read from one file, recorded while
@@ -644,20 +781,29 @@ class TestOutputGolden:
         "invariants": "7dd19c23fc29e677aa8d5bb51177a358aa02ac564c86d7b6603c1db4e655aa4f",
         "verify": "358b90a493434127a89e2718b14d88bea86e28c300df32ff16ff0b607cf3ec5b",
     }
+    ENUMERATED_ORDERED = {
+        "classify": "89daa17e0336e51eef605b876ce4243fc0eb2481518d2919ab4d29960d9c1cf8",
+        "functions": "28753824c7bfa9776f50a705f888c152711d0206fb7c94c9c5ebdaef2ceedcb8",
+        "invariants": "f2eccd1ad0508d0aadc0c11d0e21eeebe61d9471d4c864655f6be356258258c9",
+        "verify": "4c535e383399330fbe3b03cf7e12dc7ced52245605db421ff666baf83ec397ea",
+    }
 
     @pytest.mark.parametrize("command", sorted(ENUMERATED))
     def test_enumerated_digest(
         self, command, enumerated_cells, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.chdir(tmp_path)
-        digest = hashlib.sha256()
+        by_sorted, by_order = hashlib.sha256(), hashlib.sha256()
         for g in enumerated_cells[::7]:
             (tmp_path / "cell.txt").write_text(cell_to_text(g))
             assert cellgreen.cli.main(self.ENUMERATED[command] + ["cell.txt"]) == 0
             doc = json.loads(capsys.readouterr().out)
             del doc["elapsed_seconds"]
-            digest.update(json.dumps(doc, sort_keys=True).encode())
-        assert digest.hexdigest() == self.ENUMERATED_GOLDEN[command]
+            by_sorted.update(json.dumps(doc, sort_keys=True).encode())
+            by_order.update(json.dumps(doc).encode())
+        assert (by_sorted.hexdigest(), by_order.hexdigest()) == (
+            self.ENUMERATED_GOLDEN[command], self.ENUMERATED_ORDERED[command]
+        )
 
     ENVELOPE = ["schema", "tool", "version", "command", "input", "cell"]
 
