@@ -91,13 +91,6 @@ class Bracket:
     def approx_str(self, digits: int = 12) -> str:
         return f"{float(self):.{digits}g} (+/- {float(self.width) / 2:.3g})"
 
-    def to_json(self) -> dict:
-        return {
-            "low": str(self.low),
-            "high": str(self.high),
-            "approx": float(self),
-        }
-
 
 def _coerce(x: Bracket | Fraction | int) -> Bracket:
     if isinstance(x, Bracket):

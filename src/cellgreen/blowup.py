@@ -512,18 +512,6 @@ class WalkStats:
     seed: int
     workers: int
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "hits": self.hits,
-            "estimate": str(self.estimate),
-            "estimate_approx": float(self.estimate),
-            "std_err": self.std_err,
-            "seed": self.seed,
-            "workers": self.workers,
-        }
-
 
 def monte_carlo(
     a: Approximant, n: int, trials: int, seed: int, workers: int = 1

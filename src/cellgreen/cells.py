@@ -466,22 +466,6 @@ class CellReport:
             "skipped",
         )
 
-    def to_json(self) -> dict:
-        return {
-            "theta": self.theta,
-            "mu": self.mu,
-            "bipartite": self.bipartite,
-            "is_path": self.is_path,
-            "clique_partition": (
-                None
-                if self.clique_partition is None
-                else [sorted(c) for c in self.clique_partition]
-            ),
-            "doubly_transitive": self.doubly_transitive,
-            "violations": list(self.violations),
-            "valid": self.valid,
-        }
-
 
 def validate_cell(g: CellGraph, check_automorphisms: bool = True) -> CellReport:
     """Check the symmetry axioms and report violations instead of raising."""

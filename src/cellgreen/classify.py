@@ -78,18 +78,6 @@ class Verdict:
     closed_form: str | None = None
     closed_form_verified_order: int | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "theorem_basis": self.theorem_basis,
-            "cell_report": self.cell_report.to_json(),
-            "invariants": None if self.invariants is None else self.invariants.to_json(),
-            "hypotheses": None if self.hypotheses is None else self.hypotheses.to_json(),
-            "bipartite_branch": self.bipartite_branch,
-            "closed_form": self.closed_form,
-            "closed_form_verified_order": self.closed_form_verified_order,
-        }
-
 
 def _verify_star_form(gs: GreenSeries) -> None:
     """Check G = 1/sqrt(1 - z^2) through z^order, in w = z / 2.
@@ -135,38 +123,27 @@ def classify(
         cf = cell_functions(g, report=report)
     inv = invariants(g, cf)
     hyp = iteration_hypotheses(cf.d)
-    if g.theta == 2 and report.is_path:
-        gs = green_series(cf, series_order)
-        _verify_star_form(gs)
-        return Verdict(
-            outcome="AlgebraicStar",
-            theorem_basis=_BASIS["AlgebraicStar"],
-            cell_report=report,
-            invariants=inv,
-            hypotheses=hyp,
-            closed_form="1/sqrt(1-z^2)",
-            closed_form_verified_order=gs.order,
-        )
-    if g.theta == 2:
+    star = report.is_path
+    if star:
+        _verify_star_form(green_series(cf, series_order))
+        outcome = "AlgebraicStar"
+    elif g.theta == 2:
         if not hyp.all_passed:
-            raise KernelError(
-                "valid non-path cell failed the dichotomy hypotheses"
-            )
-        return Verdict(
-            outcome="DifferentiallyTranscendental",
-            theorem_basis=_BASIS["DifferentiallyTranscendental"],
-            cell_report=report,
-            invariants=inv,
-            hypotheses=hyp,
-            bipartite_branch="bipartite" if report.bipartite else "non-bipartite",
-        )
+            raise KernelError("valid non-path cell failed the dichotomy hypotheses")
+        outcome = "DifferentiallyTranscendental"
+    else:
+        outcome = "ConjecturedTranscendental"
     return Verdict(
-        outcome="ConjecturedTranscendental",
-        theorem_basis=_BASIS["ConjecturedTranscendental"],
+        outcome=outcome,
+        theorem_basis=_BASIS[outcome],
         cell_report=report,
         invariants=inv,
         hypotheses=hyp,
-        bipartite_branch="bipartite" if report.bipartite else "non-bipartite",
+        bipartite_branch=(
+            None if star else "bipartite" if report.bipartite else "non-bipartite"
+        ),
+        closed_form="1/sqrt(1-z^2)" if star else None,
+        closed_form_verified_order=series_order if star else None,
     )
 
 
@@ -245,7 +222,7 @@ def verify_cell(
 
     expected = (
         "AlgebraicStar"
-        if g.theta == 2 and report.is_path
+        if report.is_path
         else "DifferentiallyTranscendental"
         if g.theta == 2
         else "ConjecturedTranscendental"

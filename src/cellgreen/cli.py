@@ -1,18 +1,21 @@
 """Command-line interface.
 
 Every subcommand reads a cell (from a file or the builtin registry),
-runs one library operation, and prints a JSON report with a stable layout:
-rationals as "p/q" strings, real intervals as {"low", "high"} pairs, plus
-float approximations marked as such.  Reports are byte-identical across
-runs except for the elapsed_seconds field.  Exit codes: 0 success,
-1 internal error, 2 invalid input or failed validation, 3 a budget
-exceeded (approximant edges, enumerated cell size, series order, or walk
-steps).
+runs one library operation, and returns the library's objects for
+``main`` to print as one JSON report.  ``to_json`` alone decides the
+layout: rationals as "p/q" strings, real intervals as {"low", "high"}
+pairs plus a float "approx", polynomials as text, and a report's fields
+in declaration order.  ``main`` alone lifts the int-to-str digit limit,
+and only while it prints.  Reports are byte-identical across runs except
+for the elapsed_seconds field.  Exit codes: 0 success, 1 internal error,
+2 invalid input or failed validation, 3 a budget exceeded (approximant
+edges, enumerated cell size, series order, or walk steps).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -22,7 +25,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .algebra import format_poly
+from .algebra import Bracket, Poly, format_poly
 from .algebra.series import expand_scaled, scaled_fractions
 from .blowup import (
     DEFAULT_EDGE_BUDGET,
@@ -36,6 +39,7 @@ from .blowup import (
 from .cells import (
     CellError,
     CellGraph,
+    CellReport,
     cell_from_json,
     cell_to_json,
     cell_to_text,
@@ -44,7 +48,7 @@ from .cells import (
     validate_cell,
 )
 from .classify import classify, verify_cell
-from .greenkernel import cell_functions, radius, residue_scale
+from .greenkernel import PropertyReport, cell_functions, radius, residue_scale
 from .harmonic import AlphaMuReport, alpha_from_harmonic, harmonic_function
 from .iteration import (
     green_series,
@@ -141,37 +145,57 @@ def _series_order(flag: str, value: int) -> int:
     return _within(flag, _nonnegative(flag, value), MAX_ORDER, "series")
 
 
+# The properties that to_json prints after a report's fields.
+_DERIVED = {
+    CellReport: ("valid",),
+    PropertyReport: ("all_passed",),
+    AlphaMuReport: ("strict", "consistent"),
+}
+
+
+def to_json(x):
+    """The JSON value of a report body, of its objects and of their parts.
+
+    A Bracket, an IsolatedRoot too, prints only its interval, so it comes
+    before the dataclass case; a dataclass prints its fields in declaration
+    order and then the properties that _DERIVED names for its class.
+    """
+    if isinstance(x, dict):
+        return {key: to_json(value) for key, value in x.items()}
+    if isinstance(x, Bracket):
+        return {"low": str(x.low), "high": str(x.high), "approx": float(x)}
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, Poly):
+        return format_poly(x)
+    if isinstance(x, frozenset):
+        return sorted(x)
+    if isinstance(x, (tuple, list)):
+        return [to_json(value) for value in x]
+    if dataclasses.is_dataclass(x):
+        names = [f.name for f in dataclasses.fields(x)]
+        names += _DERIVED.get(type(x), ())
+        return {name: to_json(getattr(x, name)) for name in names}
+    return x
+
+
 def _ratfunc_json(r, scale: int, series_count: int) -> dict:
     ints, den = expand_scaled(r, scale, series_count)
-    return {
-        "num": format_poly(r.num),
-        "den": format_poly(r.den),
-        "series": [str(c) for c in scaled_fractions(ints, den, scale)],
-    }
+    return {"num": r.num, "den": r.den, "series": scaled_fractions(ints, den, scale)}
 
 
 def _pole_json(func, rho) -> dict | None:
-    """The pole rho of func (None: no pole), refined for its residue scale.
-
-    The exact brackets of a long cell pass the default limit of int-to-str
-    conversion (4300 digits, CVE-2020-10735), which guards the parsing of
-    untrusted text; it is lifted only while they are formatted.
-    """
+    """The pole rho of func (None: no pole), refined for its residue scale."""
     if rho is None:
         return None
     rho, kappa = residue_scale(func, rho)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return {
-            "rho_low": str(rho.low),
-            "rho_high": str(rho.high),
-            "rho_approx": float(rho),
-            "pole_order": rho.multiplicity,
-            "residue_scale": None if kappa is None else kappa.to_json(),
-        }
-    finally:
-        sys.set_int_max_str_digits(limit)
+    return {
+        "rho_low": rho.low,
+        "rho_high": rho.high,
+        "rho_approx": float(rho),
+        "pole_order": rho.multiplicity,
+        "residue_scale": kappa,
+    }
 
 
 # -- subcommands ------------------------------------------------------------
@@ -182,7 +206,7 @@ def _pole_json(func, rho) -> dict | None:
 def cmd_validate(args):
     g, meta = _load_cell(args)
     report = validate_cell(g, check_automorphisms=not args.skip_automorphisms)
-    return meta, g, {"report": report.to_json()}, 0 if report.valid else 2
+    return meta, g, {"report": report}, 0 if report.valid else 2
 
 
 def cmd_functions(args):
@@ -208,7 +232,7 @@ def cmd_green(args):
     green = {
         "order": gs.order,
         "factors_used": gs.factors_used,
-        "coefficients": [str(c) for c in gs.coefficients()],
+        "coefficients": gs.coefficients(),
     }
     return meta, g, {"green": green}, 0
 
@@ -216,14 +240,13 @@ def cmd_green(args):
 def cmd_invariants(args):
     g, meta = _load_cell(args)
     cf = cell_functions(g)
-    body = {"invariants": invariants(g, cf).to_json()}
+    body = {"invariants": invariants(g, cf)}
     if g.theta == 2:
         h = harmonic_function(g, validate=False)
         alpha = alpha_from_harmonic(h)
-        body["harmonic"] = h.to_json()
-        body["alpha_from_harmonic"] = str(alpha)
-        am = AlphaMuReport(alpha, cf.report.mu, cf.report.is_path)
-        body["alpha_mu"] = am.to_json()
+        body["harmonic"] = h
+        body["alpha_from_harmonic"] = alpha
+        body["alpha_mu"] = AlphaMuReport(alpha, cf.report.mu, cf.report.is_path)
     return meta, g, body, 0
 
 
@@ -231,15 +254,12 @@ def cmd_classify(args):
     series_order = _series_order("--series-order", args.series_order)
     g, meta = _load_cell(args)
     verdict = classify(g, series_order=series_order)
-    return meta, g, {"verdict": verdict.to_json()}, 0 if verdict.outcome != "Invalid" else 2
+    return meta, g, {"verdict": verdict}, 0 if verdict.outcome != "Invalid" else 2
 
 
 def _verify_payload(g: CellGraph, args) -> dict:
     report = verify_cell(g, max_steps=args.max_steps, edge_budget=args.edge_budget)
-    return {
-        "settings": {"max_steps": args.max_steps},
-        "report": report.to_json(),
-    }
+    return {"settings": {"max_steps": args.max_steps}, "report": report}
 
 
 def _verify_from_report(args):
@@ -267,7 +287,7 @@ def _verify_from_report(args):
         )
     g = cell_from_json(cell_doc, name=name)
     fresh = _verify_payload(g, args)
-    new_items = {i["name"]: i["passed"] for i in fresh["report"]["items"]}
+    new_items = {i.name: i.passed for i in fresh["report"].items}
     diffs = sorted(set(old_items.items()) ^ set(new_items.items()))
     body = {
         "verify": fresh,
@@ -288,8 +308,8 @@ def _verify_enumerate(args):
     for g in enumerate_cells(2, args.max_vertices):
         report = _verify_payload(g, args)["report"]
         checked += 1
-        if not report["all_passed"]:
-            failed = [i for i in report["items"] if not i["passed"]]
+        if not report.all_passed:
+            failed = [i for i in report.items if not i.passed]
             failures.append({"cell": cell_to_json(g), "failed": failed})
     meta = {"source": f"enumerate:max_vertices={args.max_vertices}", "sha256": None}
     verify = {
@@ -307,7 +327,7 @@ def _verify_enumerate(args):
 def _verify_one(args):
     g, meta = _load_cell(args)
     verify = _verify_payload(g, args)
-    return meta, g, {"verify": verify}, 0 if verify["report"]["all_passed"] else 2
+    return meta, g, {"verify": verify}, 0 if verify["report"].all_passed else 2
 
 
 def cmd_verify(args):
@@ -346,7 +366,7 @@ def cmd_blowup(args):
         "origin": a.origin,
         "vertices": a.num_vertices,
         "edges": a.num_edges,
-        "defect_set": sorted(a.defect_set),
+        "defect_set": a.defect_set,
         "safe_horizon": a.safe_horizon,
         "emitted": args.emit,
     }
@@ -372,13 +392,22 @@ def cmd_simulate(args):
     stats = monte_carlo(
         a, args.steps, args.trials, args.seed, workers=args.workers
     )
-    sim = stats.to_json()
-    sim["level"] = a.level
-    sim["safe_horizon"] = a.safe_horizon
-    sim["within_horizon"] = args.steps <= a.safe_horizon
+    sim = {
+        "n": stats.n,
+        "trials": stats.trials,
+        "hits": stats.hits,
+        "estimate": stats.estimate,
+        "estimate_approx": float(stats.estimate),
+        "std_err": stats.std_err,
+        "seed": stats.seed,
+        "workers": stats.workers,
+        "level": a.level,
+        "safe_horizon": a.safe_horizon,
+        "within_horizon": args.steps <= a.safe_horizon,
+    }
     if sim["within_horizon"]:
         exact = exact_return_probs(a, args.steps).probs[args.steps]
-        sim["exact"] = str(exact)
+        sim["exact"] = exact
         err = stats.std_err
         dev = abs(float(stats.estimate) - float(exact))
         sim["deviation_sigmas"] = None if err == 0 else round(dev / err, 3)
@@ -561,8 +590,18 @@ def main(argv: list[str] | None = None) -> int:
     if g is not None:
         doc["cell"] = {**cell_to_json(g), "name": g.name}
     doc.update(body)
-    doc["elapsed_seconds"] = round(time.monotonic() - started, 6)
-    print(json.dumps(doc, indent=2))
+    # The exact numbers of a long cell pass the default int-to-str limit
+    # (4300 digits, CVE-2020-10735), which guards the parsing of untrusted
+    # text; the cell, flags and points were parsed under it above.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        doc = to_json(doc)
+        doc["elapsed_seconds"] = round(time.monotonic() - started, 6)
+        text = json.dumps(doc, indent=2)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    print(text)
     return code
 
 

@@ -216,9 +216,6 @@ class CheckItem:
     passed: bool
     detail: str
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
 
 def check(name: str, passed: bool, detail: str, failure: str = "") -> CheckItem:
     """A check item; ``failure``, when given, is the detail of a failed one."""
@@ -232,12 +229,6 @@ class PropertyReport:
     @property
     def all_passed(self) -> bool:
         return all(item.passed for item in self.items)
-
-    def to_json(self) -> dict:
-        return {
-            "items": [item.to_json() for item in self.items],
-            "all_passed": self.all_passed,
-        }
 
 
 def expansion_polys(d: RatFunc) -> tuple[tuple[Poly, int], ...]:

@@ -28,12 +28,6 @@ class HarmonicSolution:
     def value(self, v: int) -> Fraction:
         return self.values[v]
 
-    def to_json(self) -> dict:
-        return {
-            "values": [str(x) for x in self.values],
-            "w": self.w,
-        }
-
 
 def harmonic_function(g: CellGraph, validate: bool = True) -> HarmonicSolution:
     """Solve the interior mean-value system exactly, in integers.
@@ -109,12 +103,3 @@ class AlphaMuReport:
         if self.is_path:
             return self.alpha == self.mu
         return self.alpha < self.mu
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": str(self.alpha),
-            "mu": self.mu,
-            "is_path": self.is_path,
-            "strict": self.strict,
-            "consistent": self.consistent,
-        }

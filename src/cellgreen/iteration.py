@@ -237,19 +237,6 @@ class CellInvariants:
     rho_d: IsolatedRoot
     bipartite: bool
 
-    def to_json(self) -> dict:
-        return {
-            "theta": self.theta,
-            "mu": self.mu,
-            "tau": str(self.tau),
-            "alpha": str(self.alpha),
-            "eta": self.eta.to_json(),
-            "eta_alt": self.eta_alt.to_json(),
-            "rho_f": self.rho_f.to_json(),
-            "rho_d": self.rho_d.to_json(),
-            "bipartite": self.bipartite,
-        }
-
 
 def invariants(g: CellGraph, cf: CellFunctions | None = None) -> CellInvariants:
     """Exact growth invariants of the cell.

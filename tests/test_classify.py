@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import cellgreen.cli
 from cellgreen import (
     CellGraph,
     KernelError,
@@ -129,7 +130,7 @@ class TestInvalidCase:
 class TestVerdictPayload:
     def test_json_shape(self):
         v = classify(builtin_cell("diamond"))
-        data = v.to_json()
+        data = cellgreen.cli.to_json(v)
         assert data["outcome"] == "DifferentiallyTranscendental"
         assert data["cell_report"]["theta"] == 2
         assert data["bipartite_branch"] == "bipartite"

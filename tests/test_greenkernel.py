@@ -414,7 +414,7 @@ class TestSpectralData:
         for name in ("diamond", "path2", "path3", "sierpinski", "theta4"):
             cf = cell_functions(builtin_cell(name))
             report = spectral_property_report(cf)
-            assert report.all_passed, (name, report.to_json())
+            assert report.all_passed, (name, report)
 
     # Maps with a double zero at 0 and d(1) = 1 that do not expand on
     # (1, rho).  z^2 p(z) + e z^2/(3 - z), scaled to d(1) = 1, has a simple

@@ -18,6 +18,7 @@ from cellgreen import (
     green_series,
     invariants,
 )
+from cellgreen.greenkernel import CheckItem
 from cellgreen.iteration import (
     functional_residual,
     iteration_hypotheses,
@@ -343,13 +344,13 @@ class TestHypotheses:
     def test_failed_items_say_what_failed(self):
         shifted = RatFunc(Poly([1, 1]), Poly([1]))
         half_z = RatFunc(Poly([0, Fraction(1, 2)]), Poly([1]))
-        assert [i.to_json() for i in iteration_hypotheses(shifted).items] == [
-            {"name": "fixed_origin", "passed": False,
-             "detail": "b does not fix the origin"},
-            {"name": "zero_multiplier", "passed": False,
-             "detail": "b'(0) is nonzero"},
-            {"name": "no_iterate_is_identity", "passed": False,
-             "detail": "cannot rule out an iterate equal to the identity"},
+        assert list(iteration_hypotheses(shifted).items) == [
+            CheckItem("fixed_origin", False, "b does not fix the origin"),
+            CheckItem("zero_multiplier", False, "b'(0) is nonzero"),
+            CheckItem(
+                "no_iterate_is_identity", False,
+                "cannot rule out an iterate equal to the identity",
+            ),
         ]
         assert [i.detail for i in iteration_hypotheses(half_z).items] == [
             "b(0) = 0",
