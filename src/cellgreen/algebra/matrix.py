@@ -2,8 +2,10 @@
 
 ``bareiss_solve`` is the one fraction-free elimination: it gives a
 determinant and the Cramer numerators of one right-hand column.
-``resolvent_row`` runs it at the nodes of an interpolation, and
-``harmonic.harmonic_function`` on the cell's mean-value system.
+``resolvent_row`` runs it once, on an integer matrix at z = 1/2^K, and
+reads the polynomial coefficients off the balanced base-2^K digits that
+``balanced_digits`` decodes; ``harmonic.harmonic_function`` runs it on
+the cell's mean-value system.
 """
 
 from __future__ import annotations
@@ -14,32 +16,6 @@ from operator import mul
 from typing import Sequence
 
 from .poly import Poly, _exact_div, clear_denominators
-
-
-def interpolate(values: Sequence[int]) -> list[int]:
-    """Coefficients, lowest first, of the integer polynomial p of degree
-    below ``len(values)`` with p(k) = values[k], k = 0, 1, ...
-
-    The k-th Newton divided difference on these points is p's coefficient
-    in the falling-factorial basis z(z-1)...(z-k+1).  Each power z^m is an
-    integer combination of falling factorials (Stirling numbers of the
-    second kind), so for integer p every difference, at every start point,
-    is an integer and each division by k is exact (``_exact_div`` checks).
-    """
-    diffs = list(values)
-    n = len(diffs) - 1
-    # After pass k, diffs[i] is the divided difference over points i-k..i.
-    for k in range(1, n + 1):
-        for i in range(n, k - 1, -1):
-            diffs[i] = _exact_div(diffs[i] - diffs[i - 1], k)
-    coeffs = [diffs[n]]
-    for k in range(n - 1, -1, -1):
-        # Horner on the Newton form: coeffs = coeffs * (z - k) + diffs[k].
-        coeffs.insert(0, 0)
-        for i in range(len(coeffs) - 1):
-            coeffs[i] -= k * coeffs[i + 1]
-        coeffs[0] += diffs[k]
-    return coeffs
 
 
 def bareiss_solve(m: list[list[int]]) -> tuple[int, list[int]]:
@@ -77,6 +53,26 @@ def bareiss_solve(m: list[list[int]]) -> tuple[int, list[int]]:
     return prev, y
 
 
+def balanced_digits(v: int, k: int, top: int) -> list[int]:
+    """Coefficients c_0..c_top, lowest first, of v = sum_m c_m 2^(k(top-m))
+    with every |c_m| < 2^(k-1); ``ArithmeticError`` if v needs more digits.
+
+    The lowest digit is the residue of v mod 2^k in [-2^(k-1), 2^(k-1)),
+    and the others are the digits of the exact quotient, so they are
+    unique.  Anything left after top + 1 digits means that some |c_m|
+    reached 2^(k-1) or that v has a term beyond c_0.
+    """
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    digits = []
+    for _ in range(top + 1):
+        d = ((v + half) & mask) - half
+        digits.append(d)
+        v = (v - d) >> k
+    if v:
+        raise ArithmeticError("integer has more base-2^k digits than asked for")
+    return digits[::-1]
+
+
 def resolvent_row(
     t: Sequence[Sequence[Fraction]], cols: Sequence[int]
 ) -> tuple[Poly, list[Poly]]:
@@ -89,48 +85,51 @@ def resolvent_row(
     a_j q_j(z) / prod(a), where p = det(A + zB) and q_j = adj(A + zB)[0][j]
     are integer polynomials of degree at most n and n - 1.
 
-    *Rescale.*  At the nodes z = k/(n+1), k = 0..n, the integer matrix
-    N_k = (n+1)A + kB = (n+1)(A + zB) has det N_k = (n+1)^n p(z) and
-    adj(N_k)[0][j] = (n+1)^(n-1) q_j(z), integer polynomials in k whose
-    coefficient m is p_m (n+1)^(n-m) and q_jm (n+1)^(n-1-m): ``interpolate``
-    gives them, and dividing by the power of n + 1 is exact.
+    *Kronecker substitution.*  The integer matrix N = XA + B, X = 2^K, is
+    X(A + zB) at z = 1/X, so det N = sum_m p_m X^(n-m) and adj(N)[0][j] =
+    sum_m q_jm X^(n-1-m): ``balanced_digits`` reads the coefficients off
+    these integers, highest power first, once every |p_m| and |q_jm| is
+    below X/2.
+
+    *Bound.*  By Leibniz's formula p is a signed sum, over permutations s,
+    of the products of the entries (A + zB)[i][s(i)].  The absolute sum of
+    a product's coefficients is at most the product of the factors' own:
+    a_i + |b_ii| on the diagonal and |b_ij| off it.  So every |p_m| is at
+    most the permanent of these sums, and so at most the product of its
+    row sums, bound = prod_i (a_i + sum_j |b_ij|).  q_j is, up to sign,
+    the minor without row j and column 0: the same argument bounds it by
+    bound over row j's sum, which is at least a_j >= 1.
+    K = bound.bit_length() + 1 gives X > 2 bound.
 
     *Dominance lemma.*  For |z| < 1, I - zT is strictly diagonally
     dominant, |1 - z t_ii| >= 1 - |z t_ii| > |z| sum_{j != i} |t_ij| as
     |z| sum_j |t_ij| < 1, and so is each leading principal block I - zT'.
     They are nonsingular (Levy-Desplanques), also after positive row
-    scaling and transposition.  Every node has 0 <= z < 1, so each pivot
-    of ``bareiss_solve`` on N_k^T is nonzero.  With b = e_0 it gives
-    det(N_k) N_k^{-T} e_0, whose entry j is adj(N_k)[0][j].  Integer
-    nodes would not do: I - zT is singular at z = 2 on some cells.
+    scaling and transposition.  As 0 < z = 1/X <= 1/4, each pivot of
+    ``bareiss_solve`` on N^T is nonzero.  With b = e_0 it gives
+    det(N) N^{-T} e_0, whose entry j is adj(N)[0][j].
     """
     n = len(t)
     if any(len(r) != n for r in t):
         raise ValueError("matrix must be square")
     diag, b_cols = [], [[0] * n for _ in range(n)]  # b_cols[j][i] is B[i][j]
+    bound = 1
     for i, row in enumerate(t):
         ints, _ = clear_denominators([1, *(-x for x in row)])
-        if sum(map(abs, ints[1:])) > ints[0]:
+        weight = sum(map(abs, ints[1:]))
+        if weight > ints[0]:
             raise ValueError("resolvent_row needs row absolute sums at most 1")
         diag.append(ints[0])
+        bound *= ints[0] + weight
         for col, b in zip(b_cols, ints[1:]):
             col[i] = b
-    s = n + 1
-
-    def node(k: int) -> tuple[int, list[int]]:
-        mt = [[k * b for b in col] + [int(j == 0)] for j, col in enumerate(b_cols)]
-        for j, a in enumerate(diag):
-            mt[j][j] += s * a
-        return bareiss_solve(mt)
-
-    def rescaled(values: Sequence[int], top: int, scale: Fraction) -> Poly:
-        coeffs = interpolate(values[: top + 1])
-        return Poly.from_ints(
-            (_exact_div(c, s ** (top - m)) for m, c in enumerate(coeffs)), scale
-        )
-
-    dets, ys = zip(*map(node, range(s)))
+    k = bound.bit_length() + 1
+    for j, a in enumerate(diag):  # b_cols becomes the rows of [N^T | e_0]
+        b_cols[j][j] += a << k
+        b_cols[j].append(int(j == 0))
+    det, y = bareiss_solve(b_cols)
     total = prod(diag)
-    return rescaled(dets, n, Fraction(1, total)), [
-        rescaled([y[j] for y in ys], n - 1, Fraction(diag[j], total)) for j in cols
+    return Poly.from_ints(balanced_digits(det, k, n), Fraction(1, total)), [
+        Poly.from_ints(balanced_digits(y[j], k, n - 1), Fraction(diag[j], total))
+        for j in cols
     ]

@@ -288,11 +288,8 @@ def _verify_from_report(args):
     g = cell_from_json(cell_doc, name=name)
     fresh = _verify_payload(g, args)
     new_items = {i.name: i.passed for i in fresh["report"].items}
-    diffs = sorted(set(old_items.items()) ^ set(new_items.items()))
-    body = {
-        "verify": fresh,
-        "round_trip": {"match": not diffs, "differences": [d[0] for d in diffs]},
-    }
+    diffs = sorted({name for name, _ in old_items.items() ^ new_items.items()})
+    body = {"verify": fresh, "round_trip": {"match": not diffs, "differences": diffs}}
     return {"source": args.from_report, "sha256": None}, g, body, 0 if not diffs else 2
 
 

@@ -17,11 +17,13 @@ w = z / L that cell series take.
 det_bareiss, det_linear and _cofactor are the determinant and cofactor
 routes that cell_functions used before resolvent_row: one Bareiss
 elimination, with row swaps, per determinant or cofactor at each integer
-point z = 0..n, where resolvent_row needs one elimination per node for
-the determinant and a whole adjugate row.  resolvent_det and green_entry
-give any entry of (I - zT)^{-1} for the cross-checks, even where I - zT
-is not diagonally dominant.  grid_expansion samples the expansion
-inequalities that spectral_property_report certifies.
+point z = 0..n.  interpolated_resolvent_row is the route resolvent_row
+took before it evaluated once at z = 1/2^K: one elimination per node
+z = k/(n+1), k = 0..n, each giving the determinant and a whole adjugate
+row, and Newton interpolation in k (interpolate).  resolvent_det and
+green_entry give any entry of (I - zT)^{-1} for the cross-checks, even
+where I - zT is not diagonally dominant.  grid_expansion samples the
+expansion inequalities that spectral_property_report certifies.
 reference_monte_carlo is the per-walker walk that monte_carlo's count
 walk replaced, kept as a reference in law; reference_count_walk is the
 count walk one vertex at a time, which must give monte_carlo's hits
@@ -54,7 +56,7 @@ from cellgreen.algebra import (
     ln_bracket,
 )
 from cellgreen.algebra.brackets import DEFAULT_LOG_ERR
-from cellgreen.algebra.matrix import _exact_div, interpolate
+from cellgreen.algebra.matrix import _exact_div, bareiss_solve
 from cellgreen.algebra.poly import clear_denominators
 from cellgreen.algebra.series import pack_slots, scaled_fractions, unpack_slots
 from cellgreen.greenkernel import CellFunctions, Matrix
@@ -314,6 +316,77 @@ def integer_content(coeffs: Sequence[Scalar]) -> tuple[list[int], Fraction]:
     ints, den = clear_denominators(coeffs)
     g = math.gcd(*ints) or 1
     return [v // g for v in ints], Fraction(g, den)
+
+
+def interpolate(values: Sequence[int]) -> list[int]:
+    """Coefficients, lowest first, of the integer polynomial p of degree
+    below ``len(values)`` with p(k) = values[k], k = 0, 1, ...
+
+    The k-th Newton divided difference on these points is p's coefficient
+    in the falling-factorial basis z(z-1)...(z-k+1).  Each power z^m is an
+    integer combination of falling factorials (Stirling numbers of the
+    second kind), so for integer p every difference, at every start point,
+    is an integer and each division by k is exact (``_exact_div`` checks).
+    """
+    diffs = list(values)
+    n = len(diffs) - 1
+    # After pass k, diffs[i] is the divided difference over points i-k..i.
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            diffs[i] = _exact_div(diffs[i] - diffs[i - 1], k)
+    coeffs = [diffs[n]]
+    for k in range(n - 1, -1, -1):
+        # Horner on the Newton form: coeffs = coeffs * (z - k) + diffs[k].
+        coeffs.insert(0, 0)
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= k * coeffs[i + 1]
+        coeffs[0] += diffs[k]
+    return coeffs
+
+
+def interpolated_resolvent_row(
+    t: Sequence[Sequence[Fraction]], cols: Sequence[int]
+) -> tuple[Poly, list[Poly]]:
+    """``resolvent_row(t, cols)`` by n + 1 eliminations and interpolation.
+
+    With A and B as in ``resolvent_row``, at the nodes z = k/(n+1),
+    k = 0..n, the integer matrix N_k = (n+1)A + kB = (n+1)(A + zB) has
+    det N_k = (n+1)^n p(z) and adj(N_k)[0][j] = (n+1)^(n-1) q_j(z),
+    integer polynomials in k whose coefficient m is p_m (n+1)^(n-m) and
+    q_jm (n+1)^(n-1-m): ``interpolate`` gives them, and dividing by the
+    power of n + 1 is exact.  Every node has 0 <= z < 1, where the
+    dominance lemma makes each pivot nonzero.
+    """
+    n = len(t)
+    if any(len(r) != n for r in t):
+        raise ValueError("matrix must be square")
+    diag, b_cols = [], [[0] * n for _ in range(n)]  # b_cols[j][i] is B[i][j]
+    for i, row in enumerate(t):
+        ints, _ = clear_denominators([1, *(-x for x in row)])
+        if sum(map(abs, ints[1:])) > ints[0]:
+            raise ValueError("resolvent_row needs row absolute sums at most 1")
+        diag.append(ints[0])
+        for col, b in zip(b_cols, ints[1:]):
+            col[i] = b
+    s = n + 1
+
+    def node(k: int) -> tuple[int, list[int]]:
+        mt = [[k * b for b in col] + [int(j == 0)] for j, col in enumerate(b_cols)]
+        for j, a in enumerate(diag):
+            mt[j][j] += s * a
+        return bareiss_solve(mt)
+
+    def rescaled(values: Sequence[int], top: int, scale: Fraction) -> Poly:
+        coeffs = interpolate(values[: top + 1])
+        return Poly.from_ints(
+            (_exact_div(c, s ** (top - m)) for m, c in enumerate(coeffs)), scale
+        )
+
+    dets, ys = zip(*map(node, range(s)))
+    total = math.prod(diag)
+    return rescaled(dets, n, Fraction(1, total)), [
+        rescaled([y[j] for y in ys], n - 1, Fraction(diag[j], total)) for j in cols
+    ]
 
 
 def det_linear(rows: Sequence[Sequence[Poly]]) -> Poly:

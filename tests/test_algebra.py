@@ -28,6 +28,7 @@ from cellgreen.algebra import (
 from cellgreen.algebra.brackets import DEFAULT_LOG_ERR, _atanh_bracket
 from cellgreen.algebra.matrix import (
     _exact_div,
+    balanced_digits,
     bareiss_solve,
     resolvent_row,
 )
@@ -43,7 +44,7 @@ from cellgreen.algebra.series import (
     int_product,
     scaled_fractions,
 )
-from cellgreen.greenkernel import cell_functions, expansion_polys
+from cellgreen.greenkernel import build_pd, build_pf, cell_functions, expansion_polys
 from cellgreen.iteration import green_series
 from cellgreen.registry import builtin_cell
 from routes import (
@@ -1294,6 +1295,50 @@ class TestResolventRow:
         # [[0, 1], [1, 0]] is invertible, but its first leading minor is 0.
         with pytest.raises(ArithmeticError, match="zero pivot"):
             bareiss_solve([[0, 1, 1], [1, 0, 0]])
+
+    def test_one_elimination_per_call(self, count_calls):
+        calls = count_calls("cellgreen.algebra.matrix", "bareiss_solve")
+        g = builtin_cell("theta4")
+        for t, cols in ((build_pf(g), [0]), (build_pd(g), range(1, g.theta))):
+            resolvent_row(t, cols)
+        assert len(calls) == 2
+
+    def test_negative_entries_give_coefficients_of_both_signs(self):
+        # Upper triangular, with five diagonal entries -1 and one +1:
+        # p = (1 + z)^5 (1 - z).  The coefficient 5 is above the digit
+        # range that the off-diagonal weights alone would allow.
+        n = 7
+        t = [[Fraction(0)] * n for _ in range(n)]
+        t[0][1], t[0][6] = Fraction(1, 2), Fraction(-1, 2)
+        for i in range(1, 6):
+            t[i][i] = Fraction(-1)
+        t[6][6] = Fraction(1)
+        m = [[P(int(i == j), -t[i][j]) for j in range(n)] for i in range(n)]
+        det, row = resolvent_row(t, range(n))
+        assert det == P(1, 4, 5, 0, -5, -4, -1) == det_laplace(m)
+        for j, entry in enumerate(row):
+            sign = -1 if j % 2 else 1
+            assert entry == sign * det_laplace(minor(m, j, 0))
+        assert [bool(e) for e in row] == [True, True, False, False, False, False, True]
+
+
+class TestBalancedDigits:
+    def test_reads_back_signed_coefficients(self):
+        # Base 2^4: every digit in [-8, 8).
+        for coeffs in ([3, -7, 0, 7, -8, 1], [-3, 7, 0, -7, 1, -1], [0, 0, 0]):
+            top = len(coeffs) - 1
+            v = sum(c << (4 * (top - m)) for m, c in enumerate(coeffs))
+            assert balanced_digits(v, 4, top) == coeffs
+
+    def test_one_digit_too_many_raises(self):
+        coeffs = [1, -7, 0, 7]
+        v = sum(c << (4 * (3 - m)) for m, c in enumerate(coeffs))
+        assert balanced_digits(v, 4, 3) == coeffs
+        with pytest.raises(ArithmeticError, match="more base-2\\^k digits"):
+            balanced_digits(v, 4, 2)
+        # 8 = 2^3 is no digit of base 2^4: it reads as 16 - 8.
+        with pytest.raises(ArithmeticError):
+            balanced_digits(8, 4, 0)
 
 
 # -- brackets ---------------------------------------------------------------

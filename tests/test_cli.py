@@ -368,7 +368,7 @@ class TestVerify:
         assert cellgreen.cli.main(["verify", "--from-report", str(saved)]) == 2
         again = json.loads(capsys.readouterr().out)
         assert again["round_trip"]["match"] is False
-        assert set(again["round_trip"]["differences"]) == {"radius_gap"}
+        assert again["round_trip"]["differences"] == ["radius_gap"]
         assert again["verify"]["report"]["all_passed"] is True
 
 

@@ -30,6 +30,7 @@ from cellgreen.greenkernel import (
     residue_scale,
     spectral_property_report,
 )
+from cellgreen.registry import _path
 from routes import (
     _cofactor,
     _resolvent_matrix,
@@ -37,6 +38,7 @@ from routes import (
     fraction_series,
     green_entry,
     grid_expansion,
+    interpolated_resolvent_row,
     resolvent_det,
     rf_add,
     rf_div,
@@ -200,7 +202,8 @@ class TestResolventRow:
         # The determinant and the adjugate entries that cell_functions reads
         # equal one det_linear per determinant and per cofactor, exactly,
         # also on the cells whose resolvent is singular at an integer point
-        # z in 1..n, where det_linear evaluates and resolvent_row does not.
+        # z in 1..n, where det_linear evaluates; resolvent_row evaluates
+        # once, at z = 1/2^K, where I - zT is diagonally dominant.
         singular = 0
         for g in [*enumerated_cells, *map(builtin_cell, builtin_names())]:
             at_integer = False
@@ -212,6 +215,15 @@ class TestResolventRow:
                 at_integer |= any(det(z) == 0 for z in range(1, g.n + 1))
             singular += at_integer
         assert singular == 32
+
+    def test_matches_the_interpolated_route(self, enumerated_cells):
+        # One elimination at z = 1/2^K gives the Polys of n + 1 eliminations
+        # at z = k/(n+1) and interpolation, on both matrices of every cell.
+        cells = [*enumerated_cells, *map(builtin_cell, builtin_names())]
+        assert len(cells) == 741
+        for g in [*cells, _path(20), _path(40)]:
+            for t, cols in ((build_pf(g), [0]), (build_pd(g), range(1, g.theta))):
+                assert resolvent_row(t, cols) == interpolated_resolvent_row(t, cols)
 
 
 class TestGreenEntry:
