@@ -2,7 +2,9 @@
 
 ``bareiss_solve`` is the one fraction-free elimination: it gives a
 determinant and the Cramer numerators of one right-hand column.
-``resolvent_row`` runs it once, on an integer matrix at z = 1/2^K, and
+``resolvent_row`` takes a walk matrix as integer row scales and integer
+rows, T = diag(a)^-1 C (for a cell, the degrees and the masked adjacency
+rows), runs it once on the integer matrix diag(a) - zC at z = 1/2^K, and
 reads the polynomial coefficients off the balanced base-2^K digits that
 ``balanced_digits`` decodes; ``harmonic.harmonic_function`` runs it on
 the cell's mean-value system.
@@ -15,7 +17,7 @@ from math import prod
 from operator import mul
 from typing import Sequence
 
-from .poly import Poly, _exact_div, clear_denominators
+from .poly import Poly, _exact_div
 
 
 def bareiss_solve(m: list[list[int]]) -> tuple[int, list[int]]:
@@ -74,29 +76,31 @@ def balanced_digits(v: int, k: int, top: int) -> list[int]:
 
 
 def resolvent_row(
-    t: Sequence[Sequence[Fraction]], cols: Sequence[int]
+    a: Sequence[int], c: Sequence[Sequence[int]], cols: Sequence[int]
 ) -> tuple[Poly, list[Poly]]:
-    """det(I - zT) and the entries adj(I - zT)[0][j] for j in ``cols``.
+    """det(I - zT) and the entries adj(I - zT)[0][j] for j in ``cols``,
+    where T = diag(a)^-1 C for integer row scales a_i and integer rows C_i.
 
-    Every row of T must have absolute sum at most 1, else ``ValueError``.
-    Clearing denominators, row i of I - zT is (a_i + z B_i) / a_i, with an
-    integer a_i > 0 on the diagonal of A and an integer row B_i.  So the
-    determinant is p(z) / prod(a) and entry (0, j), which drops row j, is
-    a_j q_j(z) / prod(a), where p = det(A + zB) and q_j = adj(A + zB)[0][j]
-    are integer polynomials of degree at most n and n - 1.
+    Every a_i must be at least 1, and every row of T must have absolute sum
+    at most 1, that is sum_j |c_ij| <= a_i, else ``ValueError``.  Row i of
+    I - zT is (a_i - z C_i) / a_i, so the determinant is p(z) / prod(a) and
+    entry (0, j), which drops row j, is a_j q_j(z) / prod(a), where
+    p = det(A - zC) and q_j = adj(A - zC)[0][j] are integer polynomials of
+    degree at most n and n - 1, with A = diag(a).  For a cell, a holds the
+    degrees and C the masked adjacency rows.
 
-    *Kronecker substitution.*  The integer matrix N = XA + B, X = 2^K, is
-    X(A + zB) at z = 1/X, so det N = sum_m p_m X^(n-m) and adj(N)[0][j] =
+    *Kronecker substitution.*  The integer matrix N = XA - C, X = 2^K, is
+    X(A - zC) at z = 1/X, so det N = sum_m p_m X^(n-m) and adj(N)[0][j] =
     sum_m q_jm X^(n-1-m): ``balanced_digits`` reads the coefficients off
     these integers, highest power first, once every |p_m| and |q_jm| is
     below X/2.
 
     *Bound.*  By Leibniz's formula p is a signed sum, over permutations s,
-    of the products of the entries (A + zB)[i][s(i)].  The absolute sum of
+    of the products of the entries (A - zC)[i][s(i)].  The absolute sum of
     a product's coefficients is at most the product of the factors' own:
-    a_i + |b_ii| on the diagonal and |b_ij| off it.  So every |p_m| is at
+    a_i + |c_ii| on the diagonal and |c_ij| off it.  So every |p_m| is at
     most the permanent of these sums, and so at most the product of its
-    row sums, bound = prod_i (a_i + sum_j |b_ij|).  q_j is, up to sign,
+    row sums, bound = prod_i (a_i + sum_j |c_ij|).  q_j is, up to sign,
     the minor without row j and column 0: the same argument bounds it by
     bound over row j's sum, which is at least a_j >= 1.
     K = bound.bit_length() + 1 gives X > 2 bound.
@@ -109,27 +113,25 @@ def resolvent_row(
     ``bareiss_solve`` on N^T is nonzero.  With b = e_0 it gives
     det(N) N^{-T} e_0, whose entry j is adj(N)[0][j].
     """
-    n = len(t)
-    if any(len(r) != n for r in t):
+    n = len(a)
+    if len(c) != n or any(len(r) != n for r in c):
         raise ValueError("matrix must be square")
-    diag, b_cols = [], [[0] * n for _ in range(n)]  # b_cols[j][i] is B[i][j]
+    if any(s < 1 for s in a):
+        raise ValueError("resolvent_row needs positive row scales")
     bound = 1
-    for i, row in enumerate(t):
-        ints, _ = clear_denominators([1, *(-x for x in row)])
-        weight = sum(map(abs, ints[1:]))
-        if weight > ints[0]:
+    for s, row in zip(a, c):
+        weight = sum(map(abs, row))
+        if weight > s:
             raise ValueError("resolvent_row needs row absolute sums at most 1")
-        diag.append(ints[0])
-        bound *= ints[0] + weight
-        for col, b in zip(b_cols, ints[1:]):
-            col[i] = b
+        bound *= s + weight
     k = bound.bit_length() + 1
-    for j, a in enumerate(diag):  # b_cols becomes the rows of [N^T | e_0]
-        b_cols[j][j] += a << k
-        b_cols[j].append(int(j == 0))
-    det, y = bareiss_solve(b_cols)
-    total = prod(diag)
+    # Row j of [N^T | e_0] is column j of N = XA - C, then entry j of e_0.
+    nt = [[-x for x in col] + [int(j == 0)] for j, col in enumerate(zip(*c))]
+    for j, s in enumerate(a):
+        nt[j][j] += s << k
+    det, y = bareiss_solve(nt)
+    total = prod(a)
     return Poly.from_ints(balanced_digits(det, k, n), Fraction(1, total)), [
-        Poly.from_ints(balanced_digits(y[j], k, n - 1), Fraction(diag[j], total))
+        Poly.from_ints(balanced_digits(y[j], k, n - 1), Fraction(a[j], total))
         for j in cols
     ]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -289,18 +288,18 @@ def cell_to_json(g: CellGraph) -> dict:
     }
 
 
-# -- transition matrix ------------------------------------------------------
+# -- adjacency rows ---------------------------------------------------------
 
 
-def transition_matrix(g: CellGraph) -> list[list[Fraction]]:
-    """Simple-random-walk step matrix: row x spreads 1/deg(x) over neighbors."""
-    rows = []
-    for x in range(g.n):
-        deg = g.degree(x)
-        row = [Fraction(0)] * g.n
+def adjacency_rows(g: CellGraph) -> list[list[int]]:
+    """0/1 adjacency rows of the cell; row x sums to deg(x).
+
+    The simple-random-walk step matrix is diag(degrees)^-1 times these rows.
+    """
+    rows = [[0] * g.n for _ in range(g.n)]
+    for x, row in enumerate(rows):
         for y in g.neighbors(x):
-            row[y] = Fraction(1, deg)
-        rows.append(row)
+            row[y] = 1
     return rows
 
 

@@ -1,13 +1,15 @@
 """Walk generating functions of a finite cell.
 
-Everything here is exact: entries of (I - zT)^{-1} are rational functions
-over Fraction coefficients, poles are isolated as root brackets, and the
-analytic facts needed downstream (simple poles, pole ordering, expansion
-of the transition function between its fixed points) are checked by root
-counts rather than floating point, by Descartes' rule of signs: V <= 1
-sign variations on an interval is an exact count, since the roots there,
-with multiplicity, are at most V and of V's parity, and V >= 2 bisects
-the interval until every piece has V <= 1.
+Everything here is exact.  The walk matrices P_f and P_d are the cell's
+masked adjacency rows over its vertex degrees, all integers, and one
+fraction-free elimination of each gives the entries of (I - zT)^{-1} that
+f and d need as rational functions.  Poles are isolated as root
+brackets, and the analytic facts needed downstream (simple poles, pole
+ordering, expansion of the transition function between its fixed points)
+are checked by root counts rather than floating point, by Descartes'
+rule of signs: V <= 1 sign variations on an interval is an exact count,
+since the roots there, with multiplicity, are at most V and of V's
+parity, and V >= 2 bisects the interval until every piece has V <= 1.
 """
 
 from __future__ import annotations
@@ -32,11 +34,9 @@ from .cells import (
     CellError,
     CellGraph,
     CellReport,
+    adjacency_rows,
     require_valid,
-    transition_matrix,
 )
-
-Matrix = list[list[Fraction]]
 
 
 class KernelError(CellError):
@@ -46,22 +46,24 @@ class KernelError(CellError):
 # -- the two modified step matrices ------------------------------------------
 
 
-def build_pf(g: CellGraph) -> Matrix:
-    """Step matrix whose walks may never enter a non-origin boundary vertex."""
-    t = transition_matrix(g)
+def build_pf(g: CellGraph) -> list[list[int]]:
+    """Rows C of P_f = diag(degrees)^-1 C, whose walks may never enter a
+    non-origin boundary vertex."""
+    c = adjacency_rows(g)
     for i in range(g.theta, g.n):
         for j in range(1, g.theta):
-            t[i][j] = Fraction(0)
-    return t
+            c[i][j] = 0
+    return c
 
 
-def build_pd(g: CellGraph) -> Matrix:
-    """Step matrix with non-origin boundary vertices made absorbing."""
-    t = transition_matrix(g)
+def build_pd(g: CellGraph) -> list[list[int]]:
+    """Rows C of P_d = diag(degrees)^-1 C, with non-origin boundary vertices
+    made absorbing."""
+    c = adjacency_rows(g)
     for i in range(1, g.theta):
         for j in range(g.theta, g.n):
-            t[i][j] = Fraction(0)
-    return t
+            c[i][j] = 0
+    return c
 
 
 # -- poles -------------------------------------------------------------------
@@ -178,8 +180,9 @@ def cell_functions(g: CellGraph, report: CellReport | None = None) -> CellFuncti
         report = require_valid(g)
     elif not report.valid:
         raise KernelError("cell_functions needs the report of a valid cell")
-    det_f, (f_num,) = resolvent_row(build_pf(g), [0])
-    det_d, d_nums = resolvent_row(build_pd(g), range(1, g.theta))
+    degrees = g.degrees()
+    det_f, (f_num,) = resolvent_row(degrees, build_pf(g), [0])
+    det_d, d_nums = resolvent_row(degrees, build_pd(g), range(1, g.theta))
     f = RatFunc(f_num, det_f)
     d = RatFunc(sum(d_nums, Poly([0])), det_d)
     # 1 - 1/f, over f's coprime numerator and denominator.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra.matrix import bareiss_solve
-from .cells import CellError, CellGraph, require_valid
+from .cells import CellError, CellGraph, adjacency_rows, require_valid
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,9 @@ def harmonic_function(g: CellGraph, validate: bool = True) -> HarmonicSolution:
     """Solve the interior mean-value system exactly, in integers.
 
     Boundary conditions: 1 at vertex 0, 0 at vertices 1..theta-1.  Over
-    the interior vertices the system is M x = b, with M = diag(degree)
-    minus the interior adjacency and b_v the number of edges from v to the
+    the interior vertices theta..n-1 the system is M x = b, read off the
+    cell's adjacency rows: M = diag(degree) minus the interior block of the
+    adjacency, and b_v the entry of row v in column 0, the edge to the
     origin.  M is a symmetric Z-matrix, diagonally dominant, and strictly
     so on the rows next to the boundary; a connected cell joins every
     interior vertex to such a row, so M is nonsingular.  A nonsingular,
@@ -44,22 +45,15 @@ def harmonic_function(g: CellGraph, validate: bool = True) -> HarmonicSolution:
     """
     if validate:
         require_valid(g, check_automorphisms=False)
-    interior = list(g.interior)
-    index = {v: k for k, v in enumerate(interior)}
-    rows = []
-    for v in interior:
-        row = [0] * (len(interior) + 1)
-        row[index[v]] = g.degree(v)
-        for u in g.neighbors(v):
-            if u == 0:
-                row[-1] += 1
-            elif u >= g.theta:
-                row[index[u]] -= 1
+    theta, rows = g.theta, []
+    for v, adj in enumerate(adjacency_rows(g)[theta:], theta):
+        row = [-x for x in adj[theta:]] + [adj[0]]
+        row[v - theta] += g.degree(v)
         rows.append(row)
     det, ys = bareiss_solve(rows)
     values = [Fraction(0)] * g.n
     values[0] = Fraction(1)
-    for v, y in zip(interior, ys):
+    for v, y in zip(g.interior, ys):
         values[v] = Fraction(y, det)
     w = None
     if g.theta == 2 and g.degree(0) == 1:

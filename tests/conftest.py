@@ -38,10 +38,10 @@ from cellgreen import (
     sufficient_approximant,
     validate_cell,
 )
-from cellgreen.cells import transition_matrix
+from cellgreen.cells import adjacency_rows
 from cellgreen.greenkernel import spectral_property_report
 from cellgreen.harmonic import alpha_from_harmonic
-from routes import PowerSeries, fraction_series, green_entry
+from routes import PowerSeries, fraction_rows, fraction_series, green_entry
 
 ORACLE_STEP_CAP = 20
 
@@ -183,7 +183,8 @@ def cell_green_series():
     """Return-walk series of a finite cell at its origin, `count` coefficients."""
 
     def series(g: CellGraph, count: int) -> PowerSeries:
-        return fraction_series(green_entry(transition_matrix(g), 0, 0), count)
+        t = fraction_rows(g.degrees(), adjacency_rows(g))
+        return fraction_series(green_entry(t, 0, 0), count)
 
     return series
 

@@ -22,7 +22,9 @@ took before it evaluated once at z = 1/2^K: one elimination per node
 z = k/(n+1), k = 0..n, each giving the determinant and a whole adjugate
 row, and Newton interpolation in k (interpolate).  resolvent_det and
 green_entry give any entry of (I - zT)^{-1} for the cross-checks, even
-where I - zT is not diagonally dominant.  grid_expansion samples the
+where I - zT is not diagonally dominant; they take T as Fraction rows,
+which fraction_rows builds from the integer row scales and rows that
+resolvent_row takes, and integer_rows turns back.  grid_expansion samples the
 expansion inequalities that spectral_property_report certifies.
 reference_monte_carlo is the per-walker walk that monte_carlo's count
 walk replaced, kept as a reference in law; reference_count_walk is the
@@ -59,11 +61,12 @@ from cellgreen.algebra.brackets import DEFAULT_LOG_ERR
 from cellgreen.algebra.matrix import _exact_div, bareiss_solve
 from cellgreen.algebra.poly import clear_denominators
 from cellgreen.algebra.series import pack_slots, scaled_fractions, unpack_slots
-from cellgreen.greenkernel import CellFunctions, Matrix
+from cellgreen.greenkernel import CellFunctions
 from cellgreen.iteration import GreenSeries
 
 
 Scalar = Union[Fraction, int]
+Matrix = list[list[Fraction]]
 
 
 class PowerSeries:
@@ -344,48 +347,51 @@ def interpolate(values: Sequence[int]) -> list[int]:
     return coeffs
 
 
-def interpolated_resolvent_row(
-    t: Sequence[Sequence[Fraction]], cols: Sequence[int]
-) -> tuple[Poly, list[Poly]]:
-    """``resolvent_row(t, cols)`` by n + 1 eliminations and interpolation.
+def fraction_rows(a: Sequence[int], c: Sequence[Sequence[int]]) -> Matrix:
+    """T = diag(a)^-1 C as Fraction rows, for the routes that take T."""
+    return [[Fraction(x, s) for x in row] for s, row in zip(a, c)]
 
-    With A and B as in ``resolvent_row``, at the nodes z = k/(n+1),
-    k = 0..n, the integer matrix N_k = (n+1)A + kB = (n+1)(A + zB) has
+
+def integer_rows(t: Matrix) -> tuple[list[int], list[list[int]]]:
+    """``(a, c)`` with T = diag(a)^-1 C: each row over the lcm of its
+    denominators, 1 for a zero row."""
+    cleared = [clear_denominators(row) for row in t]
+    return [den for _, den in cleared], [ints for ints, _ in cleared]
+
+
+def interpolated_resolvent_row(
+    a: Sequence[int], c: Sequence[Sequence[int]], cols: Sequence[int]
+) -> tuple[Poly, list[Poly]]:
+    """``resolvent_row(a, c, cols)`` by n + 1 eliminations and interpolation.
+
+    With A = diag(a) and C as in ``resolvent_row``, at the nodes z = k/(n+1),
+    k = 0..n, the integer matrix N_k = (n+1)A - kC = (n+1)(A - zC) has
     det N_k = (n+1)^n p(z) and adj(N_k)[0][j] = (n+1)^(n-1) q_j(z),
     integer polynomials in k whose coefficient m is p_m (n+1)^(n-m) and
     q_jm (n+1)^(n-1-m): ``interpolate`` gives them, and dividing by the
     power of n + 1 is exact.  Every node has 0 <= z < 1, where the
     dominance lemma makes each pivot nonzero.
     """
-    n = len(t)
-    if any(len(r) != n for r in t):
-        raise ValueError("matrix must be square")
-    diag, b_cols = [], [[0] * n for _ in range(n)]  # b_cols[j][i] is B[i][j]
-    for i, row in enumerate(t):
-        ints, _ = clear_denominators([1, *(-x for x in row)])
-        if sum(map(abs, ints[1:])) > ints[0]:
-            raise ValueError("resolvent_row needs row absolute sums at most 1")
-        diag.append(ints[0])
-        for col, b in zip(b_cols, ints[1:]):
-            col[i] = b
+    n = len(a)
     s = n + 1
 
     def node(k: int) -> tuple[int, list[int]]:
-        mt = [[k * b for b in col] + [int(j == 0)] for j, col in enumerate(b_cols)]
-        for j, a in enumerate(diag):
-            mt[j][j] += s * a
+        mt = [[-k * x for x in col] for col in zip(*c)]
+        for j, d in enumerate(a):
+            mt[j][j] += s * d
+            mt[j].append(int(j == 0))
         return bareiss_solve(mt)
 
     def rescaled(values: Sequence[int], top: int, scale: Fraction) -> Poly:
         coeffs = interpolate(values[: top + 1])
         return Poly.from_ints(
-            (_exact_div(c, s ** (top - m)) for m, c in enumerate(coeffs)), scale
+            (_exact_div(v, s ** (top - m)) for m, v in enumerate(coeffs)), scale
         )
 
     dets, ys = zip(*map(node, range(s)))
-    total = math.prod(diag)
+    total = math.prod(a)
     return rescaled(dets, n, Fraction(1, total)), [
-        rescaled([y[j] for y in ys], n - 1, Fraction(diag[j], total)) for j in cols
+        rescaled([y[j] for y in ys], n - 1, Fraction(a[j], total)) for j in cols
     ]
 
 

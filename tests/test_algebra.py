@@ -61,7 +61,9 @@ from routes import (
     rf_sub,
     fraction_atanh_bracket,
     fraction_ln_bracket,
+    fraction_rows,
     fraction_series,
+    integer_rows,
     signed_product,
     solve_linear,
 )
@@ -1258,38 +1260,83 @@ substochastic_matrices = st.integers(0, 6).flatmap(
 )
 
 
+@st.composite
+def integer_matrices(draw, min_size=0):
+    """``(a, c)`` with 1 <= a_i <= 6 and sum_j |c_ij| <= a_i, of both signs."""
+    n = draw(st.integers(min_size, 6))
+    a, c = [], []
+    for _ in range(n):
+        a.append(draw(st.integers(1, 6)))
+        row, budget = [], a[-1]
+        for _ in range(n):
+            row.append(draw(st.integers(-budget, budget)))
+            budget -= abs(row[-1])
+        c.append(draw(st.permutations(row)))
+    return a, c
+
+
 class TestResolventRow:
-    @given(substochastic_matrices)
+    @given(st.one_of(integer_matrices(), substochastic_matrices.map(integer_rows)))
     # Zero (absorbing) rows; eigenvalue 1/2, where I - zT is singular at
     # z = 2; a stochastic swap, singular at z = 1 and z = -1; a negative
-    # diagonal; and the empty matrix.
-    @example([[0, 0, 0], [Fraction(1, 2), 0, Fraction(1, 2)], [0, 0, 0]])
-    @example([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
-    @example([[Fraction(1, 2)]])
-    @example([[0, 1], [1, 0]])
-    @example([[Fraction(-1, 3), Fraction(2, 3)], [0, Fraction(-1)]])
-    @example([])
-    def test_matches_generic_bareiss_and_laplace(self, t):
+    # diagonal; the empty matrix; a zero row with a scale above 1; and
+    # p = (1 + z)^2, whose middle coefficient 2 needs the diagonal's |c_ii|
+    # in the bound.
+    @example(integer_rows([[0, 0, 0], [Fraction(1, 2), 0, Fraction(1, 2)], [0, 0, 0]]))
+    @example(integer_rows([[0, Fraction(1, 2)], [Fraction(1, 2), 0]]))
+    @example(integer_rows([[Fraction(1, 2)]]))
+    @example(integer_rows([[0, 1], [1, 0]]))
+    @example(integer_rows([[Fraction(-1, 3), Fraction(2, 3)], [0, Fraction(-1)]]))
+    @example(integer_rows([]))
+    @example(([2, 3], [[0, 0], [1, -2]]))
+    @example(([1, 1], [[-1, 0], [0, -1]]))
+    def test_matches_generic_bareiss_and_laplace(self, ac):
+        a, c = ac
+        t = fraction_rows(a, c)
         n = len(t)
         m = [[P(int(i == j), -t[i][j]) for j in range(n)] for i in range(n)]
-        det, row = resolvent_row(t, range(n))
+        det, row = resolvent_row(a, c, range(n))
         assert det == generic_bareiss(m) == det_laplace(m)
         for j, entry in enumerate(row):
             sub = minor(m, j, 0)
             sign = -1 if j % 2 else 1
             assert entry == sign * generic_bareiss(sub) == sign * det_laplace(sub)
 
+    @given(integer_matrices(min_size=1), st.data())
+    def test_scaling_a_row_leaves_the_outputs_unchanged(self, ac, data):
+        # T = diag(a)^-1 C is the same matrix: P_d's absorbing rows carry
+        # a_i = deg(i) where rows with cleared denominators carried 1.
+        a, c = ac
+        i = data.draw(st.integers(0, len(a) - 1))
+        k = data.draw(st.integers(2, 5))
+        scaled_a = [s * k if r == i else s for r, s in enumerate(a)]
+        scaled_c = [[x * k for x in row] if r == i else row for r, row in enumerate(c)]
+        cols = range(len(a))
+        assert resolvent_row(scaled_a, scaled_c, cols) == resolvent_row(a, c, cols)
+
     def test_columns_pick_entries_of_the_row(self):
-        t = [[0, Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), 0, 0], [0, 1, 0]]
-        det, row = resolvent_row(t, range(3))
-        det2, picked = resolvent_row(t, [2, 0])
+        # T = [[0, 1/2, 1/3], [1/4, 0, 0], [0, 1, 0]].
+        a, c = [6, 4, 1], [[0, 3, 2], [1, 0, 0], [0, 1, 0]]
+        det, row = resolvent_row(a, c, range(3))
+        det2, picked = resolvent_row(a, c, [2, 0])
         assert det2 == det and picked == [row[2], row[0]]
 
     def test_row_sum_above_one_rejected(self):
+        # Rows [1/2, 2/3] and [-3/4, 1/3] of T.
         with pytest.raises(ValueError, match="at most 1"):
-            resolvent_row([[Fraction(1, 2), Fraction(2, 3)], [0, 0]], [0])
+            resolvent_row([6, 1], [[3, 4], [0, 0]], [0])
         with pytest.raises(ValueError, match="at most 1"):
-            resolvent_row([[0, 0], [Fraction(-3, 4), Fraction(1, 3)]], [0])
+            resolvent_row([1, 12], [[0, 0], [-9, 4]], [0])
+
+    def test_zero_scale_rejected(self):
+        # A zero row with a_i = 0 passes the row-sum check, and its pivot
+        # would be 0.
+        with pytest.raises(ValueError, match="positive row scales"):
+            resolvent_row([1, 0], [[0, 1], [0, 0]], [0])
+
+    def test_negative_scale_rejected(self):
+        with pytest.raises(ValueError, match="positive row scales"):
+            resolvent_row([1, -2], [[0, 1], [0, 0]], [0])
 
     def test_zero_pivot_raises_without_a_swap(self):
         # [[0, 1], [1, 0]] is invertible, but its first leading minor is 0.
@@ -1299,8 +1346,8 @@ class TestResolventRow:
     def test_one_elimination_per_call(self, count_calls):
         calls = count_calls("cellgreen.algebra.matrix", "bareiss_solve")
         g = builtin_cell("theta4")
-        for t, cols in ((build_pf(g), [0]), (build_pd(g), range(1, g.theta))):
-            resolvent_row(t, cols)
+        for c, cols in ((build_pf(g), [0]), (build_pd(g), range(1, g.theta))):
+            resolvent_row(g.degrees(), c, cols)
         assert len(calls) == 2
 
     def test_negative_entries_give_coefficients_of_both_signs(self):
@@ -1308,13 +1355,14 @@ class TestResolventRow:
         # p = (1 + z)^5 (1 - z).  The coefficient 5 is above the digit
         # range that the off-diagonal weights alone would allow.
         n = 7
-        t = [[Fraction(0)] * n for _ in range(n)]
-        t[0][1], t[0][6] = Fraction(1, 2), Fraction(-1, 2)
+        a, c = [2] + [1] * (n - 1), [[0] * n for _ in range(n)]
+        c[0][1], c[0][6] = 1, -1
         for i in range(1, 6):
-            t[i][i] = Fraction(-1)
-        t[6][6] = Fraction(1)
+            c[i][i] = -1
+        c[6][6] = 1
+        t = fraction_rows(a, c)
         m = [[P(int(i == j), -t[i][j]) for j in range(n)] for i in range(n)]
-        det, row = resolvent_row(t, range(n))
+        det, row = resolvent_row(a, c, range(n))
         assert det == P(1, 4, 5, 0, -5, -4, -1) == det_laplace(m)
         for j, entry in enumerate(row):
             sign = -1 if j % 2 else 1

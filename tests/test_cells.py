@@ -1,10 +1,9 @@
-"""Cell graphs: parsing, validation, transition matrices, enumeration."""
+"""Cell graphs: parsing, validation, adjacency rows, enumeration."""
 
 import hashlib
 import itertools
 import json
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -22,12 +21,12 @@ from cellgreen.cells import (
     _cliques_through,
     _norm_edge,
     _reachable,
+    adjacency_rows,
     boundary_doubly_transitive,
     cell_to_json,
     cell_to_text,
     connected_graph_classes,
     has_automorphism,
-    transition_matrix,
 )
 from routes import scan_graph_classes
 
@@ -366,28 +365,27 @@ class TestValidation:
 
 
 class TestTransitionMatrix:
+    # The step matrix is diag(degrees)^-1 times the adjacency rows.
     def test_diamond_matrix(self):
-        t = transition_matrix(builtin_cell("diamond"))
-        h = Fraction(1, 2)
-        q = Fraction(1, 3)
-        assert t == [
+        g = builtin_cell("diamond")
+        assert adjacency_rows(g) == [
             [0, 0, 1, 0, 0, 0],
             [0, 0, 0, 1, 0, 0],
-            [q, 0, 0, 0, q, q],
-            [0, q, 0, 0, q, q],
-            [0, 0, h, h, 0, 0],
-            [0, 0, h, h, 0, 0],
+            [1, 0, 0, 0, 1, 1],
+            [0, 1, 0, 0, 1, 1],
+            [0, 0, 1, 1, 0, 0],
+            [0, 0, 1, 1, 0, 0],
         ]
+        assert g.degrees() == (1, 1, 3, 3, 2, 2)
 
     def test_path2_matrix(self):
-        t = transition_matrix(builtin_cell("path2"))
-        h = Fraction(1, 2)
-        assert t == [[0, 0, 1], [0, 0, 1], [h, h, 0]]
+        g = builtin_cell("path2")
+        assert adjacency_rows(g) == [[0, 0, 1], [0, 0, 1], [1, 1, 0]]
+        assert g.degrees() == (1, 1, 2)
 
     def test_rows_sum_to_one_everywhere(self, enumerated_cells):
         for g in enumerated_cells:
-            for row in transition_matrix(g):
-                assert sum(row) == 1
+            assert [sum(row) for row in adjacency_rows(g)] == list(g.degrees())
 
 
 @pytest.fixture(scope="module")

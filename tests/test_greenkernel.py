@@ -20,10 +20,9 @@ from cellgreen.algebra import (
     resolvent_row,
     smallest_positive_root,
 )
-from cellgreen.cells import transition_matrix
+from cellgreen.cells import adjacency_rows
 from cellgreen.cli import _pole_json
 from cellgreen.greenkernel import (
-    Matrix,
     build_pd,
     build_pf,
     radius,
@@ -32,9 +31,11 @@ from cellgreen.greenkernel import (
 )
 from cellgreen.registry import _path
 from routes import (
+    Matrix,
     _cofactor,
     _resolvent_matrix,
     det_linear,
+    fraction_rows,
     fraction_series,
     green_entry,
     grid_expansion,
@@ -50,6 +51,12 @@ from routes import (
 
 def P(*coeffs) -> Poly:
     return Poly([Fraction(c) for c in coeffs])
+
+
+def walk_matrix(g, rows=adjacency_rows) -> Matrix:
+    """The step matrix of g, or P_f or P_d with ``build_pf`` or ``build_pd``,
+    as Fraction rows for the routes that take T."""
+    return fraction_rows(g.degrees(), rows(g))
 
 
 # -- finite-cell coefficient asymptotics: a route only these tests use ---------
@@ -148,12 +155,12 @@ def arithmetic_route(g) -> tuple[RatFunc, RatFunc]:
     and r is 1 - 1/f; cell_functions instead sums the cofactors over one
     denominator and writes r over f's numerator.
     """
-    pd = build_pd(g)
+    pd = walk_matrix(g, build_pd)
     det_d = resolvent_det(pd)
     d = RatFunc(Poly([0]))
     for j in range(1, g.theta):
         d = rf_add(d, green_entry(pd, 0, j, det_d))
-    f = green_entry(build_pf(g), 0, 0)
+    f = green_entry(walk_matrix(g, build_pf), 0, 0)
     return d, rf_sub(1, rf_div(1, f))
 
 
@@ -168,31 +175,58 @@ def path2_cf():
 
 
 class TestModifiedMatrices:
+    # P = diag(degrees)^-1 C, with diamond's degrees (1, 1, 3, 3, 2, 2).
     def test_diamond_pf_blocks_interior_to_far_boundary(self):
-        pf = build_pf(builtin_cell("diamond"))
-        q = Fraction(1, 3)
-        h = Fraction(1, 2)
-        assert pf[3] == [0, 0, 0, 0, q, q]
-        assert pf[2] == [q, 0, 0, 0, q, q]
-        assert pf[4] == [0, 0, h, h, 0, 0]
-        assert pf[0] == [0, 0, 1, 0, 0, 0]
-        assert pf[1] == [0, 0, 0, 1, 0, 0]
+        g = builtin_cell("diamond")
+        pf = build_pf(g)
+        assert pf == [
+            [0, 0, 1, 0, 0, 0],
+            [0, 0, 0, 1, 0, 0],
+            [1, 0, 0, 0, 1, 1],
+            [0, 0, 0, 0, 1, 1],
+            [0, 0, 1, 1, 0, 0],
+            [0, 0, 1, 1, 0, 0],
+        ]
+        # Only row 3 loses its edge to the far boundary vertex 1.
+        assert [sum(row) for row in pf] == [1, 1, 3, 2, 2, 2]
+        assert g.degrees() == (1, 1, 3, 3, 2, 2)
+        q, h = Fraction(1, 3), Fraction(1, 2)
+        t = walk_matrix(g, build_pf)
+        assert t[3] == [0, 0, 0, 0, q, q]
+        assert t[2] == [q, 0, 0, 0, q, q]
+        assert t[4] == [0, 0, h, h, 0, 0]
+        assert t[0] == [0, 0, 1, 0, 0, 0]
+        assert t[1] == [0, 0, 0, 1, 0, 0]
 
     def test_diamond_pd_absorbs_far_boundary(self):
-        pd = build_pd(builtin_cell("diamond"))
-        assert pd[1] == [0, 0, 0, 0, 0, 0]
-        assert pd[0] == [0, 0, 1, 0, 0, 0]
-        assert pd[3] == [0, Fraction(1, 3), 0, 0, Fraction(1, 3), Fraction(1, 3)]
+        g = builtin_cell("diamond")
+        pd = build_pd(g)
+        assert pd == [
+            [0, 0, 1, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0],
+            [1, 0, 0, 0, 1, 1],
+            [0, 1, 0, 0, 1, 1],
+            [0, 0, 1, 1, 0, 0],
+            [0, 0, 1, 1, 0, 0],
+        ]
+        assert [sum(row) for row in pd] == [1, 0, 3, 3, 2, 2]
+        q = Fraction(1, 3)
+        t = walk_matrix(g, build_pd)
+        assert t[1] == [0, 0, 0, 0, 0, 0]
+        assert t[0] == [0, 0, 1, 0, 0, 0]
+        assert t[3] == [0, q, 0, 0, q, q]
 
     def test_determinants_agree_and_match_hand_value(self):
         g = builtin_cell("diamond")
-        det_f, det_d = resolvent_det(build_pf(g)), resolvent_det(build_pd(g))
+        det_f = resolvent_det(walk_matrix(g, build_pf))
+        det_d = resolvent_det(walk_matrix(g, build_pd))
         assert det_f == det_d
         assert det_f == P(1, 0, -1, 0, Fraction(1, 9))
 
     def test_cell_functions_carry_the_determinants(self, diamond_cf):
         g = builtin_cell("diamond")
-        det_f, det_d = resolvent_det(build_pf(g)), resolvent_det(build_pd(g))
+        det_f = resolvent_det(walk_matrix(g, build_pf))
+        det_d = resolvent_det(walk_matrix(g, build_pd))
         assert diamond_cf.det_f == det_f
         assert diamond_cf.det_d == det_d
 
@@ -207,9 +241,9 @@ class TestResolventRow:
         singular = 0
         for g in [*enumerated_cells, *map(builtin_cell, builtin_names())]:
             at_integer = False
-            for t, cols in ((build_pf(g), [0]), (build_pd(g), range(1, g.theta))):
-                det, row = resolvent_row(t, cols)
-                m = _resolvent_matrix(t)
+            for c, cols in ((build_pf(g), [0]), (build_pd(g), range(1, g.theta))):
+                det, row = resolvent_row(g.degrees(), c, cols)
+                m = _resolvent_matrix(fraction_rows(g.degrees(), c))
                 assert det == det_linear(m)
                 assert row == [_cofactor(m, 0, j) for j in cols]
                 at_integer |= any(det(z) == 0 for z in range(1, g.n + 1))
@@ -222,8 +256,10 @@ class TestResolventRow:
         cells = [*enumerated_cells, *map(builtin_cell, builtin_names())]
         assert len(cells) == 741
         for g in [*cells, _path(20), _path(40)]:
-            for t, cols in ((build_pf(g), [0]), (build_pd(g), range(1, g.theta))):
-                assert resolvent_row(t, cols) == interpolated_resolvent_row(t, cols)
+            a = g.degrees()
+            for c, cols in ((build_pf(g), [0]), (build_pd(g), range(1, g.theta))):
+                got = resolvent_row(a, c, cols)
+                assert got == interpolated_resolvent_row(a, c, cols)
 
 
 class TestGreenEntry:
@@ -232,18 +268,18 @@ class TestGreenEntry:
         assert green_entry(t, 0, 0) == RatFunc(P(1), P(1))
 
     def test_given_denominator_gives_the_same_entry(self):
-        t = build_pd(builtin_cell("sierpinski"))
+        t = walk_matrix(builtin_cell("sierpinski"), build_pd)
         den = resolvent_det(t)
         for j in range(3):
             assert green_entry(t, 0, j, den) == green_entry(t, 0, j)
 
     def test_diamond_origin_entry(self):
-        t = transition_matrix(builtin_cell("diamond"))
+        t = walk_matrix(builtin_cell("diamond"))
         got = green_entry(t, 0, 0)
         assert got == RatFunc(P(9, 0, -9, 0, 1), P(9, 0, -12, 0, 3))
 
     def test_path2_origin_entry(self):
-        t = transition_matrix(builtin_cell("path2"))
+        t = walk_matrix(builtin_cell("path2"))
         assert green_entry(t, 0, 0) == RatFunc(P(2, 0, -1), P(2, 0, -2))
 
     def test_elimination_route_agrees_on_every_small_cell(self, enumerated_cells):
@@ -255,7 +291,8 @@ class TestGreenEntry:
         for g in enumerated_cells:
             n = g.n
             points = [Fraction(k, 2 * n + 2) for k in range(1, 2 * n + 2)]
-            for t, j in ((build_pf(g), 0), (build_pd(g), 1)):
+            for build, j in ((build_pf, 0), (build_pd, 1)):
+                t = walk_matrix(g, build)
                 entry = green_entry(t, 0, j)
                 assert entry.num.degree <= n and entry.den.degree <= n
                 for z in points:
@@ -266,7 +303,7 @@ class TestGreenEntry:
     def test_offdiagonal_entry_transpose_convention(self):
         # first-step decomposition: G(v1, w | z) = z/deg(v1) * sum over
         # neighbors of the w-column entries, checked on the path cell
-        t = transition_matrix(builtin_cell("path2"))
+        t = walk_matrix(builtin_cell("path2"))
         g01 = green_entry(t, 0, 1)
         g21 = green_entry(t, 2, 1)
         z = RatFunc(P(0, 1), P(1))
@@ -504,7 +541,7 @@ class TestSeriesNonnegativity:
 
 class TestAsymptotics:
     def test_diamond_convergence_to_stationary_mass(self):
-        t = transition_matrix(builtin_cell("diamond"))
+        t = walk_matrix(builtin_cell("diamond"))
         rep = asymptotic_check(t, 0, 40)
         assert rep.bipartite
         assert rep.phi == Fraction(1, 6)
@@ -517,7 +554,7 @@ class TestAsymptotics:
         assert rep.even_relative_errors[3] == Fraction(1, 9)
 
     def test_path2_hits_stationary_mass_immediately(self):
-        t = transition_matrix(builtin_cell("path2"))
+        t = walk_matrix(builtin_cell("path2"))
         rep = asymptotic_check(t, 0, 10)
         assert rep.phi == Fraction(1, 2)
         assert rep.even_relative_errors[1:] == (0, 0, 0, 0, 0)
@@ -529,7 +566,7 @@ class TestAsymptotics:
             asymptotic_check([[Fraction(1, 2)]], 0, 4)
 
     def test_sierpinski_not_bipartite(self):
-        t = transition_matrix(builtin_cell("sierpinski"))
+        t = walk_matrix(builtin_cell("sierpinski"))
         rep = asymptotic_check(t, 0, 12)
         assert not rep.bipartite
         assert rep.odd_coefficients_zero is None
