@@ -79,12 +79,6 @@ class Approximant:
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
 
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """The sorted neighbour tuple of every vertex (for the tests)."""
-        flat = self.indices.tolist()
-        ends = self.indptr.tolist()
-        return tuple(tuple(flat[s:e]) for s, e in zip(ends, ends[1:]))
-
 
 def _bfs(indptr: np.ndarray, indices: np.ndarray, origin: int):
     """Yield (vertex, distance) in BFS order from origin.
@@ -510,21 +504,16 @@ class WalkStats:
     estimate: Fraction
     std_err: float
     seed: int
-    workers: int
 
 
-def monte_carlo(
-    a: Approximant, n: int, trials: int, seed: int, workers: int = 1
-) -> WalkStats:
+def monte_carlo(a: Approximant, n: int, trials: int, seed: int) -> WalkStats:
     """Estimate p^(n)(origin, origin) by a seeded walk of occupation counts.
 
-    The trial count is split evenly over `workers` PCG64 streams spawned
-    from the master seed (remainder to the first streams).  The streams
-    run one after another in this process: `workers` fixes the split, not
-    a degree of parallelism.  Results are bit-for-bit reproducible for a
-    fixed (seed, workers).
+    The walk draws from one PCG64 stream, the first child that
+    SeedSequence(seed) spawns, so results are bit-for-bit reproducible for
+    a fixed seed.
 
-    The walkers are independent and exchangeable, so a stream keeps only
+    The walkers are independent and exchangeable, so the walk keeps only
     the occupied vertices, in increasing order, and the number of walkers
     at each.  One step sends the c walkers at a vertex of degree d to its d
     neighbours in counts drawn Multinomial(c; 1/d, ..., 1/d), independently
@@ -549,40 +538,29 @@ def monte_carlo(
         raise ValueError(f"step count must be nonnegative, got {n}")
     if trials < 1:
         raise ValueError("need at least one trial")
-    if workers < 1:
-        raise ValueError("need at least one worker")
     deg = np.diff(a.indptr)
-
-    # spawn(1) per worker gives the streams of spawn(workers) without
-    # holding all of them at once.
-    root = np.random.SeedSequence(seed)
-    base, rem = divmod(trials, workers)
-    hits = 0
-    for w in range(workers):
-        rng = np.random.Generator(np.random.PCG64(root.spawn(1)[0]))
-        todo = base + (1 if w < rem else 0)
-        if not todo:
-            continue
-        occupied = np.array([a.origin])
-        counts = np.array([todo], dtype=np.int64)
-        for _ in range(n):
-            d_at = deg[occupied]
-            to, moved = [], []
-            for d in np.unique(d_at).tolist():
-                group = d_at == d
-                moved.append(rng.multinomial(counts[group], [1 / d] * d).ravel())
-                cols = a.indptr[occupied[group], None] + np.arange(d)
-                to.append(a.indices[cols].ravel())
-            to, moved = np.concatenate(to), np.concatenate(moved)
-            some = moved > 0
-            occupied, slot = np.unique(to[some], return_inverse=True)
-            counts = np.zeros(len(occupied), dtype=np.int64)
-            np.add.at(counts, slot, moved[some])
-        hits += int(counts[occupied == a.origin].sum())
+    stream = np.random.SeedSequence(seed).spawn(1)[0]
+    rng = np.random.Generator(np.random.PCG64(stream))
+    occupied = np.array([a.origin])
+    counts = np.array([trials], dtype=np.int64)
+    for _ in range(n):
+        d_at = deg[occupied]
+        to, moved = [], []
+        for d in np.unique(d_at).tolist():
+            group = d_at == d
+            moved.append(rng.multinomial(counts[group], [1 / d] * d).ravel())
+            cols = a.indptr[occupied[group], None] + np.arange(d)
+            to.append(a.indices[cols].ravel())
+        to, moved = np.concatenate(to), np.concatenate(moved)
+        some = moved > 0
+        occupied, slot = np.unique(to[some], return_inverse=True)
+        counts = np.zeros(len(occupied), dtype=np.int64)
+        np.add.at(counts, slot, moved[some])
+    hits = int(counts[occupied == a.origin].sum())
     p = hits / trials
     return WalkStats(
         n=n, trials=trials, hits=hits, estimate=Fraction(hits, trials),
-        std_err=math.sqrt(p * (1 - p) / trials), seed=seed, workers=workers,
+        std_err=math.sqrt(p * (1 - p) / trials), seed=seed,
     )
 
 

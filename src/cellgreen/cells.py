@@ -255,9 +255,6 @@ def parse_cell(text: str, name: str | None = None) -> CellGraph:
                 if len(parts) != 3:
                     raise CellParseError("edge needs two endpoints", lineno)
                 edges.append((int(parts[1]), int(parts[2])))
-            elif kind == "origin":
-                # accepted for approximant files; ignored for cells
-                int(parts[1])
             else:
                 raise CellParseError(f"unknown directive {kind!r}", lineno)
         except (IndexError, ValueError) as exc:

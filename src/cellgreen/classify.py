@@ -121,7 +121,7 @@ def classify(
         )
     if cf is None:
         cf = cell_functions(g, report=report)
-    inv = invariants(g, cf)
+    inv = invariants(cf)
     hyp = iteration_hypotheses(cf.d)
     star = report.is_path
     if star:
@@ -176,7 +176,7 @@ def verify_cell(
     ))
 
     if g.theta == 2:
-        ha = alpha_from_harmonic(harmonic_function(g, validate=False))
+        ha = alpha_from_harmonic(harmonic_function(g))
         consistent = AlphaMuReport(ha, report.mu, report.is_path).consistent
         kind = "equality on a path" if report.is_path else "strict"
         items.append(check("alpha_mu", consistent, f"alpha={ha} mu={report.mu} {kind}"))

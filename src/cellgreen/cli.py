@@ -74,14 +74,14 @@ MAX_ENUMERATE_VERTICES = 8
 # order <= 400.
 MAX_ORDER = 1000
 
-# simulate walker steps, max(--trials, 4096 x --workers) x max(--steps, 1).
-# A step of one worker's stream costs its occupied vertices, at most the
-# trials, times their degree: about 20 us with one walker, and 0.05-0.4 ms
-# with 4096 to 10^6 walkers spread out.  A stream costs about 30 us more,
-# even for a walk of no steps.  The dearest walk within the budget is about
-# 2.4e6 steps of 4096 walkers spread over a whole approximant: 0.33 ms a
-# step on sierpinski level 8, so about 14 CPU minutes (2-core x86-64,
-# numpy 2.4).  The benchmark's largest is 2.56e7.
+# simulate walker steps, max(--trials, 4096) x max(--steps, 1).  A step
+# costs the occupied vertices, at most the trials, times their degree:
+# about 20 us with one walker, and 0.05-0.4 ms with 4096 to 10^6 walkers
+# spread out, so a walk is charged at least 4096 walkers a step.  A walk
+# of no steps still costs about 30 us.  The dearest walk within the budget
+# is about 2.4e6 steps of 4096 walkers spread over a whole approximant:
+# 0.33 ms a step on sierpinski level 8, so about 14 CPU minutes (2-core
+# x86-64, numpy 2.4).  The benchmark's largest is 2.56e7.
 MAX_WALK_STEPS = 10**10
 
 
@@ -240,9 +240,9 @@ def cmd_green(args):
 def cmd_invariants(args):
     g, meta = _load_cell(args)
     cf = cell_functions(g)
-    body = {"invariants": invariants(g, cf)}
+    body = {"invariants": invariants(cf)}
     if g.theta == 2:
-        h = harmonic_function(g, validate=False)
+        h = harmonic_function(g)
         alpha = alpha_from_harmonic(h)
         body["harmonic"] = h
         body["alpha_from_harmonic"] = alpha
@@ -375,20 +375,14 @@ def cmd_simulate(args):
     _nonnegative("--seed", args.seed)
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    if args.workers < 1:
-        raise ValueError(f"--workers must be at least 1, got {args.workers}")
-    walk = max(args.trials, 4096 * args.workers) * max(args.steps, 1)
-    _within(
-        "max(--trials, 4096 x --workers) x max(--steps, 1)", walk, MAX_WALK_STEPS, "walk"
-    )
+    walk = max(args.trials, 4096) * max(args.steps, 1)
+    _within("max(--trials, 4096) x max(--steps, 1)", walk, MAX_WALK_STEPS, "walk")
     g, meta = _load_cell(args)
     if args.level is None:
         a = sufficient_approximant(g, args.steps, edge_budget=args.edge_budget)
     else:
         a = blowup(g, args.level, edge_budget=args.edge_budget)
-    stats = monte_carlo(
-        a, args.steps, args.trials, args.seed, workers=args.workers
-    )
+    stats = monte_carlo(a, args.steps, args.trials, args.seed)
     sim = {
         "n": stats.n,
         "trials": stats.trials,
@@ -397,7 +391,6 @@ def cmd_simulate(args):
         "estimate_approx": float(stats.estimate),
         "std_err": stats.std_err,
         "seed": stats.seed,
-        "workers": stats.workers,
         "level": a.level,
         "safe_horizon": a.safe_horizon,
         "within_horizon": args.steps <= a.safe_horizon,
@@ -434,7 +427,7 @@ def cmd_probe(args) -> int:
     probe_tail_bounds(points, order)
     g, _meta = _load_cell(args)
     cf = cell_functions(g)
-    inv = invariants(g, cf)
+    inv = invariants(cf)
     gs = green_series(cf, order)
     rows = singular_prefactor_probe(gs, inv, points)
     out = ["z,partial_sum,tail_bound,scaled"]
@@ -536,13 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=4)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="split the trials over this many seeded streams, each a walk "
-        "of walker counts per vertex, run one after another in this process",
-    )
     p.add_argument("--edge-budget", type=int)
     p.set_defaults(func=cmd_simulate)
 

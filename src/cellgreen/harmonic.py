@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra.matrix import bareiss_solve
-from .cells import CellError, CellGraph, adjacency_rows, require_valid
+from .cells import CellError, CellGraph, adjacency_rows
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class HarmonicSolution:
         return self.values[v]
 
 
-def harmonic_function(g: CellGraph, validate: bool = True) -> HarmonicSolution:
+def harmonic_function(g: CellGraph) -> HarmonicSolution:
     """Solve the interior mean-value system exactly, in integers.
 
     Boundary conditions: 1 at vertex 0, 0 at vertices 1..theta-1.  Over
@@ -37,14 +37,13 @@ def harmonic_function(g: CellGraph, validate: bool = True) -> HarmonicSolution:
     cell's adjacency rows: M = diag(degree) minus the interior block of the
     adjacency, and b_v the entry of row v in column 0, the edge to the
     origin.  M is a symmetric Z-matrix, diagonally dominant, and strictly
-    so on the rows next to the boundary; a connected cell joins every
-    interior vertex to such a row, so M is nonsingular.  A nonsingular,
+    so on the rows next to the boundary; every CellGraph is connected,
+    which joins each interior vertex to such a row, so M is nonsingular
+    whether or not validate_cell accepts the cell.  A nonsingular,
     symmetric, diagonally dominant matrix with a positive diagonal is
     positive definite, so every leading principal minor is positive, and
     ``bareiss_solve`` needs no pivoting: H(v) = y_v / det M.
     """
-    if validate:
-        require_valid(g, check_automorphisms=False)
     theta, rows = g.theta, []
     for v, adj in enumerate(adjacency_rows(g)[theta:], theta):
         row = [-x for x in adj[theta:]] + [adj[0]]

@@ -23,14 +23,7 @@ from .algebra.series import (
     scaled_fractions,
     unpack_slots,
 )
-from .cells import CellGraph
-from .greenkernel import (
-    CellFunctions,
-    KernelError,
-    PropertyReport,
-    cell_functions,
-    check,
-)
+from .greenkernel import CellFunctions, KernelError, PropertyReport, check
 
 
 @dataclass(frozen=True)
@@ -238,8 +231,8 @@ class CellInvariants:
     bipartite: bool
 
 
-def invariants(g: CellGraph, cf: CellFunctions | None = None) -> CellInvariants:
-    """Exact growth invariants of the cell.
+def invariants(cf: CellFunctions) -> CellInvariants:
+    """Exact growth invariants of the cell of cf.
 
     tau = d'(1) is the expected crossing-time scale, alpha = f(1) the
     return-mass scale, mu the clique count, and eta = log(mu)/log(tau) - 1
@@ -248,8 +241,6 @@ def invariants(g: CellGraph, cf: CellFunctions | None = None) -> CellInvariants:
     ties the three scales together and any violation means the inputs do
     not describe a self-similar random walk.
     """
-    if cf is None:
-        cf = cell_functions(g)
     mu = cf.report.mu
     # d'(1) by the quotient rule; d(1) = 1, so D(1) != 0.
     n, den = cf.d.num, cf.d.den
@@ -269,7 +260,7 @@ def invariants(g: CellGraph, cf: CellFunctions | None = None) -> CellInvariants:
     if not eta.overlaps(eta_alt):
         raise KernelError("the two eta brackets are disjoint (internal error)")
     return CellInvariants(
-        theta=g.theta,
+        theta=cf.cell.theta,
         mu=mu,
         tau=tau,
         alpha=alpha,

@@ -92,7 +92,7 @@ def _sweep_one(g: CellGraph) -> tuple[SweepRecord, float]:
         inv=verdict.invariants,
         spectral=spectral,
         det_equal=cf.det_f == cf.det_d,
-        harmonic_alpha=alpha_from_harmonic(harmonic_function(g, validate=False)),
+        harmonic_alpha=alpha_from_harmonic(harmonic_function(g)),
         verdict=verdict,
         oracle_level=appx.level,
         oracle_n=n_cap,
@@ -129,11 +129,8 @@ def builtin_functions(builtin_cells) -> dict[str, CellFunctions]:
 
 
 @pytest.fixture(scope="session")
-def builtin_invariants(builtin_cells, builtin_functions) -> dict[str, CellInvariants]:
-    return {
-        name: invariants(g, builtin_functions[name])
-        for name, g in builtin_cells.items()
-    }
+def builtin_invariants(builtin_functions) -> dict[str, CellInvariants]:
+    return {name: invariants(cf) for name, cf in builtin_functions.items()}
 
 
 @pytest.fixture(scope="session")

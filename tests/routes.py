@@ -29,7 +29,8 @@ expansion inequalities that spectral_property_report certifies.
 reference_monte_carlo is the per-walker walk that monte_carlo's count
 walk replaced, kept as a reference in law; reference_count_walk is the
 count walk one vertex at a time, which must give monte_carlo's hits
-exactly.  log_ratio encloses ln(a)/ln(b), the quotient that invariants
+exactly; adjacency lists an approximant's neighbours per vertex.
+log_ratio encloses ln(a)/ln(b), the quotient that invariants
 builds from its ln brackets.  rf_add, rf_neg, rf_sub, rf_mul and rf_div
 are the RatFunc field arithmetic, which only tests use.  poly_divmod is
 the euclidean division of Polys over Fractions, the reference for the
@@ -561,50 +562,49 @@ def grid_expansion(cf: CellFunctions, points: int = 32) -> bool:
     return all(cf.d(x) > x and dp(x) > 1 and dpp(x) > 0 for x in grid)
 
 
-def reference_monte_carlo(a, n, trials, seed, workers=1) -> int:
+def reference_monte_carlo(a, n, trials, seed) -> int:
     """The hits of the per-walker walk that the count walk replaced: the
-    same streams and trial split, each stream one batch of vertex ids
-    stepped with one rng.integers(0, degrees) call per step."""
+    same stream, one batch of vertex ids stepped with one
+    rng.integers(0, degrees) call per step."""
     deg = np.diff(a.indptr)
-    streams = np.random.SeedSequence(seed).spawn(workers)
-    base, rem = divmod(trials, workers)
-    hits = 0
-    for w in range(workers):
-        rng = np.random.Generator(np.random.PCG64(streams[w]))
-        at = np.full(base + (1 if w < rem else 0), a.origin, dtype=np.int64)
-        for _ in range(n):
-            at = a.indices[a.indptr[at] + rng.integers(0, deg[at])]
-        hits += int(np.count_nonzero(at == a.origin))
-    return hits
+    stream = np.random.SeedSequence(seed).spawn(1)[0]
+    rng = np.random.Generator(np.random.PCG64(stream))
+    at = np.full(trials, a.origin, dtype=np.int64)
+    for _ in range(n):
+        at = a.indices[a.indptr[at] + rng.integers(0, deg[at])]
+    return int(np.count_nonzero(at == a.origin))
 
 
-def reference_count_walk(a, n, trials, seed, workers=1) -> int:
+def reference_count_walk(a, n, trials, seed) -> int:
     """The hits of monte_carlo's count walk, one occupied vertex at a time.
 
-    The same streams and trial split; each stream keeps a dict of vertex
-    counts, and every step visits its occupied vertices by degree, then by
-    vertex, with one scalar rng.multinomial call each, which is the order
-    of monte_carlo's vectorised calls.
+    The same stream; the walk keeps a dict of vertex counts, and every step
+    visits its occupied vertices by degree, then by vertex, with one scalar
+    rng.multinomial call each, which is the order of monte_carlo's
+    vectorised calls.
     """
     deg = np.diff(a.indptr).tolist()
     ptr = a.indptr.tolist()
     nbr = a.indices.tolist()
-    streams = np.random.SeedSequence(seed).spawn(workers)
-    base, rem = divmod(trials, workers)
-    hits = 0
-    for w in range(workers):
-        rng = np.random.Generator(np.random.PCG64(streams[w]))
-        counts = {a.origin: base + (1 if w < rem else 0)}
-        for _ in range(n):
-            moved = {}
-            for v in sorted(counts, key=lambda v: (deg[v], v)):
-                if counts[v]:
-                    split = rng.multinomial(counts[v], [1 / deg[v]] * deg[v])
-                    for u, c in zip(nbr[ptr[v] : ptr[v + 1]], split.tolist()):
-                        moved[u] = moved.get(u, 0) + c
-            counts = moved
-        hits += counts.get(a.origin, 0)
-    return hits
+    stream = np.random.SeedSequence(seed).spawn(1)[0]
+    rng = np.random.Generator(np.random.PCG64(stream))
+    counts = {a.origin: trials}
+    for _ in range(n):
+        moved = {}
+        for v in sorted(counts, key=lambda v: (deg[v], v)):
+            if counts[v]:
+                split = rng.multinomial(counts[v], [1 / deg[v]] * deg[v])
+                for u, c in zip(nbr[ptr[v] : ptr[v + 1]], split.tolist()):
+                    moved[u] = moved.get(u, 0) + c
+        counts = moved
+    return counts.get(a.origin, 0)
+
+
+def adjacency(a) -> tuple[tuple[int, ...], ...]:
+    """The sorted neighbour tuple of every vertex of an approximant."""
+    flat = a.indices.tolist()
+    ends = a.indptr.tolist()
+    return tuple(tuple(flat[s:e]) for s, e in zip(ends, ends[1:]))
 
 
 def _field(x) -> RatFunc:

@@ -70,7 +70,7 @@ def test_ac02_diamond_cell_series(record_acceptance, cell_green_series):
 
 
 def test_ac03_diamond_invariants(record_acceptance):
-    inv = invariants(builtin_cell("diamond"))
+    inv = invariants(cell_functions(builtin_cell("diamond")))
     eta = inv.eta
     expected = -log_ratio(3, 18)
     deviation = abs(float(eta) - (-0.3800))
@@ -257,8 +257,8 @@ def test_ac11_classification(record_acceptance, sweep):
 
 def test_ac12_monte_carlo(record_acceptance):
     a = blowup(builtin_cell("diamond"), 2)
-    first = monte_carlo(a, 4, 10**6, seed=20260819, workers=4)
-    second = monte_carlo(a, 4, 10**6, seed=20260819, workers=4)
+    first = monte_carlo(a, 4, 10**6, seed=20260819)
+    second = monte_carlo(a, 4, 10**6, seed=20260819)
     exact = Fraction(2, 9)
     deviation = abs(float(first.estimate) - float(exact))
     ok = first == second and deviation <= 4 * first.std_err

@@ -33,7 +33,7 @@ from cellgreen import (
 )
 from cellgreen.blowup import _ball, _equitable_cells, write_approximant
 from cellgreen.cells import clique_partition
-from routes import reference_count_walk, reference_monte_carlo
+from routes import adjacency, reference_count_walk, reference_monte_carlo
 
 
 def emitted_text(a: Approximant) -> str:
@@ -46,7 +46,7 @@ def emitted_text(a: Approximant) -> str:
 def reference_text(a: Approximant) -> str:
     """The edge list built whole from the tuple view, as --emit once did."""
     lines = [f"vertices {a.num_vertices}", f"origin {a.origin}"]
-    for v, nbrs in enumerate(a.adjacency()):
+    for v, nbrs in enumerate(adjacency(a)):
         for u in nbrs:
             if v < u:
                 lines.append(f"edge {v} {u}")
@@ -137,13 +137,13 @@ def reference_blowup(g, k, origin_copies=1, randomize_identification=None):
 def reference_return_probs(a, n_max):
     """The transfer-matrix loop over the whole radius-n_max//2 ball, unpruned."""
     radius = n_max // 2
-    adjacency = a.adjacency()
+    nbrs = adjacency(a)
     dist = {a.origin: 0}
     order = [a.origin]
     for v in order:
         if dist[v] == radius:
             continue
-        for u in adjacency[v]:
+        for u in nbrs[v]:
             if u not in dist:
                 dist[u] = dist[v] + 1
                 order.append(u)
@@ -151,7 +151,7 @@ def reference_return_probs(a, n_max):
     degs = [a.degree(v) for v in order]
     scale = math.lcm(*degs)
     weight = [scale // d for d in degs]
-    targets = [[index[u] for u in adjacency[v] if u in index] for v in order]
+    targets = [[index[u] for u in nbrs[v] if u in index] for v in order]
     vec = [0] * len(order)
     vec[0] = 1
     probs = [Fraction(1)]
@@ -173,12 +173,12 @@ def check_equitable(a, radius, order, cell):
     alone in cell 0, cells numbered by their first vertex, each inside one
     depth layer, and every vertex with the neighbour cells, outside the
     ball counted as one more, of its cell's first vertex."""
-    adjacency = a.adjacency()
+    nbrs = adjacency(a)
     dist = {a.origin: 0}
     ball = [a.origin]
     for v in ball:
         if dist[v] < radius:
-            for u in adjacency[v]:
+            for u in nbrs[v]:
                 if u not in dist:
                     dist[u] = dist[v] + 1
                     ball.append(u)
@@ -191,7 +191,7 @@ def check_equitable(a, radius, order, cell):
     assert [v for v in ball if cell_of[v] == 0] == [a.origin]
 
     def neighbour_cells(v):
-        return Counter(cell_of.get(u, "outside") for u in adjacency[v])
+        return Counter(cell_of.get(u, "outside") for u in nbrs[v])
 
     for v in ball:
         rep = first[cell_of[v]]
@@ -209,7 +209,7 @@ class TestBlowup:
         assert a.safe_horizon == 7
         assert a.defect_set == frozenset({1})
         edges = {
-            (v, u) for v, nbrs in enumerate(a.adjacency()) for u in nbrs if v < u
+            (v, u) for v, nbrs in enumerate(adjacency(a)) for u in nbrs if v < u
         }
         assert edges == g.edges
 
@@ -298,7 +298,7 @@ class TestBlowup:
         assert a == blowup(g, 2)
         assert a != blowup(g, 3)
         assert a != blowup(g, 2, origin_copies=2)
-        assert a != a.adjacency()
+        assert a != adjacency(a)
         flipped = a.indices.copy()
         flipped[[0, -1]] = flipped[[-1, 0]]
         assert a != dataclasses.replace(a, indices=flipped)
@@ -502,22 +502,14 @@ class TestExactOracleGolden:
 class TestMonteCarlo:
     def test_bit_for_bit_reproducible(self):
         a = blowup(builtin_cell("diamond"), 2)
-        one = monte_carlo(a, 4, 50_000, seed=11, workers=3)
-        two = monte_carlo(a, 4, 50_000, seed=11, workers=3)
+        one = monte_carlo(a, 4, 50_000, seed=11)
+        two = monte_carlo(a, 4, 50_000, seed=11)
         assert one == two
         assert one.hits == two.hits
 
-    def test_worker_split_changes_stream_but_not_statistics(self):
-        a = blowup(builtin_cell("diamond"), 2)
-        single = monte_carlo(a, 4, 50_000, seed=11, workers=1)
-        multi = monte_carlo(a, 4, 50_000, seed=11, workers=4)
-        assert single.trials == multi.trials == 50_000
-        sigma = max(single.std_err, multi.std_err, 1e-9)
-        assert abs(float(single.estimate) - float(multi.estimate)) < 8 * sigma
-
     def test_estimate_near_exact_value(self):
         a = blowup(builtin_cell("diamond"), 2)
-        stats = monte_carlo(a, 4, 100_000, seed=3, workers=2)
+        stats = monte_carlo(a, 4, 100_000, seed=3)
         exact = Fraction(2, 9)
         assert stats.std_err < 0.01
         assert abs(float(stats.estimate) - float(exact)) <= 4 * stats.std_err
@@ -535,7 +527,7 @@ class TestMonteCarlo:
 
     def test_estimate_is_hit_ratio(self):
         a = blowup(builtin_cell("path2"), 2)
-        stats = monte_carlo(a, 2, 40_000, seed=9, workers=2)
+        stats = monte_carlo(a, 2, 40_000, seed=9)
         assert stats.estimate == Fraction(stats.hits, stats.trials)
         assert abs(float(stats.estimate) - 0.5) < 0.02
 
@@ -605,7 +597,7 @@ class TestAgainstReferences:
             for copies in (1, 2, 3):
                 for seed in (None, 0, 7):
                     a = blowup(g, k, origin_copies=copies, randomize_identification=seed)
-                    reach = reference_distance_to_defect(a.adjacency(), 0, a.defect_set)
+                    reach = reference_distance_to_defect(adjacency(a), 0, a.defect_set)
                     assert a.safe_horizon == 2 * reach - 1
 
     def test_safe_horizon_matches_reference_bfs_on_enumerated_cells(
@@ -615,12 +607,12 @@ class TestAgainstReferences:
             if i % 5 == 0:
                 for k, copies in ((1, 1), (2, 1), (3, 1), (2, 2)):
                     a = blowup(g, k, origin_copies=copies, randomize_identification=i)
-                    reach = reference_distance_to_defect(a.adjacency(), 0, a.defect_set)
+                    reach = reference_distance_to_defect(adjacency(a), 0, a.defect_set)
                     assert a.safe_horizon == 2 * reach - 1
         for g in enumerated_cells:
             for k in (1, 2):
                 a = blowup(g, k)
-                reach = reference_distance_to_defect(a.adjacency(), 0, a.defect_set)
+                reach = reference_distance_to_defect(adjacency(a), 0, a.defect_set)
                 assert a.safe_horizon == 2 * reach - 1
 
     @pytest.mark.parametrize("name", builtin_names())
@@ -726,28 +718,29 @@ class TestEquitableCells:
 
 
 class TestMonteCarloGolden:
-    # Hits recorded when the count walk replaced the per-walker walk.
-    # path2 at level 1 has only the middle vertex of degree above 1;
-    # theta4, path3 and sierpinski split the trials over several streams,
-    # and theta4 has no vertex of degree 1.
+    # Hits recorded when the count walk replaced the per-walker walk; the
+    # path2-3, theta4, sierpinski and path3 hits were recorded again when
+    # the walk became one stream, as the stream that a single worker drew.
+    # path2 at level 1 has only the middle vertex of degree above 1, and
+    # theta4 has no vertex of degree 1.
     GOLDEN = [
-        ("diamond", 5, 40, 30000, 17, 1, 1870),
-        ("path2", 1, 11, 20001, 3, 1, 0),
-        ("path2", 1, 12, 20001, 3, 1, 10109),
-        ("path2", 3, 12, 20001, 3, 2, 4503),
-        ("theta4", 2, 24, 30000, 8, 3, 1372),
-        ("sierpinski", 3, 16, 25000, 2, 2, 981),
-        ("diamond", 2, 10, 10000, 4, 1, 1521),
-        ("path3", 3, 30, 9999, 2**32 - 1, 4, 1457),
-        ("diamond", 4, 24, 90001, 21, 1, 8050),
-        ("theta4", 3, 18, 70001, 5, 2, 3824),
+        ("diamond", 5, 40, 30000, 17, 1870),
+        ("path2", 1, 11, 20001, 3, 0),
+        ("path2", 1, 12, 20001, 3, 10109),
+        ("path2", 3, 12, 20001, 3, 4519),
+        ("theta4", 2, 24, 30000, 8, 1351),
+        ("sierpinski", 3, 16, 25000, 2, 1034),
+        ("diamond", 2, 10, 10000, 4, 1521),
+        ("path3", 3, 30, 9999, 2**32 - 1, 1504),
+        ("diamond", 4, 24, 90001, 21, 8050),
+        ("theta4", 3, 18, 70001, 5, 3782),
     ]
 
     @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
     def test_hits_unchanged(self, case):
-        name, level, n, trials, seed, workers, hits = case
+        name, level, n, trials, seed, hits = case
         a = blowup(builtin_cell(name), level)
-        stats = monte_carlo(a, n, trials, seed, workers=workers)
+        stats = monte_carlo(a, n, trials, seed)
         assert stats.hits == hits
 
 
@@ -764,19 +757,18 @@ class TestAgainstReferenceCountWalk:
     @given(
         st.sampled_from(range(len(MC_CELLS))),
         st.integers(1, 3),
-        st.integers(1, 3),
         st.integers(0, 10),
         st.one_of(st.integers(1, 99), st.integers(100, 4 * 10**5)),
         st.integers(0, 2**32 - 1),
     )
-    @example(0, 2, 1, 8, 4 * 10**5, 7)  # diamond: a leaf origin
-    @example(4, 3, 3, 10, 4 * 10**5, 11)  # theta4: no leaf
-    @example(1, 1, 3, 9, 2, 3)  # path2: a stream with no trial
-    @example(3, 2, 2, 0, 1, 5)  # no step
-    def test_same_hits(self, index, level, workers, n, trials, seed):
+    @example(0, 2, 8, 4 * 10**5, 7)  # diamond: a leaf origin
+    @example(4, 3, 10, 4 * 10**5, 11)  # theta4: no leaf
+    @example(1, 1, 9, 1, 3)  # path2: one walker
+    @example(3, 2, 0, 1, 5)  # no step
+    def test_same_hits(self, index, level, n, trials, seed):
         a = blowup(MC_CELLS[index], level, edge_budget=20_000)
-        stats = monte_carlo(a, n, trials, seed, workers=workers)
-        assert stats.hits == reference_count_walk(a, n, trials, seed, workers)
+        stats = monte_carlo(a, n, trials, seed)
+        assert stats.hits == reference_count_walk(a, n, trials, seed)
 
 
 class TestCountWalkLaw:
@@ -828,7 +820,7 @@ from cellgreen import (
 )
 from cellgreen.blowup import write_approximant
 assert "numpy" not in sys.modules
-level, n, trials, seed, workers = (int(v) for v in sys.argv[1:])
+level, n, trials, seed = (int(v) for v in sys.argv[1:])
 g = builtin_cell("diamond")
 a = blowup(g, level)
 assert a == blowup(g, level)
@@ -844,7 +836,7 @@ for name, n_max in (("diamond", 40), ("sierpinski", 60)):
         assert p == c, (name, k, p, c)
 print(json.dumps({
     "emit_sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest(),
-    "hits": monte_carlo(a, n, trials, seed, workers=workers).hits,
+    "hits": monte_carlo(a, n, trials, seed).hits,
     "cells": len(list(enumerate_cells(2, 5))),
 }))
 """
@@ -852,12 +844,10 @@ print(json.dumps({
 
 class TestFirstCallWithoutNumpy:
     def test_first_calls_import_numpy(self, python_child):
-        name, level, n, trials, seed, workers, hits = next(
+        name, level, n, trials, seed, hits = next(
             c for c in TestMonteCarloGolden.GOLDEN if c[:2] == ("diamond", 4)
         )
-        result = python_child(
-            NUMPY_COLD_CHILD, *map(str, (level, n, trials, seed, workers))
-        )
+        result = python_child(NUMPY_COLD_CHILD, *map(str, (level, n, trials, seed)))
         assert result.returncode == 0, result.stderr
         got = json.loads(result.stdout)
         emitted = emitted_text(blowup(builtin_cell(name), level))

@@ -234,9 +234,13 @@ class TestParsing:
         text = "vertices 3\nboundary 10 30\nedge 10 20\nedge 20 30\n"
         assert parse_cell(text) == builtin_cell("path2")
 
-    def test_origin_line_accepted(self):
-        text = "vertices 3\nboundary 0 1\norigin 0\nedge 0 2\nedge 1 2\n"
-        assert parse_cell(text) == builtin_cell("path2")
+    def test_origin_line_rejected(self):
+        # A cell's origin is its first boundary vertex; no line sets it.
+        for line in ("origin 0", "origin 1", "origin 7"):
+            text = f"vertices 3\nboundary 0 1\n{line}\nedge 0 2\nedge 1 2\n"
+            with pytest.raises(CellParseError, match=f"cannot parse: '{line}'") as exc:
+                parse_cell(text)
+            assert exc.value.line == 3
 
     def test_syntax_error_carries_line_number(self):
         text = "vertices 3\nboundary 0 1\nedge 0\n"

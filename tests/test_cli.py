@@ -4,6 +4,7 @@ where a test replaces a function that the CLI calls."""
 import hashlib
 import json
 import re
+import shlex
 import sys
 import time
 from fractions import Fraction
@@ -96,6 +97,14 @@ class TestValidate:
         doc = json.loads(result.stdout)
         assert doc["report"]["valid"] is False
         assert doc["report"]["violations"]
+
+    def test_origin_line_exits_two(self, cli, tmp_path):
+        path = tmp_path / "p2.cell"
+        path.write_text("vertices 3\nboundary 0 1\norigin 0\nedge 0 2\nedge 1 2\n")
+        result = cli("validate", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: line 3: cannot parse: 'origin 0'\n"
 
     def test_unknown_builtin(self, cli):
         result = cli("validate", "--builtin", "nosuch")
@@ -268,7 +277,7 @@ class TestBlowupAndSimulate:
         doc = payload(
             cli(
                 "simulate", "--builtin", "diamond", "--steps", "4",
-                "--trials", "20000", "--seed", "7", "--workers", "2",
+                "--trials", "20000", "--seed", "7",
             )
         )
         sim = doc["simulate"]
@@ -277,6 +286,13 @@ class TestBlowupAndSimulate:
         assert sim["exact"] == "2/9"
         assert sim["deviation_sigmas"] < 5
         assert sim["seed"] == 7
+        assert "workers" not in sim
+
+    def test_workers_flag_exits_two(self, cli):
+        result = cli("simulate", "--builtin", "diamond", "--workers", "2")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "unrecognized arguments: --workers" in result.stderr
 
     @pytest.mark.parametrize(
         "args", [["blowup", "--level", "2"], ["simulate", "--steps", "4"]]
@@ -609,8 +625,9 @@ class TestOutputGolden:
     # sha256 of each JSON subcommand's output (sorted keys, elapsed_seconds
     # removed) on the five builtins and on one cell file, recorded before the
     # subcommands' shared steps moved into main.  The simulate digests were
-    # recorded again when the count walk replaced the per-walker walk; the
-    # path2 run happens to give the same hits under both walks.
+    # recorded again when the count walk replaced the per-walker walk, and
+    # again when the walk became one seeded stream: the output of that
+    # stream, which a single worker drew, with the workers field gone.
     ARGS = {
         "validate": ["validate"],
         "functions": ["functions", "--order", "8"],
@@ -618,10 +635,7 @@ class TestOutputGolden:
         "invariants": ["invariants"],
         "classify": ["classify"],
         "blowup": ["blowup", "--level", "2"],
-        "simulate": [
-            "simulate", "--steps", "4", "--trials", "20000", "--seed", "7",
-            "--workers", "2",
-        ],
+        "simulate": ["simulate", "--steps", "4", "--trials", "20000", "--seed", "7"],
     }
     CELL_TEXT = (
         "vertices 6\nboundary 0 1\nedge 0 2\nedge 1 3\nedge 2 3\nedge 2 4\n"
@@ -677,12 +691,12 @@ class TestOutputGolden:
             "cell file": "2fa702fd05a49c6c3d9e72ed3a6f9af86fb7ecdec920d8a5261934243eb849fd",
         },
         "simulate": {
-            "diamond": "651e4680e442a5d7f22f4a17c404d05228f3db67d89ff2ce5a8dbfa9ebc1dfee",
-            "path2": "8535e821c56f088f38c389693f46241e48747d2ba8ac3f49a5d852bf0acfd61f",
-            "path3": "fb5d7d49b800fe09cec69505f33149e6bf9e12457eeac5537422ca3b979c9e1b",
-            "sierpinski": "e50b6110b96405ab760cd810c7067c8115b963d755282d6225927594b5fd28be",
-            "theta4": "b56118a058d632bdd0c5a8b74d680df64954e512261bc114466ebe4fda5e19ed",
-            "cell file": "cbb5efbd1cdf19427e9c555fd588b1eac43de5e61a1ee780aa93ebbdf4100619",
+            "diamond": "9eb5c590a9085c56122f754ae320e2b1e2514d268e5c8072bf31488194b375e9",
+            "path2": "d89712a9f46b34cfd7795b03512063af16c844b011c96524055872bc3f18330e",
+            "path3": "7a82331b225d77fb2f46c477f3ce8c261f8ab6fd65612cf1b6c778bfb4bb7819",
+            "sierpinski": "5ebfb1588d2b7a228210c206f9030930106f086fe884323e38aabe2a31e27c9a",
+            "theta4": "a29a0bab85baf7c77133a69132d2981b6bd5d36590ee8e5c9c371d3c53c8612c",
+            "cell file": "50e0f757ca42470a5e7e7e31408d6a9afb7031b988bfeb56c8c2a6cafe2d20d8",
         },
     }
 
@@ -738,12 +752,12 @@ class TestOutputGolden:
             "cell file": "6c7a401189d880dee0a83fc5125fad4e5dd628ab6084d834c2fbed9fb27936ed",
         },
         "simulate": {
-            "diamond": "95295944e81cb8f0571c800259b1dea8cbe38db8e39fb61a70265ee85c679128",
-            "path2": "c17e28afc0eeddc81e7c09b3269a500322b5a7fc9ea246179d333e2200f6dc2b",
-            "path3": "92b436d08cd83f4039ca3e9ebb8b2d5dd46874fb7661d94aeb29486476889673",
-            "sierpinski": "154bcfcea82fc80fc831b44311446d534a6c2baefa8525826884c656becc3381",
-            "theta4": "59481009c810397c6bc6eafcabc1189e3ab87c7d50378c014eb93f3764272617",
-            "cell file": "463d2bf3abc55926c71f4287f2a3241f4032b7b5e0b9513ad0d00247d59c72d1",
+            "diamond": "79efd7bb65ed9ba7e68c39c7c087bd5f3c3db5ddc9a66975fe2db5acc422845e",
+            "path2": "a06e6d51fb6bac00b167da66c718381a80112fe22c47758fd9b5367690934223",
+            "path3": "7dd503c58baca77ff36157675e836dcfe0f82e02412f71328ceac84b1c7e2efb",
+            "sierpinski": "3a5d225e8750953a5e95b266d5f169a3284050a0ee6f306548baddff45dd5632",
+            "theta4": "2991b306a624818ac128a75f3e5d9c7574c330a1dc5dc70c84cfba183c75eb6e",
+            "cell file": "e0b8dce0a8109422e451926c9dfbf8aa62d0437432d94f0a119bddefe3040b8a",
         },
     }
 
@@ -954,7 +968,7 @@ class TestBudgets:
         return code, captured.err
 
     WALK_REFUSED = (
-        "error: max(--trials, 4096 x --workers) x max(--steps, 1) {} "
+        "error: max(--trials, 4096) x max(--steps, 1) {} "
         "exceeds the walk budget of 10000000000\n"
     )
 
@@ -974,20 +988,6 @@ class TestBudgets:
         refused = (3, self.WALK_REFUSED.format(walk))
         assert self._simulate_unloaded(flags, monkeypatch, capsys) == refused
 
-    @pytest.mark.parametrize(
-        "workers, code, err",
-        [
-            (10**7, 3, WALK_REFUSED.format(4096 * 10**7 * 4)),
-            (0, 2, "error: --workers must be at least 1, got 0\n"),
-            (-2, 2, "error: --workers must be at least 1, got -2\n"),
-        ],
-    )
-    def test_workers_checked_before_loading(
-        self, workers, code, err, monkeypatch, capsys
-    ):
-        flags = ["--workers", str(workers)]
-        assert self._simulate_unloaded(flags, monkeypatch, capsys) == (code, err)
-
     @pytest.mark.parametrize("trials", [0, -1])
     def test_trials_checked_before_loading(self, trials, monkeypatch, capsys):
         flags = ["--trials", str(trials)]
@@ -998,9 +998,9 @@ class TestBudgets:
     def test_walk_budget_admits_its_limit(self, trials, steps, monkeypatch, capsys):
         seen = []
 
-        def no_walk(a, n, trials, seed, workers):
+        def no_walk(a, n, trials, seed):
             seen.append((n, trials))
-            return WalkStats(n, trials, 0, Fraction(0), 0.0, seed, workers)
+            return WalkStats(n, trials, 0, Fraction(0), 0.0, seed)
 
         monkeypatch.setattr(cellgreen.cli, "monte_carlo", no_walk)
         monkeypatch.setattr(cellgreen.cli, "exact_return_probs", None)
@@ -1013,10 +1013,15 @@ class TestBudgets:
         assert json.loads(capsys.readouterr().out)["simulate"]["trials"] == trials
 
 
+def readme_section(title: str) -> str:
+    """The text of README.md under the heading ``## title``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split(f"## {title}")[1].split("\n## ")[0]
+
+
 class TestPackage:
     def test_exports_match_the_readme(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        library = readme.split("## Library")[1].split("\n## ")[0]
+        library = readme_section("Library")
         listed = library.split("The package exports exactly these names")[1]
         bullets = listed.split("\n\n")[1]
         names = re.findall(r"`(\w+)`", bullets)
@@ -1024,6 +1029,26 @@ class TestPackage:
         assert len(names) == len(set(names))
         for name in names:
             assert hasattr(cellgreen, name)
+
+
+class TestReadmeExamples:
+    """The README's examples run as written, so it cannot advertise a
+    flag or a signature that is gone."""
+
+    def test_library_block_runs(self):
+        (block,) = re.findall(r"```python\n(.*?)```", readme_section("Library"), re.S)
+        exec(block, {})
+
+    def test_command_line_block_exits_zero(self, tmp_path, monkeypatch, capsys):
+        blocks = re.findall(r"```\n(.*?)```", readme_section("Command line"), re.S)
+        (block,) = [b for b in blocks if b.startswith("cellgreen ")]
+        monkeypatch.chdir(tmp_path)
+        for line in block.splitlines():
+            prog, *argv = shlex.split(line)
+            assert prog == "cellgreen"
+            assert cellgreen.cli.main(argv) == 0, line
+            assert capsys.readouterr().out
+        assert (tmp_path / "level2.txt").read_text().startswith("vertices ")
 
 
 # The numpy-free subcommands, run one after another in one child.

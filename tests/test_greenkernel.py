@@ -536,7 +536,7 @@ class TestSeriesNonnegativity:
             assert sum(d_ser) <= 1
             assert cf.d(Fraction(1)) == 1
             assert cf.f(Fraction(1)) >= 1
-            assert invariants(builtin_cell(name), cf).tau >= 2
+            assert invariants(cf).tau >= 2
 
 
 class TestAsymptotics:

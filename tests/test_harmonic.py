@@ -110,12 +110,16 @@ class TestHarmonicSolve:
             for v in g.interior:
                 assert 0 < sol.value(v) < 1
 
-    def test_invalid_cell_rejected_unless_asked(self):
+    def test_invalid_cell_solved_but_alpha_refused(self):
+        # The 4-cycle fails validate_cell, and it is connected, so the
+        # interior system is nonsingular and the solve is defined.  Its
+        # origin has two neighbours, so the return-scale identity is not.
         c4 = CellGraph(4, 2, frozenset({(0, 2), (0, 3), (1, 2), (1, 3)}))
+        assert not validate_cell(c4).valid
+        sol = harmonic_function(c4)
+        assert sol.values == (1, 0, Fraction(1, 2), Fraction(1, 2))
         with pytest.raises(CellError):
-            harmonic_function(c4)
-        sol = harmonic_function(c4, validate=False)
-        assert sol.value(2) == Fraction(1, 2)
+            alpha_from_harmonic(sol)
 
 
 class TestAlphaIdentity:
@@ -171,7 +175,7 @@ class TestDeletionMonotonicity:
                 smaller = delete_vertex(g, v)
                 if smaller is None:
                     continue
-                reduced = harmonic_function(smaller, validate=False)
+                reduced = harmonic_function(smaller)
                 assert reduced.w is not None
                 assert reduced.value(reduced.w) >= base
 

@@ -281,8 +281,8 @@ class TestFunctionalResidual:
 
 
 class TestInvariants:
-    def test_diamond(self):
-        inv = invariants(builtin_cell("diamond"))
+    def test_diamond(self, builtin_invariants):
+        inv = builtin_invariants["diamond"]
         assert inv.tau == 18
         assert inv.alpha == 3
         assert inv.mu == 6
@@ -293,31 +293,30 @@ class TestInvariants:
         assert inv.eta.width < Fraction(1, 10**10)
         assert float(inv.eta) == pytest.approx(-0.380093766716, abs=1e-9)
 
-    def test_sierpinski(self):
-        inv = invariants(builtin_cell("sierpinski"))
+    def test_sierpinski(self, builtin_invariants):
+        inv = builtin_invariants["sierpinski"]
         assert inv.tau == 5
         assert inv.alpha == Fraction(5, 3)
         assert inv.mu == 3
         assert not inv.bipartite
         assert float(inv.eta) == pytest.approx(-0.317393805514, abs=1e-9)
 
-    def test_theta4(self):
-        inv = invariants(builtin_cell("theta4"))
+    def test_theta4(self, builtin_invariants):
+        inv = builtin_invariants["theta4"]
         assert inv.tau == 15
         assert inv.alpha == 3
         assert inv.mu == 5
         assert float(inv.eta) == pytest.approx(-0.405683871082, abs=1e-9)
 
-    def test_paths_sit_at_minus_half(self):
+    def test_paths_sit_at_minus_half(self, builtin_invariants):
         for name in ("path2", "path3"):
-            inv = invariants(builtin_cell(name))
+            inv = builtin_invariants[name]
             assert inv.alpha == inv.mu
             assert inv.tau == inv.mu**2
             assert inv.eta.low <= Fraction(-1, 2) <= inv.eta.high
 
-    def test_scaling_identity_everywhere(self):
-        for name in ("diamond", "path2", "path3", "sierpinski", "theta4"):
-            inv = invariants(builtin_cell(name))
+    def test_scaling_identity_everywhere(self, builtin_invariants):
+        for inv in builtin_invariants.values():
             assert inv.tau == inv.mu * inv.alpha
 
 
@@ -382,7 +381,7 @@ class TestHypotheses:
 class TestSingularProbe:
     def test_star_prefactor_levels_off(self, path2_cf):
         gs = green_series(path2_cf, 200)
-        inv = invariants(builtin_cell("path2"), path2_cf)
+        inv = invariants(path2_cf)
         points = [Fraction(1, 2), Fraction(9, 10)]
         rows = singular_prefactor_probe(gs, inv, points)
         assert [float(r.z) for r in rows] == [0.5, 0.9]
@@ -395,7 +394,7 @@ class TestSingularProbe:
 
     def test_partial_sum_is_the_exact_truncated_sum(self, diamond_cf):
         gs = green_series(diamond_cf, 120)
-        inv = invariants(builtin_cell("diamond"), diamond_cf)
+        inv = invariants(diamond_cf)
         points = [Fraction(1, 3), Fraction(1, 2), Fraction(3, 5)]
         for row in singular_prefactor_probe(gs, inv, points):
             partial = Fraction(0)
@@ -405,11 +404,11 @@ class TestSingularProbe:
 
     def test_point_too_close_for_order(self, path2_cf):
         gs = green_series(path2_cf, 200)
-        inv = invariants(builtin_cell("path2"), path2_cf)
+        inv = invariants(path2_cf)
         with pytest.raises(KernelError):
             singular_prefactor_probe(gs, inv, [Fraction(99, 100)])
 
     def test_empty_points(self, path2_cf):
         gs = green_series(path2_cf, 50)
-        inv = invariants(builtin_cell("path2"), path2_cf)
+        inv = invariants(path2_cf)
         assert singular_prefactor_probe(gs, inv, []) == []
