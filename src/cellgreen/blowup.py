@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import random
 from dataclasses import dataclass
 from typing import TextIO
 from fractions import Fraction
@@ -42,7 +41,9 @@ class Approximant:
     The neighbours of vertex v are indices[indptr[v]:indptr[v + 1]], in
     increasing order.  indptr is int64 and indices int32; both are made
     read-only here.  Two approximants are equal when their arrays and
-    their other fields are.
+    their other fields are.  defect_set holds the boundary vertices of the
+    cell other than the origin, 1..theta-1: their degree would grow if
+    further copies were glued at them.
     """
 
     level: int
@@ -51,7 +52,6 @@ class Approximant:
     indices: np.ndarray
     defect_set: frozenset[int]
     safe_horizon: int
-    cell_name: str | None = None
 
     def __post_init__(self):
         self.indptr.flags.writeable = False
@@ -61,7 +61,7 @@ class Approximant:
         import numpy as np
         if not isinstance(other, Approximant):
             return NotImplemented
-        scalars = ("level", "origin", "defect_set", "safe_horizon", "cell_name")
+        scalars = ("level", "origin", "defect_set", "safe_horizon")
         return (
             all(getattr(self, f) == getattr(other, f) for f in scalars)
             and np.array_equal(self.indptr, other.indptr)
@@ -110,21 +110,16 @@ def _bfs(indptr: np.ndarray, indices: np.ndarray, origin: int):
 
 
 def blowup(
-    g: CellGraph,
-    k: int,
-    edge_budget: int = DEFAULT_EDGE_BUDGET,
-    origin_copies: int = 1,
-    randomize_identification: int | None = None,
+    g: CellGraph, k: int, edge_budget: int = DEFAULT_EDGE_BUDGET
 ) -> Approximant:
     """Level-k approximant with the origin at vertex 0.
 
     Each refinement replaces every clique by a fresh cell copy whose
     boundary is identified with the clique's vertices, smallest id first.
-    randomize_identification, when given a seed, shuffles that bijection
-    per clique instead; boundary symmetry makes the resulting walk
-    probabilities identical, which tests confirm.  origin_copies > 1 glues
-    extra disjoint copies at the origin (the walk probabilities again must
-    not change).
+    The boundary is doubly transitive, so another identification, or
+    further copies glued at the origin, would leave the walk probabilities
+    from the origin unchanged; the tests build those approximants with
+    their reference route and confirm it.
 
     The cliques are rows of an int array.  One refinement maps every cell
     vertex through a (cliques, n) table, whose first theta columns are the
@@ -147,14 +142,11 @@ def blowup(
       stays inside one cell copy and runs between two boundary vertices of
       that copy.  Those two are adjacent one level down, and the piece has
       length at least D.
-    So the defects, D from the origin at level 1, are D^k away at level k,
-    in every origin copy and under any identification shuffle.
+    So the defects, D from the origin at level 1, are D^k away at level k.
     """
     import numpy as np
     if k < 1:
         raise CellError("level must be at least 1")
-    if origin_copies < 1:
-        raise CellError("need at least one copy at the origin")
     report = require_valid(g, check_automorphisms=False)
     theta = g.theta
     d = g.distance(0, 1)
@@ -168,7 +160,7 @@ def blowup(
     # mu**j > budget unless mu = 1, when the cost does not grow at all.  So
     # the cost at j decides the budget, and it is the cost at k if j == k.
     j = min(k, edge_budget.bit_length() + 1)
-    edge_cost = origin_copies * report.mu**j * theta * (theta - 1) // 2
+    edge_cost = report.mu**j * theta * (theta - 1) // 2
     if edge_cost > edge_budget:
         needs = edge_cost if j == k else f"more than {edge_budget}"
         raise BudgetError(f"level {k} needs {needs} edges, budget is {edge_budget}")
@@ -180,22 +172,12 @@ def blowup(
             f"than {2**31 - 1}"
         )
 
-    rng = (
-        random.Random(randomize_identification)
-        if randomize_identification is not None
-        else None
-    )
     base = np.array([sorted(c) for c in report.clique_partition], dtype=np.int64)
     per_copy = g.n - theta  # interior vertices, ids theta..n-1
 
     cliques = base
     next_id = g.n
     for _ in range(k - 1):
-        if rng is not None:
-            rows = cliques.tolist()
-            for members in rows:
-                rng.shuffle(members)
-            cliques = np.array(rows, dtype=np.int64)
         count = len(cliques)
         vmap = np.empty((count, g.n), dtype=np.int64)
         vmap[:, :theta] = cliques
@@ -203,17 +185,6 @@ def blowup(
         vmap[:, theta:] = fresh.reshape(count, per_copy)
         next_id += count * per_copy
         cliques = vmap[:, base].reshape(-1, theta)
-
-    # Non-origin vertex count of one copy; copies share vertex 0 only, and
-    # shifting every other id keeps each row sorted.
-    block = next_id - 1
-    if origin_copies > 1:
-        cliques = np.concatenate(
-            [cliques]
-            + [np.where(cliques == 0, 0, cliques + c * block)
-               for c in range(1, origin_copies)]
-        )
-        next_id += (origin_copies - 1) * block
 
     # Edge (v, u) is the key v * next_id + u, exact in int64 for fewer
     # than 3 * 10^9 vertices.  The keys are built and sorted in place, and
@@ -236,20 +207,13 @@ def blowup(
     indices = (keys % next_id).astype(np.int32)
     del keys
 
-    # Defect vertices are the non-origin boundary ids of every top-level
-    # copy: in the infinite graph they would be glued into further copies,
-    # so their approximant degree is too small.
-    defect = frozenset(
-        b + c * block for c in range(origin_copies) for b in range(1, theta)
-    )
     return Approximant(
         level=k,
         origin=0,
         indptr=indptr,
         indices=indices,
-        defect_set=defect,
+        defect_set=frozenset(range(1, theta)),
         safe_horizon=2 * d**k - 1,
-        cell_name=g.name,
     )
 
 

@@ -32,17 +32,17 @@ def _norm_edge(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def _reachable(nbrs: Sequence[Iterable[int]], start: int) -> set[int]:
-    """Vertices reachable from start, given each vertex's neighbors."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
+def _distances(nbrs: Sequence[Iterable[int]], source: int) -> list[int]:
+    """BFS distance of each vertex from source, -1 where unreachable."""
+    dist = [-1] * len(nbrs)
+    dist[source] = 0
+    queue = [source]
+    for v in queue:
         for u in nbrs[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
+            if dist[u] < 0:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class CellGraph:
                     raise CellError(
                         f"boundary vertices {a} and {b} are adjacent"
                     )
-        if len(_reachable(self._nbrs, 0)) != self.n:
+        if -1 in _distances(self._nbrs, 0):
             raise CellError("graph is not connected")
 
     # -- basic structure ----------------------------------------------------
@@ -111,15 +111,7 @@ class CellGraph:
         return tuple(len(s) for s in self._nbrs)
 
     def bfs_distances(self, source: int) -> list[int]:
-        dist = [-1] * self.n
-        dist[source] = 0
-        queue = [source]
-        for v in queue:
-            for u in self._nbrs[v]:
-                if dist[u] < 0:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        return dist
+        return _distances(self._nbrs, source)
 
     def distance(self, u: int, v: int) -> int:
         return self.bfs_distances(u)[v]
@@ -257,6 +249,8 @@ def parse_cell(text: str, name: str | None = None) -> CellGraph:
                 edges.append((int(parts[1]), int(parts[2])))
             else:
                 raise CellParseError(f"unknown directive {kind!r}", lineno)
+        except CellParseError:
+            raise
         except (IndexError, ValueError) as exc:
             raise CellParseError(f"cannot parse: {raw!r}", lineno) from exc
     if n is None:
@@ -563,7 +557,7 @@ def connected_graph_classes(m: int) -> tuple[tuple[frozenset, tuple], ...]:
             a, b = pairs[i]
             adj[a].add(b)
             adj[b].add(a)
-        if len(_reachable(adj, 0)) == m:
+        if -1 not in _distances(adj, 0):
             group = tuple(perms[p] for p in np.flatnonzero(images == mask))
             out.append((frozenset(pairs[i] for i in on), group))
         # argmax on bools stops at the first unseen mask.

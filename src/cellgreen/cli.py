@@ -68,10 +68,11 @@ ENV_EDGE_BUDGET = "CELLGREEN_EDGE_BUDGET"
 # test sweep and the benchmark run.
 MAX_ENUMERATE_VERTICES = 8
 
-# --order and --series-order.  `green` on diamond at order 800 takes about
-# 3.4 CPU s, sierpinski at 600 about 12 s, theta4 at 800 about 29 s (2-core
-# x86-64, Python 3.11, under 40 MB).  Tests and the benchmark stay at
-# order <= 400.
+# --order, --series-order and verify --max-steps, which sets the order of
+# verify's series and the length of its walk oracle.  `green` on diamond at
+# order 800 takes about 3.4 CPU s, sierpinski at 600 about 12 s, theta4 at
+# 800 about 29 s (2-core x86-64, Python 3.11, under 40 MB).  Tests and the
+# benchmark stay at order <= 400.
 MAX_ORDER = 1000
 
 # simulate walker steps, max(--trials, 4096) x max(--steps, 1).  A step
@@ -285,6 +286,7 @@ def _verify_from_report(args):
             f"{args.from_report}: max_steps must be a nonnegative "
             f"integer, got {json.dumps(args.max_steps)}"
         )
+    _within(f"{args.from_report}: max_steps", args.max_steps, MAX_ORDER, "series")
     g = cell_from_json(cell_doc, name=name)
     fresh = _verify_payload(g, args)
     new_items = {i.name: i.passed for i in fresh["report"].items}
@@ -338,7 +340,7 @@ def cmd_verify(args):
         return _verify_from_report(args)
     if args.max_steps is None:
         args.max_steps = 12
-    _nonnegative("--max-steps", args.max_steps)
+    _series_order("--max-steps", args.max_steps)
     if args.enumerate:
         if args.max_vertices is None:
             args.max_vertices = 6
@@ -348,13 +350,7 @@ def cmd_verify(args):
 
 def cmd_blowup(args):
     g, meta = _load_cell(args)
-    a = blowup(
-        g,
-        args.level,
-        edge_budget=args.edge_budget,
-        origin_copies=args.origin_copies,
-        randomize_identification=args.randomize_identification,
-    )
+    a = blowup(g, args.level, edge_budget=args.edge_budget)
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
             write_approximant(a, fh)
@@ -505,22 +501,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enumerate", action="store_true", help="run over all small cells")
     p.add_argument("--max-vertices", type=int, help="cap for --enumerate (default 6)")
     p.add_argument("--from-report", help="re-run a saved report and compare")
-    p.add_argument("--edge-budget", type=int)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("blowup", help="build a finite approximant")
     _add_input_args(p)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--emit", help="write the approximant edge list to this file")
-    p.add_argument("--origin-copies", type=int, default=1)
-    p.add_argument(
-        "--randomize-identification",
-        type=int,
-        default=None,
-        metavar="SEED",
-        help="shuffle clique-to-boundary bijections with this seed",
-    )
-    p.add_argument("--edge-budget", type=int)
     p.set_defaults(func=cmd_blowup)
 
     p = sub.add_parser("simulate", help="Monte Carlo return-probability estimate")
@@ -529,7 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=4)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--edge-budget", type=int)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("probe", help="singular prefactor table (CSV)")
@@ -548,11 +533,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _one_input(args)
         # Read here, inside the error handling: a bad value is an input error.
-        budget = _default_budget()
-        if "edge_budget" in vars(args):
-            if args.edge_budget is None:
-                args.edge_budget = budget
-            _nonnegative("--edge-budget", args.edge_budget)
+        args.edge_budget = _default_budget()
         result = args.func(args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -80,7 +80,13 @@ def reference_distance_to_defect(adjacency, origin, defect):
 
 
 def reference_blowup(g, k, origin_copies=1, randomize_identification=None):
-    """The set-based refinement that blowup replaced, kept as its oracle."""
+    """The set-based refinement that blowup replaced, kept as its oracle.
+
+    It also builds the approximants that blowup does not: origin_copies
+    disjoint copies glued at the origin, and, given a seed as
+    randomize_identification, each clique's boundary bijection shuffled.
+    Their walk probabilities from the origin are blowup's, which the tests
+    check; the safe horizon comes from a BFS to the defect vertices."""
     theta = g.theta
     rng = (
         random.Random(randomize_identification)
@@ -130,7 +136,6 @@ def reference_blowup(g, k, origin_copies=1, randomize_identification=None):
         indices=np.array([u for nb in adjacency for u in nb], dtype=np.int32),
         defect_set=defect,
         safe_horizon=2 * reference_distance_to_defect(adjacency, 0, defect) - 1,
-        cell_name=g.name,
     )
 
 
@@ -297,13 +302,13 @@ class TestBlowup:
         a = blowup(g, 2)
         assert a == blowup(g, 2)
         assert a != blowup(g, 3)
-        assert a != blowup(g, 2, origin_copies=2)
+        assert a != reference_blowup(g, 2, origin_copies=2)
         assert a != adjacency(a)
         flipped = a.indices.copy()
         flipped[[0, -1]] = flipped[[-1, 0]]
         assert a != dataclasses.replace(a, indices=flipped)
         assert a != dataclasses.replace(a, safe_horizon=a.safe_horizon + 1)
-        assert a != dataclasses.replace(a, cell_name="other")
+        assert a != dataclasses.replace(a, defect_set=frozenset({1, 2}))
 
     def test_build_memory_stays_near_the_arrays(self):
         # The build holds a few edge-sized int arrays at once: measured at
@@ -322,9 +327,22 @@ class TestBlowup:
         assert peak < 5 * (a.indptr.nbytes + a.indices.nbytes)
 
 
+def golden_approximant(name, level, copies, seed):
+    """blowup's approximant, or reference_blowup's with origin copies or a
+    shuffle, which blowup does not build."""
+    g = builtin_cell(name)
+    if (copies, seed) == (1, None):
+        return blowup(g, level)
+    return reference_blowup(
+        g, level, origin_copies=copies, randomize_identification=seed
+    )
+
+
 class TestEmitGolden:
     # sha256 of approximant_to_text (the `blowup --emit` file), recorded
-    # when the approximant was still a tuple of neighbour tuples.
+    # when the approximant was still a tuple of neighbour tuples.  The
+    # diamond-2-2 case, two origin copies shuffled with seed 7, was
+    # recorded from blowup when it still built that approximant.
     GOLDEN = [
         ("diamond", 3, 1, None,
          "bc609c60438aafd771d0a6cbb0794213a7cad3066f1df7cc10d6b10c607c76b8"),
@@ -342,22 +360,15 @@ class TestEmitGolden:
 
     @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
     def test_emitted_text_unchanged(self, case):
-        name, level, copies, seed, digest = case
-        a = blowup(
-            builtin_cell(name), level,
-            origin_copies=copies, randomize_identification=seed,
-        )
-        text = emitted_text(a)
+        *args, digest = case
+        text = emitted_text(golden_approximant(*args))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("chunk", [1, 2, 7, 64, 1 << 14])
     def test_chunks_match_the_whole_text(self, chunk, monkeypatch):
         monkeypatch.setattr(sys.modules["cellgreen.blowup"], "EMIT_CHUNK", chunk)
-        for name, level, copies, seed, _ in self.GOLDEN:
-            a = blowup(
-                builtin_cell(name), level,
-                origin_copies=copies, randomize_identification=seed,
-            )
+        for *args, _ in self.GOLDEN:
+            a = golden_approximant(*args)
             assert emitted_text(a) == reference_text(a)
 
     def test_emit_memory_stays_bounded(self):
@@ -417,7 +428,7 @@ class TestExactOracle:
     def test_origin_copies_leave_returns_unchanged(self):
         g = builtin_cell("diamond")
         base = exact_return_probs(blowup(g, 2), 7)
-        doubled = blowup(g, 2, origin_copies=2)
+        doubled = reference_blowup(g, 2, origin_copies=2)
         assert doubled.degree(0) == 2
         assert exact_return_probs(doubled, 7).probs == base.probs
 
@@ -425,7 +436,7 @@ class TestExactOracle:
         g = builtin_cell("diamond")
         base = exact_return_probs(blowup(g, 3), 10)
         for seed in (1, 7, 1234):
-            shuffled = blowup(g, 3, randomize_identification=seed)
+            shuffled = reference_blowup(g, 3, randomize_identification=seed)
             assert exact_return_probs(shuffled, 10).probs == base.probs
 
     def test_sufficient_level_hits_requested_horizon(self, count_calls):
@@ -556,9 +567,10 @@ SMALL_CELLS = tuple(enumerate_cells(2, 7))
 @st.composite
 def small_balls(draw):
     """An approximant of a small cell, shuffled and with one or two origin
-    copies, and an n_max of either parity from 0 to twice its safe horizon
-    plus one, drawn as an offset from the horizon."""
-    a = blowup(
+    copies, built by reference_blowup, and an n_max of either parity from 0
+    to twice its safe horizon plus one, drawn as an offset from the
+    horizon."""
+    a = reference_blowup(
         draw(st.sampled_from(SMALL_CELLS)),
         draw(st.integers(1, 3)),
         origin_copies=draw(st.integers(1, 2)),
@@ -576,29 +588,27 @@ class TestAgainstReferences:
     def test_blowup_matches_reference_on_builtins(self, name):
         g = builtin_cell(name)
         for k in (1, 2, 3, 4):
-            for copies in (1, 2, 3):
-                for seed in (None, 0, 7):
-                    kwargs = dict(origin_copies=copies, randomize_identification=seed)
-                    assert blowup(g, k, **kwargs) == reference_blowup(g, k, **kwargs)
+            assert blowup(g, k) == reference_blowup(g, k)
 
     def test_blowup_matches_reference_on_enumerated_cells(self):
         for i, g in enumerate(enumerate_cells(2, 7)):
             if i % 5 == 0:
                 for k in (1, 2, 3):
                     assert blowup(g, k) == reference_blowup(g, k)
-                assert blowup(g, 2, origin_copies=2, randomize_identification=i) == (
-                    reference_blowup(g, 2, origin_copies=2, randomize_identification=i)
-                )
 
+    # reference_blowup finds the safe horizon by a BFS to the defects, also
+    # with origin copies and shuffles; blowup's closed form must equal it.
     @pytest.mark.parametrize("name", builtin_names())
     def test_safe_horizon_matches_reference_bfs_on_builtins(self, name):
         g = builtin_cell(name)
         for k in (1, 2, 3, 4, 5):
+            horizon = blowup(g, k).safe_horizon
             for copies in (1, 2, 3):
                 for seed in (None, 0, 7):
-                    a = blowup(g, k, origin_copies=copies, randomize_identification=seed)
-                    reach = reference_distance_to_defect(adjacency(a), 0, a.defect_set)
-                    assert a.safe_horizon == 2 * reach - 1
+                    a = reference_blowup(
+                        g, k, origin_copies=copies, randomize_identification=seed
+                    )
+                    assert a.safe_horizon == horizon
 
     def test_safe_horizon_matches_reference_bfs_on_enumerated_cells(
         self, enumerated_cells
@@ -606,9 +616,10 @@ class TestAgainstReferences:
         for i, g in enumerate(enumerate_cells(2, 7)):
             if i % 5 == 0:
                 for k, copies in ((1, 1), (2, 1), (3, 1), (2, 2)):
-                    a = blowup(g, k, origin_copies=copies, randomize_identification=i)
-                    reach = reference_distance_to_defect(adjacency(a), 0, a.defect_set)
-                    assert a.safe_horizon == 2 * reach - 1
+                    a = reference_blowup(
+                        g, k, origin_copies=copies, randomize_identification=i
+                    )
+                    assert a.safe_horizon == blowup(g, k).safe_horizon
         for g in enumerated_cells:
             for k in (1, 2):
                 a = blowup(g, k)
@@ -619,7 +630,9 @@ class TestAgainstReferences:
     def test_pruned_walk_counts_match_reference(self, name):
         g = builtin_cell(name)
         for k in (1, 2, 3):
-            a = blowup(g, k, origin_copies=1 + k % 2, randomize_identification=k)
+            a = reference_blowup(
+                g, k, origin_copies=1 + k % 2, randomize_identification=k
+            )
             h = a.safe_horizon
             for n_max in (0, 1, 2, 7, 8, h, h + 1, h + 6):
                 assert exact_return_probs(a, n_max).probs == reference_return_probs(a, n_max)
@@ -636,8 +649,8 @@ class TestAgainstReferences:
     @settings(deadline=None)
     @given(small_balls())
     @example((blowup(builtin_cell("diamond"), 1), 2))
-    @example((blowup(builtin_cell("path2"), 2, origin_copies=2), 3))
-    @example((blowup(builtin_cell("diamond"), 2, randomize_identification=3), 15))
+    @example((reference_blowup(builtin_cell("path2"), 2, origin_copies=2), 3))
+    @example((reference_blowup(builtin_cell("diamond"), 2, randomize_identification=3), 15))
     def test_pull_matches_reference_past_the_horizon(self, ball):
         a, n_max = ball
         assert exact_return_probs(a, n_max).probs == reference_return_probs(a, n_max)
@@ -654,8 +667,8 @@ class TestEquitableCells:
 
     @settings(deadline=None)
     @given(small_balls())
-    @example((blowup(builtin_cell("sierpinski"), 2, origin_copies=2), 11))
-    @example((blowup(builtin_cell("theta4"), 2, randomize_identification=5), 30))
+    @example((reference_blowup(builtin_cell("sierpinski"), 2, origin_copies=2), 11))
+    @example((reference_blowup(builtin_cell("theta4"), 2, randomize_identification=5), 30))
     def test_cells_are_equitable(self, ball):
         a, n_max = ball
         order, depth, ptr, src = _ball(a, n_max // 2)
@@ -663,8 +676,8 @@ class TestEquitableCells:
 
     @settings(deadline=None)
     @given(small_balls())
-    @example((blowup(builtin_cell("path2"), 2, origin_copies=2), 3))
-    @example((blowup(builtin_cell("diamond"), 2, randomize_identification=3), 15))
+    @example((reference_blowup(builtin_cell("path2"), 2, origin_copies=2), 3))
+    @example((reference_blowup(builtin_cell("diamond"), 2, randomize_identification=3), 15))
     def test_lumped_pull_matches_reference_past_the_horizon(self, ball):
         a, n_max = ball
         with pytest.MonkeyPatch.context() as patch:
@@ -676,7 +689,9 @@ class TestEquitableCells:
     def test_lumped_pull_matches_reference_on_builtins(self, name, always_lump):
         g = builtin_cell(name)
         for k in (1, 2, 3):
-            a = blowup(g, k, origin_copies=1 + k % 2, randomize_identification=k)
+            a = reference_blowup(
+                g, k, origin_copies=1 + k % 2, randomize_identification=k
+            )
             h = a.safe_horizon
             for n_max in (2, 7, 8, h, h + 1, h + 6):
                 assert exact_return_probs(a, n_max).probs == (
@@ -712,7 +727,7 @@ class TestEquitableCells:
         # n_max <= 1: radius 0, and every neighbour of the origin reads
         # the zero slot.
         for copies in (1, 2):
-            a = blowup(builtin_cell(name), 2, origin_copies=copies)
+            a = reference_blowup(builtin_cell(name), 2, origin_copies=copies)
             assert exact_return_probs(a, 0).probs == (1,)
             assert exact_return_probs(a, 1).probs == (1, 0)
 

@@ -20,7 +20,7 @@ from cellgreen.cells import (
     CellParseError,
     _cliques_through,
     _norm_edge,
-    _reachable,
+    _distances,
     adjacency_rows,
     boundary_doubly_transitive,
     cell_to_json,
@@ -134,7 +134,7 @@ def canon_edges_graph_classes(m: int) -> tuple:
         for a, b in edges:
             adj[a].add(b)
             adj[b].add(a)
-        if len(_reachable(adj, 0)) != m:
+        if -1 in _distances(adj, 0):
             continue
         degs = tuple(len(s) for s in adj)
         key = (tuple(sorted(degs)), canon_edges(m, edges, degs))
@@ -238,9 +238,32 @@ class TestParsing:
         # A cell's origin is its first boundary vertex; no line sets it.
         for line in ("origin 0", "origin 1", "origin 7"):
             text = f"vertices 3\nboundary 0 1\n{line}\nedge 0 2\nedge 1 2\n"
-            with pytest.raises(CellParseError, match=f"cannot parse: '{line}'") as exc:
+            with pytest.raises(CellParseError) as exc:
                 parse_cell(text)
+            assert str(exc.value) == "line 3: unknown directive 'origin'"
             assert exc.value.line == 3
+
+    # Each message names the fault; only tokens that are not integers, or
+    # a missing one, read "cannot parse".
+    @pytest.mark.parametrize("line, message", [
+        ("foo 1", "unknown directive 'foo'"),
+        ("vertices 3", "repeated vertices line"),
+        ("boundary 0 1", "repeated boundary line"),
+        ("edge 0 2 5", "edge needs two endpoints"),
+        ("edge 0", "edge needs two endpoints"),
+        ("edge 0 x", "cannot parse: 'edge 0 x'"),
+    ])
+    def test_bad_line_names_its_fault(self, line, message):
+        text = f"vertices 3\nboundary 0 1\n{line}\nedge 0 2\n"
+        with pytest.raises(CellParseError) as exc:
+            parse_cell(text)
+        assert str(exc.value) == f"line 3: {message}"
+        assert exc.value.line == 3
+
+    def test_non_integer_vertex_count_cannot_be_parsed(self):
+        with pytest.raises(CellParseError) as exc:
+            parse_cell("vertices x\nboundary 0 1\nedge 0 2\nedge 1 2\n")
+        assert str(exc.value) == "line 1: cannot parse: 'vertices x'"
 
     def test_syntax_error_carries_line_number(self):
         text = "vertices 3\nboundary 0 1\nedge 0\n"

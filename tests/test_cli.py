@@ -104,7 +104,7 @@ class TestValidate:
         result = cli("validate", str(path))
         assert result.returncode == 2
         assert result.stdout == ""
-        assert result.stderr == "error: line 3: cannot parse: 'origin 0'\n"
+        assert result.stderr == "error: line 3: unknown directive 'origin'\n"
 
     def test_unknown_builtin(self, cli):
         result = cli("validate", "--builtin", "nosuch")
@@ -243,13 +243,6 @@ class TestBlowupAndSimulate:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == f"vertices {appx['vertices']}"
         assert len(lines) == 2 + appx["edges"]
-
-    def test_budget_flag_exits_three(self, cli):
-        result = cli(
-            "blowup", "--builtin", "diamond", "--level", "4", "--edge-budget", "100"
-        )
-        assert result.returncode == 3
-        assert "error" in result.stderr
 
     @pytest.mark.parametrize(
         "command, level",
@@ -486,9 +479,6 @@ class TestInputErrors:
             (["simulate", "--steps", "-2"], "--steps", -2),
             (["verify", "--max-steps", "-1"], "--max-steps", -1),
             (["classify", "--series-order", "-5"], "--series-order", -5),
-            (["blowup", "--level", "2", "--edge-budget", "-5"], "--edge-budget", -5),
-            (["simulate", "--edge-budget", "-5"], "--edge-budget", -5),
-            (["verify", "--edge-budget", "-5"], "--edge-budget", -5),
             (["simulate", "--seed", "-3"], "--seed", -3),
         ],
     )
@@ -858,13 +848,6 @@ class TestBudgets:
             f"error: CELLGREEN_EDGE_BUDGET must be a nonnegative integer, got {raw!r}\n"
         )
 
-    def test_flag_overrides_budget_variable(self, cli):
-        result = cli(
-            "blowup", "--builtin", "diamond", "--level", "2", "--edge-budget", "100",
-            env_extra={"CELLGREEN_EDGE_BUDGET": "10"},
-        )
-        assert payload(result)["approximant"]["edges"] == 36
-
     def test_enumeration_budget_exits_three_before_enumerating(
         self, monkeypatch, capsys
     ):
@@ -953,6 +936,53 @@ class TestBudgets:
         assert body["order"] == 1000
         assert len(body["f"]["series"]) == 1001
 
+    # verify --max-steps sets the order of verify's series, so it has the
+    # series budget.  Under an edge budget of 10, a limit that admits 1001
+    # fails at once on path2's approximant, not after a long series, and
+    # 1000 gets past the series check to that approximant.
+    VERIFY_EDGES_REFUSED = "error: level 9 needs more than 10 edges, budget is 10\n"
+
+    @pytest.mark.parametrize("steps, refused", [
+        (1001, "error: --max-steps 1001 exceeds the series budget of 1000\n"),
+        (1000, VERIFY_EDGES_REFUSED),
+    ], ids=["1001", "1000"])
+    def test_max_steps_has_the_series_budget(
+        self, steps, refused, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("CELLGREEN_EDGE_BUDGET", "10")
+        argv = ["verify", "--builtin", "path2", "--max-steps", str(steps)]
+        assert cellgreen.cli.main(argv) == 3
+        assert capsys.readouterr() == ("", refused)
+
+    def test_max_steps_budget_checked_before_enumerating(self, monkeypatch, capsys):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("enumerate_cells was called")
+
+        monkeypatch.setattr(cellgreen.cli, "enumerate_cells", no_enumeration)
+        code = cellgreen.cli.main(["verify", "--enumerate", "--max-steps", "1001"])
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", "error: --max-steps 1001 exceeds the series budget of 1000\n"
+        )
+
+    @pytest.mark.parametrize("steps, refused", [
+        (1001, "error: {}: max_steps 1001 exceeds the series budget of 1000\n"),
+        (1000, VERIFY_EDGES_REFUSED),
+    ], ids=["1001", "1000"])
+    def test_saved_max_steps_has_the_series_budget(
+        self, steps, refused, tmp_path, monkeypatch, capsys
+    ):
+        assert cellgreen.cli.main(
+            ["verify", "--builtin", "path2", "--max-steps", "6"]
+        ) == 0
+        doc = json.loads(capsys.readouterr().out)
+        doc["verify"]["settings"]["max_steps"] = steps
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setenv("CELLGREEN_EDGE_BUDGET", "10")
+        assert cellgreen.cli.main(["verify", "--from-report", str(path)]) == 3
+        assert capsys.readouterr() == ("", refused.format(path))
+
     @staticmethod
     def _simulate_unloaded(flags, monkeypatch, capsys):
         """simulate on diamond with loading and walking forbidden."""
@@ -1011,6 +1041,56 @@ class TestBudgets:
         assert code == 0
         assert seen == [(steps, trials)]
         assert json.loads(capsys.readouterr().out)["simulate"]["trials"] == trials
+
+
+class TestSurface:
+    """The options of every subcommand, pinned so that a new or removed
+    flag shows up as a change to this table."""
+
+    OPTIONS = {
+        "validate": ["-h", "--help", "cell", "--builtin", "--skip-automorphisms"],
+        "functions": ["-h", "--help", "cell", "--builtin", "--order"],
+        "green": ["-h", "--help", "cell", "--builtin", "--order"],
+        "invariants": ["-h", "--help", "cell", "--builtin"],
+        "classify": ["-h", "--help", "cell", "--builtin", "--series-order"],
+        "verify": [
+            "-h", "--help", "cell", "--builtin", "--max-steps", "--enumerate",
+            "--max-vertices", "--from-report",
+        ],
+        "blowup": ["-h", "--help", "cell", "--builtin", "--level", "--emit"],
+        "simulate": [
+            "-h", "--help", "cell", "--builtin", "--level", "--steps", "--trials",
+            "--seed",
+        ],
+        "probe": ["-h", "--help", "cell", "--builtin", "--points", "--order"],
+    }
+
+    def test_options_of_every_subcommand(self):
+        parser = cellgreen.cli.build_parser()
+        (sub,) = [a for a in parser._actions if a.dest == "subcommand"]
+        assert {
+            name: [s for a in p._actions for s in a.option_strings or [a.dest]]
+            for name, p in sub.choices.items()
+        } == self.OPTIONS
+        top = [s for a in parser._actions for s in a.option_strings or [a.dest]]
+        assert top == ["-h", "--help", "--version", "subcommand"]
+
+    # The environment variable CELLGREEN_EDGE_BUDGET alone sets the edge
+    # budget, and blowup builds only the approximant of the limit graph.
+    @pytest.mark.parametrize("args", [
+        ["blowup", "--level", "2", "--origin-copies", "2"],
+        ["blowup", "--level", "2", "--randomize-identification", "7"],
+        ["blowup", "--level", "2", "--edge-budget", "100"],
+        ["simulate", "--edge-budget", "100"],
+        ["verify", "--edge-budget", "100"],
+    ], ids=lambda args: f"{args[0]}{args[-2]}")
+    def test_removed_flags_exit_two(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cellgreen.cli.main([*args, "--builtin", "diamond"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: unrecognized arguments: {args[-2]}" in err
 
 
 def readme_section(title: str) -> str:
