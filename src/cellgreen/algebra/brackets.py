@@ -88,8 +88,8 @@ class Bracket:
     def __rtruediv__(self, other: Fraction | int) -> Bracket:
         return _coerce(other) / self
 
-    def approx_str(self, digits: int = 12) -> str:
-        return f"{float(self):.{digits}g} (+/- {float(self.width) / 2:.3g})"
+    def approx_str(self) -> str:
+        return f"{float(self):.12g} (+/- {float(self.width) / 2:.3g})"
 
 
 def _coerce(x: Bracket | Fraction | int) -> Bracket:

@@ -264,7 +264,7 @@ def squarefree_part(p: Poly) -> Poly:
     return (p // g).monic()
 
 
-def format_poly(p: Poly, var: str = "z") -> str:
+def format_poly(p: Poly) -> str:
     """Human-readable form like ``z^4 - 9z^2 + 9`` (highest degree first)."""
     if p.is_zero:
         return "0"
@@ -278,7 +278,7 @@ def format_poly(p: Poly, var: str = "z") -> str:
         if i == 0:
             body = str(mag)
         else:
-            z = var if i == 1 else f"{var}^{i}"
+            z = "z" if i == 1 else f"z^{i}"
             body = z if mag == 1 else f"{mag}{z}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")

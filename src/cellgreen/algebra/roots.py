@@ -129,7 +129,7 @@ class IsolatedRoot(Bracket):
     defining: Poly
     multiplicity: int = 1
 
-    def refine(self, width: Fraction = DEFAULT_WIDTH) -> IsolatedRoot:
+    def refine(self, width: Fraction) -> IsolatedRoot:
         """Shrink the bracket below the requested width by exact bisection.
 
         When p has opposite signs at the endpoints, the bracket's one root

@@ -4,9 +4,9 @@ The infinite graph is never materialized.  Level-k approximants arise by
 repeatedly replacing every clique with a fresh cell copy; all vertices keep
 their ids when a level is refined, so the original boundary vertices remain
 the outermost glue points.  A closed walk of length n from the origin stays
-within distance n // 2.  When every two boundary vertices of the cell are D
-apart, the vertices whose degree would still grow lie at distance D^k from
-the origin of the level-k approximant (see blowup), so every n up to the
+within distance n // 2.  Every two boundary vertices of a valid cell are D
+apart, and the vertices whose degree would still grow lie at distance D^k
+from the origin of the level-k approximant (see blowup), so every n up to the
 safe horizon 2 D^k - 1 sees no difference between the approximant and the
 infinite graph.  That is what makes the two oracles here exact for small n:
 integer walk counts, one pull per step over the cells of an equitable
@@ -133,8 +133,9 @@ def blowup(
     returned as they are built.
 
     The safe horizon is 2 D^k - 1, where D is the distance between any two
-    boundary vertices of the cell; a cell whose boundary distances are not
-    all equal is rejected.  Lemma: one refinement multiplies the distance
+    boundary vertices of the cell.  They are all D apart: an automorphism
+    keeps distances, and in a valid cell one takes (0, 1) to every pair of
+    boundary vertices.  Lemma: one refinement multiplies the distance
     between any two existing vertices by exactly D.
       (<=) Each edge lies in one clique.  Replace it by a path of length D
       between the same two vertices inside that clique's cell copy.
@@ -147,15 +148,9 @@ def blowup(
     import numpy as np
     if k < 1:
         raise CellError("level must be at least 1")
-    report = require_valid(g, check_automorphisms=False)
+    report = require_valid(g)
     theta = g.theta
     d = g.distance(0, 1)
-    spread = {x for a in range(theta) for x in g.bfs_distances(a)[a + 1 : theta]}
-    if spread != {d}:
-        raise CellError(
-            f"invalid {g.name or 'cell'}: boundary vertices lie at distances "
-            f"{sorted(spread)}, not all equal, so no safe horizon is known"
-        )
     # The cost never falls with the level, and past the budget's bit length
     # mu**j > budget unless mu = 1, when the cost does not grow at all.  So
     # the cost at j decides the budget, and it is the cost at k if j == k.
@@ -535,8 +530,8 @@ def sufficient_approximant(
 
     The level is the least k >= 1 with 2 D^k - 1 >= n_max, D the distance
     between the cell's boundary vertices (at least 2, as they are never
-    adjacent), so it is logarithmic in n_max.  blowup checks that D is the
-    distance between every pair of boundary vertices.
+    adjacent), so it is logarithmic in n_max.  blowup rejects an invalid
+    cell; in a valid one every two boundary vertices are D apart.
     """
     d = g.distance(0, 1)
     level = 1

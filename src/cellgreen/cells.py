@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 
@@ -51,7 +51,8 @@ class CellGraph:
 
     Vertex 0 is the origin.  Structural axioms (simplicity, connectivity,
     pairwise non-adjacent boundary) are enforced at construction; the
-    symmetry axioms are checked separately by validate_cell.
+    symmetry axioms are checked by validate_cell, once per cell object, the
+    first time its ``report`` is read.
     """
 
     n: int
@@ -86,6 +87,10 @@ class CellGraph:
                     )
         if -1 in _distances(self._nbrs, 0):
             raise CellError("graph is not connected")
+
+    @cached_property
+    def report(self) -> CellReport:
+        return validate_cell(self)
 
     # -- basic structure ----------------------------------------------------
 
@@ -366,14 +371,20 @@ def has_automorphism(g: CellGraph, forced: dict[int, int]) -> bool:
 
 
 def boundary_doubly_transitive(g: CellGraph) -> bool:
-    """Automorphisms reach every ordered pair of boundary vertices from (0,1)."""
-    for a in range(g.theta):
-        for b in range(g.theta):
-            if a == b:
-                continue
-            if not has_automorphism(g, {0: a, 1: b}):
-                return False
-    return True
+    """Automorphisms take (0, 1) to every ordered pair of boundary vertices.
+
+    theta - 1 searches: one forced by {0: 1}, then one forced by
+    {0: 0, 1: c} for each c >= 2.  Proof that they suffice, with B the
+    boundary and G the automorphisms, which permute B: the second kind make
+    the stabiliser G_0 of 0 transitive on B - {0}.  The orbit of 0 holds 1,
+    so it holds G_0's orbit of 1 as well, which is B - {0}; G is transitive
+    on B.  Given a != b in B, take t in G with t(0) = a; then
+    t^-1(b) != 0, so some s in G_0 has s(1) = t^-1(b), and t s takes
+    (0, 1) to (a, b).
+    """
+    return has_automorphism(g, {0: 1}) and all(
+        has_automorphism(g, {0: 0, 1: c}) for c in range(2, g.theta)
+    )
 
 
 # -- clique partition --------------------------------------------------------
@@ -446,19 +457,19 @@ class CellReport:
     bipartite: bool
     is_path: bool
     clique_partition: tuple[frozenset[int], ...] | None
-    doubly_transitive: bool | str
+    doubly_transitive: bool
     violations: tuple[str, ...]
 
     @property
     def valid(self) -> bool:
-        return not self.violations and self.doubly_transitive in (
-            True,
-            "skipped",
-        )
+        return not self.violations
 
 
-def validate_cell(g: CellGraph, check_automorphisms: bool = True) -> CellReport:
-    """Check the symmetry axioms and report violations instead of raising."""
+def validate_cell(g: CellGraph) -> CellReport:
+    """Check the symmetry axioms and report violations instead of raising.
+
+    Callers read ``g.report``, which runs this once per cell object.
+    """
     violations: list[str] = []
     theta = g.theta
     mu2 = 2 * g.num_edges
@@ -473,8 +484,6 @@ def validate_cell(g: CellGraph, check_automorphisms: bool = True) -> CellReport:
     partition = clique_partition(g)
     if partition is None:
         violations.append("edges admit no partition into complete graphs K_theta")
-    elif mu is not None and len(partition) != mu:
-        violations.append("clique partition size disagrees with edge count")
     for b in range(theta):
         if g.degree(b) != theta - 1:
             violations.append(
@@ -482,14 +491,11 @@ def validate_cell(g: CellGraph, check_automorphisms: bool = True) -> CellReport:
                 f"{theta - 1}: gluing copies at it would grow its degree "
                 "without bound, so no locally finite limit graph exists"
             )
-    if check_automorphisms:
-        dt: bool | str = boundary_doubly_transitive(g)
-        if dt is False:
-            violations.append(
-                "automorphism group is not doubly transitive on the boundary"
-            )
-    else:
-        dt = "skipped"
+    dt = boundary_doubly_transitive(g)
+    if not dt:
+        violations.append(
+            "automorphism group is not doubly transitive on the boundary"
+        )
     return CellReport(
         theta=theta,
         mu=mu,
@@ -501,8 +507,8 @@ def validate_cell(g: CellGraph, check_automorphisms: bool = True) -> CellReport:
     )
 
 
-def require_valid(g: CellGraph, check_automorphisms: bool = True) -> CellReport:
-    report = validate_cell(g, check_automorphisms=check_automorphisms)
+def require_valid(g: CellGraph) -> CellReport:
+    report = g.report
     if not report.valid:
         label = g.name or "cell"
         raise CellError(f"invalid {label}: " + "; ".join(report.violations))

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .algebra.poly import schoolbook
 from .blowup import DEFAULT_EDGE_BUDGET, exact_return_probs, sufficient_approximant
-from .cells import CellGraph, CellReport, validate_cell
+from .cells import CellGraph, CellReport
 from .greenkernel import (
     CellFunctions,
     KernelError,
@@ -108,11 +108,12 @@ def classify(
 
     A path cell's series is checked against its closed form through
     z^series_order.  A caller that holds the cell's functions passes them
-    as ``cf``, and the verdict reuses their validation report.
+    as ``cf``.  The verdict reads the cell's own report, ``g.report``, so
+    the cell is validated once however many callers ask.
     """
     if series_order < 0:
         raise ValueError(f"series order must be nonnegative, got {series_order}")
-    report = validate_cell(g) if cf is None else cf.report
+    report = g.report
     if not report.valid:
         return Verdict(
             outcome="Invalid",
@@ -120,7 +121,7 @@ def classify(
             cell_report=report,
         )
     if cf is None:
-        cf = cell_functions(g, report=report)
+        cf = cell_functions(g)
     inv = invariants(cf)
     hyp = iteration_hypotheses(cf.d)
     star = report.is_path
@@ -160,13 +161,13 @@ def verify_cell(
     Exact, with the oracle item limited to walk lengths
     min(max_steps, safe horizon).
     """
-    report = validate_cell(g)
+    report = g.report
     violations = "; ".join(report.violations)
     items = [check("valid_cell", report.valid, "all axioms hold", violations)]
     if not report.valid:
         return PropertyReport(tuple(items))
 
-    cf = cell_functions(g, report=report)
+    cf = cell_functions(g)
     verdict = classify(g, cf=cf)
     inv = verdict.invariants
     items.extend(spectral_property_report(cf).items)

@@ -45,7 +45,6 @@ from .cells import (
     cell_to_text,
     enumerate_cells,
     parse_cell,
-    validate_cell,
 )
 from .classify import classify, verify_cell
 from .greenkernel import PropertyReport, cell_functions, radius, residue_scale
@@ -206,8 +205,7 @@ def _pole_json(func, rho) -> dict | None:
 
 def cmd_validate(args):
     g, meta = _load_cell(args)
-    report = validate_cell(g, check_automorphisms=not args.skip_automorphisms)
-    return meta, g, {"report": report}, 0 if report.valid else 2
+    return meta, g, {"report": g.report}, 0 if g.report.valid else 2
 
 
 def cmd_functions(args):
@@ -247,7 +245,7 @@ def cmd_invariants(args):
         alpha = alpha_from_harmonic(h)
         body["harmonic"] = h
         body["alpha_from_harmonic"] = alpha
-        body["alpha_mu"] = AlphaMuReport(alpha, cf.report.mu, cf.report.is_path)
+        body["alpha_mu"] = AlphaMuReport(alpha, g.report.mu, g.report.is_path)
     return meta, g, body, 0
 
 
@@ -469,11 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the cell axioms")
     _add_input_args(p)
-    p.add_argument(
-        "--skip-automorphisms",
-        action="store_true",
-        help="skip the boundary double-transitivity search",
-    )
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("functions", help="return/transition/first-return functions")

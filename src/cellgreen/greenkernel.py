@@ -30,13 +30,7 @@ from .algebra import (
     roots_equal,
     smallest_positive_root,
 )
-from .cells import (
-    CellError,
-    CellGraph,
-    CellReport,
-    adjacency_rows,
-    require_valid,
-)
+from .cells import CellError, CellGraph, adjacency_rows, require_valid
 
 
 class KernelError(CellError):
@@ -118,15 +112,14 @@ class CellFunctions:
 
     ``rho_f`` and ``rho_d`` are the smallest positive poles of f and d.
     ``det_f`` and ``det_d`` are det(I - zP_f) and det(I - zP_d), the
-    denominators that f and d were built over.  ``report`` is the cell's
-    validation report, which carries mu, bipartiteness, the path test and
-    the clique partition for everything downstream.  Construction checks,
-    once for every consumer, that d has a double zero at the origin: one
-    step cannot cross the cell, and green_series relies on it to end.
+    denominators that f and d were built over.  ``cell.report`` carries mu,
+    bipartiteness, the path test and the clique partition for everything
+    downstream.  Construction checks, once for every consumer, that d has a
+    double zero at the origin: one step cannot cross the cell, and
+    green_series relies on it to end.
     """
 
     cell: CellGraph
-    report: CellReport
     f: RatFunc
     d: RatFunc
     r: RatFunc
@@ -159,7 +152,7 @@ class CellFunctions:
         return math.lcm(*self.cell.degrees())
 
 
-def cell_functions(g: CellGraph, report: CellReport | None = None) -> CellFunctions:
+def cell_functions(g: CellGraph) -> CellFunctions:
     """Compute f, d, r for a valid cell and verify their defining identities.
 
     f(z) generates returns to the origin that avoid the rest of the boundary;
@@ -173,13 +166,8 @@ def cell_functions(g: CellGraph, report: CellReport | None = None) -> CellFuncti
     f = 1 / (1 - r) holds by construction: with f = N / D in lowest terms,
     r = (N - D) / N, so 1 - r = D / N, and RatFunc's normal form makes
     1 / (1 - r) the same N / D as f.
-    ``report`` is ``validate_cell(g)``; a caller that has validated the
-    cell passes it in, so that validation runs once.
     """
-    if report is None:
-        report = require_valid(g)
-    elif not report.valid:
-        raise KernelError("cell_functions needs the report of a valid cell")
+    require_valid(g)
     degrees = g.degrees()
     det_f, (f_num,) = resolvent_row(degrees, build_pf(g), [0])
     det_d, d_nums = resolvent_row(degrees, build_pd(g), range(1, g.theta))
@@ -199,7 +187,6 @@ def cell_functions(g: CellGraph, report: CellReport | None = None) -> CellFuncti
         raise KernelError("f and d must have a positive pole")
     return CellFunctions(
         cell=g,
-        report=report,
         f=f,
         d=d,
         r=r,

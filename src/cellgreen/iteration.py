@@ -241,7 +241,7 @@ def invariants(cf: CellFunctions) -> CellInvariants:
     ties the three scales together and any violation means the inputs do
     not describe a self-similar random walk.
     """
-    mu = cf.report.mu
+    mu = cf.cell.report.mu
     # d'(1) by the quotient rule; d(1) = 1, so D(1) != 0.
     n, den = cf.d.num, cf.d.den
     tau = (n.derivative()(1) * den(1) - n(1) * den.derivative()(1)) / den(1) ** 2
@@ -268,7 +268,7 @@ def invariants(cf: CellFunctions) -> CellInvariants:
         eta_alt=eta_alt,
         rho_f=cf.rho_f,
         rho_d=cf.rho_d,
-        bipartite=cf.report.bipartite,
+        bipartite=cf.cell.report.bipartite,
     )
 
 

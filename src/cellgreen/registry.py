@@ -1,12 +1,11 @@
 """Builtin example cells.
 
 Vertex numbering follows the package convention: boundary first (origin 0),
-interior after.  Each entry is constructed once and cached.
+interior after.  Each load builds a fresh cell, which validates itself the
+first time its report is read, so no two loads share a report.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .cells import CellGraph, CellError
 
@@ -71,7 +70,6 @@ def builtin_names() -> tuple[str, ...]:
     return tuple(sorted(_BUILTINS))
 
 
-@lru_cache(maxsize=None)
 def builtin_cell(name: str) -> CellGraph:
     try:
         factory = _BUILTINS[name]

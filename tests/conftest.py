@@ -36,7 +36,6 @@ from cellgreen import (
     harmonic_function,
     invariants,
     sufficient_approximant,
-    validate_cell,
 )
 from cellgreen.cells import adjacency_rows
 from cellgreen.greenkernel import spectral_property_report
@@ -73,8 +72,8 @@ class Sweep:
 
 
 def _sweep_one(g: CellGraph) -> tuple[SweepRecord, float]:
-    report = validate_cell(g)
-    cf = cell_functions(g, report=report)
+    report = g.report
+    cf = cell_functions(g)
     verdict = classify(g, cf=cf)
     spectral = spectral_property_report(cf)
 
@@ -137,9 +136,33 @@ def builtin_invariants(builtin_functions) -> dict[str, CellInvariants]:
 def chained_triangles_text() -> str:
     """Four triangles in a chain, the boundary in the first three: distances
     2 (0 to 1), 3 (0 to 2) and 2 (1 to 2).  Only its automorphisms make it
-    invalid, so a build that skips that check must reject it itself."""
+    invalid, so only the double-transitivity search rejects it."""
     triangles = ((0, 3, 4), (4, 1, 5), (5, 2, 6), (6, 7, 8))
     lines = ["vertices 9", "boundary 0 1 2"]
+    for a, b, c in triangles:
+        lines += [f"edge {a} {b}", f"edge {a} {c}", f"edge {b} {c}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="session")
+def unswappable_text() -> str:
+    """A two-boundary cell that passes every axiom but the symmetry one: no
+    automorphism swaps its ends, as 0's neighbour has degree 2 and 1's has
+    degree 3.  Its only boundary pair is 3 apart, so no distance check
+    could reject it."""
+    return (
+        "vertices 5\nboundary 0 1\n"
+        "edge 0 2\nedge 2 3\nedge 3 1\nedge 3 4\n"
+    )
+
+
+@pytest.fixture(scope="session")
+def swap_only_text() -> str:
+    """A theta = 3 cell in which 0 and 1 swap, but no automorphism fixes 0
+    and takes 1 to 2: 1 is 3 from 0 and 2 is 4 from 0.  The search forced
+    by {0: 1} passes; only the stabiliser's searches reject it."""
+    triangles = ((0, 3, 4), (1, 5, 6), (4, 6, 7), (7, 8, 9), (9, 2, 10))
+    lines = ["vertices 11", "boundary 0 1 2"]
     for a, b, c in triangles:
         lines += [f"edge {a} {b}", f"edge {a} {c}", f"edge {b} {c}"]
     return "\n".join(lines) + "\n"

@@ -41,6 +41,9 @@ scan_graph_classes is the orderly scan of edge masks one relabeling at a
 time, the route connected_graph_classes took before its byte tables.
 fraction_atanh_bracket and fraction_ln_bracket sum the atanh series one
 Fraction term at a time, the route of ln_bracket before its integer sums.
+all_pairs_doubly_transitive runs one automorphism search per ordered pair
+of boundary vertices, theta (theta - 1) in all, the route of
+boundary_doubly_transitive before it ran theta - 1.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from cellgreen.algebra.brackets import DEFAULT_LOG_ERR
 from cellgreen.algebra.matrix import _exact_div, bareiss_solve
 from cellgreen.algebra.poly import clear_denominators
 from cellgreen.algebra.series import pack_slots, scaled_fractions, unpack_slots
+from cellgreen.cells import CellGraph, has_automorphism
 from cellgreen.greenkernel import CellFunctions
 from cellgreen.iteration import GreenSeries
 
@@ -744,6 +748,15 @@ def scan_graph_classes(m: int) -> tuple[tuple[frozenset, tuple], ...]:
         group = tuple(p for p, image in zip(perms, images) if image == mask)
         out.append((frozenset(pairs[i] for i in on), group))
     return tuple(out)
+
+
+def all_pairs_doubly_transitive(g: CellGraph) -> bool:
+    """Automorphisms take (0, 1) to every ordered pair of boundary vertices,
+    each pair found by its own search."""
+    return all(
+        has_automorphism(g, {0: a, 1: b})
+        for a, b in itertools.permutations(range(g.theta), 2)
+    )
 
 
 def fraction_atanh_bracket(t: Fraction, abs_err: Fraction) -> Bracket:

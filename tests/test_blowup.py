@@ -35,6 +35,8 @@ from cellgreen.blowup import _ball, _equitable_cells, write_approximant
 from cellgreen.cells import clique_partition
 from routes import adjacency, reference_count_walk, reference_monte_carlo
 
+NOT_DT = "automorphism group is not doubly transitive on the boundary"
+
 
 def emitted_text(a: Approximant) -> str:
     """What ``blowup --emit`` writes for ``a``."""
@@ -265,12 +267,20 @@ class TestBlowup:
             blowup(builtin_cell("diamond"), 9)
 
     def test_unequal_boundary_distances_rejected(self, chained_triangles_text):
-        # The safe horizon 2 D^k - 1 needs every boundary pair D apart.
+        # The safe horizon 2 D^k - 1 needs every boundary pair D apart,
+        # which the double-transitivity search that blowup runs implies.
         g = parse_cell(chained_triangles_text, name="chain")
-        with pytest.raises(CellError, match=r"distances \[2, 3\]"):
+        with pytest.raises(CellError, match=f"^invalid chain: {NOT_DT}$"):
             blowup(g, 2)
-        with pytest.raises(CellError, match="not all equal"):
+        with pytest.raises(CellError, match=f"^invalid chain: {NOT_DT}$"):
             sufficient_approximant(g, 5)
+
+    @pytest.mark.parametrize("fixture", ["unswappable_text", "swap_only_text"])
+    def test_cells_that_validate_rejects_do_not_blow_up(self, fixture, request):
+        g = parse_cell(request.getfixturevalue(fixture))
+        assert not g.report.valid
+        with pytest.raises(CellError, match=f"^invalid cell: {NOT_DT}$"):
+            blowup(g, 2)
 
     def test_int32_vertex_ids_bound_the_size(self):
         # 6^12 edges pass this budget but not the int32 vertex ids; the

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -28,7 +29,7 @@ from cellgreen.cells import (
     connected_graph_classes,
     has_automorphism,
 )
-from routes import scan_graph_classes
+from routes import all_pairs_doubly_transitive, scan_graph_classes
 
 
 # sha256 over cell_to_text(g) + g.name of enumerate_cells(2, 8), in order,
@@ -342,11 +343,6 @@ class TestValidation:
         assert not rep.valid
         assert any("boundary" in v for v in rep.violations)
 
-    def test_skip_automorphisms_marks_report(self):
-        rep = validate_cell(builtin_cell("diamond"), check_automorphisms=False)
-        assert rep.doubly_transitive == "skipped"
-        assert rep.valid
-
     def test_long_path_validates(self, long_path_text):
         rep = validate_cell(parse_cell(long_path_text))
         assert rep.valid and rep.is_path
@@ -356,11 +352,10 @@ class TestValidation:
     def test_long_triangle_strip_gets_a_report(self, triangle_strip_text):
         g = parse_cell(triangle_strip_text)
         assert (g.n, g.theta, g.num_edges) == (2201, 3, 3300)
-        rep = validate_cell(g, check_automorphisms=False)
-        assert rep.valid and rep.mu == 1100
+        rep = validate_cell(g)
+        assert rep.mu == 1100
         assert len(rep.clique_partition) == 1100
         assert set().union(*rep.clique_partition) == set(range(g.n))
-        rep = validate_cell(g)
         assert rep.doubly_transitive is False
         assert not rep.valid
 
@@ -519,3 +514,29 @@ class TestAutomorphisms:
 
     def test_theta3_double_transitivity(self):
         assert boundary_doubly_transitive(builtin_cell("sierpinski"))
+
+    def test_matches_the_all_pairs_search(
+        self, chained_triangles_text, unswappable_text, swap_only_text
+    ):
+        texts = (chained_triangles_text, unswappable_text, swap_only_text)
+        cells = [builtin_cell(name) for name in builtin_names()]
+        cells += enumerate_cells(2, 7)
+        cells += [parse_cell(text) for text in texts]
+        # Every order of the boundary of each cell with more than two ends.
+        for g in cells[:]:
+            if g.theta > 2:
+                rest = tuple(g.interior)
+                cells += [
+                    relabel(g, perm + rest)
+                    for perm in itertools.permutations(g.boundary)
+                ]
+        outcomes = Counter()
+        for g in cells:
+            fast = boundary_doubly_transitive(g)
+            assert fast == all_pairs_doubly_transitive(g), cell_to_text(g)
+            outcomes[fast, g.theta] += 1
+        # Each theta > 2 cell as given and in every order: theta4 in 1 + 24,
+        # sierpinski in 1 + 6, and the two invalid theta = 3 cells in 1 + 6
+        # each; and the one invalid theta = 2 cell.
+        assert outcomes[True, 4] == 25 and outcomes[True, 3] == 7
+        assert outcomes[False, 3] == 14 and outcomes[False, 2] == 1

@@ -207,11 +207,12 @@ class TestFullVerification:
         }
         g = builtin_cell(name)
         assert verify_cell(g).all_passed
-        # verify_cell validates once, and blowup once more without the
-        # automorphism search; a path cell's verdict expands its own series.
-        assert len(calls["validate_cell"]) <= 2
+        # The cell validates itself once, and verify_cell, cell_functions,
+        # classify and blowup all read that report; a path cell's verdict
+        # expands its own series.
+        assert len(calls["validate_cell"]) == 1
         assert len(calls["boundary_doubly_transitive"]) == 1
-        assert len(calls["clique_partition"]) <= 2
+        assert len(calls["clique_partition"]) == 1
         assert len(calls["invariants"]) == 1
         assert len(calls["harmonic_function"]) == (1 if g.theta == 2 else 0)
         assert len(calls["green_series"]) <= (2 if g.is_path() else 1)
@@ -242,11 +243,15 @@ class TestFullVerification:
         assert items["functional_residual"] is False
 
     def test_classify_validates_once(self, count_calls):
+        # Each load is a fresh cell, which keeps its report: classifying
+        # it again validates nothing more.
         calls = count_calls("cellgreen.cells", "validate_cell")
-        for name in ("diamond", "path2", "theta4"):
+        for name in ("diamond", "path2", "sierpinski", "theta4"):
             calls.clear()
-            classify(builtin_cell(name))
-            assert len(calls) == 1
+            g = builtin_cell(name)
+            classify(g)
+            classify(g)
+            assert calls == [(g,)]
 
     def test_invalid_cell_fails_verification(self):
         report = verify_cell(four_cycle(), max_steps=6)
@@ -265,8 +270,8 @@ class TestFullVerification:
             gs = real_series(cf, order)
             return dataclasses.replace(gs, ints=tuple(2 * b for b in gs.ints))
 
-        def other_det_d(g, report=None):
-            cf = real_functions(g, report=report)
+        def other_det_d(g):
+            cf = real_functions(g)
             return dataclasses.replace(cf, det_d=cf.det_d * Poly([1, 1]))
 
         monkeypatch.setattr(module, "green_series", doubled)

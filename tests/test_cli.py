@@ -2,6 +2,7 @@
 where a test replaces a function that the CLI calls."""
 
 import hashlib
+import inspect
 import json
 import re
 import shlex
@@ -14,8 +15,9 @@ import pytest
 
 import cellgreen
 import cellgreen.cli
+from cellgreen.algebra import Bracket, IsolatedRoot, format_poly
 from cellgreen.blowup import WalkStats
-from cellgreen.cells import cell_to_json, cell_to_text
+from cellgreen.cells import cell_to_json, cell_to_text, require_valid
 from cellgreen.greenkernel import CheckItem, PropertyReport
 from cellgreen.registry import _path
 
@@ -76,15 +78,15 @@ class TestValidate:
         assert doc["report"]["valid"] is True
         assert doc["report"]["doubly_transitive"] is True
 
-    @pytest.mark.parametrize("flags", [[], ["--skip-automorphisms"]])
     def test_long_triangle_strip_gets_a_report(
-        self, cli, tmp_path, triangle_strip_text, flags
+        self, cli, tmp_path, triangle_strip_text
     ):
         path = tmp_path / "strip1100.cell"
         path.write_text(triangle_strip_text)
-        result = cli("validate", str(path), *flags)
-        assert result.returncode == (0 if flags else 2), result.stderr
+        result = cli("validate", str(path))
+        assert result.returncode == 2, result.stderr
         report = json.loads(result.stdout)["report"]
+        assert report["doubly_transitive"] is False
         assert len(report["clique_partition"]) == 1100
 
     def test_invalid_cell_exits_two(self, cli, tmp_path):
@@ -299,9 +301,29 @@ class TestBlowupAndSimulate:
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == (
-            "error: invalid chain.cell: boundary vertices lie at distances "
-            "[2, 3], not all equal, so no safe horizon is known\n"
+            "error: invalid chain.cell: automorphism group is not doubly "
+            "transitive on the boundary\n"
         )
+
+    # Each cell passes every axiom but double transitivity, so validate,
+    # blowup and simulate all reject it, with the same line.
+    @pytest.mark.parametrize("fixture", ["unswappable_text", "swap_only_text"])
+    @pytest.mark.parametrize("args", [
+        ["blowup", "--level", "2"],
+        ["simulate", "--steps", "4", "--trials", "1000"],
+    ])
+    def test_cells_that_validate_rejects_exit_two(
+        self, tmp_path, capsys, request, fixture, args
+    ):
+        path = tmp_path / "bad.cell"
+        path.write_text(request.getfixturevalue(fixture))
+        assert cellgreen.cli.main(["validate", str(path)]) == 2
+        capsys.readouterr()
+        assert cellgreen.cli.main([*args, str(path)]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: invalid bad.cell: automorphism group is not doubly "
+            "transitive on the boundary\n"
+        ))
 
     def test_simulate_is_reproducible(self, cli):
         args = (
@@ -1048,7 +1070,7 @@ class TestSurface:
     flag shows up as a change to this table."""
 
     OPTIONS = {
-        "validate": ["-h", "--help", "cell", "--builtin", "--skip-automorphisms"],
+        "validate": ["-h", "--help", "cell", "--builtin"],
         "functions": ["-h", "--help", "cell", "--builtin", "--order"],
         "green": ["-h", "--help", "cell", "--builtin", "--order"],
         "invariants": ["-h", "--help", "cell", "--builtin"],
@@ -1075,6 +1097,17 @@ class TestSurface:
         top = [s for a in parser._actions for s in a.option_strings or [a.dest]]
         assert top == ["-h", "--help", "--version", "subcommand"]
 
+    def test_skip_automorphisms_exits_two(self, capsys):
+        # Every validation runs the double-transitivity search.
+        with pytest.raises(SystemExit) as exc:
+            cellgreen.cli.main(
+                ["validate", "--skip-automorphisms", "--builtin", "diamond"]
+            )
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: unrecognized arguments: --skip-automorphisms" in err
+
     # The environment variable CELLGREEN_EDGE_BUDGET alone sets the edge
     # budget, and blowup builds only the approximant of the limit graph.
     @pytest.mark.parametrize("args", [
@@ -1092,6 +1125,45 @@ class TestSurface:
         assert out == ""
         assert f"error: unrecognized arguments: {args[-2]}" in err
 
+
+
+class TestLibrarySurface:
+    """The parameters of the library entry points, pinned as TestSurface
+    pins the flags: each name, with "=" after it when it has a default."""
+
+    PARAMETERS = {
+        "validate_cell": ["g"],
+        "require_valid": ["g"],
+        "cell_functions": ["g"],
+        "classify": ["g", "series_order=", "cf="],
+        "verify_cell": ["g", "max_steps=", "edge_budget="],
+        "blowup": ["g", "k", "edge_budget="],
+        "sufficient_approximant": ["g", "n_max", "edge_budget="],
+        "format_poly": ["p"],
+        "Bracket.approx_str": ["self"],
+        "IsolatedRoot.refine": ["self", "width"],
+    }
+
+    def test_parameters_of_every_entry_point(self):
+        functions = {
+            "validate_cell": cellgreen.validate_cell,
+            "require_valid": require_valid,
+            "cell_functions": cellgreen.cell_functions,
+            "classify": cellgreen.classify,
+            "verify_cell": cellgreen.verify_cell,
+            "blowup": cellgreen.blowup,
+            "sufficient_approximant": cellgreen.sufficient_approximant,
+            "format_poly": format_poly,
+            "Bracket.approx_str": Bracket.approx_str,
+            "IsolatedRoot.refine": IsolatedRoot.refine,
+        }
+        assert {
+            name: [
+                p.name + ("" if p.default is p.empty else "=")
+                for p in inspect.signature(fn).parameters.values()
+            ]
+            for name, fn in functions.items()
+        } == self.PARAMETERS
 
 def readme_section(title: str) -> str:
     """The text of README.md under the heading ``## title``."""
