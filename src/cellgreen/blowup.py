@@ -121,16 +121,35 @@ def blowup(
     from the origin unchanged; the tests build those approximants with
     their reference route and confirm it.
 
-    The cliques are rows of an int array.  One refinement maps every cell
-    vertex through a (cliques, n) table, whose first theta columns are the
-    clique members and whose other columns are fresh interior ids in
-    clique order, and gathers the base cliques through it.  Boundary
-    vertices of a cell are pairwise non-adjacent, so a base clique holds
-    at most one of them, first; the fresh ids exceed every older id and
-    grow with the cell vertex, so each gathered row is sorted already.
-    For the same reason the cliques share no edge, and the CSR arrays come
-    from one sort of the directed edges, with no pair repeated; they are
-    returned as they are built.
+    The cliques are rows of an int array; level 0 is one clique, the
+    boundary 0..theta-1.  Up to level k - 1, one refinement maps every
+    cell vertex through a (copies, n) table vmap, whose row c holds clique
+    c's members, then the fresh ids of copy c's interior in cell order,
+    and gathers the base cliques through it.  Boundary vertices of a cell
+    are pairwise non-adjacent, so a base clique holds at most one of them,
+    first; the fresh ids exceed every older id and grow with the cell
+    vertex, so each gathered row is sorted already.
+
+    The CSR arrays of level k are written straight from the cliques of
+    level k - 1, with no edge list.  Vertices 0..old-1 exist at level
+    k - 1; copy c replaces clique c, its boundary vertex j is the clique's
+    j-th member and its interior vertex w gets the fresh id
+    old + c (n - theta) + w - theta.  An old vertex has theta - 1
+    neighbours in each copy that holds it, since a valid cell's boundary
+    vertices have degree theta - 1, all of them interior; so its degree is
+    theta - 1 times the number of cliques that hold it.  A fresh vertex
+    has its degree in the cell.  Each row comes out sorted:
+      Fresh vertex: its sorted cell neighbours, mapped into copy c.  The
+      boundary ones come first and map to clique c's sorted members, all
+      older than every fresh id; the interior ones map to fresh ids that
+      grow with the cell vertex.
+      Old vertex: one stable argsort of the clique members groups its
+      incidences, (copy c, position j), in increasing c, and each gives
+      boundary vertex j's interior neighbours in copy c.  Copy c's fresh
+      ids exceed copy c - 1's, and within a copy they grow with the cell
+      vertex.
+    No pair repeats, as two copies share no interior vertex and a
+    boundary vertex of a cell is adjacent to no other.
 
     The safe horizon is 2 D^k - 1, where D is the distance between any two
     boundary vertices of the cell.  They are all D apart: an automorphism
@@ -167,40 +186,48 @@ def blowup(
             f"than {2**31 - 1}"
         )
 
-    base = np.array([sorted(c) for c in report.clique_partition], dtype=np.int64)
-    per_copy = g.n - theta  # interior vertices, ids theta..n-1
-
-    cliques = base
-    next_id = g.n
+    n = g.n
+    per_copy = n - theta  # interior vertices, ids theta..n-1
+    base = np.array([sorted(c) for c in report.clique_partition], dtype=np.int32)
+    cliques = np.arange(theta, dtype=np.int32).reshape(1, theta)  # level 0
+    old = theta
     for _ in range(k - 1):
-        count = len(cliques)
-        vmap = np.empty((count, g.n), dtype=np.int64)
+        copies = len(cliques)
+        vmap = np.empty((copies, n), dtype=np.int32)
         vmap[:, :theta] = cliques
-        fresh = np.arange(next_id, next_id + count * per_copy, dtype=np.int64)
-        vmap[:, theta:] = fresh.reshape(count, per_copy)
-        next_id += count * per_copy
+        fresh = np.arange(old, old + copies * per_copy, dtype=np.int32)
+        vmap[:, theta:] = fresh.reshape(copies, per_copy)
         cliques = vmap[:, base].reshape(-1, theta)
+        old += copies * per_copy
 
-    # Edge (v, u) is the key v * next_id + u, exact in int64 for fewer
-    # than 3 * 10^9 vertices.  The keys are built and sorted in place, and
-    # each temporary is dropped once used, so the build holds few
-    # edge-sized arrays at once.
-    first, second = np.triu_indices(theta, 1)
-    lo = cliques[:, first].ravel()
-    hi = cliques[:, second].ravel()
-    del cliques
-    half = len(lo)
-    keys = np.empty(2 * half, dtype=np.int64)
-    np.multiply(lo, next_id, out=keys[:half])
-    keys[:half] += hi
-    np.multiply(hi, next_id, out=keys[half:])
-    keys[half:] += lo
-    del lo, hi
-    keys.sort()
-    indptr = np.zeros(next_id + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // next_id, minlength=next_id), out=indptr[1:])
-    indices = (keys % next_id).astype(np.int32)
-    del keys
+    copies = len(cliques)
+    start = old - theta  # copy c's interior vertex w gets the id shift[c] + w
+    shift = np.arange(start, start + copies * per_copy, per_copy, dtype=np.int32)
+    nbrs = [sorted(g.neighbors(v)) for v in range(n)]
+    flat = np.concatenate(nbrs[theta:]).astype(np.int32)  # one copy's fresh rows
+    indptr = np.zeros(old + copies * per_copy + 1, dtype=np.int64)
+    head = indptr[: old + 1]
+    head[1:] = np.bincount(cliques.ravel(), minlength=old) * (theta - 1)
+    np.cumsum(head, out=head)
+    split = int(head[-1])
+    ends = np.cumsum([len(nb) for nb in nbrs[theta:]])
+    width = len(flat)
+    starts = np.arange(split, split + copies * width, width)[:, None]
+    np.add(starts, ends, out=indptr[old + 1 :].reshape(copies, per_copy))
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    rows = indices[split:].reshape(copies, width)
+    np.add(shift[:, None], flat, out=rows)
+    for p in np.flatnonzero(flat < theta).tolist():
+        rows[:, p] = cliques[:, flat[p]]
+    # Row c * theta + j of inner: boundary vertex j's interior neighbours
+    # in copy c, taken in the order of the old vertices' incidences.
+    order = np.argsort(cliques.ravel(), kind="stable")
+    spokes = np.ravel(nbrs[:theta]).astype(np.int32)
+    inner = np.repeat(shift, len(spokes)) + np.tile(spokes, copies)
+    np.take(
+        inner.reshape(-1, theta - 1), order, axis=0,
+        out=indices[:split].reshape(-1, theta - 1),
+    )
 
     return Approximant(
         level=k,
@@ -505,7 +532,7 @@ def monte_carlo(a: Approximant, n: int, trials: int, seed: int) -> WalkStats:
     for _ in range(n):
         d_at = deg[occupied]
         to, moved = [], []
-        for d in np.unique(d_at).tolist():
+        for d in np.flatnonzero(np.bincount(d_at)).tolist():
             group = d_at == d
             moved.append(rng.multinomial(counts[group], [1 / d] * d).ravel())
             cols = a.indptr[occupied[group], None] + np.arange(d)

@@ -30,6 +30,9 @@ reference_monte_carlo is the per-walker walk that monte_carlo's count
 walk replaced, kept as a reference in law; reference_count_walk is the
 count walk one vertex at a time, which must give monte_carlo's hits
 exactly; adjacency lists an approximant's neighbours per vertex.
+sorted_key_csr builds blowup's CSR arrays by one sort of int64 edge keys,
+the route blowup took before it wrote each neighbour list in order; unlike
+the set-based reference_blowup of the tests, it reaches the deep levels.
 log_ratio encloses ln(a)/ln(b), the quotient that invariants
 builds from its ln brackets.  rf_add, rf_neg, rf_sub, rf_mul and rf_div
 are the RatFunc field arithmetic, which only tests use.  poly_divmod is
@@ -609,6 +612,34 @@ def adjacency(a) -> tuple[tuple[int, ...], ...]:
     flat = a.indices.tolist()
     ends = a.indptr.tolist()
     return tuple(tuple(flat[s:e]) for s, e in zip(ends, ends[1:]))
+
+
+def sorted_key_csr(g: CellGraph, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR arrays (indptr, indices) of blowup(g, k), by one sort of the
+    directed edges: the route blowup took before it wrote each neighbour
+    list in order.  Each edge (v, u) is the int64 key v * N + u, N the
+    vertex count; the sorted keys give the rows by division and the
+    columns by remainder.  g must be a valid cell."""
+    theta = g.theta
+    base = np.array([sorted(c) for c in g.report.clique_partition], dtype=np.int64)
+    per_copy = g.n - theta
+    cliques = base
+    next_id = g.n
+    for _ in range(k - 1):
+        count = len(cliques)
+        vmap = np.empty((count, g.n), dtype=np.int64)
+        vmap[:, :theta] = cliques
+        fresh = np.arange(next_id, next_id + count * per_copy, dtype=np.int64)
+        vmap[:, theta:] = fresh.reshape(count, per_copy)
+        next_id += count * per_copy
+        cliques = vmap[:, base].reshape(-1, theta)
+    first, second = np.triu_indices(theta, 1)
+    lo = cliques[:, first].ravel()
+    hi = cliques[:, second].ravel()
+    keys = np.sort(np.concatenate([lo * next_id + hi, hi * next_id + lo]))
+    indptr = np.zeros(next_id + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // next_id, minlength=next_id), out=indptr[1:])
+    return indptr, (keys % next_id).astype(np.int32)
 
 
 def _field(x) -> RatFunc:

@@ -33,7 +33,12 @@ from cellgreen import (
 )
 from cellgreen.blowup import _ball, _equitable_cells, write_approximant
 from cellgreen.cells import clique_partition
-from routes import adjacency, reference_count_walk, reference_monte_carlo
+from routes import (
+    adjacency,
+    reference_count_walk,
+    reference_monte_carlo,
+    sorted_key_csr,
+)
 
 NOT_DT = "automorphism group is not doubly transitive on the boundary"
 
@@ -206,6 +211,21 @@ def check_equitable(a, radius, order, cell):
         assert neighbour_cells(v) == neighbour_cells(rep)
 
 
+def assert_build_peak_below(ratio, level, vertices):
+    """blowup of diamond at the level peaks, under tracemalloc, below
+    ratio times the bytes of the arrays it returns."""
+    g = builtin_cell("diamond")
+    blowup(g, 2)
+    tracemalloc.start()
+    try:
+        a = blowup(g, level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.num_vertices == vertices
+    assert peak < ratio * (a.indptr.nbytes + a.indices.nbytes)
+
+
 class TestBlowup:
     def test_level_one_is_the_cell(self):
         g = builtin_cell("diamond")
@@ -320,21 +340,15 @@ class TestBlowup:
         assert a != dataclasses.replace(a, safe_horizon=a.safe_horizon + 1)
         assert a != dataclasses.replace(a, defect_set=frozenset({1, 2}))
 
+    # The build writes the returned arrays in place and holds little else:
+    # measured at 1.78 times their bytes at level 6 and 1.68 times at
+    # level 7.  A sort of int64 edge keys (sorted_key_csr's route) peaks
+    # at 4.15 times at both, and per-vertex neighbour tuples at 20 times.
     def test_build_memory_stays_near_the_arrays(self):
-        # The build holds a few edge-sized int arrays at once: measured at
-        # 4.15 times the returned arrays' bytes, and 4.39 times with a
-        # Python-list BFS queue.  Per-vertex neighbour tuples, the earlier
-        # stored form, peaked at 20 times.
-        g = builtin_cell("diamond")
-        blowup(g, 2)
-        tracemalloc.start()
-        try:
-            a = blowup(g, 6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert a.num_vertices == 37326
-        assert peak < 5 * (a.indptr.nbytes + a.indices.nbytes)
+        assert_build_peak_below(3, level=6, vertices=37326)
+
+    def test_build_memory_stays_near_the_arrays_at_level_7(self):
+        assert_build_peak_below(3, level=7, vertices=223950)
 
 
 def golden_approximant(name, level, copies, seed):
@@ -590,6 +604,14 @@ def small_balls(draw):
     return a, h + draw(st.integers(-h, h + 1))
 
 
+def assert_csr_equal(a, arrays):
+    """The approximant's CSR arrays equal (indptr, indices), dtypes too."""
+    indptr, indices = arrays
+    assert (a.indptr.dtype, a.indices.dtype) == (indptr.dtype, indices.dtype)
+    assert np.array_equal(a.indptr, indptr)
+    assert np.array_equal(a.indices, indices)
+
+
 class TestAgainstReferences:
     """The array-built approximant and the pruned walk counts against the
     set-based and unpruned loops they replaced."""
@@ -605,6 +627,23 @@ class TestAgainstReferences:
             if i % 5 == 0:
                 for k in (1, 2, 3):
                     assert blowup(g, k) == reference_blowup(g, k)
+
+    # The sort of int64 edge keys that blowup took before it wrote each
+    # neighbour list in order reaches the levels that reference_blowup's
+    # sets are too slow for.  Only theta >= 3 cells tell an old vertex's
+    # degree from its clique count.
+    @pytest.mark.parametrize(
+        "name, level",
+        [("diamond", 7), ("theta4", 6), ("sierpinski", 9), ("path2", 10), ("path3", 8)],
+    )
+    def test_blowup_matches_sorted_keys_at_deep_levels(self, name, level):
+        g = builtin_cell(name)
+        assert_csr_equal(blowup(g, level), sorted_key_csr(g, level))
+
+    def test_blowup_matches_sorted_keys_on_enumerated_cells(self):
+        for g in enumerate_cells(2, 7):
+            for k in (1, 2, 3):
+                assert_csr_equal(blowup(g, k), sorted_key_csr(g, k))
 
     # reference_blowup finds the safe horizon by a BFS to the defects, also
     # with origin copies and shuffles; blowup's closed form must equal it.

@@ -1237,6 +1237,21 @@ assert "numpy" in sys.modules, "verify ran without numpy"
 print("numpy loaded")
 """
 
+# np.unique without an optional output imports numpy.ma, which costs a
+# fresh process about 10 ms; simulate's walk takes its degrees otherwise.
+NUMPY_MA_SIMULATE_CHILD = """
+import contextlib, io, sys
+import cellgreen.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cellgreen.cli.main(
+        ["simulate", "--builtin", "diamond", "--steps", "40", "--trials", "1000"]
+    )
+assert code == 0, code
+assert "numpy" in sys.modules, "simulate ran without numpy"
+assert "numpy.ma" not in sys.modules, "simulate loaded numpy.ma"
+print("numpy.ma not loaded")
+"""
+
 
 class TestNumpyLoadsOnlyWhereItRuns:
     """The exact subcommands never import numpy, so they start without
@@ -1252,3 +1267,8 @@ class TestNumpyLoadsOnlyWhereItRuns:
         result = python_child(NUMPY_VERIFY_CHILD)
         assert result.returncode == 0, result.stderr
         assert result.stdout == "numpy loaded\n"
+
+    def test_simulate_leaves_numpy_ma_unloaded(self, python_child):
+        result = python_child(NUMPY_MA_SIMULATE_CHILD)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "numpy.ma not loaded\n"
